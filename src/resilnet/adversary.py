@@ -1,10 +1,10 @@
-"""Adversary models: link jamming and position spoofing.
+"""Adversary model: worst-case link jamming.
 
 The jammer removes up to ``m`` links so as to minimize the network's
 algebraic connectivity.  Small instances are solved exactly by subset
 enumeration; larger ones fall back to a greedy heuristic driven by Fiedler
-edge impact scores.  The spoofer corrupts the positions *reported* to the
-planner for a window of steps; true positions are untouched.
+edge impact scores.  Position spoofing is a scenario event, applied by the
+simulator (:class:`resilnet.simulator.SpoofEvent`).
 """
 
 from __future__ import annotations
@@ -13,24 +13,19 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .graph_core import (
     SpectralResult,
     WeightedGraph,
     algebraic_connectivity,
-    as_positions,
     remove_links,
 )
 
 __all__ = [
     "RemovalBudget",
     "WorstCaseResult",
-    "SpoofSpec",
     "SUBSET_CAP",
     "worst_case_removal",
     "edge_impact_scores",
-    "apply_spoofing",
 ]
 
 # Exhaustive search is used while C(edge_count, m) stays below this.
@@ -63,32 +58,6 @@ class WorstCaseResult:
     removal: tuple[int, ...]
     lambda2_after: float
     exact: bool
-
-
-@dataclass(frozen=True)
-class SpoofSpec:
-    """Constant position offset injected into the reports of some agents.
-
-    Active at steps in [start_step, start_step + duration).
-    """
-
-    targets: tuple[int, ...]
-    offset: tuple[float, ...]
-    start_step: int
-    duration: int
-
-    def __post_init__(self) -> None:
-        if not self.targets:
-            raise ValueError("spoof needs at least one target")
-        if self.duration < 1:
-            raise ValueError("spoof duration must be >= 1")
-        if self.start_step < 0:
-            raise ValueError("spoof start_step must be >= 0")
-        if not all(math.isfinite(x) for x in self.offset):
-            raise ValueError("spoof offset must be finite")
-
-    def active_at(self, step: int) -> bool:
-        return self.start_step <= step < self.start_step + self.duration
 
 
 def worst_case_removal(
@@ -165,20 +134,3 @@ def edge_impact_scores(
     v = spectral.fiedler
     return [(k, float(w * (v[i] - v[j]) ** 2)) for k, (i, j, w) in enumerate(g.edges)]
 
-
-def apply_spoofing(true_positions, spoof: SpoofSpec, step: int) -> np.ndarray:
-    """Reported positions at the given step; a fresh array, input untouched."""
-    pos = as_positions(true_positions)
-    reported = pos.copy()
-    if not spoof.active_at(step):
-        return reported
-    offset = np.asarray(spoof.offset, dtype=float)
-    if offset.shape != (pos.shape[1],):
-        raise ValueError(
-            f"offset dimension {offset.shape} does not match positions"
-        )
-    for t in spoof.targets:
-        if not 0 <= t < len(pos):
-            raise ValueError(f"spoof target {t} out of range")
-        reported[t] += offset
-    return reported

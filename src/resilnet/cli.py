@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .graph_core import build_proximity_graph
-from .controller import CENTRALIZED, plan_step, plan_step_decentralized, two_hop_neighborhoods
 from .gne import gne_solve
 from .scenario_io import (
     ConfigError,
@@ -29,7 +28,6 @@ from .scenario_io import (
     emit_trace,
     gne_from_dict,
     gne_record,
-    parse_gne,
     parse_scenario,
     parse_trace,
     plan_record,
@@ -38,6 +36,7 @@ from .scenario_io import (
 )
 from .simulator import (
     BaselineSpec,
+    _plan,
     compute_resilience_metrics,
     initial_positions,
     planning_profile,
@@ -84,13 +83,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     profile = planning_profile(cfg)
     pos = initial_positions(cfg)
     for _ in range(args.steps):
-        if cfg.opts.mode == CENTRALIZED:
-            plan = plan_step(pos, profile, cfg.opts)
-        else:
-            seen = build_proximity_graph(pos, profile)
-            plan = plan_step_decentralized(
-                pos, two_hop_neighborhoods(seen), profile, cfg.opts
-            )
+        plan = _plan(pos, profile, cfg.opts)
         graph = build_proximity_graph(plan.targets, profile)
         print(dumps_canonical(plan_record(plan, cfg.agent_ids, graph)))
         pos = plan.targets

@@ -41,7 +41,6 @@ __all__ = [
     "plan_step_decentralized",
     "project_motion",
     "two_hop_neighborhoods",
-    "local_gradients",
 ]
 
 _BALL_TOL = 1e-9
@@ -197,10 +196,8 @@ def _evaluate(positions, profile, m: int, opts: ControlOptions) -> _Eval:
     return _Eval(_snap(wc.lambda2_after), _snap(spectral.lambda2), wc, g, spectral)
 
 
-def _ascent_direction(
-    positions: np.ndarray, profile, ev: _Eval
-) -> np.ndarray | None:
-    """Unit-scaled ascent direction; None when no useful gradient exists."""
+def _ascent_gradient_rows(positions, profile, ev: _Eval) -> np.ndarray:
+    """Per-agent gradient of the worst-case lambda2 at ``positions``."""
     attacked = remove_links(ev.graph, ev.worst.removal)
     spec_att = algebraic_connectivity(attacked)
     grad = connectivity_gradient(positions, profile, spec_att, attacked).per_agent
@@ -210,10 +207,7 @@ def _ascent_direction(
         grad = connectivity_gradient(
             positions, profile, ev.spectral, ev.graph
         ).per_agent
-    gmax = float(np.max(np.linalg.norm(grad, axis=1)))
-    if gmax < _ZERO_GRAD:
-        return None
-    return grad / gmax
+    return grad
 
 
 def _improves(before: _Eval, after: _Eval, gain: float) -> bool:
@@ -259,9 +253,11 @@ def plan_step(
     candidate = pos.copy()
     accepted = 0
     for _ in range(opts.outer_iters):
-        direction = _ascent_direction(candidate, profile, ev)
-        if direction is None:
-            break
+        grad = _ascent_gradient_rows(candidate, profile, ev)
+        gmax = float(np.max(np.linalg.norm(grad, axis=1)))
+        if gmax < _ZERO_GRAD:
+            break  # no useful gradient
+        direction = grad / gmax
         eta = opts.step_size
         took = False
         for _ in range(opts.max_backtracks):
@@ -300,49 +296,6 @@ def _slice_profile(profile, idx: Sequence[int]):
             tuple(profile.layers[k] for k in idx), profile.profiles
         )
     return profile
-
-
-def local_gradients(
-    positions,
-    neighborhoods: Sequence[frozenset[int]],
-    profile: WeightProfile | LayerProfiles,
-    budget: RemovalBudget,
-    opts: ControlOptions | None = None,
-) -> np.ndarray:
-    """Per-agent gradient of each agent's own local worst-case objective.
-
-    Agent i sees only its neighborhood: it builds the induced subgraph,
-    finds the worst in-budget removal there, and differentiates the attacked
-    local lambda2 with respect to its own position (falling back to the
-    unattacked local graph when the attacked one is flat).  With full one-hop
-    coverage this reproduces the centralized gradient rows.
-    """
-    pos = as_positions(positions)
-    if len(neighborhoods) != len(pos):
-        raise ValueError("need one neighborhood per agent")
-    if opts is None:
-        opts = ControlOptions(budget, math.inf)
-    grads = np.zeros_like(pos)
-    for i in range(len(pos)):
-        idx = sorted(set(neighborhoods[i]) | {i})
-        if len(idx) < 2:
-            continue  # isolated agent: nothing to climb
-        sub_profile = _slice_profile(profile, idx)
-        ev = _evaluate(pos[idx], sub_profile, budget.m, opts)
-        direction_src = _ascent_gradient_rows(pos[idx], sub_profile, ev)
-        grads[i] = direction_src[idx.index(i)]
-    return grads
-
-
-def _ascent_gradient_rows(positions, profile, ev: _Eval) -> np.ndarray:
-    attacked = remove_links(ev.graph, ev.worst.removal)
-    spec_att = algebraic_connectivity(attacked)
-    grad = connectivity_gradient(positions, profile, spec_att, attacked).per_agent
-    if float(np.max(np.linalg.norm(grad, axis=1))) < _ZERO_GRAD:
-        grad = connectivity_gradient(
-            positions, profile, ev.spectral, ev.graph
-        ).per_agent
-    return grad
 
 
 def plan_step_decentralized(

@@ -36,12 +36,10 @@ __all__ = [
     "SignalingOutcome",
     "signaling_equilibrium",
     "PlantSpec",
-    "PhysicalUtilities",
     "physical_utilities",
     "GNECosts",
     "GNEState",
     "gne_solve",
-    "solve_services",
 ]
 
 ATTACKER, DEFENDER = 0, 1
@@ -691,22 +689,6 @@ class PlantSpec:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class PhysicalUtilities:
-    """Receiver utilities (negative regulation costs) per outcome branch."""
-
-    trust_attacker: float
-    trust_defender: float
-    reject: float
-
-    def receiver_table(self) -> np.ndarray:
-        u_r = np.empty((2, 2, 2))
-        u_r[ATTACKER, :, TRUST] = self.trust_attacker
-        u_r[DEFENDER, :, TRUST] = self.trust_defender
-        u_r[:, :, REJECT] = self.reject
-        return u_r
-
-
 def _rollout_cost(plant: PlantSpec, policy) -> float:
     x = plant.x0
     cost = 0.0
@@ -717,13 +699,14 @@ def _rollout_cost(plant: PlantSpec, policy) -> float:
     return cost
 
 
-def physical_utilities(plant: PlantSpec) -> PhysicalUtilities:
-    """Utilities of trusting or rejecting commands, from the plant model.
+def physical_utilities(plant: PlantSpec) -> np.ndarray:
+    """Receiver utility table ``u[type, message, action]`` from the plant model.
 
     Trusting an attacker applies the constant attack input; rejecting falls
     back to the (safe) fallback input; trusting the defender applies the
     one-step-optimal feedback u = -(a b q x) / (q b^2 + r) at every step.
-    Utilities are negated accumulated costs over the horizon.
+    Utilities are negated accumulated costs over the horizon and do not
+    depend on the message.
     """
     denom = plant.q * plant.b**2 + plant.r
     if denom > 0:
@@ -733,9 +716,11 @@ def physical_utilities(plant: PlantSpec) -> PhysicalUtilities:
     attack = _rollout_cost(plant, lambda x: plant.attack_input)
     fallback = _rollout_cost(plant, lambda x: plant.fallback_input)
     defend = _rollout_cost(plant, lambda x: -gain * x)
-    return PhysicalUtilities(
-        trust_attacker=-attack, trust_defender=-defend, reject=-fallback
-    )
+    u_r = np.empty((2, 2, 2))
+    u_r[ATTACKER, :, TRUST] = -attack
+    u_r[DEFENDER, :, TRUST] = -defend
+    u_r[:, :, REJECT] = -fallback
+    return u_r
 
 
 # ---------------------------------------------------------------------------
@@ -847,17 +832,3 @@ def gne_solve(
         residual_history=tuple(history),
     )
 
-
-def solve_services(
-    costs: Sequence[GNECosts],
-    sender_utils: Sequence,
-    receiver_utils: Sequence,
-    **kwargs,
-) -> list[GNEState]:
-    """Solve independent service instances one by one."""
-    if not len(costs) == len(sender_utils) == len(receiver_utils):
-        raise ValueError("need one table set per service")
-    return [
-        gne_solve(c, s, r, **kwargs)
-        for c, s, r in zip(costs, sender_utils, receiver_utils)
-    ]

@@ -99,6 +99,12 @@ class WeightProfile:
     def min_range(self) -> float:
         return self.comm_range
 
+    def smooth_surrogate(self) -> "WeightProfile":
+        """Smooth profile the planner differentiates; the cutoff is unchanged."""
+        if self.kind == SMOOTH:
+            return self
+        return WeightProfile(SMOOTH, self.comm_range)
+
 
 @dataclass(frozen=True)
 class LayerProfiles:
@@ -131,14 +137,8 @@ class LayerProfiles:
     def smooth_surrogate(self) -> "LayerProfiles":
         return LayerProfiles(
             self.layers,
-            {name: _smoothed(p) for name, p in self.profiles.items()},
+            {name: p.smooth_surrogate() for name, p in self.profiles.items()},
         )
-
-
-def _smoothed(profile: WeightProfile) -> WeightProfile:
-    if profile.kind == SMOOTH:
-        return profile
-    return WeightProfile(SMOOTH, profile.comm_range)
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        for i, j, wij in self.edges:
-            w[i, j] = wij
-            w[j, i] = wij
-        return w
 
     def neighbors(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]

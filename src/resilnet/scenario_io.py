@@ -21,7 +21,7 @@ import yaml
 
 from .adversary import RemovalBudget
 from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult
-from .gne import GNECosts, GNEState, PhysicalUtilities, PlantSpec, physical_utilities
+from .gne import GNECosts, GNEState, PlantSpec, physical_utilities
 from .graph_core import BINARY, SMOOTH, WeightProfile, WeightedGraph
 from .simulator import (
     BaselineSpec,
@@ -95,6 +95,7 @@ class _Walk:
         minimum: float | None = None,
         exclusive_min: float | None = None,
         maximum: float | None = None,
+        allow_inf: bool = False,
     ):
         label = f"{path}.{key}" if path else key
         if key not in node:
@@ -104,6 +105,11 @@ class _Walk:
         value = node[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.err(label, f"expected a number, got {type(value).__name__}")
+            return default
+        if isinstance(value, float) and not (
+            math.isfinite(value) or (allow_inf and value == math.inf)
+        ):
+            self.err(label, f"must be finite, got {value}")
             return default
         if integer and not isinstance(value, int):
             self.err(label, f"expected an integer, got {value!r}")
@@ -143,6 +149,21 @@ class _Walk:
             return default
         return value
 
+    def optional(self, node: Mapping, path: str, rules: Mapping[str, dict]) -> dict:
+        """Validated values of the optional fields present in ``node``.
+
+        ``rules`` maps each field to the keyword arguments of :meth:`string`
+        (when they name ``choices``) or of :meth:`number`.  Absent fields are
+        left out, so the target dataclass supplies its own defaults; a field
+        that fails validation maps to None.
+        """
+        out = {}
+        for key, rule in rules.items():
+            if key in node:
+                check = self.string if "choices" in rule else self.number
+                out[key] = check(node, key, path, **rule)
+        return out
+
     def vector(self, node: Any, dim: int, path: str) -> tuple[float, ...] | None:
         if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
             self.err(path, f"expected a list of {dim} numbers")
@@ -154,6 +175,9 @@ class _Walk:
         for k, v in enumerate(node):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 self.err(f"{path}[{k}]", "expected a number")
+                return None
+            if isinstance(v, float) and not math.isfinite(v):
+                self.err(f"{path}[{k}]", f"must be finite, got {v}")
                 return None
             vals.append(float(v))
         return tuple(vals)
@@ -177,19 +201,19 @@ _TOP_KEYS = (
     "baseline",
     "budget_schedule",
 )
-_CONTROL_KEYS = (
-    "anticipated_budget",
-    "motion_bound",
-    "min_separation",
-    "outer_iters",
-    "step_size",
-    "backtrack",
-    "tol",
-    "mode",
-    "attack_mode",
-    "subset_cap",
-    "max_backtracks",
-)
+# optional control fields; the defaults are those of ControlOptions
+_CONTROL_FIELDS = {
+    "min_separation": dict(minimum=0.0),
+    "outer_iters": dict(integer=True, minimum=1),
+    "step_size": dict(exclusive_min=0.0),
+    "backtrack": dict(exclusive_min=0.0, maximum=1.0),
+    "tol": dict(exclusive_min=0.0),
+    "mode": dict(choices=(CENTRALIZED, DECENTRALIZED)),
+    "attack_mode": dict(choices=("auto", "exhaustive", "greedy")),
+    "subset_cap": dict(integer=True, minimum=1),
+    "max_backtracks": dict(integer=True, minimum=1),
+}
+_CONTROL_KEYS = ("anticipated_budget", "motion_bound", *_CONTROL_FIELDS)
 
 _DEFAULT_LAYER = "default"
 
@@ -259,18 +283,9 @@ def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
         return None
     w.reject_unknown(data, _CONTROL_KEYS, "control")
     budget = w.number(data, "anticipated_budget", "control", required=True, integer=True, minimum=0)
-    motion = w.number(data, "motion_bound", "control", required=True, minimum=0.0)
-    kwargs = dict(
-        min_separation=w.number(data, "min_separation", "control", default=0.0, minimum=0.0),
-        outer_iters=w.number(data, "outer_iters", "control", default=40, integer=True, minimum=1),
-        step_size=w.number(data, "step_size", "control", default=0.5, exclusive_min=0.0),
-        backtrack=w.number(data, "backtrack", "control", default=0.5, exclusive_min=0.0, maximum=1.0),
-        tol=w.number(data, "tol", "control", default=1e-9, exclusive_min=0.0),
-        mode=w.string(data, "mode", "control", default=CENTRALIZED, choices=(CENTRALIZED, DECENTRALIZED)),
-        attack_mode=w.string(data, "attack_mode", "control", default="auto", choices=("auto", "exhaustive", "greedy")),
-        subset_cap=w.number(data, "subset_cap", "control", default=50_000, integer=True, minimum=1),
-        max_backtracks=w.number(data, "max_backtracks", "control", default=30, integer=True, minimum=1),
-    )
+    # .inf is the documented "no bound"
+    motion = w.number(data, "motion_bound", "control", required=True, minimum=0.0, allow_inf=True)
+    kwargs = w.optional(data, "control", _CONTROL_FIELDS)
     if budget is None or motion is None or None in kwargs.values():
         return None
     try:
@@ -398,21 +413,29 @@ def _parse_layout(w: _Walk, node: Any, dim: int) -> RandomLayout | None:
     return RandomLayout(low, high)
 
 
+# the defaults are those of BaselineSpec
+_BASELINE_FIELDS = {
+    "policy": dict(choices=("pre_event", "fixed")),
+    "value": dict(exclusive_min=0.0),
+    "recovery_fraction": dict(exclusive_min=0.0, maximum=1.0),
+}
+
+
 def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
     if node is None:
         return BaselineSpec()
     data = w.mapping(node, "baseline")
     if data is None:
         return BaselineSpec()
-    w.reject_unknown(data, ("policy", "value", "recovery_fraction"), "baseline")
-    policy = w.string(data, "policy", "baseline", default="pre_event", choices=("pre_event", "fixed"))
-    value = w.number(data, "value", "baseline", exclusive_min=0.0)
-    phi = w.number(data, "recovery_fraction", "baseline", default=0.9, exclusive_min=0.0, maximum=1.0)
-    if policy == "fixed" and value is None:
+    w.reject_unknown(data, _BASELINE_FIELDS, "baseline")
+    kwargs = w.optional(data, "baseline", _BASELINE_FIELDS)
+    if kwargs.get("policy") == "fixed" and kwargs.get("value") is None:
         w.err("baseline.value", "required when policy is fixed")
         return BaselineSpec()
+    if None in kwargs.values():
+        return BaselineSpec()
     try:
-        return BaselineSpec(policy, value, phi)
+        return BaselineSpec(**kwargs)
     except ValueError as exc:
         w.err("baseline", str(exc))
         return BaselineSpec()
@@ -586,6 +609,24 @@ def _parse_typed_tables(w: _Walk, node: Any, path: str) -> np.ndarray | None:
     return np.stack(tables)
 
 
+_PLANT_REQUIRED = {
+    "a": {},
+    "b": {},
+    "q": dict(minimum=0.0),
+    "r": dict(minimum=0.0),
+    "horizon": dict(integer=True, minimum=1),
+    "attack_input": {},
+}
+# the defaults are those of PlantSpec and GNEProblem
+_PLANT_OPTIONAL = {"fallback_input": {}}
+_SOLVER_FIELDS = {
+    "damping": dict(exclusive_min=0.0, maximum=1.0),
+    "tol": dict(exclusive_min=0.0),
+    "max_iters": dict(integer=True, minimum=1),
+    "p0": dict(minimum=0.0, maximum=1.0),
+}
+
+
 def gne_from_dict(data: Any) -> GNEProblem:
     """Validate a deserialized coupled-game document."""
     w = _Walk()
@@ -620,20 +661,15 @@ def gne_from_dict(data: Any) -> GNEProblem:
     else:
         pdata = w.mapping(top["plant"], "plant")
         if pdata is not None:
-            w.reject_unknown(
-                pdata, ("a", "b", "q", "r", "horizon", "attack_input", "fallback_input"), "plant"
-            )
-            a = w.number(pdata, "a", "plant", required=True)
-            b = w.number(pdata, "b", "plant", required=True)
-            q = w.number(pdata, "q", "plant", required=True, minimum=0.0)
-            r = w.number(pdata, "r", "plant", required=True, minimum=0.0)
-            horizon = w.number(pdata, "horizon", "plant", required=True, integer=True, minimum=1)
-            attack_input = w.number(pdata, "attack_input", "plant", required=True)
-            fallback = w.number(pdata, "fallback_input", "plant", default=0.0)
-            if None not in (a, b, q, r, horizon, attack_input, fallback):
+            w.reject_unknown(pdata, (*_PLANT_REQUIRED, *_PLANT_OPTIONAL), "plant")
+            kwargs = {
+                key: w.number(pdata, key, "plant", required=True, **rule)
+                for key, rule in _PLANT_REQUIRED.items()
+            }
+            kwargs.update(w.optional(pdata, "plant", _PLANT_OPTIONAL))
+            if None not in kwargs.values():
                 try:
-                    spec = PlantSpec(a, b, q, r, horizon, attack_input, fallback)
-                    receiver = physical_utilities(spec).receiver_table()
+                    receiver = physical_utilities(PlantSpec(**kwargs))
                 except ValueError as exc:
                     w.err("plant", str(exc))
 
@@ -641,13 +677,8 @@ def gne_from_dict(data: Any) -> GNEProblem:
     if "solver" in top:
         sdata = w.mapping(top["solver"], "solver")
         if sdata is not None:
-            w.reject_unknown(sdata, ("damping", "tol", "max_iters", "p0"), "solver")
-            solver = dict(
-                damping=w.number(sdata, "damping", "solver", default=0.5, exclusive_min=0.0, maximum=1.0),
-                tol=w.number(sdata, "tol", "solver", default=1e-8, exclusive_min=0.0),
-                max_iters=w.number(sdata, "max_iters", "solver", default=200, integer=True, minimum=1),
-                p0=w.number(sdata, "p0", "solver", default=0.5, minimum=0.0, maximum=1.0),
-            )
+            w.reject_unknown(sdata, _SOLVER_FIELDS, "solver")
+            solver = w.optional(sdata, "solver", _SOLVER_FIELDS)
             if None in solver.values():
                 solver = {}
 

@@ -23,6 +23,7 @@ from .adversary import RemovalBudget, worst_case_removal
 from .controller import (
     CENTRALIZED,
     ControlOptions,
+    PlanResult,
     plan_step,
     plan_step_decentralized,
     two_hop_neighborhoods,
@@ -192,16 +193,8 @@ def _profile_source(cfg: ScenarioConfig):
     return LayerProfiles(cfg.agent_layers, dict(cfg.profiles))
 
 
-def _control_profile(source):
-    """Smooth surrogate the planner differentiates; cutoffs unchanged."""
-    if isinstance(source, LayerProfiles):
-        return source.smooth_surrogate()
-    if source.kind == "smooth":
-        return source
-    return WeightProfile("smooth", source.comm_range)
-
-
-def _initial_positions(cfg: ScenarioConfig) -> np.ndarray:
+def initial_positions(cfg: ScenarioConfig) -> np.ndarray:
+    """Starting positions: explicit, or drawn from the layout box by seed."""
     if cfg.initial_positions is not None:
         pos = np.asarray(cfg.initial_positions, dtype=float)
         if pos.shape != (len(cfg.agent_ids), cfg.dimension):
@@ -215,14 +208,23 @@ def _initial_positions(cfg: ScenarioConfig) -> np.ndarray:
     return rng.uniform(low, high, size=(len(cfg.agent_ids), cfg.dimension))
 
 
-def initial_positions(cfg: ScenarioConfig) -> np.ndarray:
-    """Starting positions: explicit, or drawn from the layout box by seed."""
-    return _initial_positions(cfg)
-
-
 def planning_profile(cfg: ScenarioConfig):
     """The smooth weight profile the planner differentiates."""
-    return _control_profile(_profile_source(cfg))
+    return _profile_source(cfg).smooth_surrogate()
+
+
+def _plan(reported: np.ndarray, ctrl_profile, opts: ControlOptions) -> PlanResult:
+    """One planning step with the planner ``opts.mode`` names.
+
+    The decentralized planner gets each agent's two-hop neighborhood in the
+    graph the planner sees.
+    """
+    if opts.mode == CENTRALIZED:
+        return plan_step(reported, ctrl_profile, opts)
+    seen = build_proximity_graph(reported, ctrl_profile)
+    return plan_step_decentralized(
+        reported, two_hop_neighborhoods(seen), ctrl_profile, opts
+    )
 
 
 def _budget_at(cfg: ScenarioConfig, step: int) -> int:
@@ -253,8 +255,8 @@ def _resolve_edges(
 def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
     """Run the closed loop and return one :class:`StepTrace` per step."""
     source = _profile_source(cfg)
-    ctrl_profile = _control_profile(source)
-    true = _initial_positions(cfg)
+    ctrl_profile = source.smooth_surrogate()
+    true = initial_positions(cfg)
     traces: list[StepTrace] = []
     for step in range(cfg.steps):
         reported = true.copy()
@@ -265,13 +267,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
                     reported[cfg.index_of(aid)] += offset
         budget = _budget_at(cfg, step)
         opts = replace(cfg.opts, anticipated_budget=RemovalBudget(budget))
-        if cfg.opts.mode == CENTRALIZED:
-            plan = plan_step(reported, ctrl_profile, opts)
-        else:
-            seen = build_proximity_graph(reported, ctrl_profile)
-            plan = plan_step_decentralized(
-                reported, two_hop_neighborhoods(seen), ctrl_profile, opts
-            )
+        plan = _plan(reported, ctrl_profile, opts)
         # displacement execution: a spoofed agent moves by the commanded
         # step, so its physical displacement still honors the motion bound
         true = true + (plan.targets - reported)

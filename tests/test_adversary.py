@@ -7,10 +7,8 @@ import pytest
 
 from resilnet import (
     RemovalBudget,
-    SpoofSpec,
     WeightedGraph,
     algebraic_connectivity,
-    apply_spoofing,
     edge_impact_scores,
     remove_links,
     worst_case_removal,
@@ -120,30 +118,3 @@ def test_impact_scores_sign_flip_invariant():
     b = [s for _, s in edge_impact_scores(g, flipped)]
     np.testing.assert_allclose(a, b)
 
-
-def test_spoofing_applies_only_in_window():
-    pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    spoof = SpoofSpec(targets=(1,), offset=(0.5, -0.5), start_step=2, duration=3)
-    before = apply_spoofing(pos, spoof, step=1)
-    np.testing.assert_array_equal(before, pos)
-    during = apply_spoofing(pos, spoof, step=4)
-    np.testing.assert_allclose(during[1], [1.5, -0.5])
-    np.testing.assert_array_equal(during[[0, 2]], pos[[0, 2]])
-    after = apply_spoofing(pos, spoof, step=5)
-    np.testing.assert_array_equal(after, pos)
-    # the input array is never modified
-    np.testing.assert_array_equal(pos[1], [1.0, 0.0])
-
-
-def test_spoofing_validation():
-    pos = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        SpoofSpec(targets=(), offset=(1.0, 0.0), start_step=0, duration=1)
-    with pytest.raises(ValueError):
-        SpoofSpec(targets=(0,), offset=(1.0, 0.0), start_step=0, duration=0)
-    bad_dim = SpoofSpec(targets=(0,), offset=(1.0, 0.0, 0.0), start_step=0, duration=1)
-    with pytest.raises(ValueError, match="dimension"):
-        apply_spoofing(pos, bad_dim, step=0)
-    out_of_range = SpoofSpec(targets=(5,), offset=(1.0, 0.0), start_step=0, duration=1)
-    with pytest.raises(ValueError, match="out of range"):
-        apply_spoofing(pos, out_of_range, step=0)

@@ -10,11 +10,9 @@ from resilnet import (
     WeightProfile,
     algebraic_connectivity,
     build_proximity_graph,
-    local_gradients,
     plan_step,
     plan_step_decentralized,
     project_motion,
-    remove_links,
     two_hop_neighborhoods,
     worst_case_removal,
 )
@@ -129,25 +127,6 @@ def test_two_hop_neighborhoods_on_path():
     assert hoods[1] == frozenset({0, 1, 2, 3})
 
 
-def test_local_gradients_match_central_with_full_coverage():
-    # with everyone in everyone's neighborhood the local objective is the
-    # global one, so the per-agent rows must coincide with the central ones
-    rng = np.random.default_rng(17)
-    pos = rng.uniform(0.0, 1.8, size=(5, 2))
-    n = len(pos)
-    full = [frozenset(range(n))] * n
-    local = local_gradients(pos, full, PROFILE, RemovalBudget(1))
-
-    g = build_proximity_graph(pos, PROFILE)
-    wc = worst_case_removal(g, RemovalBudget(1))
-    attacked = remove_links(g, wc.removal)
-    spec = algebraic_connectivity(attacked)
-    from resilnet import connectivity_gradient
-
-    central = connectivity_gradient(pos, PROFILE, spec, attacked).per_agent
-    np.testing.assert_allclose(local, central, atol=1e-12)
-
-
 def test_decentralized_plan_moves_and_respects_bounds():
     pos = np.array([[i * 1.0, 0.0] for i in range(5)])
     o = opts(m=1, delta=0.6, outer_iters=15)
@@ -159,7 +138,11 @@ def test_decentralized_plan_moves_and_respects_bounds():
 
 
 def test_isolated_agent_contributes_zero_gradient():
+    # an agent with no neighbours has no local objective to climb, so the
+    # decentralized planner leaves it at its start while the pair moves
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 50.0]])
     hoods = two_hop_neighborhoods(build_proximity_graph(pos, PROFILE))
-    grads = local_gradients(pos, hoods, PROFILE, RemovalBudget(0))
-    np.testing.assert_array_equal(grads[2], [0.0, 0.0])
+    assert hoods[2] == frozenset({2})
+    plan = plan_step_decentralized(pos, hoods, PROFILE, opts(m=0))
+    np.testing.assert_array_equal(plan.targets[2], pos[2])
+    assert not np.array_equal(plan.targets[:2], pos[:2])

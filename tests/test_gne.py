@@ -17,7 +17,6 @@ from resilnet import (
     gne_solve,
     physical_utilities,
     signaling_equilibrium,
-    solve_services,
 )
 
 # shared demo instance: commands are valuable to fake (attacker trusts pay
@@ -296,27 +295,27 @@ def test_plant_utilities_hand_example():
     # fallback 0 -> x = 1, cost 1; optimal u = -ab q/(q b^2 + r) = -0.5
     # -> x = 0.5, cost 0.25 + 0.25 = 0.5
     plant = PlantSpec(a=1.0, b=1.0, q=1.0, r=1.0, horizon=1, attack_input=1.0)
-    u = physical_utilities(plant)
-    assert u.trust_attacker == pytest.approx(-5.0)
-    assert u.reject == pytest.approx(-1.0)
-    assert u.trust_defender == pytest.approx(-0.5)
-    table = u.receiver_table()
+    table = physical_utilities(plant)
     assert table.shape == (2, 2, 2)
-    assert table[ATTACKER, 0, TRUST] == pytest.approx(-5.0)
-    assert table[DEFENDER, 1, TRUST] == pytest.approx(-0.5)
+    assert np.all(table[ATTACKER, :, TRUST] == pytest.approx(-5.0))
+    assert np.all(table[DEFENDER, :, TRUST] == pytest.approx(-0.5))
     assert np.all(table[:, :, REJECT] == pytest.approx(-1.0))
 
 
 def test_plant_trust_beats_fallback_beats_attack():
     plant = PlantSpec(a=1.1, b=1.0, q=1.0, r=0.5, horizon=6, attack_input=2.0)
-    u = physical_utilities(plant)
-    assert u.trust_defender > u.reject > u.trust_attacker
+    table = physical_utilities(plant)
+    for m in range(2):
+        assert (
+            table[DEFENDER, m, TRUST]
+            > table[DEFENDER, m, REJECT]
+            > table[ATTACKER, m, TRUST]
+        )
 
 
 def test_costless_plant_gives_zero_utilities():
     plant = PlantSpec(a=0.9, b=1.0, q=0.0, r=0.0, horizon=4, attack_input=3.0)
-    u = physical_utilities(plant)
-    assert u.trust_attacker == u.trust_defender == u.reject == 0.0
+    np.testing.assert_array_equal(physical_utilities(plant), np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +397,3 @@ def test_gne_rejects_bad_solver_settings():
     with pytest.raises(ValueError):
         gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, p0=1.5)
 
-
-def test_solve_services_runs_per_service():
-    states = solve_services(
-        [DEMO_COSTS, GNECosts(0.6, 0.2)],
-        [DEMO_SENDER, DEMO_SENDER],
-        [DEMO_RECEIVER, DEMO_RECEIVER],
-    )
-    assert len(states) == 2
-    direct = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
-    assert states[0].control_fraction == direct.control_fraction
-    with pytest.raises(ValueError):
-        solve_services([DEMO_COSTS], [], [])

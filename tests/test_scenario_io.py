@@ -1,5 +1,6 @@
 """Config validation, canonical serialization, and file round-trips."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,12 @@ import pytest
 
 from resilnet import (
     CENTRALIZED,
+    BaselineSpec,
     ConfigError,
+    ControlOptions,
+    GNEProblem,
     JamEvent,
+    RemovalBudget,
     ResilienceReport,
     RunManifest,
     SpoofEvent,
@@ -55,7 +60,9 @@ def test_minimal_config_fills_defaults():
     cfg = scenario_from_dict(MINIMAL)
     assert cfg.baseline.policy == "pre_event"
     assert cfg.baseline.recovery_fraction == 0.9
+    assert cfg.baseline == BaselineSpec()
     assert cfg.opts.mode == CENTRALIZED
+    assert cfg.opts == ControlOptions(RemovalBudget(1), 0.5, min_separation=0.25)
     assert cfg.rng_seed == 0
     assert cfg.agent_layers == ("default", "default")
     assert cfg.events == ()
@@ -173,6 +180,60 @@ def test_budget_schedule_must_increase():
     data = deep(MINIMAL, budget_schedule=[{"from_step": 1, "budget": 2}, {"from_step": 1, "budget": 0}])
     errs = errors_of(data)
     assert any("must increase" in e for e in errs)
+
+
+def has_error(errs, prefix):
+    return any(e.startswith(prefix) for e in errs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_position_rejected_with_path(bad):
+    data = deep(MINIMAL)
+    data["agents"][1]["position"] = [0.0, bad]
+    assert has_error(errors_of(data), "agents[1].position[1]: must be finite")
+
+
+def test_non_finite_spoof_offset_rejected_with_path():
+    data = deep(
+        MINIMAL,
+        events=[
+            {"type": "spoof", "targets": ["b"], "offset": [math.nan, 0.0], "start": 0, "duration": 1}
+        ],
+    )
+    assert has_error(errors_of(data), "events[0].offset[0]: must be finite")
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("motion_bound", math.nan),
+        ("motion_bound", -math.inf),
+        ("step_size", math.inf),
+        ("min_separation", math.nan),
+        ("tol", math.inf),
+    ],
+)
+def test_non_finite_control_number_rejected_with_path(key, bad):
+    data = deep(MINIMAL)
+    data["control"][key] = bad
+    assert has_error(errors_of(data), f"control.{key}: must")
+
+
+def test_infinite_motion_bound_means_no_bound():
+    data = deep(MINIMAL)
+    data["control"]["motion_bound"] = math.inf
+    assert scenario_from_dict(data).opts.motion_bound == math.inf
+
+
+def test_invalid_optional_fields_keep_their_paths():
+    data = deep(MINIMAL, baseline={"recovery_fraction": 1.5})
+    data["control"].update(outer_iters=0, mode="swarm")
+    errs = errors_of(data)
+    assert has_error(errs, "control.outer_iters: must be >= 1")
+    assert has_error(errs, "control.mode: must be one of")
+    assert has_error(errs, "baseline.recovery_fraction: must be <= 1")
+    with pytest.raises(ConfigError, match=r"solver\.max_iters: must be >= 1"):
+        gne_from_dict(deep(GNE_MINIMAL, solver={"max_iters": 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +390,9 @@ def test_gne_problem_parses_tables():
     assert prob.sender_utils.shape == (2, 2, 2)
     assert prob.damping == 0.5
     assert prob.sender_utils[0, 0, 0] == 1.0
+    for f in dataclasses.fields(GNEProblem):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(prob, f.name) == f.default
 
 
 def test_gne_problem_accepts_plant_instead_of_tables():
@@ -347,6 +411,18 @@ def test_gne_problem_table_xor_plant():
     data["plant"] = {"a": 1.0, "b": 1.0, "q": 1.0, "r": 1.0, "horizon": 1, "attack_input": 1.0}
     with pytest.raises(ConfigError, match="exactly one"):
         gne_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gne_problem_rejects_non_finite_numbers(bad):
+    data = deep(GNE_MINIMAL)
+    data["costs"]["attack"] = bad
+    data["receiver_utils"]["defender"][1][0] = bad
+    with pytest.raises(ConfigError) as exc:
+        gne_from_dict(data)
+    errs = exc.value.errors
+    assert has_error(errs, "costs.attack: must be finite")
+    assert has_error(errs, "receiver_utils.defender[1][0]: must be finite")
 
 
 def test_gne_problem_validates_shapes_and_costs():
