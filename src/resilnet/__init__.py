@@ -12,8 +12,8 @@ communication links and spoofs position reports.  It provides:
   resilience metrics (:mod:`resilnet.simulator`),
 - a coupled stealthy-takeover timing game and trust signaling game solved
   for a joint equilibrium (:mod:`resilnet.gne`),
-- YAML scenario parsing, canonical serialization, and the ``resilnet``
-  command line (:mod:`resilnet.scenario_io`, :mod:`resilnet.cli`).
+- YAML scenario parsing, canonical JSON output, trace parsing, and the
+  ``resilnet`` command line (:mod:`resilnet.scenario_io`, :mod:`resilnet.cli`).
 """
 
 from .graph_core import (
@@ -92,8 +92,6 @@ from .scenario_io import (
     gne_from_dict,
     gne_record,
     parse_gne,
-    parse_manifest,
-    parse_report,
     parse_scenario,
     parse_trace,
     plan_record,
@@ -178,9 +176,7 @@ __all__ = [
     "emit_trace",
     "parse_trace",
     "emit_report",
-    "parse_report",
     "gne_record",
     "plan_record",
     "emit_manifest",
-    "parse_manifest",
 ]

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .graph_core import (
     SpectralResult,
     WeightedGraph,
@@ -114,23 +116,21 @@ def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:
         spectral = algebraic_connectivity(current)
         if spectral.lambda2 <= 0.0:
             break  # already disconnected; extra removals gain nothing
-        scores = edge_impact_scores(current, spectral)
-        k = max(range(len(scores)), key=lambda idx: (scores[idx][1], -idx))
+        # argmax takes the first index on a tie
+        k = int(np.argmax(edge_impact_scores(current, spectral)))
         removed.append(original.pop(k))
         current = remove_links(current, (k,))
     lam = algebraic_connectivity(current).lambda2
     return WorstCaseResult(tuple(sorted(removed)), lam, False)
 
 
-def edge_impact_scores(
-    g: WeightedGraph, spectral: SpectralResult
-) -> list[tuple[int, float]]:
-    """Per-edge contribution w_ij * (v_i - v_j)^2 to lambda2.
+def edge_impact_scores(g: WeightedGraph, spectral: SpectralResult) -> np.ndarray:
+    """Per-edge contribution w_ij * (v_i - v_j)^2 to lambda2, in edge order.
 
     With a unit Fiedler vector the scores sum to lambda2 (Rayleigh quotient),
     so a high score marks a link whose loss hurts connectivity most, to first
     order.  Invariant under the sign flip of the eigenvector.
     """
-    v = spectral.fiedler
-    return [(k, float(w * (v[i] - v[j]) ** 2)) for k, (i, j, w) in enumerate(g.edges)]
+    dv = spectral.fiedler[g.edges[:, 0]] - spectral.fiedler[g.edges[:, 1]]
+    return g.weights * (dv * dv)
 

@@ -37,6 +37,7 @@ from .scenario_io import (
 from .simulator import (
     BaselineSpec,
     _plan,
+    _step_options,
     compute_resilience_metrics,
     initial_positions,
     planning_profile,
@@ -82,8 +83,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
     profile = planning_profile(cfg)
     pos = initial_positions(cfg)
-    for _ in range(args.steps):
-        plan = _plan(pos, profile, cfg.opts)
+    for step in range(args.steps):
+        plan = _plan(pos, profile, _step_options(cfg, step))
         graph = build_proximity_graph(plan.targets, profile)
         print(dumps_canonical(plan_record(plan, cfg.agent_ids, graph)))
         pos = plan.targets
@@ -128,23 +129,22 @@ def _cmd_gne(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_baseline_flag(text: str) -> BaselineSpec:
+def _parse_baseline_flags(text: str, recovery_fraction: float) -> BaselineSpec:
     if text == "pre_event":
-        return BaselineSpec()
+        return BaselineSpec(recovery_fraction=recovery_fraction)
     if text.startswith("fixed:"):
         try:
-            return BaselineSpec("fixed", float(text.split(":", 1)[1]))
+            value = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError([f"baseline: bad fixed value in {text!r}"]) from exc
+        return BaselineSpec("fixed", value, recovery_fraction=recovery_fraction)
     raise ConfigError([f"baseline: expected 'pre_event' or 'fixed:<value>', got {text!r}"])
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     trace = parse_trace(args.trace)
-    baseline = _parse_baseline_flag(args.baseline)
-    report = compute_resilience_metrics(
-        trace, baseline, args.t2, recovery_fraction=args.recovery_fraction
-    )
+    baseline = _parse_baseline_flags(args.baseline, args.recovery_fraction)
+    report = compute_resilience_metrics(trace, baseline, args.t2)
     print(dumps_canonical(asdict(report)))
     return 0
 
@@ -187,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--recovery-fraction",
         type=float,
-        default=None,
-        help="fraction of baseline counting as recovered (default 0.9)",
+        default=BaselineSpec.recovery_fraction,
+        help="fraction of baseline counting as recovered (default %(default)s)",
     )
     p.add_argument(
         "--baseline",

@@ -25,6 +25,7 @@ from .graph_core import (
     LayerProfiles,
     WeightProfile,
     WeightedGraph,
+    _pair_distances,
     algebraic_connectivity,
     as_positions,
     build_proximity_graph,
@@ -173,12 +174,8 @@ def _enforce(
         disp = np.linalg.norm(adjusted - origin, axis=1)
         if np.any(disp > delta + _BALL_TOL):
             return adjusted, False
-    if d_min > 0:
-        n = len(adjusted)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if np.linalg.norm(adjusted[i] - adjusted[j]) < d_min - _SEP_TOL:
-                    return adjusted, False
+    if d_min > 0 and np.any(_pair_distances(adjusted)[2] < d_min - _SEP_TOL):
+        return adjusted, False
     return adjusted, True
 
 
@@ -280,14 +277,11 @@ def plan_step(
 
 def two_hop_neighborhoods(g: WeightedGraph) -> tuple[frozenset[int], ...]:
     """Each agent's own index plus its one- and two-hop neighbors."""
-    adj = g.neighbors()
-    out = []
-    for i in range(g.n):
-        nb = {i} | adj[i]
-        for j in adj[i]:
-            nb |= adj[j]
-        out.append(frozenset(nb))
-    return tuple(out)
+    adj = np.eye(g.n, dtype=np.intp)
+    adj[g.edges[:, 0], g.edges[:, 1]] = 1
+    adj[g.edges[:, 1], g.edges[:, 0]] = 1
+    # with the diagonal set, (adj @ adj)[i, k] > 0 iff k is within two hops
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj @ adj)
 
 
 def _slice_profile(profile, idx: Sequence[int]):

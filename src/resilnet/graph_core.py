@@ -84,10 +84,6 @@ class WeightProfile:
             if not (math.isfinite(self.decay) and self.decay > 0):
                 raise ValueError(f"decay must be positive, got {self.decay}")
 
-    def pair(self, i: int, j: int) -> "WeightProfile":
-        """Profile governing the link between agents ``i`` and ``j``."""
-        return self
-
     def weight(self, dist: float) -> float:
         """Link weight at distance ``dist``; 0 beyond the cutoff."""
         if dist > self.comm_range:
@@ -126,11 +122,6 @@ class LayerProfiles:
         if len(kinds) > 1:
             raise ValueError("all layer profiles must share one kind")
 
-    def pair(self, i: int, j: int) -> WeightProfile:
-        la, lb = self.layers[i], self.layers[j]
-        pa, pb = self.profiles[la], self.profiles[lb]
-        return pa if (pa.comm_range, la) <= (pb.comm_range, lb) else pb
-
     def min_range(self) -> float:
         return min(p.comm_range for p in self.profiles.values())
 
@@ -141,27 +132,39 @@ class LayerProfiles:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on agents 0..n-1.
 
-    Edges are (i, j, w) with i < j, sorted lexicographically, so edge indices
-    are stable and runs replay identically.
+    ``edges`` is an (E, 2) integer array of pairs i < j, sorted
+    lexicographically, and ``weights`` the (E,) link weights, so edge
+    indices are stable and runs replay identically.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.shape != (len(edges),):
+            raise ValueError("need one weight per edge")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return len(self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +203,37 @@ def as_positions(positions, dimension: int | None = None) -> np.ndarray:
     return pos
 
 
+def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair i < j in lexicographic order, and its Euclidean distance.
+
+    The stacked row dot is the same BLAS dot ``np.linalg.norm`` takes for
+    one vector, so each distance keeps the bits of the per-pair norm.
+    """
+    i, j = np.triu_indices(len(pos), 1)
+    diff = pos[i] - pos[j]
+    return i, j, np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+
+
+def _link_rule(
+    profile: WeightProfile | LayerProfiles, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range and decay (NaN for binary) governing each pair (i[k], j[k]).
+
+    A cross-layer pair uses the profile with the smaller (range, layer
+    name), so a link exists only when both endpoints can hear each other.
+    """
+    if isinstance(profile, WeightProfile):
+        rules, pick = [profile], np.zeros(len(i), dtype=np.intp)
+    else:
+        order = sorted(profile.profiles.items(), key=lambda kv: (kv[1].comm_range, kv[0]))
+        rank = {name: r for r, (name, _) in enumerate(order)}
+        agent = np.array([rank[name] for name in profile.layers])
+        rules, pick = [p for _, p in order], np.minimum(agent[i], agent[j])
+    ranges = np.array([p.comm_range for p in rules])
+    decays = np.array([math.nan if p.decay is None else p.decay for p in rules])
+    return ranges[pick], decays[pick]
+
+
 def build_proximity_graph(
     positions, profile: WeightProfile | LayerProfiles
 ) -> WeightedGraph:
@@ -219,24 +253,27 @@ def build_proximity_graph(
         raise ValueError("need at least 2 agents")
     if isinstance(profile, LayerProfiles) and len(profile.layers) != n:
         raise ValueError("layer count does not match agent count")
-    edges = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            p = profile.pair(i, j)
-            d = float(np.linalg.norm(pos[i] - pos[j]))
-            if d <= p.comm_range:
-                edges.append((i, j, p.weight(d)))
-    return WeightedGraph(n, tuple(edges))
+    i, j, dist = _pair_distances(pos)
+    ranges, decays = _link_rule(profile, i, j)
+    kept = dist <= ranges
+    d = dist[kept]
+    if np.isnan(decays).any():  # binary
+        weights = np.ones(len(d))
+    else:
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        exponent = -decays[kept] * d * d
+        weights = np.array([math.exp(x) for x in exponent.tolist()], dtype=float)
+    return WeightedGraph(n, np.stack([i[kept], j[kept]], axis=1), weights)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian L = D - W."""
     lap = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        lap[i, i] += w
-        lap[j, j] += w
-        lap[i, j] -= w
-        lap[j, i] -= w
+    i, j = g.edges.T
+    lap[i, j] -= g.weights
+    lap[j, i] -= g.weights
+    # bincount adds each agent's link weights in edge order
+    np.fill_diagonal(lap, np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n))
     return lap
 
 
@@ -262,17 +299,15 @@ def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     lam2 = max(lam2, 0.0)
     lam3 = float(evals[1]) if n >= 3 else math.inf
     vec = evecs[:, 0]
-    # sweep out any residual all-ones component and fix a deterministic sign
+    # sweep out any residual all-ones component and fix a deterministic sign:
+    # the first entry clear of roundoff is positive (a unit vector has one)
     vec = vec - vec.mean()
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         raise SpectralError("Fiedler vector collapsed onto the kernel")
     vec = vec / norm
-    for x in vec:
-        if abs(x) > 1e-12:
-            if x < 0:
-                vec = -vec
-            break
+    if vec[np.argmax(np.abs(vec) > 1e-12)] < 0:
+        vec = -vec
     return SpectralResult(lam2, vec, bool(lam3 - lam2 > _SIMPLE_GAP))
 
 
@@ -296,24 +331,24 @@ def connectivity_gradient(
     pos = as_positions(positions)
     if g.n != len(pos):
         raise ValueError("graph and positions disagree on agent count")
-    v = spectral.fiedler
+    i, j = g.edges.T
+    _, decays = _link_rule(profile, i, j)
+    if np.isnan(decays).any():
+        raise ValueError("gradient needs a smooth profile")
+    dv = spectral.fiedler[i] - spectral.fiedler[j]
+    step = (-2.0 * decays * g.weights * (dv * dv))[:, None] * (pos[i] - pos[j])
     grad = np.zeros_like(pos)
-    for i, j, w in g.edges:
-        p = profile.pair(i, j)
-        if p.kind != SMOOTH:
-            raise ValueError("gradient needs a smooth profile")
-        coef = -2.0 * p.decay * w * (v[i] - v[j]) ** 2
-        diff = pos[i] - pos[j]
-        grad[i] += coef * diff
-        grad[j] -= coef * diff
+    # +step to i and -step to j, interleaved so each row sums in edge order
+    np.add.at(grad, g.edges.ravel(), np.stack([step, -step], 1).reshape(-1, pos.shape[1]))
     return GradientResult(grad, spectral.is_simple)
 
 
 def remove_links(g: WeightedGraph, removal: Sequence[int]) -> WeightedGraph:
     """New graph with the edges at the given indices removed."""
-    drop = set(removal)
-    for k in drop:
-        if not 0 <= k < len(g.edges):
-            raise ValueError(f"edge index {k} out of range")
-    kept = tuple(e for k, e in enumerate(g.edges) if k not in drop)
-    return WeightedGraph(g.n, kept)
+    drop = np.asarray(removal, dtype=np.intp)
+    bad = drop[(drop < 0) | (drop >= g.edge_count)]
+    if bad.size:
+        raise ValueError(f"edge index {bad[0]} out of range")
+    keep = np.ones(g.edge_count, dtype=bool)
+    keep[drop] = False
+    return WeightedGraph(g.n, g.edges[keep], g.weights[keep])

@@ -47,11 +47,9 @@ __all__ = [
     "emit_trace",
     "parse_trace",
     "emit_report",
-    "parse_report",
     "gne_record",
     "plan_record",
     "emit_manifest",
-    "parse_manifest",
 ]
 
 
@@ -760,13 +758,14 @@ def config_hash(data: Any) -> str:
 
 
 def trace_record(t: StepTrace) -> dict:
+    g = t.realized_graph
     return {
         "step": t.step,
         "true": t.true_positions.tolist(),
         "reported": t.reported_positions.tolist(),
         "graph": {
-            "n": t.realized_graph.n,
-            "edges": [[i, j, w] for i, j, w in t.realized_graph.edges],
+            "n": g.n,
+            "edges": [[i, j, w] for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())],
         },
         "lambda2": t.lambda2_realized,
         "lambda2_worst": t.lambda2_worst_anticipated,
@@ -797,9 +796,11 @@ def parse_trace(path: str | Path) -> list[StepTrace]:
             continue
         try:
             rec = json.loads(line)
+            edges = rec["graph"]["edges"]
             graph = WeightedGraph(
                 int(rec["graph"]["n"]),
-                tuple((int(i), int(j), float(w)) for i, j, w in rec["graph"]["edges"]),
+                [(int(i), int(j)) for i, j, _ in edges],
+                [float(w) for _, _, w in edges],
             )
             out.append(
                 StepTrace(
@@ -823,20 +824,6 @@ def emit_report(report: ResilienceReport, path: str | Path) -> None:
         Path(path).write_text(dumps_canonical(asdict(report)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
-
-
-def parse_report(path: str | Path) -> ResilienceReport:
-    rec = json.loads(Path(path).read_text())
-    return ResilienceReport(
-        baseline=float(rec["baseline"]),
-        onset=int(rec["onset"]),
-        max_degradation=float(rec["max_degradation"]),
-        recovery_level=float(rec["recovery_level"]),
-        recovery_step=int(rec["recovery_step"]),
-        recovered=bool(rec["recovered"]),
-        total_loss=float(rec["total_loss"]),
-        recovery_fraction=float(rec["recovery_fraction"]),
-    )
 
 
 def gne_record(state: GNEState) -> dict:
@@ -874,8 +861,8 @@ def gne_record(state: GNEState) -> dict:
 def plan_record(plan: PlanResult, agent_ids: Sequence[str], graph: WeightedGraph) -> dict:
     """One planning step as a record; removal edges named by agent id."""
     removal = [
-        [agent_ids[graph.edges[k][0]], agent_ids[graph.edges[k][1]]]
-        for k in plan.worst_removal.removal
+        [agent_ids[i], agent_ids[j]]
+        for i, j in graph.edges[list(plan.worst_removal.removal)].tolist()
     ]
     return {
         "targets": plan.targets.tolist(),
@@ -902,14 +889,3 @@ def emit_manifest(manifest: RunManifest, path: str | Path) -> None:
         Path(path).write_text(dumps_canonical(asdict(manifest)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write manifest {path}: {exc}") from exc
-
-
-def parse_manifest(path: str | Path) -> RunManifest:
-    rec = json.loads(Path(path).read_text())
-    return RunManifest(
-        version=str(rec["version"]),
-        config_hash=str(rec["config_hash"]),
-        seed=int(rec["seed"]),
-        duration_s=float(rec["duration_s"]),
-        outputs=dict(rec["outputs"]),
-    )

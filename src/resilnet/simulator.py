@@ -227,28 +227,27 @@ def _plan(reported: np.ndarray, ctrl_profile, opts: ControlOptions) -> PlanResul
     )
 
 
-def _budget_at(cfg: ScenarioConfig, step: int) -> int:
+def _step_options(cfg: ScenarioConfig, step: int) -> ControlOptions:
+    """The control options of ``step``, with its scheduled anticipated budget."""
     m = cfg.opts.anticipated_budget.m
     for from_step, budget in cfg.budget_schedule:
         if from_step <= step:
             m = budget
-    return m
+    return replace(cfg.opts, anticipated_budget=RemovalBudget(m))
 
 
 def _resolve_edges(
     g: WeightedGraph, pairs: Sequence[tuple[str, str]], ids: Sequence[str]
 ) -> list[int]:
-    lookup = {}
-    for k, (i, j, _) in enumerate(g.edges):
-        lookup[(ids[i], ids[j])] = k
-        lookup[(ids[j], ids[i])] = k
+    index = {aid: k for k, aid in enumerate(ids)}
     found = []
     for a, b in pairs:
-        k = lookup.get((a, b))
-        if k is None:
+        ends = sorted((index.get(a, -1), index.get(b, -1)))
+        hit = np.flatnonzero((g.edges == ends).all(axis=1))
+        if hit.size == 0:
             log.warning("scripted jam edge (%s, %s) not present; ignored", a, b)
         else:
-            found.append(k)
+            found.append(int(hit[0]))
     return sorted(set(found))
 
 
@@ -265,8 +264,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
                 offset = np.asarray(ev.offset, dtype=float)
                 for aid in ev.targets:
                     reported[cfg.index_of(aid)] += offset
-        budget = _budget_at(cfg, step)
-        opts = replace(cfg.opts, anticipated_budget=RemovalBudget(budget))
+        opts = _step_options(cfg, step)
         plan = _plan(reported, ctrl_profile, opts)
         # displacement execution: a spoofed agent moves by the commanded
         # step, so its physical displacement still honors the motion bound
@@ -281,7 +279,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
             if isinstance(ev, SpoofEvent):
                 anticipated.append(False)  # sensor attacks are never budgeted
                 continue
-            anticipated.append(ev.budget <= budget)
+            anticipated.append(ev.budget <= opts.anticipated_budget.m)
             if ev.edges is None:
                 m_eff = min(ev.budget, graph.edge_count)
                 wc = worst_case_removal(graph, RemovalBudget(m_eff))
@@ -310,15 +308,14 @@ def compute_resilience_metrics(
     trace: Sequence[StepTrace],
     baseline: BaselineSpec,
     onset: int,
-    recovery_fraction: float | None = None,
 ) -> ResilienceReport:
     """Summarize degradation and recovery of realized connectivity.
 
     Args:
         trace: simulation trace; performance is ``lambda2_realized``.
-        baseline: pre-event-mean or fixed reference level.
+        baseline: pre-event-mean or fixed reference level, and the
+            recovery fraction.
         onset: step at which the disturbance hits (t2).
-        recovery_fraction: overrides ``baseline.recovery_fraction`` if given.
 
     Returns:
         :class:`ResilienceReport` with max degradation, the first step at or
@@ -331,9 +328,7 @@ def compute_resilience_metrics(
         raise ValueError("empty trace")
     if not 0 <= onset < len(perf):
         raise ValueError(f"onset {onset} outside trace of length {len(perf)}")
-    phi = baseline.recovery_fraction if recovery_fraction is None else recovery_fraction
-    if not 0 < phi <= 1:
-        raise ValueError("recovery fraction must be in (0, 1]")
+    phi = baseline.recovery_fraction
     if baseline.policy == "pre_event":
         if onset == 0:
             raise ValueError("pre_event baseline needs at least one step before onset")

@@ -138,8 +138,8 @@ def _enumerate_worst(g, m):
     best = algebraic_connectivity(g).lambda2
     for k in range(1, m + 1):
         for combo in itertools.combinations(range(len(g.edges)), k):
-            kept = tuple(e for i, e in enumerate(g.edges) if i not in combo)
-            lap = laplacian(WeightedGraph(g.n, kept))
+            kept = [i for i in range(len(g.edges)) if i not in combo]
+            lap = laplacian(WeightedGraph(g.n, g.edges[kept], g.weights[kept]))
             best = min(best, float(np.linalg.eigvalsh(lap)[1]))
     return best
 

@@ -137,6 +137,8 @@ def test_metrics_flags(scenario_file, tmp_path, capsys):
     assert report["baseline"] == 1.0
     assert report["recovery_fraction"] == 0.5
     assert main(["metrics", str(out / "trace.jsonl"), "--t2", "2", "--baseline", "huh"]) == 1
+    bad_fraction = ["--recovery-fraction", "1.5"]
+    assert main(["metrics", str(out / "trace.jsonl"), "--t2", "2", *bad_fraction]) == 1
 
 
 def test_metrics_bad_onset_exits_1(scenario_file, tmp_path, capsys):
@@ -155,6 +157,23 @@ def test_plan_prints_one_record_per_step(scenario_file, capsys):
         "targets", "predicted_worst_lambda2", "worst_removal", "exact", "iterations_used"
     }
     assert all(len(pair) == 2 for pair in rec["worst_removal"])
+
+
+def test_plan_follows_budget_schedule(tmp_path, capsys):
+    line5 = {
+        "dimension": 2,
+        "steps": 2,
+        "profile": {"kind": "smooth", "range": 1.3},
+        "agents": [{"id": f"a{i}", "position": [float(i), 0.0]} for i in range(5)],
+        "control": {"anticipated_budget": 1, "motion_bound": 1.0},
+        "budget_schedule": [{"from_step": 1, "budget": 0}],
+    }
+    path = tmp_path / "line5.yaml"
+    path.write_text(yaml.safe_dump(line5))
+    assert main(["plan", str(path), "--steps", "2"]) == 0
+    first, second = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert len(first["worst_removal"]) == 1
+    assert second["worst_removal"] == []  # step 1 plans for budget 0
 
 
 def test_gne_solves_and_writes_outputs(gne_file, tmp_path):

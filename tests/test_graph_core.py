@@ -1,5 +1,7 @@
 """Spectral machinery against dense linear-algebra oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,13 @@ from resilnet import (
 def random_graph(rng, n=None):
     """Random weighted graph; edge presence 60%, weights in [0.1, 2]."""
     n = n if n is not None else int(rng.integers(2, 9))
-    edges = []
+    edges, weights = [], []
     for i in range(n - 1):
         for j in range(i + 1, n):
             if rng.random() < 0.6:
-                edges.append((i, j, float(rng.uniform(0.1, 2.0))))
-    return WeightedGraph(n, tuple(edges))
+                edges.append((i, j))
+                weights.append(float(rng.uniform(0.1, 2.0)))
+    return WeightedGraph(n, edges, weights)
 
 
 def is_connected(g):
@@ -38,9 +41,86 @@ def is_connected(g):
             x = parent[x]
         return x
 
-    for i, j, _ in g.edges:
+    for i, j in g.edges.tolist():
         parent[find(i)] = find(j)
     return len({find(i) for i in range(g.n)}) == 1
+
+
+def reference_graph(pos, profile):
+    """Per-pair loop: a cross-layer pair uses the profile with the smaller
+    (range, layer name)."""
+    edges, weights = [], []
+    for i in range(len(pos) - 1):
+        for j in range(i + 1, len(pos)):
+            p = profile
+            if isinstance(profile, LayerProfiles):
+                key = min((profile.profiles[name].comm_range, name)
+                          for name in (profile.layers[i], profile.layers[j]))
+                p = profile.profiles[key[1]]
+            d = float(np.linalg.norm(pos[i] - pos[j]))
+            if d <= p.comm_range:
+                edges.append((i, j))
+                weights.append(p.weight(d))
+    return np.array(edges, dtype=int).reshape(-1, 2), np.array(weights, dtype=float)
+
+
+def reference_laplacian(g):
+    """Per-edge loop."""
+    lap = np.zeros((g.n, g.n))
+    for (i, j), w in zip(g.edges.tolist(), g.weights.tolist()):
+        lap[i, i] += w
+        lap[j, j] += w
+        lap[i, j] -= w
+        lap[j, i] -= w
+    return lap
+
+
+def random_profile(rng, kind, n):
+    """Binary, smooth or three-layer profile; layer ranges may tie."""
+    def one(sub):
+        rng_ = float(rng.choice([1.0, 1.5, rng.uniform(0.8, 2.2)]))
+        if sub == BINARY:
+            return WeightProfile(BINARY, rng_)
+        return WeightProfile(SMOOTH, rng_, float(rng.uniform(0.3, 3.0)))
+
+    if kind != "layered":
+        return one(kind)
+    sub = BINARY if rng.random() < 0.5 else SMOOTH
+    names = ("ground", "air", "sea")
+    layers = tuple(names[k] for k in rng.integers(0, 3, size=n))
+    return LayerProfiles(layers, {name: one(sub) for name in names})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", [BINARY, SMOOTH, "layered"])
+def test_fast_paths_match_loop_references(kind, dim):
+    rng = np.random.default_rng(100 + dim)
+    for case in range(60):
+        n = int(rng.integers(2, 10))
+        if case % 5 == 0:
+            # integer lattice: distances land exactly on the ranges 1.0 and 1.5
+            pos = rng.integers(0, 3, size=(n, dim)).astype(float)
+        else:
+            pos = rng.uniform(0.0, 2.5, size=(n, dim))
+        profile = random_profile(rng, kind, n)
+        g = build_proximity_graph(pos, profile)
+        edges, weights = reference_graph(pos, profile)
+        assert np.array_equal(g.edges, edges)
+        assert np.array_equal(g.weights, weights)
+        assert np.array_equal(laplacian(g), reference_laplacian(g))
+
+
+def test_layered_tie_uses_first_layer_name():
+    # equal ranges: the cross-layer link takes the decay of layer "a"
+    profiles = {"b": WeightProfile(SMOOTH, 2.0, 0.5), "a": WeightProfile(SMOOTH, 2.0, 2.0)}
+    layered = LayerProfiles(("b", "a"), profiles)
+    pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+    g = build_proximity_graph(pos, layered)
+    assert g.weights.tolist() == [math.exp(-2.0)]
+    grad = connectivity_gradient(pos, layered, algebraic_connectivity(g), g).per_agent
+    # two agents: (v0 - v1)^2 = 2, so agent 0 gets -2 * decay * w * 2 * (x0 - x1)
+    expected = 8.0 * math.exp(-2.0)
+    np.testing.assert_allclose(grad, [[expected, 0.0], [-expected, 0.0]], rtol=1e-12)
 
 
 def test_path3_laplacian():
@@ -51,7 +131,7 @@ def test_path3_laplacian():
 
 
 def test_path3_lambda2():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    g = WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 1.0])
     res = algebraic_connectivity(g)
     assert res.lambda2 == pytest.approx(1.0, abs=1e-12)
     assert res.is_simple
@@ -59,7 +139,7 @@ def test_path3_lambda2():
 
 def test_triangle_lambda2_repeated():
     # complete graph K3: spectrum {0, 3, 3}, so lambda2 is not simple
-    g = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
+    g = WeightedGraph(3, [(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 1.0])
     res = algebraic_connectivity(g)
     assert res.lambda2 == pytest.approx(3.0, abs=1e-12)
     assert not res.is_simple
@@ -98,7 +178,7 @@ def test_edge_removal_never_raises_lambda2():
     rng = np.random.default_rng(11)
     for _ in range(100):
         g = random_graph(rng)
-        if not g.edges:
+        if not g.edge_count:
             continue
         lam = algebraic_connectivity(g).lambda2
         k = int(rng.integers(g.edge_count))
@@ -107,10 +187,11 @@ def test_edge_removal_never_raises_lambda2():
 
 
 def test_remove_links_validates_indices():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    g = WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 1.0])
     with pytest.raises(ValueError):
         remove_links(g, (5,))
-    assert remove_links(g, ()).edges == g.edges
+    same = remove_links(g, ())
+    assert np.array_equal(same.edges, g.edges) and np.array_equal(same.weights, g.weights)
 
 
 def _fd_gradient(pos, profile, h):
@@ -196,8 +277,8 @@ def test_layered_cross_link_uses_smaller_range():
     # air-ground pair at distance 2: inside air range, outside ground range
     pos = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)]
     g = build_proximity_graph(pos, layered)
-    assert (0, 1) not in [(i, j) for i, j, _ in g.edges]
-    assert (1, 2) in [(i, j) for i, j, _ in g.edges]
+    assert [0, 1] not in g.edges.tolist()
+    assert [1, 2] in g.edges.tolist()
 
 
 def test_layered_profiles_must_share_kind():

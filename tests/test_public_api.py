@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import resilnet
+from resilnet.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,6 +25,15 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.split()
     # the example prints lambda2 before and after the worst single cut
     assert len(lines) == 2 and all(float(x) > 0 for x in lines)
+
+
+def test_readme_yaml_blocks_validate(tmp_path, capsys):
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 2  # the scenario and the game parameter file
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"block{k}.yaml"
+        path.write_text(block)
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():

@@ -24,8 +24,6 @@ from resilnet import (
     emit_report,
     emit_trace,
     gne_from_dict,
-    parse_manifest,
-    parse_report,
     parse_trace,
     run_scenario,
     scenario_from_dict,
@@ -341,7 +339,7 @@ def test_report_round_trip(tmp_path):
     )
     path = tmp_path / "report.json"
     emit_report(report, path)
-    assert parse_report(path) == report
+    assert ResilienceReport(**json.loads(path.read_text())) == report
 
 
 def test_manifest_round_trip(tmp_path):
@@ -351,7 +349,7 @@ def test_manifest_round_trip(tmp_path):
     )
     path = tmp_path / "manifest.json"
     emit_manifest(manifest, path)
-    back = parse_manifest(path)
+    back = RunManifest(**json.loads(path.read_text()))
     assert back == manifest
 
 

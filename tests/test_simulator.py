@@ -45,7 +45,7 @@ def ring_config(steps=6, events=(), seed=7, **ctrl):
 
 def fake_trace(perf):
     """Metric-only trace stubs; graph and positions are irrelevant here."""
-    g = WeightedGraph(2, ((0, 1, 1.0),))
+    g = WeightedGraph(2, [(0, 1)], [1.0])
     return [
         StepTrace(
             step=k,
@@ -92,7 +92,7 @@ def test_scripted_jam_removes_named_links():
     traces = run_scenario(ring_config(steps=3, events=(jam,)))
     cut = traces[1].realized_graph
     assert ("a0", "a1") not in [
-        (f"a{i}", f"a{j}") for i, j, _ in cut.edges
+        (f"a{i}", f"a{j}") for i, j in cut.edges.tolist()
     ]
 
 
@@ -172,7 +172,7 @@ def test_metrics_unrecovered_trace():
 def test_metrics_fixed_baseline_and_override():
     trace = fake_trace([1, 3, 3, 3])
     report = compute_resilience_metrics(
-        trace, BaselineSpec("fixed", 3.0), onset=0, recovery_fraction=0.5
+        trace, BaselineSpec("fixed", 3.0, recovery_fraction=0.5), onset=0
     )
     assert report.baseline == 3.0
     assert report.recovery_level == pytest.approx(1.5)
