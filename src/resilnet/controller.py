@@ -132,9 +132,8 @@ def project_motion(current, proposed, delta: float) -> np.ndarray:
     out = prop.copy()
     step = prop - cur
     norms = np.linalg.norm(step, axis=1)
-    for i, s in enumerate(norms):
-        if s > delta:
-            out[i] = cur[i] + step[i] * (delta / s) if s > 0 else cur[i]
+    far = norms > delta
+    out[far] = cur[far] + step[far] * (delta / norms[far])[:, None]
     return out
 
 

@@ -84,14 +84,6 @@ class WeightProfile:
             if not (math.isfinite(self.decay) and self.decay > 0):
                 raise ValueError(f"decay must be positive, got {self.decay}")
 
-    def weight(self, dist: float) -> float:
-        """Link weight at distance ``dist``; 0 beyond the cutoff."""
-        if dist > self.comm_range:
-            return 0.0
-        if self.kind == BINARY:
-            return 1.0
-        return math.exp(-self.decay * dist * dist)
-
     def min_range(self) -> float:
         return self.comm_range
 
@@ -277,6 +269,18 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     return lap
 
 
+def _deflate(lap: np.ndarray) -> tuple[np.ndarray, float]:
+    """``lap + (shift / n) * ones`` and its shift.
+
+    The shift lies strictly above lambda_max (Gershgorin bound: 2 * max
+    degree, plus 1), so the all-ones eigenvalue moves to the top of the
+    spectrum and the smallest eigenvalue is lambda2.
+    """
+    n = len(lap)
+    shift = 2.0 * float(np.max(np.diag(lap))) + 1.0
+    return lap + (shift / n) * np.ones((n, n)), shift
+
+
 def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     """Compute lambda2 and a unit Fiedler vector orthogonal to all-ones.
 
@@ -287,11 +291,8 @@ def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     """
     if g.n < 2:
         raise ValueError("need at least 2 agents")
-    lap = laplacian(g)
     n = g.n
-    # shift strictly above lambda_max (Gershgorin bound: 2 * max degree)
-    shift = 2.0 * float(np.max(np.diag(lap))) + 1.0
-    deflated = lap + (shift / n) * np.ones((n, n))
+    deflated, _ = _deflate(laplacian(g))
     evals, evecs = np.linalg.eigh(deflated)
     lam2 = float(evals[0])
     if lam2 < _NEGATIVE_TOL:

@@ -272,6 +272,12 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
         graph = build_proximity_graph(true, source)
         active: list[int] = []
         anticipated: list[bool] = []
+        # stacked jams remove links together, so the plan covers each of
+        # them only if it covers their summed budget
+        jammed = sum(
+            ev.budget for ev in cfg.events
+            if isinstance(ev, JamEvent) and ev.active_at(step)
+        )
         for idx, ev in enumerate(cfg.events):
             if not ev.active_at(step):
                 continue
@@ -279,7 +285,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
             if isinstance(ev, SpoofEvent):
                 anticipated.append(False)  # sensor attacks are never budgeted
                 continue
-            anticipated.append(ev.budget <= opts.anticipated_budget.m)
+            anticipated.append(jammed <= opts.anticipated_budget.m)
             if ev.edges is None:
                 m_eff = min(ev.budget, graph.edge_count)
                 wc = worst_case_removal(graph, RemovalBudget(m_eff))

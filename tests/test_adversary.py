@@ -1,19 +1,27 @@
 """Worst-case link removal against independent enumeration."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilnet import (
+    BINARY,
+    SMOOTH,
     RemovalBudget,
     WeightedGraph,
+    WeightProfile,
+    adversary,
     algebraic_connectivity,
+    build_proximity_graph,
     edge_impact_scores,
     remove_links,
     worst_case_removal,
 )
-from test_graph_core import random_graph, reference_laplacian
+from test_graph_core import random_graph, random_profile, reference_laplacian
 
 
 def brute_force_lambda2(g, m):
@@ -109,3 +117,92 @@ def test_impact_scores_sign_flip_invariant():
     b = edge_impact_scores(g, flipped)
     np.testing.assert_allclose(a, b)
 
+
+def reference_exhaustive(g, m):
+    """Per-subset loop: one reference eigensolve per subset, and a subset
+    replaces the incumbent only when lower by more than the tie tolerance."""
+    best_lam = algebraic_connectivity(g).lambda2
+    best = ()
+    for size in range(1, m + 1):
+        for combo in combinations(range(g.edge_count), size):
+            lam = algebraic_connectivity(remove_links(g, combo)).lambda2
+            if lam < best_lam - adversary._TIE_TOL:
+                best_lam, best = lam, combo
+    return best, best_lam
+
+
+def assert_matches_reference(g, m):
+    res = worst_case_removal(g, RemovalBudget(m), mode="exhaustive")
+    best, best_lam = reference_exhaustive(g, m)
+    assert res.exact
+    assert res.removal == best
+    assert res.lambda2_after.hex() == best_lam.hex()
+
+
+def king_grid(side=4):
+    """Unit lattice; at range 1.6 each agent links to its king's-move
+    neighbours, so many removals tie exactly."""
+    return [(float(k % side), float(k // side)) for k in range(side * side)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from([BINARY, SMOOTH, "layered"]),
+    dim=st.sampled_from([2, 3]),
+    lattice=st.booleans(),
+    m=st.integers(1, 3),
+)
+def test_batched_search_matches_per_subset_loop(seed, kind, dim, lattice, m):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    if lattice:
+        # integer lattice: distances land exactly on the ranges 1.0 and 1.5
+        pos = rng.integers(0, 3, size=(n, dim)).astype(float)
+    else:
+        pos = rng.uniform(0.0, 2.5, size=(n, dim))
+    g = build_proximity_graph(pos, random_profile(rng, kind, n))
+    m = min(m, g.edge_count)
+    if m == 0 or sum(math.comb(g.edge_count, s) for s in range(1, m + 1)) > 3000:
+        return
+    assert_matches_reference(g, m)
+
+
+@pytest.mark.parametrize("m, first", [(1, (2,)), (2, (0, 2))])
+def test_symmetric_lattice_ties_keep_first_subset(m, first):
+    # the lattice's symmetries tie four single cuts (edges 2, 11, 30, 36)
+    g = build_proximity_graph(king_grid(), WeightProfile(BINARY, 1.6))
+    assert g.edge_count == 42
+    assert_matches_reference(g, m)
+    assert worst_case_removal(g, RemovalBudget(m), mode="exhaustive").removal == first
+
+
+def test_chunk_boundaries_inside_one_subset_size(monkeypatch):
+    g = build_proximity_graph(king_grid(), WeightProfile(BINARY, 1.6))
+    # five matrices per chunk: 42 singles and 861 pairs both end mid-chunk
+    monkeypatch.setattr(adversary, "_CHUNK_BYTES", 5 * 8 * g.n * g.n)
+    assert_matches_reference(g, 2)
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        g = random_graph(rng, n=int(rng.integers(4, 8)))
+        if g.edge_count >= 3:
+            assert_matches_reference(g, 3)
+
+
+def test_disconnecting_removal_drives_incumbent_to_zero(monkeypatch):
+    # a pendant agent hangs off the lattice by its last edge, so the
+    # incumbent reaches 0 only late in the single-edge subsets
+    pos = king_grid() + [(4.5, 3.0)]
+    g = build_proximity_graph(pos, WeightProfile(BINARY, 1.6))
+    assert g.edges[-1].tolist() == [15, 16]
+    assert_matches_reference(g, 2)
+    calls = []
+    monkeypatch.setattr(
+        adversary, "algebraic_connectivity",
+        lambda h: calls.append(h) or algebraic_connectivity(h),
+    )
+    res = worst_case_removal(g, RemovalBudget(2), mode="exhaustive")
+    assert res.removal == (g.edge_count - 1,)
+    assert res.lambda2_after == 0.0
+    # only subsets that could win take the reference eigensolve
+    assert len(calls) < g.edge_count

@@ -44,6 +44,33 @@ def test_project_motion_clips_per_agent():
     np.testing.assert_array_equal(out[1], prop[1])
 
 
+def reference_project_motion(cur, prop, delta):
+    """Per-agent loop."""
+    out = prop.copy()
+    step = prop - cur
+    for i, s in enumerate(np.linalg.norm(step, axis=1)):
+        if s > delta:
+            out[i] = cur[i] + step[i] * (delta / s)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_project_motion_matches_loop_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    for case in range(50):
+        n = int(rng.integers(1, 9))
+        cur = rng.uniform(-2.0, 2.0, size=(n, dim))
+        prop = cur + rng.normal(0.0, 0.5, size=(n, dim))
+        still = rng.random(n) < 0.2
+        prop[still] = cur[still]
+        delta = float(rng.choice([0.0, 0.3, rng.uniform(0.0, 1.0)]))
+        if case % 5 == 0:
+            # one agent moves by delta, up to rounding: the edge of the ball
+            prop[0] = cur[0] + np.eye(dim)[0] * delta
+        out = project_motion(cur, prop, delta)
+        assert np.array_equal(out, reference_project_motion(cur, prop, delta))
+
+
 def test_project_motion_unbounded():
     cur = np.zeros((2, 2))
     prop = np.array([[10.0, 0.0], [0.0, 10.0]])

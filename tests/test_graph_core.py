@@ -46,6 +46,15 @@ def is_connected(g):
     return len({find(i) for i in range(g.n)}) == 1
 
 
+def reference_weight(p, dist):
+    """Link weight of profile ``p`` at distance ``dist``; 0 beyond the cutoff."""
+    if dist > p.comm_range:
+        return 0.0
+    if p.kind == BINARY:
+        return 1.0
+    return math.exp(-p.decay * dist * dist)
+
+
 def reference_graph(pos, profile):
     """Per-pair loop: a cross-layer pair uses the profile with the smaller
     (range, layer name)."""
@@ -60,7 +69,7 @@ def reference_graph(pos, profile):
             d = float(np.linalg.norm(pos[i] - pos[j]))
             if d <= p.comm_range:
                 edges.append((i, j))
-                weights.append(p.weight(d))
+                weights.append(reference_weight(p, d))
     return np.array(edges, dtype=int).reshape(-1, 2), np.array(weights, dtype=float)
 
 
@@ -255,17 +264,23 @@ def test_binary_profile_rejects_decay():
         WeightProfile(BINARY, 1.0, decay=1.0)
 
 
+def pair_weight(profile, dist):
+    """Weight of the link between two agents ``dist`` apart; 0 for none."""
+    g = build_proximity_graph([[0.0, 0.0], [dist, 0.0]], profile)
+    return float(g.weights[0]) if g.edge_count else 0.0
+
+
 def test_smooth_default_decay_hits_1e3_at_cutoff():
     p = WeightProfile(SMOOTH, 3.0)
-    assert p.weight(3.0) == pytest.approx(1e-3, rel=1e-12)
-    assert p.weight(3.0001) == 0.0
-    assert p.weight(0.0) == 1.0
+    assert pair_weight(p, 3.0) == pytest.approx(1e-3, rel=1e-12)
+    assert pair_weight(p, 3.0001) == 0.0
+    assert pair_weight(p, 0.0) == 1.0
 
 
 def test_binary_weights_are_unit_inside_cutoff():
     p = WeightProfile(BINARY, 1.5)
-    assert p.weight(1.5) == 1.0
-    assert p.weight(1.50001) == 0.0
+    assert pair_weight(p, 1.5) == 1.0
+    assert pair_weight(p, 1.50001) == 0.0
 
 
 def test_layered_cross_link_uses_smaller_range():

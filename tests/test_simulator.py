@@ -87,6 +87,30 @@ def test_over_budget_jam_is_flagged_unanticipated():
     assert traces[2].anticipated == (False,)
 
 
+@pytest.mark.parametrize("anticipated_budget", [1, 2])
+def test_stacked_jams_are_judged_by_their_summed_budget(anticipated_budget):
+    # two budget-1 worst-case jams remove two links together, which a plan
+    # for one removal does not cover
+    cfg = ScenarioConfig(
+        dimension=2,
+        agent_ids=tuple(f"a{i}" for i in range(5)),
+        agent_layers=("default",) * 5,
+        initial_positions=tuple((float(i), 0.0) for i in range(5)),
+        profiles={"default": WeightProfile(BINARY, 1.3)},
+        opts=ControlOptions(RemovalBudget(anticipated_budget), 0.5),
+        steps=3,
+        events=(JamEvent(budget=1, start=1, end=3), JamEvent(budget=1, start=1, end=3)),
+        rng_seed=0,
+        baseline=BaselineSpec(),
+    )
+    covered = anticipated_budget >= 2
+    for t in run_scenario(cfg)[1:]:
+        assert t.active_events == (0, 1)
+        assert t.anticipated == (covered, covered)
+        if covered and t.lambda2_worst_anticipated > 0.0:
+            assert t.lambda2_realized > 1e-9
+
+
 def test_scripted_jam_removes_named_links():
     jam = JamEvent(budget=1, start=1, end=2, edges=(("a0", "a1"),))
     traces = run_scenario(ring_config(steps=3, events=(jam,)))
