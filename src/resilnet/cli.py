@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (bad flags, unreadable or invalid
 files), 2 runtime failure (solver did not converge, unexpected error).
-Outputs are deterministic for a fixed config and seed; the manifest's
-wall-clock duration is the only field that varies between reruns.
+Outputs are deterministic: a fixed config and seed give byte-identical
+files on every rerun, the manifest included.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -54,7 +53,6 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
     raw = _load_yaml(args.scenario)
     cfg = scenario_from_dict(raw)
     out = _out_dir(args.out)
@@ -72,7 +70,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         version=__version__,
         config_hash=config_hash(raw),
         seed=cfg.rng_seed,
-        duration_s=time.monotonic() - t0,
         outputs=outputs,
     )
     emit_manifest(manifest, out / "manifest.json")
@@ -92,7 +89,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_gne(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
     raw = _load_yaml(args.params)
     prob = gne_from_dict(raw)
     out = _out_dir(args.out)
@@ -115,7 +111,6 @@ def _cmd_gne(args: argparse.Namespace) -> int:
         version=__version__,
         config_hash=config_hash(raw),
         seed=0,  # solver is deterministic; no randomness to seed
-        duration_s=time.monotonic() - t0,
         outputs={"result": str(result_path), "residuals": str(residuals_path)},
     )
     emit_manifest(manifest, out / "manifest.json")

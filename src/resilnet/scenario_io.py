@@ -880,7 +880,6 @@ class RunManifest:
     version: str
     config_hash: str
     seed: int
-    duration_s: float
     outputs: Mapping[str, str]
 
 

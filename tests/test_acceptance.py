@@ -9,6 +9,7 @@ the sibling modules cover the internals; this file is the contract.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,15 +205,23 @@ def test_three_plan_steps_make_five_agents_survive_any_single_cut():
 
 
 def test_in_budget_jam_never_disconnects_once_plan_covers_it():
-    """When a jam stays within the anticipated removal budget, realized
-    lambda2 stays positive at every step where the plan predicts a
-    positive worst case."""
-    jam = JamEvent(budget=1, start=2, end=5)
-    trace = run_scenario(ring_config(steps=8, events=(jam,)))
-    covered = [t for t in trace if t.lambda2_worst_anticipated > 0.0]
-    assert covered, "plan never predicted a safe worst case"
-    for t in covered:
-        assert t.lambda2_realized > 1e-9
+    """When a jam, or a stack of overlapping jams, stays within the
+    anticipated removal budget in sum, realized lambda2 stays positive at
+    every step where the plan predicts a positive worst case."""
+    single = ring_config(steps=8, events=(JamEvent(budget=1, start=2, end=5),))
+    stacked = ring_config(
+        steps=8,
+        events=(JamEvent(budget=1, start=2, end=6), JamEvent(budget=1, start=3, end=7)),
+    )
+    stacked = replace(stacked, opts=replace(stacked.opts, anticipated_budget=RemovalBudget(2)))
+    for cfg in (single, stacked):
+        trace = run_scenario(cfg)
+        covered = [t for t in trace if t.lambda2_worst_anticipated > 0.0]
+        assert covered, "plan never predicted a safe worst case"
+        for t in covered:
+            assert all(t.anticipated)
+            assert t.lambda2_realized > 1e-9
+    assert any(len(t.active_events) == 2 for t in covered), "jams never stacked"
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,19 @@ def test_simulate_rerun_is_byte_identical(scenario_file, tmp_path):
     assert (out1 / "resilience.json").read_bytes() == (out2 / "resilience.json").read_bytes()
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m1["config_hash"] == m2["config_hash"]  # duration may differ
+    assert m1["config_hash"] == m2["config_hash"]  # outputs name different dirs
+
+
+def test_reruns_into_one_dir_rewrite_every_file_byte_for_byte(
+    scenario_file, gne_file, tmp_path
+):
+    out = tmp_path / "run"
+    for command, config in (("simulate", scenario_file), ("gne", gne_file)):
+        snapshots = []
+        for _ in range(2):
+            assert main([command, str(config), "--out", str(out)]) == 0
+            snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert snapshots[0] == snapshots[1]
 
 
 def test_simulate_honors_out_env(scenario_file, tmp_path, monkeypatch):

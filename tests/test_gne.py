@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from resilnet import gne
 from resilnet import (
     ATTACKER,
     DEFENDER,
@@ -152,6 +153,44 @@ def test_near_free_defense_drives_control_fraction_down():
     assert out.control_fraction < 0.01
     assert out.is_equilibrium
     assert_mutual_best_response(out, prm)
+
+
+@pytest.fixture()
+def profit_checks(monkeypatch):
+    """Results of every ``_can_profit`` call made while the test runs."""
+    results = []
+    check = gne._can_profit
+
+    def spy(grid, prm):
+        results.append(check(grid, prm))
+        return results[-1]
+
+    monkeypatch.setattr(gne, "_can_profit", spy)
+    return results
+
+
+def test_uncertified_pair_kept_when_entry_pays(profit_checks):
+    prm = FlipItParams(
+        0.3387374160483393, 11.955067520600078, 0.012171270244015833, 0.0023749992365946202
+    )
+    out = flipit_equilibrium(prm)
+    assert profit_checks == [True]
+    assert not out.is_equilibrium and not out.dropped_out
+    assert out.attacker_rate > 0.0
+    p = flipit_control_fraction(out.attacker_rate, out.defender_rate)
+    assert out.control_fraction == p
+    assert out.attacker_payoff > 0.0
+
+
+def test_uncertified_pair_drops_out_when_entry_never_pays(profit_checks):
+    prm = FlipItParams(
+        48.17596441419009, 0.08677029216649411, 0.006666736042161903, 24.247360344741047
+    )
+    out = flipit_equilibrium(prm)
+    assert profit_checks == [False]
+    assert out.dropped_out and not out.is_equilibrium
+    assert out.attacker_rate == 0.0 and out.control_fraction == 0.0
+    assert out.defender_payoff == prm.defender_value
 
 
 def test_flipit_params_validation():

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import struct
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from resilnet import (
     CENTRALIZED,
@@ -18,6 +22,8 @@ from resilnet import (
     ResilienceReport,
     RunManifest,
     SpoofEvent,
+    StepTrace,
+    WeightedGraph,
     config_hash,
     dumps_canonical,
     emit_manifest,
@@ -278,6 +284,39 @@ def test_canonical_rejects_non_string_keys():
         dumps_canonical({1: "x"})
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values of equal JSON types, floats bit for bit, keys in order."""
+    if isinstance(a, float):
+        return isinstance(b, float) and float_bits(a) == float_bits(b)
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and list(a) == list(b)
+            and all(same_bits(a[k], b[k]) for k in a)
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_bits, a, b))
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_canonical_json_round_trip_keeps_float_bits(value):
+    assert same_bits(json.loads(dumps_canonical(value)), value)
+
+
 # ---------------------------------------------------------------------------
 # trace, report, manifest files
 # ---------------------------------------------------------------------------
@@ -308,6 +347,67 @@ def test_trace_round_trip_field_by_field(tmp_path):
         assert orig.anticipated == echo.anticipated
     # and the re-emitted bytes are identical
     again = tmp_path / "again.jsonl"
+    emit_trace(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def fixed_lists(elements, size):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+@st.composite
+def step_traces(draw):
+    """Short traces of arbitrary finite numbers on small graphs."""
+    n = draw(st.integers(1, 5))
+    dim = draw(st.sampled_from([2, 3]))
+    all_pairs = list(combinations(range(n), 2))
+    trace = []
+    for step in range(draw(st.integers(0, 3))):
+        keep = draw(fixed_lists(st.booleans(), len(all_pairs)))
+        pairs = [pair for pair, kept in zip(all_pairs, keep) if kept]
+        events = draw(st.lists(st.integers(0, 9), max_size=3))
+        trace.append(
+            StepTrace(
+                step=step,
+                true_positions=np.reshape(draw(fixed_lists(FINITE, n * dim)), (n, dim)),
+                reported_positions=np.reshape(draw(fixed_lists(FINITE, n * dim)), (n, dim)),
+                realized_graph=WeightedGraph(n, pairs, draw(fixed_lists(FINITE, len(pairs)))),
+                lambda2_realized=draw(FINITE),
+                lambda2_worst_anticipated=draw(FINITE),
+                active_events=tuple(events),
+                anticipated=tuple(draw(fixed_lists(st.booleans(), len(events)))),
+            )
+        )
+    return trace
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(trace=step_traces())
+def test_trace_emit_parse_round_trip_keeps_float_bits(trace, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    emit_trace(trace, path)
+    back = parse_trace(path)
+    assert len(back) == len(trace)
+    for orig, echo in zip(trace, back):
+        assert echo.step == orig.step
+        assert echo.true_positions.shape == orig.true_positions.shape
+        assert echo.true_positions.tobytes() == orig.true_positions.tobytes()
+        assert echo.reported_positions.tobytes() == orig.reported_positions.tobytes()
+        assert echo.realized_graph.n == orig.realized_graph.n
+        assert np.array_equal(echo.realized_graph.edges, orig.realized_graph.edges)
+        assert echo.realized_graph.weights.tobytes() == orig.realized_graph.weights.tobytes()
+        assert float_bits(echo.lambda2_realized) == float_bits(orig.lambda2_realized)
+        assert float_bits(echo.lambda2_worst_anticipated) == float_bits(
+            orig.lambda2_worst_anticipated
+        )
+        assert echo.active_events == orig.active_events
+        assert echo.anticipated == orig.anticipated
+    again = path.with_name("again.jsonl")
     emit_trace(back, again)
     assert again.read_bytes() == path.read_bytes()
 
@@ -345,7 +445,7 @@ def test_report_round_trip(tmp_path):
 def test_manifest_round_trip(tmp_path):
     manifest = RunManifest(
         version="0.1.0", config_hash="ab" * 32, seed=7,
-        duration_s=0.25, outputs={"trace": "x/trace.jsonl"},
+        outputs={"trace": "x/trace.jsonl"},
     )
     path = tmp_path / "manifest.json"
     emit_manifest(manifest, path)
