@@ -82,7 +82,6 @@ def worst_case_removal(
     g: WeightedGraph,
     budget: RemovalBudget,
     mode: str = "auto",
-    subset_cap: int = SUBSET_CAP,
 ) -> WorstCaseResult:
     """Find the link removal within budget that minimizes lambda2.
 
@@ -91,7 +90,7 @@ def worst_case_removal(
         budget: at most ``budget.m`` edges removed; must not exceed the edge
             count.
         mode: ``"exhaustive"``, ``"greedy"``, or ``"auto"`` (exhaustive while
-            the subset count C(edge_count, m) stays within ``subset_cap``).
+            the subset count C(edge_count, m) stays within ``SUBSET_CAP``).
 
     Returns:
         :class:`WorstCaseResult`.  Ties in the exhaustive search are broken
@@ -107,7 +106,7 @@ def worst_case_removal(
     if m == 0:
         return WorstCaseResult((), algebraic_connectivity(g).lambda2, True)
     if mode == "auto":
-        mode = "exhaustive" if math.comb(n_edges, m) <= subset_cap else "greedy"
+        mode = "exhaustive" if math.comb(n_edges, m) <= SUBSET_CAP else "greedy"
     if mode == "exhaustive":
         return _exhaustive(g, m)
     return _greedy(g, m)

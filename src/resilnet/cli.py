@@ -35,6 +35,7 @@ from .scenario_io import (
 )
 from .simulator import (
     BaselineSpec,
+    ScenarioConfig,
     _plan,
     _step_options,
     compute_resilience_metrics,
@@ -52,16 +53,27 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
+def _simulation(raw) -> tuple[ScenarioConfig, int | None]:
+    """A scenario ``simulate`` can run, and the onset its report starts at
+    (None without events)."""
+    cfg = scenario_from_dict(raw)
+    onset = min((ev.start for ev in cfg.events), default=None)
+    if onset == 0 and cfg.baseline.policy == "pre_event":
+        raise ConfigError(
+            ["baseline.policy: pre_event needs a step before the first event, at step 0"]
+        )
+    return cfg, onset
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     raw = _load_yaml(args.scenario)
-    cfg = scenario_from_dict(raw)
+    cfg, onset = _simulation(raw)
     out = _out_dir(args.out)
     trace = run_scenario(cfg)
     trace_path = out / "trace.jsonl"
     emit_trace(trace, trace_path)
     outputs = {"trace": str(trace_path)}
-    if cfg.events:
-        onset = min(ev.start for ev in cfg.events)
+    if onset is not None:
         report = compute_resilience_metrics(trace, cfg.baseline, onset)
         report_path = out / "resilience.json"
         emit_report(report, report_path)
@@ -149,7 +161,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if isinstance(raw, dict) and "costs" in raw:
         gne_from_dict(raw)
     else:
-        scenario_from_dict(raw)
+        _simulation(raw)
     return 0
 
 

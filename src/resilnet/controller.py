@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import SUBSET_CAP, RemovalBudget, WorstCaseResult, worst_case_removal
+from .adversary import RemovalBudget, WorstCaseResult, worst_case_removal
 from .graph_core import (
     LayerProfiles,
     WeightProfile,
@@ -48,6 +48,13 @@ _BALL_TOL = 1e-9
 _SEP_TOL = 1e-9
 _PUSH_SWEEPS = 12
 _ZERO_GRAD = 1e-14
+# Line search: the first trial moves the farthest-moving agent _STEP_SIZE,
+# each rejected trial shrinks the step by _BACKTRACK, at most _MAX_BACKTRACKS
+# trials are made, and a trial is accepted when it gains _TOL per unit step.
+_STEP_SIZE = 0.5
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 30
+_TOL = 1e-9
 
 CENTRALIZED = "centralized"
 DECENTRALIZED = "decentralized"
@@ -55,7 +62,10 @@ DECENTRALIZED = "decentralized"
 
 @dataclass(frozen=True)
 class ControlOptions:
-    """Tuning knobs for one planning step.
+    """Settings of one planning step.
+
+    The planner anticipates the jammer's own attack model: the worst-case
+    search of :func:`resilnet.adversary.worst_case_removal` with its defaults.
 
     Args:
         anticipated_budget: link removals the plan must survive.
@@ -64,24 +74,14 @@ class ControlOptions:
         min_separation: pairwise spacing floor, enforced by push-apart; must
             stay below the communication range.
         outer_iters: max ascent iterations.
-        step_size: initial trial displacement of the farthest-moving agent.
-        backtrack: line-search shrink factor in (0, 1).
-        tol: required objective gain per unit step for acceptance.
         mode: ``"centralized"`` or ``"decentralized"``.
-        attack_mode: worst-case search mode handed to the adversary model.
     """
 
     anticipated_budget: RemovalBudget
     motion_bound: float
     min_separation: float = 0.0
     outer_iters: int = 40
-    step_size: float = 0.5
-    backtrack: float = 0.5
-    tol: float = 1e-9
     mode: str = CENTRALIZED
-    attack_mode: str = "auto"
-    subset_cap: int = SUBSET_CAP
-    max_backtracks: int = 30
 
     def __post_init__(self) -> None:
         if self.motion_bound < 0:
@@ -90,16 +90,8 @@ class ControlOptions:
             raise ValueError("min_separation must be >= 0")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must be in (0, 1)")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +176,10 @@ def _snap(lam: float) -> float:
     return 0.0 if lam < 1e-12 else lam
 
 
-def _evaluate(positions, profile, m: int, opts: ControlOptions) -> _Eval:
+def _evaluate(positions, profile, m: int) -> _Eval:
     g = build_proximity_graph(positions, profile)
     spectral = algebraic_connectivity(g)
-    budget = RemovalBudget(min(m, g.edge_count))
-    wc = worst_case_removal(g, budget, opts.attack_mode, opts.subset_cap)
+    wc = worst_case_removal(g, RemovalBudget(min(m, g.edge_count)))
     return _Eval(_snap(wc.lambda2_after), _snap(spectral.lambda2), wc, g, spectral)
 
 
@@ -215,14 +206,25 @@ def _improves(before: _Eval, after: _Eval, gain: float) -> bool:
     )
 
 
-def _validate_plan_inputs(pos: np.ndarray, profile, opts: ControlOptions) -> None:
+def _plan_input_errors(pos: np.ndarray, profile, opts: ControlOptions) -> list[tuple[str, str]]:
+    """The planner's failed preconditions, each with the scenario field that
+    sets it; the scenario validator reports them all, the planner the first."""
+    errors = []
     if len(pos) < 2:
-        raise ValueError("need at least 2 agents to plan")
+        errors.append(("agents", "need at least 2 agents to plan"))
     if opts.min_separation >= profile.min_range():
-        raise ValueError("min_separation must be below the communication range")
-    span = np.max(np.linalg.norm(pos - pos[0], axis=1))
-    if span < 1e-12:
-        raise ValueError("degenerate start: all agents coincident")
+        errors.append(
+            ("control.min_separation", "min_separation must be below the communication range")
+        )
+    if len(pos) >= 2 and np.max(np.linalg.norm(pos - pos[0], axis=1)) < 1e-12:
+        errors.append(("agents", "degenerate start: all agents coincident"))
+    return errors
+
+
+def _validate_plan_inputs(pos: np.ndarray, profile, opts: ControlOptions) -> None:
+    errors = _plan_input_errors(pos, profile, opts)
+    if errors:
+        raise ValueError(errors[0][1])
 
 
 def plan_step(
@@ -245,7 +247,7 @@ def plan_step(
     pos = as_positions(reported_positions)
     _validate_plan_inputs(pos, profile, opts)
     m = opts.anticipated_budget.m
-    ev = _evaluate(pos, profile, m, opts)
+    ev = _evaluate(pos, profile, m)
     candidate = pos.copy()
     accepted = 0
     for _ in range(opts.outer_iters):
@@ -254,21 +256,21 @@ def plan_step(
         if gmax < _ZERO_GRAD:
             break  # no useful gradient
         direction = grad / gmax
-        eta = opts.step_size
+        eta = _STEP_SIZE
         took = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             adjusted, feasible = _enforce(
                 pos, candidate + eta * direction, opts.motion_bound,
                 opts.min_separation,
             )
             if feasible:
-                ev2 = _evaluate(adjusted, profile, m, opts)
-                if _improves(ev, ev2, opts.tol * eta):
+                ev2 = _evaluate(adjusted, profile, m)
+                if _improves(ev, ev2, _TOL * eta):
                     candidate, ev = adjusted, ev2
                     accepted += 1
                     took = True
                     break
-            eta *= opts.backtrack
+            eta *= _BACKTRACK
         if not took:
             break
     return PlanResult(candidate, ev.worst_lambda2, ev.worst, accepted)
@@ -324,25 +326,25 @@ def plan_step_decentralized(
             sub_profile = _slice_profile(profile, idx)
             loc = idx.index(i)
             local = snapshot[idx]
-            ev = _evaluate(local, sub_profile, m, opts)
+            ev = _evaluate(local, sub_profile, m)
             gi = _ascent_gradient_rows(local, sub_profile, ev)[loc]
             norm = float(np.linalg.norm(gi))
             if norm < _ZERO_GRAD:
                 continue
             unit = gi / norm
-            eta = opts.step_size
-            for _ in range(opts.max_backtracks):
+            eta = _STEP_SIZE
+            for _ in range(_MAX_BACKTRACKS):
                 trial = local.copy()
                 moved = snapshot[i] + eta * unit
                 trial[loc] = project_motion(
                     pos[i][None, :], moved[None, :], opts.motion_bound
                 )[0]
-                ev2 = _evaluate(trial, sub_profile, m, opts)
-                if _improves(ev, ev2, opts.tol * eta):
+                ev2 = _evaluate(trial, sub_profile, m)
+                if _improves(ev, ev2, _TOL * eta):
                     proposal[i] = trial[loc]
                     any_moved = True
                     break
-                eta *= opts.backtrack
+                eta *= _BACKTRACK
         if not any_moved:
             break
         adjusted, feasible = _enforce(
@@ -352,5 +354,5 @@ def plan_step_decentralized(
             break
         candidate = adjusted
         rounds += 1
-    ev = _evaluate(candidate, profile, m, opts)
+    ev = _evaluate(candidate, profile, m)
     return PlanResult(candidate, ev.worst_lambda2, ev.worst, rounds)

@@ -209,14 +209,14 @@ def _dropout_outcome(prm: FlipItParams, grid: np.ndarray) -> FlipItOutcome:
 
 def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
     """True if some grid rate strictly profits against the defender's response."""
-    for a in grid[1:]:
-        i_d = _argmax_with_ties(_defender_payoffs(grid, float(a), prm), None)
-        u_a = prm.attacker_value * flipit_control_fraction(
-            float(a), float(grid[i_d])
-        ) - prm.attack_cost * float(a)
-        if u_a > _PAYOFF_TOL:
-            return True
-    return False
+    rates = grid[1:]
+    payoffs = _defender_payoffs(grid[None, :], rates[:, None], prm)
+    # each row's response is its first rate within _PAYOFF_TOL of the best,
+    # the rule of _argmax_with_ties without an incumbent
+    ties = payoffs >= payoffs.max(axis=1, keepdims=True) - _PAYOFF_TOL
+    response = grid[np.argmax(ties, axis=1)]
+    u_a = prm.attacker_value * _holding(rates, response) - prm.attack_cost * rates
+    return bool(np.any(u_a > _PAYOFF_TOL))
 
 
 def flipit_equilibrium(

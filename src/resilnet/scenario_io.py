@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .adversary import RemovalBudget
-from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult
+from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult, _plan_input_errors
 from .gne import GNECosts, GNEState, PlantSpec, physical_utilities
 from .graph_core import BINARY, SMOOTH, WeightProfile, WeightedGraph
 from .simulator import (
@@ -31,6 +31,8 @@ from .simulator import (
     ScenarioConfig,
     SpoofEvent,
     StepTrace,
+    initial_positions,
+    planning_profile,
 )
 
 __all__ = [
@@ -203,13 +205,7 @@ _TOP_KEYS = (
 _CONTROL_FIELDS = {
     "min_separation": dict(minimum=0.0),
     "outer_iters": dict(integer=True, minimum=1),
-    "step_size": dict(exclusive_min=0.0),
-    "backtrack": dict(exclusive_min=0.0, maximum=1.0),
-    "tol": dict(exclusive_min=0.0),
     "mode": dict(choices=(CENTRALIZED, DECENTRALIZED)),
-    "attack_mode": dict(choices=("auto", "exhaustive", "greedy")),
-    "subset_cap": dict(integer=True, minimum=1),
-    "max_backtracks": dict(integer=True, minimum=1),
 }
 _CONTROL_KEYS = ("anticipated_budget", "motion_bound", *_CONTROL_FIELDS)
 
@@ -520,7 +516,7 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
     if w.errors:
         raise ConfigError(w.errors)
     try:
-        return ScenarioConfig(
+        cfg = ScenarioConfig(
             dimension=dim,
             agent_ids=tuple(ids),
             agent_layers=tuple(agent_layers),
@@ -536,6 +532,11 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
+    # the planner's own checks, on the profile and start it plans from
+    errors = _plan_input_errors(initial_positions(cfg), planning_profile(cfg), opts)
+    if errors:
+        raise ConfigError([f"{path}: {message}" for path, message in errors])
+    return cfg
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:

@@ -78,15 +78,17 @@ def test_greedy_never_beats_exhaustive():
         assert len(grd.removal) <= m
 
 
-def test_auto_mode_falls_back_to_greedy():
+def test_auto_mode_falls_back_to_greedy(monkeypatch):
     rng = np.random.default_rng(31)
     pos = rng.uniform(0.0, 1.0, size=(10, 2))
-    from resilnet import BINARY, WeightProfile, build_proximity_graph
+    from resilnet import BINARY, WeightProfile, adversary, build_proximity_graph
 
     g = build_proximity_graph(pos, WeightProfile(BINARY, 2.0))
-    res = worst_case_removal(g, RemovalBudget(3), subset_cap=10)
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 10)
+    res = worst_case_removal(g, RemovalBudget(3))
     assert not res.exact
-    res = worst_case_removal(g, RemovalBudget(1), subset_cap=10_000)
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 10_000)
+    res = worst_case_removal(g, RemovalBudget(1))
     assert res.exact
 
 

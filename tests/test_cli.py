@@ -61,6 +61,47 @@ def test_validate_reports_every_error(tmp_path, capsys):
     assert "steps" in err and "dimension" in err
 
 
+JAM_AT_0 = [{"type": "jam", "budget": 1, "start": 0, "end": 2}]
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (
+            dict(SCENARIO, control=dict(SCENARIO["control"], min_separation=1.6)),
+            "control.min_separation: min_separation must be below the communication range",
+        ),
+        (
+            dict(SCENARIO, agents=[{"id": f"a{i}", "position": [0.5, 0.5]} for i in range(6)]),
+            "agents: degenerate start: all agents coincident",
+        ),
+        (
+            dict(SCENARIO, events=JAM_AT_0),
+            "baseline.policy: pre_event needs a step before the first event",
+        ),
+    ],
+    ids=["min_separation", "coincident", "pre_event_onset_0"],
+)
+def test_validate_rejects_what_simulate_rejects(data, error, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not out.exists()
+
+
+def test_fixed_baseline_allows_an_event_at_step_0(tmp_path):
+    data = dict(SCENARIO, events=JAM_AT_0, baseline={"policy": "fixed", "value": 0.5})
+    path = tmp_path / "ok.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate", str(path)]) == 0
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "resilience.json").read_text())["onset"] == 0
+
+
 def test_validate_detects_game_files(gne_file):
     assert main(["validate", str(gne_file)]) == 0
 

@@ -35,6 +35,7 @@ from resilnet import (
     scenario_from_dict,
     trace_record,
 )
+from resilnet.scenario_io import _BASELINE_FIELDS, _CONTROL_KEYS, _SOLVER_FIELDS
 
 MINIMAL = {
     "dimension": 2,
@@ -91,12 +92,32 @@ def test_event_window_error_names_the_index():
     assert any(e.startswith("events[1]") and "steps=3" in e for e in errs)
 
 
+REMOVED_CONTROL_KEYS = (
+    "step_size", "backtrack", "tol", "attack_mode", "subset_cap", "max_backtracks"
+)
+
+
 def test_unknown_fields_rejected_with_paths():
     data = deep(MINIMAL, typo_field=1)
     data["control"]["wrong"] = 2
+    for key in REMOVED_CONTROL_KEYS:
+        data["control"][key] = 1
     errs = errors_of(data)
     assert "typo_field: unknown field" in errs
     assert "control.wrong: unknown field" in errs
+    for key in REMOVED_CONTROL_KEYS:
+        assert f"control.{key}: unknown field" in errs
+
+
+def test_parser_fields_match_the_dataclasses():
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(_CONTROL_KEYS) == fields(ControlOptions)
+    assert set(_BASELINE_FIELDS) == fields(BaselineSpec)
+    assert set(_SOLVER_FIELDS) == fields(GNEProblem) - {
+        "costs", "sender_utils", "receiver_utils"
+    }
 
 
 def test_all_errors_reported_not_just_first():
@@ -212,15 +233,32 @@ def test_non_finite_spoof_offset_rejected_with_path():
     [
         ("motion_bound", math.nan),
         ("motion_bound", -math.inf),
-        ("step_size", math.inf),
+        ("min_separation", math.inf),
         ("min_separation", math.nan),
-        ("tol", math.inf),
+        ("outer_iters", math.inf),
     ],
 )
 def test_non_finite_control_number_rejected_with_path(key, bad):
     data = deep(MINIMAL)
     data["control"][key] = bad
     assert has_error(errors_of(data), f"control.{key}: must")
+
+
+def test_min_separation_checked_against_the_shortest_layer_range():
+    data = deep(
+        MINIMAL,
+        profiles={
+            "air": {"kind": "binary", "range": 3.0},
+            "ground": {"kind": "binary", "range": 1.0},
+        },
+    )
+    del data["profile"]
+    data["agents"][0]["layer"] = "air"
+    data["agents"][1]["layer"] = "ground"
+    data["control"]["min_separation"] = 1.2
+    assert has_error(errors_of(data), "control.min_separation: ")
+    data["control"]["min_separation"] = 0.9
+    assert scenario_from_dict(data).opts.min_separation == 0.9
 
 
 def test_infinite_motion_bound_means_no_bound():
