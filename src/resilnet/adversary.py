@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -41,18 +41,17 @@ SUBSET_CAP = 50_000
 # lexicographic).
 _TIE_TOL = 1e-12
 
-# The exhaustive search screens subsets with a batched eigvalsh, then runs the
-# reference eigensolve only on subsets the screen cannot rule out.  The two
-# differ by roundoff, on the order of n * eps * shift (about 1e-14 * shift at
-# n = 16), where shift bounds the spectrum; both margins below sit orders of
-# magnitude outside it.  _SCREEN_MARGIN decides candidacy, _GUARD_MARGIN
-# which subsets could make the reference path raise SpectralError.
+# The exhaustive search screens subsets through the secular equation (Golub
+# 1973; Bunch, Nielsen and Sorensen 1978).  With the deflated Laplacian
+# A = Q diag(lam) Q^T and rows z_e = sqrt(w_e) Q^T (e_a - e_b), lambda2 after
+# removing S is at most x < lam[0] exactly when the largest eigenvalue of the
+# block P_SS of P = Z (diag(lam) - x)^-1 Z^T reaches 1.  Screen and reference
+# eigensolve differ by roundoff, about n * eps * shift, where shift bounds the
+# spectrum; both margins sit orders of magnitude outside it.  _SCREEN_MARGIN
+# sets the window of candidates, _GUARD_MARGIN which subsets could make the
+# reference path raise SpectralError.
 _SCREEN_MARGIN = 1e-8
 _GUARD_MARGIN = 1e-12
-
-# Bytes of stacked matrices per batched eigvalsh call: 256 16x16 Laplacians.
-# A 1 MB budget ran no faster on grid16-jam and raised peak RSS by about 1 MB.
-_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,52 +115,74 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     """Scan every subset in enumeration order; a candidate replaces the
     incumbent only when its lambda2 is lower by more than ``_TIE_TOL``.
 
-    Each chunk of subsets is screened first: one stacked ``eigvalsh`` of the
-    deflated full Laplacian minus each removed edge's rank-one term.  The
-    scan then replays the chunk and takes the reference eigensolve only of
-    subsets whose screened value could undercut the incumbent or could be
-    negative enough to raise, so the result keeps the bits of a scan that
-    solves every subset exactly.
+    Only a window takes the reference eigensolve: every subset the screen
+    puts within ``margin`` of the top of a ``margin / 4`` bisection bracket
+    on the smallest lambda2 over all subsets, mu.  A mask at ``guard`` marks
+    the subsets whose eigensolve could raise; once the incumbent is within
+    ``_TIE_TOL`` of 0 nothing can undercut it, and only those still run.
+
+    Skipping a subset outside the window is exact.  Take a level L in (mu,
+    mu + margin), clear of it by more than roundoff, with no window value,
+    nor the start value, in [L - _TIE_TOL, L); one exists while the window
+    holds fewer than ``margin / (2 _TIE_TOL)`` subsets, and past that every
+    subset is replayed.  Every subset outside lies above L.  While the
+    incumbent is >= L, the first subset below L undercuts it by more than
+    ``_TIE_TOL``, so both scans take it at the same point; after it, no
+    subset outside the window can undercut the incumbent.  A skipped subset
+    could only have been an incumbent that a window subset later replaces.
     """
     best_lam = algebraic_connectivity(g).lambda2
     best: tuple[int, ...] = ()
     deflated, shift = _deflate(laplacian(g))
     margin = _SCREEN_MARGIN * (1.0 + shift)
     guard = _NEGATIVE_TOL + _GUARD_MARGIN * (1.0 + shift)
-    chunk = max(1, _CHUNK_BYTES // deflated.nbytes)
-    for size in range(1, m + 1):
-        subsets = combinations(range(g.edge_count), size)
-        while combos := list(islice(subsets, chunk)):
-            screened = _screen(g, deflated, np.array(combos, dtype=np.intp))
-            for k in np.flatnonzero(screened < _cutoff(best_lam, margin, guard)).tolist():
-                if screened[k] >= _cutoff(best_lam, margin, guard):
-                    continue  # the incumbent fell since the chunk began
-                lam = algebraic_connectivity(remove_links(g, combos[k])).lambda2
-                if lam < best_lam - _TIE_TOL:
-                    best_lam, best = lam, combos[k]
+    lam, vecs = np.linalg.eigh(deflated)
+    a, b = np.append(g.edges, [[0, 0]], axis=0).T  # padding edge: a loop, so z = 0
+    z = np.sqrt(np.append(g.weights, 0.0))[:, None] * (vecs[a] - vecs[b])
+    subsets = _subsets(g.edge_count, m)
+    # a subset not below some x is not below any lower x either
+    lo, hi, candidates = -margin, float(lam[0]), subsets
+    while hi - lo >= 0.25 * margin:
+        mid = 0.5 * (lo + hi)
+        inside = _below(z, lam, mid, candidates)
+        if inside.any():
+            hi, candidates = mid, candidates[inside]
+        else:
+            lo = mid
+    guarded = _below(z, lam, guard, subsets)
+    window = guarded | _below(z, lam, hi + margin, subsets)
+    if np.count_nonzero(window) * _TIE_TOL >= 0.5 * margin:
+        window[:] = True
+    for k in np.flatnonzero(window).tolist():
+        if best_lam > _TIE_TOL or guarded[k]:
+            combo = tuple(e for e in subsets[k].tolist() if e < g.edge_count)
+            lam_k = algebraic_connectivity(remove_links(g, combo)).lambda2
+            if lam_k < best_lam - _TIE_TOL:
+                best_lam, best = lam_k, combo
     return WorstCaseResult(best, best_lam, True)
 
 
-def _cutoff(best_lam: float, margin: float, guard: float) -> float:
-    """Screened values below this take the reference eigensolve: they could
-    undercut the incumbent, or be negative enough to raise.  lambda2 is
-    clamped at 0, so an incumbent within ``_TIE_TOL`` of 0 is final."""
-    could_win = best_lam - _TIE_TOL + margin if best_lam > _TIE_TOL else -math.inf
-    return max(could_win, guard)
+def _subsets(n_edges: int, m: int) -> np.ndarray:
+    """Every subset of 1..m edges in enumeration order, one per row, padded
+    to at least two columns with the edge ``n_edges``, which weighs nothing."""
+    width, blocks = max(m, 2), []
+    for s in range(1, m + 1):
+        flat = np.fromiter(chain.from_iterable(combinations(range(n_edges), s)), np.intp)
+        pad = ((0, 0), (0, width - s))
+        blocks.append(np.pad(flat.reshape(-1, s), pad, constant_values=n_edges))
+    return np.concatenate(blocks)
 
 
-def _screen(g: WeightedGraph, deflated: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of ``deflated`` with each row of edge indices
-    removed: lambda2 of each subgraph, up to roundoff."""
-    stack = np.repeat(deflated[None], len(combos), axis=0)
-    rows = np.arange(len(combos))
-    for e in combos.T:
-        a, b, w = g.edges[e, 0], g.edges[e, 1], g.weights[e]
-        stack[rows, a, a] -= w
-        stack[rows, b, b] -= w
-        stack[rows, a, b] += w
-        stack[rows, b, a] += w
-    return np.linalg.eigvalsh(stack)[:, 0]
+def _below(z: np.ndarray, lam: np.ndarray, x: float, rows: np.ndarray) -> np.ndarray:
+    """Whether lambda2 after removing each row's edges is at most x."""
+    if x >= lam[0]:
+        return np.ones(len(rows), dtype=bool)
+    p = (z / (lam - x)) @ z.T
+    if rows.shape[1] == 2:
+        i, j = rows.T
+        a, c = p[i, i], p[j, j]
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), p[i, j]) >= 1.0
+    return np.linalg.eigvalsh(p[rows[:, :, None], rows[:, None, :]])[:, -1] >= 1.0
 
 
 def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:

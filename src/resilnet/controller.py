@@ -131,6 +131,8 @@ def project_motion(current, proposed, delta: float) -> np.ndarray:
 
 def _push_apart(points: np.ndarray, d_min: float) -> None:
     # symmetric pairwise separation repair, in place
+    if np.all(_pair_distances(points)[2] >= d_min - 1e-12):
+        return  # the sweep below would move nothing; same distance bits
     n = len(points)
     for _ in range(_PUSH_SWEEPS):
         moved = False

@@ -115,7 +115,8 @@ class LayerProfiles:
             raise ValueError("all layer profiles must share one kind")
 
     def min_range(self) -> float:
-        return min(p.comm_range for p in self.profiles.values())
+        """Shortest range among the layers in use; an unused profile links no one."""
+        return min(self.profiles[name].comm_range for name in set(self.layers))
 
     def smooth_surrogate(self) -> "LayerProfiles":
         return LayerProfiles(

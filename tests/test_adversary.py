@@ -179,16 +179,70 @@ def test_symmetric_lattice_ties_keep_first_subset(m, first):
     assert worst_case_removal(g, RemovalBudget(m), mode="exhaustive").removal == first
 
 
-def test_chunk_boundaries_inside_one_subset_size(monkeypatch):
-    g = build_proximity_graph(king_grid(), WeightProfile(BINARY, 1.6))
-    # five matrices per chunk: 42 singles and 861 pairs both end mid-chunk
-    monkeypatch.setattr(adversary, "_CHUNK_BYTES", 5 * 8 * g.n * g.n)
-    assert_matches_reference(g, 2)
+@pytest.mark.parametrize(
+    "tie_tol, screen_margin",
+    [
+        (adversary._TIE_TOL, adversary._SCREEN_MARGIN),
+        # a wide window: its edge falls inside each subset size, among the
+        # reference scan's passing incumbents
+        (adversary._TIE_TOL, 1e-2),
+        # ties wider than the window could change the path, so every subset
+        # is replayed
+        (0.3, 3e-3),
+    ],
+    ids=["shipped", "wide-window", "ties-wider-than-window"],
+)
+def test_window_edges_keep_reference_bits(monkeypatch, tie_tol, screen_margin):
+    monkeypatch.setattr(adversary, "_TIE_TOL", tie_tol)
+    monkeypatch.setattr(adversary, "_SCREEN_MARGIN", screen_margin)
+    assert_matches_reference(build_proximity_graph(king_grid(), WeightProfile(BINARY, 1.6)), 2)
     rng = np.random.default_rng(53)
     for _ in range(10):
         g = random_graph(rng, n=int(rng.integers(4, 8)))
         if g.edge_count >= 3:
             assert_matches_reference(g, 3)
+
+
+def structured_graph(family, n):
+    pairs = list(combinations(range(n), 2))
+    if family == "star":
+        pairs = [(0, j) for j in range(1, n)]
+    elif family == "path":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif family == "cycle":
+        pairs = sorted({(i, i + 1) for i in range(n - 1)} | {(0, n - 1)})
+    if family == "weighted":
+        return WeightedGraph(n, pairs, np.geomspace(1e-6, 1e3, len(pairs)))
+    return WeightedGraph(n, pairs, np.ones(len(pairs)))
+
+
+@pytest.mark.parametrize("family", ["complete", "star", "path", "cycle", "weighted"])
+def test_structured_graphs_match_reference(family):
+    # complete graphs repeat lambda2 n - 1 times, and their removals tie
+    for n in range(2, 9):
+        g = structured_graph(family, n)
+        for m in range(1, min(3, g.edge_count) + 1):
+            assert_matches_reference(g, m)
+
+
+def jittered_lattice():
+    """The 4x4 lattice of the grid16-jam benchmark, before its rigid motion."""
+    rng = np.random.default_rng([20010712, 4])
+    return np.array(king_grid()) + rng.uniform(-0.05, 0.05, size=(16, 2))
+
+
+@pytest.mark.parametrize("kind, solves", [(SMOOTH, 2), (BINARY, 9)])
+def test_reference_eigensolves_per_search(monkeypatch, kind, solves):
+    # the start graph, then the window: the smooth weights single out one
+    # worst pair, while the binary lattice ties eight pairs by its symmetry
+    g = build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
+    calls = []
+    monkeypatch.setattr(
+        adversary, "algebraic_connectivity",
+        lambda h: calls.append(h) or algebraic_connectivity(h),
+    )
+    worst_case_removal(g, RemovalBudget(2), mode="exhaustive")
+    assert len(calls) == solves
 
 
 def test_disconnecting_removal_drives_incumbent_to_zero(monkeypatch):

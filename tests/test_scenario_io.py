@@ -259,6 +259,16 @@ def test_min_separation_checked_against_the_shortest_layer_range():
     assert has_error(errors_of(data), "control.min_separation: ")
     data["control"]["min_separation"] = 0.9
     assert scenario_from_dict(data).opts.min_separation == 0.9
+    # a profile no agent uses links no one, so it caps nothing
+    data["profiles"] = {
+        "air": {"kind": "binary", "range": 3.0},
+        "ground": {"kind": "binary", "range": 2.0},
+        "water": {"kind": "binary", "range": 0.5},
+    }
+    data["control"]["min_separation"] = 0.8
+    cfg = scenario_from_dict(data)
+    assert cfg.opts.min_separation == 0.8
+    assert len(run_scenario(cfg)) == data["steps"]
 
 
 def test_infinite_motion_bound_means_no_bound():
