@@ -12,7 +12,9 @@ prior p yields each sender type's value of holding the service, those values
 feed the timing game, and the resulting holding fraction must reproduce p.
 It is found by damped fixed-point iteration, and verified by one more stage
 at the converged point: the timing game's pair must be a certified mutual
-best response there, and p must stay put to within the tolerance.
+best response there, and p must stay put to within the tolerance.  The
+sender values are piecewise constant in p, so the iteration meets the same
+timing game again and again; each distinct one is solved once per solve.
 """
 
 from __future__ import annotations
@@ -432,7 +434,10 @@ def _hybrid_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
             if not 1e-12 < mu < 1.0 - 1e-12:
                 continue
             share = mu * pi[other] / ((1.0 - mu) * pi[tau])
-            if not 1e-12 < share < 1.0 - 1e-12:
+            # no margin below 1: a share under 1 puts the prior past the
+            # pooling threshold, so a margin there left priors with no
+            # equilibrium at all
+            if not 1e-12 < share < 1.0:
                 continue
             a_x = _receiver_br(np.eye(2)[tau], u_r, m_x)
             denom = u_s[tau, m_s, TRUST] - u_s[tau, m_s, REJECT]
@@ -725,15 +730,25 @@ class GNEState:
 
 
 def _stage(
-    p: float, costs: GNECosts, u_s: np.ndarray, u_r: np.ndarray
+    p: float,
+    costs: GNECosts,
+    u_s: np.ndarray,
+    u_r: np.ndarray,
+    timing: dict[tuple[float, float], FlipItOutcome],
 ) -> tuple[SignalingOutcome, float, float, FlipItOutcome]:
+    """One signaling solve at prior p, and the timing game at its values.
+
+    ``timing`` holds the timing games already solved at these costs, keyed
+    on the exact sender values; a new pair is solved and added.
+    """
     sig = signaling_equilibrium(SignalingParams(p, u_s, u_r))
     v_a = max(0.0, sig.sender_values[ATTACKER])
     v_d = max(0.0, sig.sender_values[DEFENDER])
-    flip = flipit_equilibrium(
-        FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
-    )
-    return sig, v_a, v_d, flip
+    if (v_a, v_d) not in timing:
+        timing[v_a, v_d] = flipit_equilibrium(
+            FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
+        )
+    return sig, v_a, v_d, timing[v_a, v_d]
 
 
 def gne_solve(
@@ -746,6 +761,11 @@ def gne_solve(
     p0: float = 0.5,
 ) -> GNEState:
     """Find the composed equilibrium by damped fixed-point iteration.
+
+    Every stage solves the signaling game afresh; the timing game is solved
+    once per distinct pair of sender values (v_a, v_d), compared exactly, and
+    reused by later stages and by the final one.  It is a pure function of
+    its parameters, so the result is what solving it at every stage gives.
 
     Args:
         costs: timing-game move costs.
@@ -770,10 +790,11 @@ def gne_solve(
     u_r = np.asarray(receiver_utils, dtype=float)
     p = float(p0)
     history: list[float] = []
+    timing: dict[tuple[float, float], FlipItOutcome] = {}
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        _, _, _, flip = _stage(p, costs, u_s, u_r)
+        _, _, _, flip = _stage(p, costs, u_s, u_r, timing)
         p_next = (1.0 - damping) * p + damping * flip.control_fraction
         residual = abs(p_next - p)
         history.append(residual)
@@ -781,7 +802,7 @@ def gne_solve(
         if residual < tol:
             converged = True
             break
-    sig, v_a, v_d, flip = _stage(p, costs, u_s, u_r)
+    sig, v_a, v_d, flip = _stage(p, costs, u_s, u_r, timing)
     final_residual = damping * abs(flip.control_fraction - p)
     return GNEState(
         control_fraction=p,

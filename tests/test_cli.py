@@ -252,6 +252,21 @@ def test_gne_dropout_params_give_zero_control(tmp_path):
     assert state["flipit"]["dropped_out"]
 
 
+def test_gne_through_the_prior_window_exits_2_as_nonconvergence(tmp_path, capsys):
+    # the damped iteration lands just above the receiver's indifference
+    # prior 1/9, where the signaling game once had no equilibrium
+    params = json.loads(json.dumps(GNE_PARAMS))
+    params["costs"] = {"attack": 0.2, "defense": 0.3}
+    path = tmp_path / "window.yaml"
+    path.write_text(yaml.safe_dump(params))
+    out = tmp_path / "g"
+    assert main(["gne", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "did not converge in 200 iterations" in err
+    assert "RuntimeError" not in err and "failure" not in err
+    assert (out / "gne.json").exists()
+
+
 def test_gne_nonconvergence_exits_2(tmp_path, capsys):
     params = json.loads(json.dumps(GNE_PARAMS))
     params["solver"] = {"max_iters": 2, "damping": 0.5}

@@ -1,7 +1,11 @@
 """Timing game, trust signaling game, and their composed fixed point."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilnet import gne
 from resilnet import (
@@ -317,6 +321,38 @@ def test_signaling_random_tables_always_solve():
         grid_scan_no_better_deviation(prm, out)
 
 
+def test_signaling_priors_just_above_one_ninth_have_an_equilibrium():
+    # the demo receiver is indifferent at prior 1/9; just above it pooling
+    # fails and the hybrid's sender share is within 1e-12 of 1, a window
+    # where no candidate used to qualify
+    ninth = 1.0 / 9.0
+    priors = [ninth + k * np.spacing(ninth) for k in range(-4, 12)]
+    priors += list(ninth + np.linspace(-2e-13, 2e-13, 81))
+    priors += [ninth + 5e-14, ninth - 1e-13, ninth + 1e-13]
+    for prior in priors:
+        prm = SignalingParams(prior, DEMO_SENDER, DEMO_RECEIVER)
+        out = signaling_equilibrium(prm)
+        check_pbe(prm, out)
+        # pooling up to the threshold, the hybrid past it: the choice of
+        # the regimes on either side of the window is kept
+        if prior <= ninth:
+            assert out.kind == "pooling" and out.sender_values == pytest.approx((0.2, 0.9))
+        elif prior >= ninth + 1e-13:
+            assert out.kind == "hybrid" and out.sender_values[ATTACKER] == pytest.approx(0.0)
+    # one ulp above 1/9 pooling still passes and is kept; from two ulp up the
+    # hybrid is chosen, also at + 2 and + 3 ulp, where pooling passed only by
+    # rounding and was the choice before the window was closed
+    kinds = {
+        k: signaling_equilibrium(
+            SignalingParams(ninth + k * np.spacing(ninth), DEMO_SENDER, DEMO_RECEIVER)
+        ).kind
+        for k in range(1, 6)
+    }
+    assert kinds == {1: "pooling", 2: "hybrid", 3: "hybrid", 4: "hybrid", 5: "hybrid"}
+    nudged = SignalingParams(np.nextafter(ninth, 1.0), DEMO_SENDER, DEMO_RECEIVER)
+    assert signaling_equilibrium(nudged).kind == "pooling"
+
+
 def test_signaling_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SignalingParams(1.5, DEMO_SENDER, DEMO_RECEIVER)
@@ -436,3 +472,104 @@ def test_gne_rejects_bad_solver_settings():
     with pytest.raises(ValueError):
         gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, p0=1.5)
 
+
+def reference_gne_solve(costs, u_s, u_r, damping=0.5, tol=1e-8, max_iters=200, p0=0.5):
+    """The damped iteration with both games solved afresh at every stage."""
+
+    def stage(p):
+        sig = signaling_equilibrium(SignalingParams(p, u_s, u_r))
+        v_a = max(0.0, sig.sender_values[ATTACKER])
+        v_d = max(0.0, sig.sender_values[DEFENDER])
+        flip = flipit_equilibrium(
+            FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
+        )
+        return sig, v_a, v_d, flip
+
+    p, history, converged, iterations = float(p0), [], False, 0
+    for iterations in range(1, max_iters + 1):
+        flip = stage(p)[3]
+        p_next = (1.0 - damping) * p + damping * flip.control_fraction
+        history.append(abs(p_next - p))
+        p = p_next
+        if history[-1] < tol:
+            converged = True
+            break
+    sig, v_a, v_d, flip = stage(p)
+    residual = damping * abs(flip.control_fraction - p)
+    return p, v_a, v_d, flip, sig, residual, iterations, converged, history
+
+
+def assert_matches_reference(costs, u_s, u_r, **solver):
+    try:
+        want = reference_gne_solve(costs, u_s, u_r, **solver)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            gne_solve(costs, u_s, u_r, **solver)
+        return None
+    p, v_a, v_d, flip, sig, residual, iterations, converged, history = want
+    got = gne_solve(costs, u_s, u_r, **solver)
+    # repr writes every float with all its bits, and tells -0.0 from 0.0
+    assert repr(got.control_fraction) == repr(p)
+    assert repr((got.attacker_value, got.defender_value)) == repr((v_a, v_d))
+    assert repr(got.flipit) == repr(flip)
+    for name in ("sender_strategy", "receiver_strategy", "beliefs"):
+        assert getattr(got.signaling, name).tobytes() == getattr(sig, name).tobytes()
+    assert repr(got.signaling.sender_values) == repr(sig.sender_values)
+    assert repr(got.signaling.receiver_value) == repr(sig.receiver_value)
+    assert got.signaling.kind == sig.kind
+    assert repr(got.residual) == repr(residual)
+    assert repr(got.residual_history) == repr(tuple(history))
+    assert (got.iterations, got.converged) == (iterations, converged)
+    tol = solver.get("tol", 1e-8)
+    assert got.verified == (converged and flip.is_equilibrium and residual < tol)
+    return got
+
+
+@pytest.mark.parametrize(
+    "attack, defense",
+    [
+        (0.3, 0.2), (0.5, 0.1), (0.8, 0.4), (0.6, 0.6),  # converge
+        (0.2, 0.5), (0.3, 0.8), (0.5, 0.7), (0.2, 0.3),  # defense dearer: max_iters
+    ],
+)
+def test_gne_solve_matches_uncached_reference(attack, defense):
+    got = assert_matches_reference(GNECosts(attack, defense), DEMO_SENDER, DEMO_RECEIVER)
+    assert got.converged == (defense <= attack)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    damping=st.sampled_from([0.25, 0.5, 1.0]),
+    p0=st.floats(0.0, 1.0),
+)
+def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0):
+    rng = np.random.default_rng(seed)
+    costs = GNECosts(*(float(c) for c in rng.uniform(0.05, 1.0, size=2)))
+    u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+    u_r = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+    assert_matches_reference(costs, u_s, u_r, damping=damping, max_iters=40, p0=p0)
+
+
+@pytest.mark.parametrize("defense", [0.2, 0.5])
+def test_gne_solve_solves_each_timing_game_once(monkeypatch, defense):
+    visited, solved = [], []
+    signaling, flipit = gne.signaling_equilibrium, gne.flipit_equilibrium
+
+    def watch_signaling(prm):
+        out = signaling(prm)
+        visited.append(tuple(max(0.0, v) for v in out.sender_values))
+        return out
+
+    def count_flipit(prm):
+        solved.append((prm.attacker_value, prm.defender_value))
+        return flipit(prm)
+
+    monkeypatch.setattr(gne, "signaling_equilibrium", watch_signaling)
+    monkeypatch.setattr(gne, "flipit_equilibrium", count_flipit)
+    state = gne_solve(GNECosts(0.3, defense), DEMO_SENDER, DEMO_RECEIVER)
+    assert len(visited) == state.iterations + 1
+    assert len(solved) == len(set(solved)) == len(set(visited))
+    assert set(solved) == set(visited)
+    # the stages revisit the same few timing games many times over
+    assert len(solved) < state.iterations
