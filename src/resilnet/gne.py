@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,6 +240,14 @@ def flipit_equilibrium(
     the attacker a positive payoff against the defender's response, the
     attacker drops out (rate 0, control fraction 0); otherwise the last
     iterate is returned as a non-equilibrium diagnostic.
+
+    An attacker priced out of the grid, one whose value minus the cost of
+    the smallest positive grid rate is below -1e-12, drops out without a
+    search: the control fraction is at most 1 and float rounding is
+    monotone, so every positive rate then pays less than rate 0 pays (0)
+    against any defender rate, and the first best response, hence the
+    search, ends at rate 0.  With ``max_iters`` 0 no best response is taken
+    and the analytic start is returned, so the shortcut is not applied.
     """
     v = max(prm.attacker_value, prm.defender_value)
     alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
@@ -252,6 +260,9 @@ def flipit_equilibrium(
     # grid is not meant to resolve; without them the dropout rule applies
     extras = candidate if max(candidate) >= _RATE_FLOOR else ()
     grid = _rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras)
+    if max_iters > 0 and prm.attacker_value - prm.attack_cost * grid[1] < -_PAYOFF_TOL:
+        # priced out: the search would end at rate 0 (see the docstring)
+        return _dropout_outcome(prm, grid)
 
     def refine(center: float) -> np.ndarray:
         if center <= 0:
@@ -310,6 +321,7 @@ class SignalingParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must be in [0, 1]")
+        object.__setattr__(self, "prior", float(self.prior))
         for name, table in (
             ("sender_utils", self.sender_utils),
             ("receiver_utils", self.receiver_utils),
@@ -340,85 +352,110 @@ class SignalingOutcome:
     kind: str
 
 
-def _posterior(prior: float, sigma_s: np.ndarray) -> np.ndarray:
+# Candidates are solved on Python floats, which cost far less than numpy on
+# 2x2 tables: ``sigma_s[t][m]``, ``sigma_r[m][a]`` and ``beliefs[m][t]`` are
+# nested tuples, and only the selected equilibrium becomes arrays.
+_ONE_HOT = ((1.0, 0.0), (0.0, 1.0))
+# a gap beyond this share of the products' magnitudes (plus an absolute floor
+# for subnormal products) has the sign of any rounding of both dot products
+_TIE_REL = 2.0**-50
+_TIE_ABS = 2.0**-1070
+
+
+class _Candidate(NamedTuple):
+    """A :class:`SignalingOutcome` on nested float tuples, in its field order."""
+
+    sender_strategy: tuple
+    receiver_strategy: tuple
+    beliefs: tuple
+    sender_values: tuple[float, float]
+    receiver_value: float
+    kind: str
+
+
+def _posterior(prior: float, sigma_s: tuple) -> tuple:
     """Beliefs per message; passive (prior) beliefs off path."""
-    pi = np.array([prior, 1.0 - prior])
-    beliefs = np.empty((2, 2))
+    pi = (prior, 1.0 - prior)
+    beliefs = []
     for m in range(2):
-        mass = pi * sigma_s[:, m]
-        total = float(mass.sum())
-        beliefs[m] = mass / total if total > 1e-15 else pi
-    return beliefs
+        mass = (pi[0] * sigma_s[0][m], pi[1] * sigma_s[1][m])
+        total = mass[0] + mass[1]
+        beliefs.append((mass[0] / total, mass[1] / total) if total > 1e-15 else pi)
+    return tuple(beliefs)
 
 
-def _receiver_br(beliefs_m: np.ndarray, u_r: np.ndarray, m: int) -> int:
-    eu_trust = float(beliefs_m @ u_r[:, m, TRUST])
-    eu_reject = float(beliefs_m @ u_r[:, m, REJECT])
-    return TRUST if eu_trust >= eu_reject else REJECT  # ties trust
+def _receiver_br(belief: tuple, u_r: list, table: np.ndarray, m: int) -> int:
+    """The receiver's action at message m under ``belief``; ties trust.
+
+    The float gap decides unless it is within rounding of a tie.  There the
+    decision is numpy's own length-2 dot on ``table`` (``u_r`` as an
+    array), so that a platform's rounding of it, fused or not, is kept.
+    """
+    b0, b1 = belief
+    t0, t1 = b0 * u_r[0][m][TRUST], b1 * u_r[1][m][TRUST]
+    r0, r1 = b0 * u_r[0][m][REJECT], b1 * u_r[1][m][REJECT]
+    gap = (t0 + t1) - (r0 + r1)
+    if abs(gap) > _TIE_REL * (abs(t0) + abs(t1) + abs(r0) + abs(r1)) + _TIE_ABS:
+        return TRUST if gap > 0.0 else REJECT
+    beliefs_m = np.array(belief)
+    eu_trust = float(beliefs_m @ table[:, m, TRUST])
+    eu_reject = float(beliefs_m @ table[:, m, REJECT])
+    return TRUST if eu_trust >= eu_reject else REJECT
 
 
-def _values(
+def _candidate(
+    kind: str,
     prior: float,
-    sigma_s: np.ndarray,
-    sigma_r: np.ndarray,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-) -> tuple[tuple[float, float], float]:
+    sigma_s: tuple,
+    sigma_r: tuple,
+    beliefs: tuple,
+    u_s: list,
+    u_r: list,
+) -> _Candidate:
+    """The profile with both senders' values and the receiver's value."""
+    # folds from 0.0 in numpy's order; sum() of floats is compensated from
+    # Python 3.12 on and would change the last bits
     sender_vals = []
     for t in range(2):
-        v = sum(
-            sigma_s[t, m] * sigma_r[m, a] * u_s[t, m, a]
-            for m in range(2)
-            for a in range(2)
-        )
-        sender_vals.append(float(v))
-    pi = np.array([prior, 1.0 - prior])
-    rv = sum(
-        pi[t] * sigma_s[t, m] * sigma_r[m, a] * u_r[t, m, a]
-        for t in range(2)
-        for m in range(2)
-        for a in range(2)
-    )
-    return (sender_vals[0], sender_vals[1]), float(rv)
+        v = 0.0
+        for m in range(2):
+            for a in range(2):
+                v += sigma_s[t][m] * sigma_r[m][a] * u_s[t][m][a]
+        sender_vals.append(v)
+    pi = (prior, 1.0 - prior)
+    rv = 0.0
+    for t in range(2):
+        for m in range(2):
+            for a in range(2):
+                rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * u_r[t][m][a]
+    return _Candidate(sigma_s, sigma_r, beliefs, (sender_vals[0], sender_vals[1]), rv, kind)
 
 
-def _pure_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
-    u_s, u_r = prm.sender_utils, prm.receiver_utils
+def _pure_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
     found = []
     for m_att, m_def in product(range(2), range(2)):
-        sigma_s = np.zeros((2, 2))
-        sigma_s[ATTACKER, m_att] = 1.0
-        sigma_s[DEFENDER, m_def] = 1.0
+        sigma_s = (_ONE_HOT[m_att], _ONE_HOT[m_def])
         beliefs = _posterior(prm.prior, sigma_s)
-        actions = [_receiver_br(beliefs[m], u_r, m) for m in range(2)]
-        ok = True
-        for t, m_t in ((ATTACKER, m_att), (DEFENDER, m_def)):
-            other = 1 - m_t
-            if u_s[t, other, actions[other]] > u_s[t, m_t, actions[m_t]] + 1e-9:
-                ok = False
-                break
-        if not ok:
+        actions = [_receiver_br(beliefs[m], u_r, prm.receiver_utils, m) for m in range(2)]
+        if any(
+            u_s[t][1 - m_t][actions[1 - m_t]] > u_s[t][m_t][actions[m_t]] + 1e-9
+            for t, m_t in ((ATTACKER, m_att), (DEFENDER, m_def))
+        ):
             continue
-        sigma_r = np.zeros((2, 2))
-        for m in range(2):
-            sigma_r[m, actions[m]] = 1.0
-        sender_vals, rv = _values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+        sigma_r = (_ONE_HOT[actions[0]], _ONE_HOT[actions[1]])
         kind = "separating" if m_att != m_def else "pooling"
-        found.append(
-            SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, kind)
-        )
+        found.append(_candidate(kind, prm.prior, sigma_s, sigma_r, beliefs, u_s, u_r))
     return found
 
 
-def _hybrid_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
+def _hybrid_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
     """One type mixes, the receiver mixes on the shared message.
 
     The receiver's indifference at the shared message pins the posterior,
     Bayes then pins the sender's mixing weight, and the mixing type's own
     indifference pins the receiver's trust probability.
     """
-    u_s, u_r = prm.sender_utils, prm.receiver_utils
-    pi = np.array([prm.prior, 1.0 - prm.prior])
+    pi = (prm.prior, 1.0 - prm.prior)
     if pi[0] < 1e-12 or pi[1] < 1e-12:
         return []  # a missing type cannot mix on path
     found = []
@@ -426,8 +463,8 @@ def _hybrid_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
         other = 1 - tau
         for m_s in range(2):  # message shared with the pure type
             m_x = 1 - m_s
-            d_tau = u_r[tau, m_s, TRUST] - u_r[tau, m_s, REJECT]
-            d_oth = u_r[other, m_s, TRUST] - u_r[other, m_s, REJECT]
+            d_tau = u_r[tau][m_s][TRUST] - u_r[tau][m_s][REJECT]
+            d_oth = u_r[other][m_s][TRUST] - u_r[other][m_s][REJECT]
             if abs(d_oth - d_tau) < 1e-15:
                 continue
             mu = d_oth / (d_oth - d_tau)  # posterior on tau at m_s
@@ -439,34 +476,27 @@ def _hybrid_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
             # equilibrium at all
             if not 1e-12 < share < 1.0:
                 continue
-            a_x = _receiver_br(np.eye(2)[tau], u_r, m_x)
-            denom = u_s[tau, m_s, TRUST] - u_s[tau, m_s, REJECT]
+            a_x = _receiver_br(_ONE_HOT[tau], u_r, prm.receiver_utils, m_x)
+            denom = u_s[tau][m_s][TRUST] - u_s[tau][m_s][REJECT]
             if abs(denom) < 1e-15:
                 continue
-            q = (u_s[tau, m_x, a_x] - u_s[tau, m_s, REJECT]) / denom
+            q = (u_s[tau][m_x][a_x] - u_s[tau][m_s][REJECT]) / denom
             if not -1e-12 <= q <= 1.0 + 1e-12:
                 continue
             q = min(max(q, 0.0), 1.0)
-            eu_other = q * u_s[other, m_s, TRUST] + (1.0 - q) * u_s[other, m_s, REJECT]
-            if u_s[other, m_x, a_x] > eu_other + 1e-9:
+            eu_other = q * u_s[other][m_s][TRUST] + (1.0 - q) * u_s[other][m_s][REJECT]
+            if u_s[other][m_x][a_x] > eu_other + 1e-9:
                 continue
-            sigma_s = np.zeros((2, 2))
-            sigma_s[tau, m_s] = share
-            sigma_s[tau, m_x] = 1.0 - share
-            sigma_s[other, m_s] = 1.0
-            sigma_r = np.zeros((2, 2))
-            sigma_r[m_s, TRUST] = q
-            sigma_r[m_s, REJECT] = 1.0 - q
-            sigma_r[m_x, a_x] = 1.0
+            mixing = (share, 1.0 - share) if m_s == 0 else (1.0 - share, share)
+            sigma_s = (mixing, _ONE_HOT[m_s]) if tau == 0 else (_ONE_HOT[m_s], mixing)
+            mixed_r = (q, 1.0 - q)
+            sigma_r = (mixed_r, _ONE_HOT[a_x]) if m_s == 0 else (_ONE_HOT[a_x], mixed_r)
             beliefs = _posterior(prm.prior, sigma_s)
-            sender_vals, rv = _values(prm.prior, sigma_s, sigma_r, u_s, u_r)
-            found.append(
-                SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "hybrid")
-            )
+            found.append(_candidate("hybrid", prm.prior, sigma_s, sigma_r, beliefs, u_s, u_r))
     return found
 
 
-def _mixed_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
+def _mixed_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
     """Both sender types mix; the receiver is indifferent at both messages.
 
     The receiver's per-message indifference pins both posteriors, Bayes then
@@ -474,14 +504,13 @@ def _mixed_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
     conditions pin the receiver's trust probabilities.  Degenerate when the
     receiver's tables do not depend on the message (equal posterior targets).
     """
-    u_s, u_r = prm.sender_utils, prm.receiver_utils
     p = prm.prior
     if not 1e-12 < p < 1.0 - 1e-12:
         return []
     targets = []
     for m in range(2):
-        g_att = u_r[ATTACKER, m, TRUST] - u_r[ATTACKER, m, REJECT]
-        g_def = u_r[DEFENDER, m, TRUST] - u_r[DEFENDER, m, REJECT]
+        g_att = u_r[ATTACKER][m][TRUST] - u_r[ATTACKER][m][REJECT]
+        g_def = u_r[DEFENDER][m][TRUST] - u_r[DEFENDER][m][REJECT]
         if abs(g_def - g_att) < 1e-15:
             return []
         mu = g_def / (g_def - g_att)
@@ -497,23 +526,23 @@ def _mixed_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
     y = p * x * c0 / (1.0 - p)
     if not 1e-12 < y < 1.0 - 1e-12:
         return []
-    delta = u_s[:, :, TRUST] - u_s[:, :, REJECT]
-    rhs = u_s[:, 1, REJECT] - u_s[:, 0, REJECT]
+    table = prm.sender_utils
+    delta = table[:, :, TRUST] - table[:, :, REJECT]
+    rhs = table[:, 1, REJECT] - table[:, 0, REJECT]
     mat = np.column_stack((delta[:, 0], -delta[:, 1]))
     if abs(np.linalg.det(mat)) < 1e-15:
         return []
     q = np.linalg.solve(mat, rhs)
     if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
         return []
-    q = np.clip(q, 0.0, 1.0)
-    sigma_s = np.array([[x, 1.0 - x], [y, 1.0 - y]])
-    sigma_r = np.array([[q[0], 1.0 - q[0]], [q[1], 1.0 - q[1]]])
-    beliefs = _posterior(prm.prior, sigma_s)
-    sender_vals, rv = _values(prm.prior, sigma_s, sigma_r, u_s, u_r)
-    return [SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "mixed")]
+    q0, q1 = np.clip(q, 0.0, 1.0).tolist()
+    sigma_s = ((x, 1.0 - x), (y, 1.0 - y))
+    sigma_r = ((q0, 1.0 - q0), (q1, 1.0 - q1))
+    beliefs = _posterior(p, sigma_s)
+    return [_candidate("mixed", p, sigma_s, sigma_r, beliefs, u_s, u_r)]
 
 
-def _supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
+def _supported_pooling(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
     """Pooling held up by off-path beliefs other than the prior.
 
     Off the path any belief is admissible, so the receiver's off-path trust
@@ -522,18 +551,16 @@ def _supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
     the q-interval that deters both sender types, the value closest to the
     passive-belief response is chosen and the rationalizing belief stored.
     """
-    u_s, u_r = prm.sender_utils, prm.receiver_utils
-    pi = np.array([prm.prior, 1.0 - prm.prior])
+    pi = (prm.prior, 1.0 - prm.prior)
     found = []
     for m in range(2):
         m_off = 1 - m
-        a_on = _receiver_br(pi, u_r, m)
-        base = [float(u_s[t, m, a_on]) for t in range(2)]
+        a_on = _receiver_br(pi, u_r, prm.receiver_utils, m)
         lo, hi = 0.0, 1.0
         feasible = True
         for t in range(2):
-            slope = float(u_s[t, m_off, TRUST] - u_s[t, m_off, REJECT])
-            level = base[t] - float(u_s[t, m_off, REJECT])
+            slope = u_s[t][m_off][TRUST] - u_s[t][m_off][REJECT]
+            level = u_s[t][m][a_on] - u_s[t][m_off][REJECT]
             # need slope*q <= level for q in the deterrence interval
             if slope > 1e-15:
                 hi = min(hi, level / slope)
@@ -544,8 +571,8 @@ def _supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
                 break
         if not feasible or lo > hi + 1e-12:
             continue
-        g_att = float(u_r[ATTACKER, m_off, TRUST] - u_r[ATTACKER, m_off, REJECT])
-        g_def = float(u_r[DEFENDER, m_off, TRUST] - u_r[DEFENDER, m_off, REJECT])
+        g_att = u_r[ATTACKER][m_off][TRUST] - u_r[ATTACKER][m_off][REJECT]
+        g_def = u_r[DEFENDER][m_off][TRUST] - u_r[DEFENDER][m_off][REJECT]
         if min(g_att, g_def) >= 0.0:
             rationalizable = (1.0, 1.0)  # trust at every belief
         elif max(g_att, g_def) < 0.0:
@@ -556,23 +583,17 @@ def _supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
         hi = min(hi, rationalizable[1])
         if lo > hi + 1e-12:
             continue
-        q_passive = 1.0 if _receiver_br(pi, u_r, m_off) == TRUST else 0.0
+        q_passive = 1.0 if _receiver_br(pi, u_r, prm.receiver_utils, m_off) == TRUST else 0.0
         q_off = min(max(q_passive, lo), hi)
         belief_off = _rationalizing_belief(q_off, g_att, g_def, prm.prior)
         if belief_off is None:
             continue
-        sigma_s = np.zeros((2, 2))
-        sigma_s[:, m] = 1.0
-        sigma_r = np.zeros((2, 2))
-        sigma_r[m, a_on] = 1.0
-        sigma_r[m_off, TRUST] = q_off
-        sigma_r[m_off, REJECT] = 1.0 - q_off
-        beliefs = _posterior(prm.prior, sigma_s)
-        beliefs[m_off] = np.array([belief_off, 1.0 - belief_off])
-        sender_vals, rv = _values(prm.prior, sigma_s, sigma_r, u_s, u_r)
-        found.append(
-            SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "pooling")
-        )
+        sigma_s = (_ONE_HOT[m], _ONE_HOT[m])
+        on_r, off_r = _ONE_HOT[a_on], (q_off, 1.0 - q_off)
+        on_b, off_b = _posterior(prm.prior, sigma_s)[m], (belief_off, 1.0 - belief_off)
+        sigma_r = (on_r, off_r) if m == 0 else (off_r, on_r)
+        beliefs = (on_b, off_b) if m == 0 else (off_b, on_b)
+        found.append(_candidate("pooling", prm.prior, sigma_s, sigma_r, beliefs, u_s, u_r))
     return found
 
 
@@ -614,28 +635,37 @@ def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     strategy profile.  Some games have no equilibrium with passive off-path
     beliefs; for those a fully-mixed construction is tried, and failing
     that, pooling supported by other off-path beliefs.
+
+    The candidates are built on Python floats with numpy's operation order,
+    so every result has the bits a numpy evaluation gives.  The receiver
+    trusts when its expected payoff from trusting is at least that from
+    rejecting.  When the two are within rounding of a tie, the comparison is
+    numpy's own dot product of the beliefs with the table, so a platform's
+    rounding of a near tie decides as it does in numpy.
     """
-    candidates = _pure_equilibria(prm) + _hybrid_equilibria(prm)
+    u_s, u_r = prm.sender_utils.tolist(), prm.receiver_utils.tolist()
+    candidates = _pure_equilibria(prm, u_s, u_r) + _hybrid_equilibria(prm, u_s, u_r)
     if not candidates:
-        candidates = _mixed_equilibria(prm)
+        candidates = _mixed_equilibria(prm, u_s, u_r)
     if not candidates:
-        candidates = _supported_pooling(prm)
+        candidates = _supported_pooling(prm, u_s, u_r)
     if not candidates:
         raise RuntimeError("no equilibrium with passive or supported beliefs")
 
-    def key(out: SignalingOutcome):
+    def key(c: _Candidate):
         return (
-            _KIND_RANK[out.kind],
-            -out.receiver_value,
+            _KIND_RANK[c.kind],
+            -c.receiver_value,
             (
-                out.sender_strategy[ATTACKER, 0],
-                out.sender_strategy[DEFENDER, 0],
-                out.receiver_strategy[0, TRUST],
-                out.receiver_strategy[1, TRUST],
+                c.sender_strategy[ATTACKER][0],
+                c.sender_strategy[DEFENDER][0],
+                c.receiver_strategy[0][TRUST],
+                c.receiver_strategy[1][TRUST],
             ),
         )
 
-    return min(candidates, key=key)
+    best = min(candidates, key=key)
+    return SignalingOutcome(*(np.array(x) for x in best[:3]), *best[3:])
 
 
 # ---------------------------------------------------------------------------

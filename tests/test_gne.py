@@ -1,6 +1,8 @@
 """Timing game, trust signaling game, and their composed fixed point."""
 
+import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from resilnet import (
     FlipItParams,
     GNECosts,
     PlantSpec,
+    SignalingOutcome,
     SignalingParams,
     flipit_control_fraction,
     flipit_equilibrium,
@@ -197,6 +200,158 @@ def test_uncertified_pair_drops_out_when_entry_never_pays(profit_checks):
     assert out.defender_payoff == prm.defender_value
 
 
+def reference_flipit_equilibrium(prm, grid_points=200, max_iters=500):
+    """``flipit_equilibrium`` without the early exit for priced-out attackers."""
+    v = max(prm.attacker_value, prm.defender_value)
+    alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
+    ratio = (alpha_max / gne._RATE_FLOOR) ** (1.0 / (grid_points - 1))
+    if prm.attacker_value <= 0:
+        return gne._dropout_outcome(prm, gne._rate_grid(gne._RATE_FLOOR, alpha_max, grid_points))
+
+    candidate = gne._equilibrium_candidate(prm)
+    extras = candidate if max(candidate) >= gne._RATE_FLOOR else ()
+    grid = gne._rate_grid(gne._RATE_FLOOR, alpha_max, grid_points, extras)
+
+    def refine(center):
+        if center <= 0:
+            return grid
+        lo = max(center / ratio, gne._RATE_FLOOR / ratio)
+        hi = min(center * ratio, alpha_max * ratio)
+        return gne._rate_grid(lo, hi, grid_points, extras)
+
+    start_a = int(np.argmin(np.abs(grid - candidate[0])))
+    start_d = int(np.argmin(np.abs(grid - candidate[1])))
+    i_a, i_d, it1, _ = gne._best_response_pair(grid, grid, prm, start_a, start_d, max_iters)
+    grid_a, grid_d = refine(float(grid[i_a])), refine(float(grid[i_d]))
+    j_a = int(np.argmin(np.abs(grid_a - grid[i_a])))
+    j_d = int(np.argmin(np.abs(grid_d - grid[i_d])))
+    i_a, i_d, it2, _ = gne._best_response_pair(grid_a, grid_d, prm, j_a, j_d, max_iters)
+
+    a_star = float(grid_a[i_a])
+    d_star = float(grid_d[i_d])
+    if a_star == 0.0:
+        return gne._dropout_outcome(prm, grid)
+    p = flipit_control_fraction(a_star, d_star)
+    u_a = prm.attacker_value * p - prm.attack_cost * a_star
+    u_d = prm.defender_value * (1.0 - p) - prm.defense_cost * d_star
+    gain_a = float(np.max(gne._attacker_payoffs(grid_a, d_star, prm))) - u_a
+    gain_d = float(np.max(gne._defender_payoffs(grid_d, a_star, prm))) - u_d
+    certified = gain_a <= 1e-9 and gain_d <= 1e-9
+    if not certified and not gne._can_profit(grid, prm):
+        return gne._dropout_outcome(prm, grid)
+    return gne.FlipItOutcome(
+        attacker_rate=a_star,
+        defender_rate=d_star,
+        control_fraction=p,
+        attacker_payoff=u_a,
+        defender_payoff=u_d,
+        is_equilibrium=certified,
+        dropped_out=False,
+        iterations=it1 + it2,
+        grid_attacker=tuple(grid_a),
+        grid_defender=tuple(grid_d),
+    )
+
+
+def smallest_positive_rate(attack, defense, value, defender_value):
+    """grid[1] of the search grid ``flipit_equilibrium`` builds for these parameters."""
+    prm = FlipItParams(attack, defense, value, defender_value)
+    alpha_max = max(1.0, max(value, defender_value) / min(attack, defense))
+    candidate = gne._equilibrium_candidate(prm)
+    extras = candidate if max(candidate) >= gne._RATE_FLOOR else ()
+    return float(gne._rate_grid(gne._RATE_FLOOR, alpha_max, gne._GRID_POINTS, extras)[1])
+
+
+def priced_out_boundary(attack, defense, defender_value):
+    """Attacker values within 3 ulp of attack * grid[1] and of the exit's edge below it."""
+    value = attack * 1e-4
+    for _ in range(3):  # grid[1] can move with the value through the candidate
+        value = attack * smallest_positive_rate(attack, defense, value, defender_value)
+    values = []
+    for center in (value, value - gne._PAYOFF_TOL):
+        below = above = center
+        values.append(center)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    return values + [0.9 * value, 0.5 * value]
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 500])
+@pytest.mark.parametrize(
+    "attack, defense, defender_value",
+    [
+        (0.3, 0.2, 0.9),
+        (0.3, 0.2, 0.0),  # nothing to defend: the analytic start is the rate floor
+        (1e-4, 0.5, 0.0),  # there a cheap attack's start is certified at max_iters 0
+        (0.3, 1e-9, 0.9),  # near-free defense: the defender's payoffs tie
+        (5.0, 0.2, 0.7),
+    ],
+)
+def test_priced_out_exit_matches_full_search(
+    monkeypatch, max_iters, attack, defense, defender_value
+):
+    searched = []
+    pair = gne._best_response_pair
+
+    def count_pairs(*args):
+        searched.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(gne, "_best_response_pair", count_pairs)
+    values = priced_out_boundary(attack, defense, defender_value)
+    exits = 0
+    for value in values:
+        prm = FlipItParams(attack, defense, value, defender_value)
+        want = reference_flipit_equilibrium(prm, max_iters=max_iters)
+        searched.clear()
+        got = flipit_equilibrium(prm, max_iters=max_iters)
+        assert repr(got) == repr(want)
+        g1 = smallest_positive_rate(attack, defense, value, defender_value)
+        if max_iters > 0 and value - attack * g1 < -gne._PAYOFF_TOL:
+            exits += 1
+            assert got.dropped_out and not searched
+        else:
+            assert len(searched) == 2
+    if max_iters == 0:
+        assert exits == 0
+    else:  # the values straddle the exit: some take it, some search
+        assert 0 < exits < len(values)
+
+
+def test_priced_out_exit_with_a_sub_floor_grid_rate():
+    # a slow defender's analytic rate below the floor becomes grid[1]
+    assert smallest_positive_rate(1e-6, 0.2, 1.0, 0.9) < gne._RATE_FLOOR
+    for value in (1.0, 1e-12, 1e-18):
+        prm = FlipItParams(1e-6, 0.2, value, 0.9)
+        for max_iters in (0, 1, 500):
+            want = reference_flipit_equilibrium(prm, max_iters=max_iters)
+            assert repr(flipit_equilibrium(prm, max_iters=max_iters)) == repr(want)
+
+
+def test_demo_game_solves_three_of_four_timing_games_without_a_search(monkeypatch):
+    solves = []
+    flipit, pair = gne.flipit_equilibrium, gne._best_response_pair
+    searches = [0]
+
+    def count_pairs(*args):
+        searches[0] += 1
+        return pair(*args)
+
+    def watch_flipit(prm):
+        before = searches[0]
+        out = flipit(prm)
+        solves.append(searches[0] - before)
+        return out
+
+    monkeypatch.setattr(gne, "_best_response_pair", count_pairs)
+    monkeypatch.setattr(gne, "flipit_equilibrium", watch_flipit)
+    state = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
+    assert state.verified
+    # the hybrid's attacker value is 0 up to rounding: priced out, no search
+    assert sorted(solves) == [0, 0, 0, 2]
+
+
 def test_flipit_params_validation():
     with pytest.raises(ValueError):
         FlipItParams(0.0, 1.0, 1.0, 1.0)
@@ -351,6 +506,366 @@ def test_signaling_priors_just_above_one_ninth_have_an_equilibrium():
     assert kinds == {1: "pooling", 2: "hybrid", 3: "hybrid", 4: "hybrid", 5: "hybrid"}
     nudged = SignalingParams(np.nextafter(ninth, 1.0), DEMO_SENDER, DEMO_RECEIVER)
     assert signaling_equilibrium(nudged).kind == "pooling"
+
+
+# ---------------------------------------------------------------------------
+# the numpy trust-game solver, kept as the reference for the float one
+# ---------------------------------------------------------------------------
+
+
+def _ref_posterior(prior: float, sigma_s: np.ndarray) -> np.ndarray:
+    """Beliefs per message; passive (prior) beliefs off path."""
+    pi = np.array([prior, 1.0 - prior])
+    beliefs = np.empty((2, 2))
+    for m in range(2):
+        mass = pi * sigma_s[:, m]
+        total = float(mass.sum())
+        beliefs[m] = mass / total if total > 1e-15 else pi
+    return beliefs
+
+
+def _ref_receiver_br(beliefs_m: np.ndarray, u_r: np.ndarray, m: int) -> int:
+    eu_trust = float(beliefs_m @ u_r[:, m, TRUST])
+    eu_reject = float(beliefs_m @ u_r[:, m, REJECT])
+    return TRUST if eu_trust >= eu_reject else REJECT  # ties trust
+
+
+def _ref_values(
+    prior: float,
+    sigma_s: np.ndarray,
+    sigma_r: np.ndarray,
+    u_s: np.ndarray,
+    u_r: np.ndarray,
+) -> tuple[tuple[float, float], float]:
+    sender_vals = []
+    for t in range(2):
+        v = sum(
+            sigma_s[t, m] * sigma_r[m, a] * u_s[t, m, a]
+            for m in range(2)
+            for a in range(2)
+        )
+        sender_vals.append(float(v))
+    pi = np.array([prior, 1.0 - prior])
+    rv = sum(
+        pi[t] * sigma_s[t, m] * sigma_r[m, a] * u_r[t, m, a]
+        for t in range(2)
+        for m in range(2)
+        for a in range(2)
+    )
+    return (sender_vals[0], sender_vals[1]), float(rv)
+
+
+def _ref_pure_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
+    u_s, u_r = prm.sender_utils, prm.receiver_utils
+    found = []
+    for m_att, m_def in product(range(2), range(2)):
+        sigma_s = np.zeros((2, 2))
+        sigma_s[ATTACKER, m_att] = 1.0
+        sigma_s[DEFENDER, m_def] = 1.0
+        beliefs = _ref_posterior(prm.prior, sigma_s)
+        actions = [_ref_receiver_br(beliefs[m], u_r, m) for m in range(2)]
+        ok = True
+        for t, m_t in ((ATTACKER, m_att), (DEFENDER, m_def)):
+            other = 1 - m_t
+            if u_s[t, other, actions[other]] > u_s[t, m_t, actions[m_t]] + 1e-9:
+                ok = False
+                break
+        if not ok:
+            continue
+        sigma_r = np.zeros((2, 2))
+        for m in range(2):
+            sigma_r[m, actions[m]] = 1.0
+        sender_vals, rv = _ref_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+        kind = "separating" if m_att != m_def else "pooling"
+        found.append(
+            SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, kind)
+        )
+    return found
+
+
+def _ref_hybrid_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
+    """One type mixes, the receiver mixes on the shared message.
+
+    The receiver's indifference at the shared message pins the posterior,
+    Bayes then pins the sender's mixing weight, and the mixing type's own
+    indifference pins the receiver's trust probability.
+    """
+    u_s, u_r = prm.sender_utils, prm.receiver_utils
+    pi = np.array([prm.prior, 1.0 - prm.prior])
+    if pi[0] < 1e-12 or pi[1] < 1e-12:
+        return []  # a missing type cannot mix on path
+    found = []
+    for tau in range(2):
+        other = 1 - tau
+        for m_s in range(2):  # message shared with the pure type
+            m_x = 1 - m_s
+            d_tau = u_r[tau, m_s, TRUST] - u_r[tau, m_s, REJECT]
+            d_oth = u_r[other, m_s, TRUST] - u_r[other, m_s, REJECT]
+            if abs(d_oth - d_tau) < 1e-15:
+                continue
+            mu = d_oth / (d_oth - d_tau)  # posterior on tau at m_s
+            if not 1e-12 < mu < 1.0 - 1e-12:
+                continue
+            share = mu * pi[other] / ((1.0 - mu) * pi[tau])
+            # no margin below 1: a share under 1 puts the prior past the
+            # pooling threshold, so a margin there left priors with no
+            # equilibrium at all
+            if not 1e-12 < share < 1.0:
+                continue
+            a_x = _ref_receiver_br(np.eye(2)[tau], u_r, m_x)
+            denom = u_s[tau, m_s, TRUST] - u_s[tau, m_s, REJECT]
+            if abs(denom) < 1e-15:
+                continue
+            q = (u_s[tau, m_x, a_x] - u_s[tau, m_s, REJECT]) / denom
+            if not -1e-12 <= q <= 1.0 + 1e-12:
+                continue
+            q = min(max(q, 0.0), 1.0)
+            eu_other = q * u_s[other, m_s, TRUST] + (1.0 - q) * u_s[other, m_s, REJECT]
+            if u_s[other, m_x, a_x] > eu_other + 1e-9:
+                continue
+            sigma_s = np.zeros((2, 2))
+            sigma_s[tau, m_s] = share
+            sigma_s[tau, m_x] = 1.0 - share
+            sigma_s[other, m_s] = 1.0
+            sigma_r = np.zeros((2, 2))
+            sigma_r[m_s, TRUST] = q
+            sigma_r[m_s, REJECT] = 1.0 - q
+            sigma_r[m_x, a_x] = 1.0
+            beliefs = _ref_posterior(prm.prior, sigma_s)
+            sender_vals, rv = _ref_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+            found.append(
+                SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "hybrid")
+            )
+    return found
+
+
+def _ref_mixed_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
+    """Both sender types mix; the receiver is indifferent at both messages.
+
+    The receiver's per-message indifference pins both posteriors, Bayes then
+    pins both sender mixing weights, and the two sender-indifference
+    conditions pin the receiver's trust probabilities.  Degenerate when the
+    receiver's tables do not depend on the message (equal posterior targets).
+    """
+    u_s, u_r = prm.sender_utils, prm.receiver_utils
+    p = prm.prior
+    if not 1e-12 < p < 1.0 - 1e-12:
+        return []
+    targets = []
+    for m in range(2):
+        g_att = u_r[ATTACKER, m, TRUST] - u_r[ATTACKER, m, REJECT]
+        g_def = u_r[DEFENDER, m, TRUST] - u_r[DEFENDER, m, REJECT]
+        if abs(g_def - g_att) < 1e-15:
+            return []
+        mu = g_def / (g_def - g_att)
+        if not 1e-9 < mu < 1.0 - 1e-9:
+            return []
+        targets.append(mu)
+    c0, c1 = ((1.0 - mu) / mu for mu in targets)
+    if abs(c0 - c1) < 1e-15:
+        return []
+    x = ((1.0 - p) / p - c1) / (c0 - c1)  # attacker's weight on message 0
+    if not 1e-12 < x < 1.0 - 1e-12:
+        return []
+    y = p * x * c0 / (1.0 - p)
+    if not 1e-12 < y < 1.0 - 1e-12:
+        return []
+    delta = u_s[:, :, TRUST] - u_s[:, :, REJECT]
+    rhs = u_s[:, 1, REJECT] - u_s[:, 0, REJECT]
+    mat = np.column_stack((delta[:, 0], -delta[:, 1]))
+    if abs(np.linalg.det(mat)) < 1e-15:
+        return []
+    q = np.linalg.solve(mat, rhs)
+    if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
+        return []
+    q = np.clip(q, 0.0, 1.0)
+    sigma_s = np.array([[x, 1.0 - x], [y, 1.0 - y]])
+    sigma_r = np.array([[q[0], 1.0 - q[0]], [q[1], 1.0 - q[1]]])
+    beliefs = _ref_posterior(prm.prior, sigma_s)
+    sender_vals, rv = _ref_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+    return [SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "mixed")]
+
+
+def _ref_supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
+    """Pooling held up by off-path beliefs other than the prior.
+
+    Off the path any belief is admissible, so the receiver's off-path trust
+    probability can be anything its possible beliefs rationalize: a pure
+    action, or any mixture when some belief makes it indifferent.  Within
+    the q-interval that deters both sender types, the value closest to the
+    passive-belief response is chosen and the rationalizing belief stored.
+    """
+    u_s, u_r = prm.sender_utils, prm.receiver_utils
+    pi = np.array([prm.prior, 1.0 - prm.prior])
+    found = []
+    for m in range(2):
+        m_off = 1 - m
+        a_on = _ref_receiver_br(pi, u_r, m)
+        base = [float(u_s[t, m, a_on]) for t in range(2)]
+        lo, hi = 0.0, 1.0
+        feasible = True
+        for t in range(2):
+            slope = float(u_s[t, m_off, TRUST] - u_s[t, m_off, REJECT])
+            level = base[t] - float(u_s[t, m_off, REJECT])
+            # need slope*q <= level for q in the deterrence interval
+            if slope > 1e-15:
+                hi = min(hi, level / slope)
+            elif slope < -1e-15:
+                lo = max(lo, level / slope)
+            elif level < -1e-12:
+                feasible = False
+                break
+        if not feasible or lo > hi + 1e-12:
+            continue
+        g_att = float(u_r[ATTACKER, m_off, TRUST] - u_r[ATTACKER, m_off, REJECT])
+        g_def = float(u_r[DEFENDER, m_off, TRUST] - u_r[DEFENDER, m_off, REJECT])
+        if min(g_att, g_def) >= 0.0:
+            rationalizable = (1.0, 1.0)  # trust at every belief
+        elif max(g_att, g_def) < 0.0:
+            rationalizable = (0.0, 0.0)
+        else:
+            rationalizable = (0.0, 1.0)
+        lo = max(lo, rationalizable[0])
+        hi = min(hi, rationalizable[1])
+        if lo > hi + 1e-12:
+            continue
+        q_passive = 1.0 if _ref_receiver_br(pi, u_r, m_off) == TRUST else 0.0
+        q_off = min(max(q_passive, lo), hi)
+        belief_off = gne._rationalizing_belief(q_off, g_att, g_def, prm.prior)
+        if belief_off is None:
+            continue
+        sigma_s = np.zeros((2, 2))
+        sigma_s[:, m] = 1.0
+        sigma_r = np.zeros((2, 2))
+        sigma_r[m, a_on] = 1.0
+        sigma_r[m_off, TRUST] = q_off
+        sigma_r[m_off, REJECT] = 1.0 - q_off
+        beliefs = _ref_posterior(prm.prior, sigma_s)
+        beliefs[m_off] = np.array([belief_off, 1.0 - belief_off])
+        sender_vals, rv = _ref_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+        found.append(
+            SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "pooling")
+        )
+    return found
+
+
+def reference_signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
+    """The trust-game solver on numpy arrays, as it was before the float one."""
+    candidates = _ref_pure_equilibria(prm) + _ref_hybrid_equilibria(prm)
+    if not candidates:
+        candidates = _ref_mixed_equilibria(prm)
+    if not candidates:
+        candidates = _ref_supported_pooling(prm)
+    if not candidates:
+        raise RuntimeError("no equilibrium with passive or supported beliefs")
+
+    def key(out: SignalingOutcome):
+        return (
+            gne._KIND_RANK[out.kind],
+            -out.receiver_value,
+            (
+                out.sender_strategy[ATTACKER, 0],
+                out.sender_strategy[DEFENDER, 0],
+                out.receiver_strategy[0, TRUST],
+                out.receiver_strategy[1, TRUST],
+            ),
+        )
+
+    return min(candidates, key=key)
+
+
+def assert_signaling_matches_reference(prior, u_s, u_r):
+    prm = SignalingParams(prior, u_s, u_r)
+    try:
+        want = reference_signaling_equilibrium(prm)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            signaling_equilibrium(prm)
+        return "raise"
+    got = signaling_equilibrium(prm)
+    assert got.kind == want.kind
+    for name in ("sender_strategy", "receiver_strategy", "beliefs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    # repr writes every float with all its bits, and tells -0.0 from 0.0
+    assert repr(got.sender_values) == repr(want.sender_values)
+    assert repr(got.receiver_value) == repr(want.receiver_value)
+    return got.kind
+
+
+def ulp_neighbours(x, k):
+    """x and the k floats on either side of it."""
+    out = [x]
+    below = above = x
+    for _ in range(k):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def indifference_priors(u_r):
+    """Each message's prior at which the receiver is indifferent, if in [0, 1]."""
+    priors = []
+    for m in range(2):
+        g_att = u_r[ATTACKER, m, TRUST] - u_r[ATTACKER, m, REJECT]
+        g_def = u_r[DEFENDER, m, TRUST] - u_r[DEFENDER, m, REJECT]
+        if g_def != g_att and 0.0 <= g_def / (g_def - g_att) <= 1.0:
+            priors.append(float(g_def / (g_def - g_att)))
+    return priors
+
+
+def test_signaling_matches_numpy_reference_around_the_demo_threshold():
+    kinds = {
+        assert_signaling_matches_reference(prior, DEMO_SENDER, DEMO_RECEIVER)
+        for prior in ulp_neighbours(1.0 / 9.0, 3000) + [0.0, 0.1, 0.3, 1.0]
+    }
+    assert kinds == {"separating", "pooling", "hybrid"}
+
+
+@pytest.mark.parametrize(
+    "seed, kind", [(0, "pooling"), (2, "separating"), (20, "hybrid"), (22, "mixed")]
+)
+def test_signaling_matches_numpy_reference_on_each_kind(seed, kind):
+    rng = np.random.default_rng(seed)
+    u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+    u_r = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+    prior = float(rng.uniform())
+    assert assert_signaling_matches_reference(prior, u_s, u_r) == kind
+
+
+def test_signaling_matches_numpy_reference_where_no_equilibrium_exists():
+    u_s = np.array([[[-1.0, 0.9], [0.6, -0.3]], [[0.4, 0.5], [0.6, -0.8]]])
+    u_r = np.array([[[-0.4, -0.4], [0.2, 0.2]], [[0.8, 0.5], [-0.2, 0.6]]])
+    assert assert_signaling_matches_reference(0.5, u_s, u_r) == "raise"
+
+
+def test_signaling_matches_numpy_reference_on_subnormal_receiver_tables():
+    # products of subnormal numbers round by an absolute amount, so a gap
+    # within a few of them of a tie is left to numpy's dot
+    for seed in range(130):
+        rng = np.random.default_rng(seed)
+        u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+        u_r = rng.integers(-6, 7, size=(2, 2, 2)) * 5e-324
+        for prior in (0.25, 0.5, 0.75):
+            assert_signaling_matches_reference(prior, u_s, u_r)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    style=st.sampled_from(["random", "tenths", "message-free", "message-free tenths"]),
+)
+def test_signaling_matches_numpy_reference_on_random_tables(seed, style):
+    rng = np.random.default_rng(seed)
+    u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+    u_r = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+    if style.startswith("message-free"):
+        u_r[:, 1, :] = u_r[:, 0, :]  # the receiver's payoffs ignore the message
+    if style.endswith("tenths"):  # coarse tables tie often
+        u_s, u_r = np.round(u_s, 1), np.round(u_r, 1)
+    priors = [0.0, 1.0, float(rng.uniform())]
+    for mu in indifference_priors(u_r):
+        priors += [p for p in ulp_neighbours(mu, 3) if 0.0 <= p <= 1.0]
+    for prior in priors:
+        assert_signaling_matches_reference(prior, u_s, u_r)
 
 
 def test_signaling_rejects_bad_inputs():
