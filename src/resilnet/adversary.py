@@ -130,6 +130,19 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     ``_TIE_TOL``, so both scans take it at the same point; after it, no
     subset outside the window can undercut the incumbent.  A skipped subset
     could only have been an incumbent that a window subset later replaces.
+
+    The bisection stops early once a lone candidate remains under a top
+    above ``_TIE_TOL + margin``.  That row is the screen's unique minimum, so
+    mu is its screen value, and its reference lambda2 lies within roundoff
+    of mu; that lambda2 becomes the top, and the argument above holds with
+    the window every subset within ``margin`` of it.  The replay reads the
+    value instead of solving the row again, so the same subsets are solved
+    and every bit is kept.  The stop leaves the zero-incumbent rule as it
+    was: a subset, or the start graph, with lambda2 <= ``_TIE_TOL`` would
+    screen below the top and still be a candidate, so the incumbent stays
+    above ``_TIE_TOL`` until the replay reaches the lone row, which it would
+    have solved anyway.  Tied minima never leave a lone candidate, so they
+    keep the full bisection.
     """
     best_lam = algebraic_connectivity(g).lambda2
     best: tuple[int, ...] = ()
@@ -140,9 +153,18 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     a, b = np.append(g.edges, [[0, 0]], axis=0).T  # padding edge: a loop, so z = 0
     z = np.sqrt(np.append(g.weights, 0.0))[:, None] * (vecs[a] - vecs[b])
     subsets = _subsets(g.edge_count, m)
+
+    def combo(row: np.ndarray) -> tuple[int, ...]:
+        return tuple(e for e in row.tolist() if e < g.edge_count)
+
     # a subset not below some x is not below any lower x either
     lo, hi, candidates = -margin, float(lam[0]), subsets
+    solved: dict[tuple[int, ...], float] = {}
     while hi - lo >= 0.25 * margin:
+        if len(candidates) == 1 and hi > _TIE_TOL + margin:
+            lone = combo(candidates[0])
+            hi = solved[lone] = algebraic_connectivity(remove_links(g, lone)).lambda2
+            break
         mid = 0.5 * (lo + hi)
         inside = _below(z, lam, mid, candidates)
         if inside.any():
@@ -155,10 +177,12 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
         window[:] = True
     for k in np.flatnonzero(window).tolist():
         if best_lam > _TIE_TOL or guarded[k]:
-            combo = tuple(e for e in subsets[k].tolist() if e < g.edge_count)
-            lam_k = algebraic_connectivity(remove_links(g, combo)).lambda2
+            removal = combo(subsets[k])
+            lam_k = solved.get(removal)
+            if lam_k is None:
+                lam_k = algebraic_connectivity(remove_links(g, removal)).lambda2
             if lam_k < best_lam - _TIE_TOL:
-                best_lam, best = lam_k, combo
+                best_lam, best = lam_k, removal
     return WorstCaseResult(best, best_lam, True)
 
 

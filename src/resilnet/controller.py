@@ -130,28 +130,33 @@ def project_motion(current, proposed, delta: float) -> np.ndarray:
 
 
 def _push_apart(points: np.ndarray, d_min: float) -> None:
-    # symmetric pairwise separation repair, in place
-    if np.all(_pair_distances(points)[2] >= d_min - 1e-12):
-        return  # the sweep below would move nothing; same distance bits
-    n = len(points)
+    """Symmetric pairwise separation repair, in place.
+
+    Each sweep visits the pairs i < j in lexicographic order and judges each
+    on the positions the moves before it left.  A whole-team distance scan
+    stands in for the per-pair norms (same bits); it is repeated after each
+    move, and the sweep jumps to the next close pair.
+    """
+    i, j, dist = _pair_distances(points)
     for _ in range(_PUSH_SWEEPS):
-        moved = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                diff = points[i] - points[j]
-                d = float(np.linalg.norm(diff))
-                if d >= d_min - 1e-12:
-                    continue
-                if d < 1e-12:
-                    # coincident pair: split along the first axis
-                    unit = np.zeros(points.shape[1])
-                    unit[0] = 1.0
-                else:
-                    unit = diff / d
-                shift = 0.5 * (d_min - d)
-                points[i] += shift * unit
-                points[j] -= shift * unit
-                moved = True
+        k, moved = 0, False
+        # ~(>=) rather than <: a NaN distance is close and moves like any other
+        while len(close := np.flatnonzero(~(dist[k:] >= d_min - 1e-12))):
+            k += int(close[0])
+            a, b, d = int(i[k]), int(j[k]), float(dist[k])
+            diff = points[a] - points[b]
+            if d < 1e-12:
+                # coincident pair: split along the first axis
+                unit = np.zeros(points.shape[1])
+                unit[0] = 1.0
+            else:
+                unit = diff / d
+            shift = 0.5 * (d_min - d)
+            points[a] += shift * unit
+            points[b] -= shift * unit
+            moved = True
+            k += 1
+            dist = _pair_distances(points)[2]
         if not moved:
             return
 

@@ -68,6 +68,9 @@ class FlipItParams:
     defender_value: float
 
     def __post_init__(self) -> None:
+        for name in ("attack_cost", "defense_cost", "attacker_value", "defender_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.defense_cost <= 0:
             raise ValueError("defense_cost must be > 0")
         if self.attack_cost <= 0:

@@ -13,6 +13,7 @@ connectivity objective has a usable gradient for motion planning.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -196,13 +197,21 @@ def as_positions(positions, dimension: int | None = None) -> np.ndarray:
     return pos
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, made once per team size and read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair i < j in lexicographic order, and its Euclidean distance.
 
     The stacked row dot is the same BLAS dot ``np.linalg.norm`` takes for
     one vector, so each distance keeps the bits of the per-pair norm.
     """
-    i, j = np.triu_indices(len(pos), 1)
+    i, j = _upper_pairs(len(pos))
     diff = pos[i] - pos[j]
     return i, j, np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 

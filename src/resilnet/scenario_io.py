@@ -550,7 +550,8 @@ def _load_yaml(path: str | Path) -> Any:
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     try:
-        return yaml.safe_load(text)
+        # the C parser, where built, feeds the same resolver and constructor
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         # the yaml error message carries the line and column
         raise ConfigError([f"syntax error: {exc}"]) from exc

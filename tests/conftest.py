@@ -1,0 +1,32 @@
+"""Shared checks: the C and pure-Python YAML loaders read alike."""
+
+import pytest
+import yaml
+
+
+def assert_loaders_agree(text):
+    """Both safe loaders give the same document, or both reject the text.
+
+    ``repr`` shows every value with its type (1, 1.0, '1' and True differ)
+    and keeps float bits and key order."""
+    docs = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        try:
+            docs.append(repr(yaml.load(text, Loader=loader)))
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            docs.append((type(exc).__name__, mark and (mark.line, mark.column)))
+    assert docs[0] == docs[1]
+
+
+@pytest.fixture(autouse=True)
+def yaml_loaders_agree_on_written_files(request):
+    """After each test, every YAML file it wrote reads alike in both loaders."""
+    if "tmp_path" not in request.fixturenames or not yaml.__with_libyaml__:
+        yield
+        return
+    # taken before the test runs, so that it is torn down after this check
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    for path in sorted(tmp_path.rglob("*.yaml")):
+        assert_loaders_agree(path.read_text())

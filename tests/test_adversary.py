@@ -21,6 +21,7 @@ from resilnet import (
     remove_links,
     worst_case_removal,
 )
+from resilnet.graph_core import _deflate, laplacian
 from test_graph_core import random_graph, random_profile, reference_laplacian
 
 
@@ -262,3 +263,131 @@ def test_disconnecting_removal_drives_incumbent_to_zero(monkeypatch):
     assert res.lambda2_after == 0.0
     # only subsets that could win take the reference eigensolve
     assert len(calls) < g.edge_count
+
+
+def traced_search(monkeypatch, g, m):
+    """The exhaustive search, with its steps in call order: ("below", x,
+    rows, found) per screen and ("solve", removal) per reference eigensolve
+    of an attacked graph."""
+    events = []
+    below, remove = adversary._below, adversary.remove_links
+
+    def spy_below(z, lam, x, rows):
+        inside = below(z, lam, x, rows)
+        events.append(("below", x, len(rows), int(np.count_nonzero(inside))))
+        return inside
+
+    def spy_remove(h, removal):
+        events.append(("solve", tuple(removal)))
+        return remove(h, removal)
+
+    monkeypatch.setattr(adversary, "_below", spy_below)
+    monkeypatch.setattr(adversary, "remove_links", spy_remove)
+    res = worst_case_removal(g, RemovalBudget(m), mode="exhaustive")
+    monkeypatch.undo()
+    return res, events
+
+
+def lone_stop(g, events):
+    """Whether the bisection stopped early, whether it ended with a lone
+    candidate, and the top of its bracket then.
+
+    The last two screens cover every subset (guard and window); a solve
+    before them is the lone candidate's.  Checks that no subset is solved
+    twice and that a stop leaves exactly one candidate.
+    """
+    solves = [e[1] for e in events if e[0] == "solve"]
+    assert len(solves) == len(set(solves))
+    guard_at = [k for k, e in enumerate(events) if e[0] == "below"][-2]
+    bisection = [e for e in events[:guard_at] if e[0] == "below"]
+    early = [e for e in events[:guard_at] if e[0] == "solve"]
+    shrinking = [e for e in bisection if e[3]]
+    if shrinking:
+        hi, lone = shrinking[-1][1], shrinking[-1][3] == 1
+    else:
+        deflated, _ = _deflate(laplacian(g))
+        hi, lone = float(np.linalg.eigvalsh(deflated)[0]), events[guard_at][2] == 1
+    assert len(early) <= 1 and (not early or lone)
+    return bool(early), lone, hi
+
+
+def margin_of(g):
+    return adversary._SCREEN_MARGIN * (1.0 + _deflate(laplacian(g))[1])
+
+
+def near_zero_graphs():
+    """Graphs whose worst case lies at or near 0: a pendant agent, a bridge
+    or chord scaled toward 0 across the tie and screen tolerances, and
+    starts that are already disconnected."""
+    graphs = [
+        build_proximity_graph(king_grid() + [(4.5, 3.0)], WeightProfile(BINARY, 1.6)),
+        WeightedGraph(4, [(0, 1), (2, 3)], [1.0, 0.5]),
+        WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 1e-13]),
+    ]
+    # one subset, so a lone candidate from the start, under a top near 0
+    graphs += [WeightedGraph(n, [(0, n - 1)], [w]) for n in (3, 4, 5) for w in (0.3, 1.0)]
+    graphs += [WeightedGraph(2, [(0, 1)], [w]) for w in (1e-13, 1e-9, 4e-9)]
+    for scale in (1e-14, 1e-12, 3e-12, 1e-10, 1e-8, 5e-8, 1e-7, 1e-6):
+        for n in (4, 6):
+            w = np.linspace(1.0, 2.0, n)
+            w[n // 2] *= scale
+            graphs.append(WeightedGraph(n, [(k, (k + 1) % n) for k in range(n)], w))
+        rng = np.random.default_rng(int(-np.log10(scale) * 10))
+        g = random_graph(rng, n=6)
+        w = g.weights.copy()
+        w[rng.integers(0, len(w), 2)] *= scale
+        graphs.append(WeightedGraph(6, g.edges, w))
+    return graphs
+
+
+def test_lone_candidate_stop_matches_reference_near_zero(monkeypatch):
+    fired = held = 0
+    for g in near_zero_graphs():
+        for m in range(1, min(3, g.edge_count) + 1):
+            res, events = traced_search(monkeypatch, g, m)
+            best, best_lam = reference_exhaustive(g, m)
+            assert res.removal == best
+            assert res.lambda2_after.hex() == best_lam.hex()
+            stopped, lone, hi = lone_stop(g, events)
+            low = hi <= adversary._TIE_TOL + margin_of(g)
+            assert not (stopped and low)
+            fired += stopped
+            held += lone and low
+    assert fired >= 10 and held >= 9
+
+
+def test_lone_candidate_with_a_low_top_keeps_bisecting(monkeypatch):
+    # the start is disconnected, so the incumbent is 0 at once and only
+    # guarded subsets are replayed; the lone subset is not guarded, and a
+    # stop would solve it for nothing
+    g = WeightedGraph(3, [(0, 1)], [1.0])
+    res, events = traced_search(monkeypatch, g, 1)
+    stopped, lone, hi = lone_stop(g, events)
+    assert lone and not stopped and hi <= adversary._TIE_TOL + margin_of(g)
+    assert [e for e in events if e[0] == "solve"] == []
+    assert res.removal == () and res.lambda2_after == algebraic_connectivity(g).lambda2
+
+
+@pytest.mark.parametrize("kind, stops, screens", [(SMOOTH, True, 6), (BINARY, False, 27)])
+def test_lone_candidate_stop_on_the_jittered_lattice(monkeypatch, kind, stops, screens):
+    # the smooth weights single out one worst pair, so the bisection ends
+    # once it is alone, where the full bracket takes 23 screens; the binary
+    # lattice's eight tied pairs keep the full bisection
+    g = build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
+    res, events = traced_search(monkeypatch, g, 2)
+    assert lone_stop(g, events)[0] is stops
+    assert sum(e[0] == "below" for e in events) == screens
+    best, best_lam = reference_exhaustive(g, 2)
+    assert res.removal == best and res.lambda2_after.hex() == best_lam.hex()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), scale=st.sampled_from([1.0, 1e-3, 1e-9, 1e-12]))
+def test_lone_candidate_stop_matches_reference_on_random_graphs(seed, m, scale):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=int(rng.integers(3, 8)))
+    if g.edge_count < m:
+        return
+    w = g.weights.copy()
+    w[int(rng.integers(0, len(w)))] *= scale
+    assert_matches_reference(WeightedGraph(g.n, g.edges, w), m)

@@ -1,7 +1,12 @@
 """Anticipatory connectivity controller: invariants and plateau escape."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilnet import (
     SMOOTH,
@@ -10,9 +15,12 @@ from resilnet import (
     WeightProfile,
     algebraic_connectivity,
     build_proximity_graph,
+    controller,
     plan_step,
     plan_step_decentralized,
     project_motion,
+    run_scenario,
+    scenario_from_dict,
     two_hop_neighborhoods,
     worst_case_removal,
 )
@@ -173,3 +181,114 @@ def test_isolated_agent_contributes_zero_gradient():
     plan = plan_step_decentralized(pos, hoods, PROFILE, opts(m=0))
     np.testing.assert_array_equal(plan.targets[2], pos[2])
     assert not np.array_equal(plan.targets[:2], pos[:2])
+
+
+def reference_push_apart(points, d_min, sweeps=controller._PUSH_SWEEPS):
+    """The per-pair loop over ``np.linalg.norm`` that the distance scans
+    replaced, verbatim but for the sweep count.  Its early exit when no pair
+    is close is left out: such a sweep moves nothing."""
+    n = len(points)
+    for _ in range(sweeps):
+        moved = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                diff = points[i] - points[j]
+                d = float(np.linalg.norm(diff))
+                if d >= d_min - 1e-12:
+                    continue
+                if d < 1e-12:
+                    # coincident pair: split along the first axis
+                    unit = np.zeros(points.shape[1])
+                    unit[0] = 1.0
+                else:
+                    unit = diff / d
+                shift = 0.5 * (d_min - d)
+                points[i] += shift * unit
+                points[j] -= shift * unit
+                moved = True
+        if not moved:
+            return
+
+
+def assert_push_matches_reference(points, d_min):
+    got, want = points.copy(), points.copy()
+    controller._push_apart(got, d_min)
+    reference_push_apart(want, d_min)
+    assert got.tobytes() == want.tobytes()
+
+
+def perf_workloads():
+    """The benchmark's seeded input generators, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perf_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def team(seed, n, dim, layout, d_min):
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        return rng.uniform(0.0, 2.0, size=(n, dim))
+    if layout == "cluster":
+        # far closer than d_min: moves cascade, and often every sweep moves
+        return rng.normal(0.0, d_min * rng.uniform(0.05, 1.0), size=(n, dim))
+    if layout == "lattice":
+        # unit spacing: many distances land exactly on d_min = 1
+        return rng.integers(0, 3, size=(n, dim)).astype(float)
+    sites = rng.uniform(0.0, 1.5, size=(max(1, n // 3), dim))
+    return sites[rng.integers(0, len(sites), size=n)]  # coincident points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 20),
+    dim=st.sampled_from([2, 3]),
+    layout=st.sampled_from(["uniform", "cluster", "lattice", "coincident"]),
+    d_min=st.sampled_from([0.05, 0.3, 0.5, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 2**0.5]),
+)
+def test_push_apart_matches_per_pair_loop(seed, n, dim, layout, d_min):
+    assert_push_matches_reference(team(seed, n, dim, layout, d_min), d_min)
+
+
+def test_push_apart_cases_the_property_must_reach():
+    # coincident points split along the first axis
+    coincident = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [2.0, 0.0]])
+    assert_push_matches_reference(coincident, 0.5)
+    # pair (1, 2) starts clear of d_min, and the move of pair (0, 1) makes
+    # it close in the same sweep
+    chain = np.array([[0.0, 0.0], [0.5, 0.0], [1.55, 0.0]])
+    assert np.linalg.norm(chain[1] - chain[2]) >= 1.0
+    one_sweep = chain.copy()
+    reference_push_apart(one_sweep, 1.0, sweeps=1)
+    assert one_sweep[2, 0] != chain[2, 0]
+    assert_push_matches_reference(chain, 1.0)
+    # a tight cluster still moves in the last sweep allowed
+    cluster = team(3, 20, 2, "cluster", 1.0)
+    last, short = cluster.copy(), cluster.copy()
+    reference_push_apart(last, 1.0)
+    reference_push_apart(short, 1.0, sweeps=controller._PUSH_SWEEPS - 1)
+    assert last.tobytes() != short.tobytes()
+    assert_push_matches_reference(cluster, 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 11, 2026])
+def test_push_apart_matches_per_pair_loop_on_benchmark_inputs(monkeypatch, seed):
+    # every separation repair of a grid16-jam run, as the planner calls it
+    calls = []
+    push = controller._push_apart
+
+    def spy(points, d_min):
+        calls.append((points.copy(), d_min))
+        push(points, d_min)
+
+    monkeypatch.setattr(controller, "_push_apart", spy)
+    [doc] = perf_workloads().grid16_jam(seed)
+    run_scenario(scenario_from_dict(doc))
+    monkeypatch.undo()
+    moving = 0
+    for points, d_min in calls:
+        assert_push_matches_reference(points, d_min)
+        moving += bool(np.any(controller._pair_distances(points)[2] < d_min - 1e-12))
+    assert moving >= 10

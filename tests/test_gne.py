@@ -359,6 +359,18 @@ def test_flipit_params_validation():
         FlipItParams(1.0, 1.0, -1.0, 1.0)
 
 
+FLIPIT_FIELDS = ("attack_cost", "defense_cost", "attacker_value", "defender_value")
+
+
+@pytest.mark.parametrize("field", FLIPIT_FIELDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_flipit_params_reject_non_finite_numbers(field, bad):
+    # NaN once slipped past every sign check and ended in a bare IndexError
+    args = dict(zip(FLIPIT_FIELDS, (0.3, 0.2, 0.9, 0.9)), **{field: bad})
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FlipItParams(**args)
+
+
 # ---------------------------------------------------------------------------
 # signaling game
 # ---------------------------------------------------------------------------

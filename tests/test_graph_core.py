@@ -14,6 +14,7 @@ from resilnet import (
     algebraic_connectivity,
     build_proximity_graph,
     connectivity_gradient,
+    graph_core,
     laplacian,
     remove_links,
 )
@@ -312,3 +313,18 @@ def test_position_validation():
         build_proximity_graph(np.zeros((3, 4)), profile)  # 4-d space
     with pytest.raises(ValueError):
         build_proximity_graph([[0.0, np.nan], [1.0, 0.0]], profile)
+
+
+def test_pair_distances_share_read_only_index_pairs():
+    pos = np.random.default_rng(5).uniform(0.0, 3.0, size=(7, 2))
+    i, j, dist = graph_core._pair_distances(pos)
+    want_i, want_j = np.triu_indices(7, 1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    for k, (a, b) in enumerate(zip(want_i, want_j)):
+        assert dist[k] == float(np.linalg.norm(pos[a] - pos[b]))
+    # the cache hands the same arrays to every team of this size
+    again = graph_core._pair_distances(pos + 1.0)
+    assert again[0] is i and again[1] is j
+    for index in (i, j):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1

@@ -6,8 +6,13 @@ import math
 import struct
 from itertools import combinations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from conftest import assert_loaders_agree
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +40,8 @@ from resilnet import (
     scenario_from_dict,
     trace_record,
 )
-from resilnet.scenario_io import _BASELINE_FIELDS, _CONTROL_KEYS, _SOLVER_FIELDS
+from resilnet.scenario_io import _BASELINE_FIELDS, _CONTROL_KEYS, _SOLVER_FIELDS, _load_yaml
+from test_controller import perf_workloads
 
 MINIMAL = {
     "dimension": 2,
@@ -580,3 +586,43 @@ def test_gne_problem_validates_shapes_and_costs():
     errs = exc.value.errors
     assert any("sender_utils.attacker" in e for e in errs)
     assert any("costs.attack" in e for e in errs)
+
+
+# scalars whose type hangs on the resolver: YAML 1.1 booleans, nulls,
+# sexagesimal, octal and hex ints, dotless exponents (strings to PyYAML),
+# timestamps, special floats and quoted numbers
+RESOLVER_CASES = """\
+flags: [yes, No, on, OFF, true, ~, null, '']
+numbers: [1e-8, 1.0e-8, 1_000, 0o17, 017, 0x1F, 190:20:30, -.inf, .NaN, +12, 3.]
+when: [2026-10-18, 2026-10-18 22:53:54.5 +02:00]
+quoted: ['1.5', "2", !!float 3, !!str 4]
+"""
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_read_alike(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 2
+    for k, block in enumerate(blocks):
+        assert_loaders_agree(block)
+        path = tmp_path / f"readme{k}.yaml"
+        path.write_text(block)
+        assert repr(_load_yaml(path)) == repr(yaml.safe_load(block))
+    workloads = perf_workloads()
+    for name in workloads.WORKLOADS:
+        for seed in (1, 11, 2026):
+            _, _, paths = workloads.write_inputs(name, seed, tmp_path / f"{name}-{seed}")
+            for path in paths:
+                assert_loaders_agree(path.read_text())
+    assert_loaders_agree(RESOLVER_CASES)
+    assert_loaders_agree("steps: 1\nagents: [\n")  # both fail at line 3
+    # every other document the tests write is checked by the autouse fixture
+    # in conftest.py when the test that wrote it ends
+
+
+def test_yaml_syntax_error_keeps_line_and_column(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("steps: 1\nagents: [\n  {id: a, position: [0, 0]}\n  oops: 1\n")
+    with pytest.raises(ConfigError, match=r"line 4, column 3"):
+        scenario_from_dict(_load_yaml(bad))
