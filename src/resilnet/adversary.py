@@ -10,8 +10,7 @@ simulator (:class:`resilnet.simulator.SpoofEvent`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +18,9 @@ from .graph_core import (
     _NEGATIVE_TOL,
     SpectralResult,
     WeightedGraph,
-    _deflate,
+    _eigensolve,
+    _spectral_result,
     algebraic_connectivity,
-    laplacian,
     remove_links,
 )
 
@@ -70,11 +69,16 @@ class WorstCaseResult:
     """Most damaging removal found, and lambda2 after applying it.
 
     ``exact`` is True when every subset within budget was enumerated.
+    ``start`` and ``attacked`` are the spectra of the graph before and after
+    the removal, from the search's own eigensolves; they take no part in
+    comparison or repr.
     """
 
     removal: tuple[int, ...]
     lambda2_after: float
     exact: bool
+    start: SpectralResult = field(repr=False, compare=False)
+    attacked: SpectralResult = field(repr=False, compare=False)
 
 
 def worst_case_removal(
@@ -103,7 +107,8 @@ def worst_case_removal(
     if mode not in ("auto", "exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     if m == 0:
-        return WorstCaseResult((), algebraic_connectivity(g).lambda2, True)
+        start = algebraic_connectivity(g)
+        return WorstCaseResult((), start.lambda2, True, start, start)
     if mode == "auto":
         mode = "exhaustive" if math.comb(n_edges, m) <= SUBSET_CAP else "greedy"
     if mode == "exhaustive":
@@ -143,13 +148,15 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     above ``_TIE_TOL`` until the replay reaches the lone row, which it would
     have solved anyway.  Tied minima never leave a lone candidate, so they
     keep the full bisection.
+
+    One eigendecomposition of the start graph serves both the screen and the
+    start spectrum, whose checks run before any screen.
     """
-    best_lam = algebraic_connectivity(g).lambda2
-    best: tuple[int, ...] = ()
-    deflated, shift = _deflate(laplacian(g))
+    lam, vecs, shift = _eigensolve(g)
+    start = attacked = _spectral_result(lam, vecs)
+    best_lam, best = start.lambda2, ()
     margin = _SCREEN_MARGIN * (1.0 + shift)
     guard = _NEGATIVE_TOL + _GUARD_MARGIN * (1.0 + shift)
-    lam, vecs = np.linalg.eigh(deflated)
     a, b = np.append(g.edges, [[0, 0]], axis=0).T  # padding edge: a loop, so z = 0
     z = np.sqrt(np.append(g.weights, 0.0))[:, None] * (vecs[a] - vecs[b])
     subsets = _subsets(g.edge_count, m)
@@ -159,11 +166,12 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
 
     # a subset not below some x is not below any lower x either
     lo, hi, candidates = -margin, float(lam[0]), subsets
-    solved: dict[tuple[int, ...], float] = {}
+    solved: dict[tuple[int, ...], SpectralResult] = {}
     while hi - lo >= 0.25 * margin:
         if len(candidates) == 1 and hi > _TIE_TOL + margin:
             lone = combo(candidates[0])
-            hi = solved[lone] = algebraic_connectivity(remove_links(g, lone)).lambda2
+            solved[lone] = algebraic_connectivity(remove_links(g, lone))
+            hi = solved[lone].lambda2
             break
         mid = 0.5 * (lo + hi)
         inside = _below(z, lam, mid, candidates)
@@ -178,23 +186,36 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     for k in np.flatnonzero(window).tolist():
         if best_lam > _TIE_TOL or guarded[k]:
             removal = combo(subsets[k])
-            lam_k = solved.get(removal)
-            if lam_k is None:
-                lam_k = algebraic_connectivity(remove_links(g, removal)).lambda2
-            if lam_k < best_lam - _TIE_TOL:
-                best_lam, best = lam_k, removal
-    return WorstCaseResult(best, best_lam, True)
+            spectral = solved.get(removal)
+            if spectral is None:
+                spectral = algebraic_connectivity(remove_links(g, removal))
+            if spectral.lambda2 < best_lam - _TIE_TOL:
+                best_lam, best, attacked = spectral.lambda2, removal, spectral
+    return WorstCaseResult(best, best_lam, True, start, attacked)
 
 
 def _subsets(n_edges: int, m: int) -> np.ndarray:
     """Every subset of 1..m edges in enumeration order, one per row, padded
-    to at least two columns with the edge ``n_edges``, which weighs nothing."""
-    width, blocks = max(m, 2), []
-    for s in range(1, m + 1):
-        flat = np.fromiter(chain.from_iterable(combinations(range(n_edges), s)), np.intp)
-        pad = ((0, 0), (0, width - s))
-        blocks.append(np.pad(flat.reshape(-1, s), pad, constant_values=n_edges))
-    return np.concatenate(blocks)
+    to at least two columns with the edge ``n_edges``, which weighs nothing.
+
+    Each size's block extends every row of the block before it, in order,
+    by each edge after its last one, so the rows stay lexicographic.
+    """
+    sizes = [math.comb(n_edges, s) for s in range(1, m + 1)]
+    table = np.full((sum(sizes), max(m, 2)), n_edges, dtype=np.intp)
+    table[:n_edges, 0] = np.arange(n_edges)
+    top = 0
+    for s in range(1, m):
+        prev = table[top : top + sizes[s - 1], :s]
+        top += sizes[s - 1]
+        block = table[top : top + sizes[s]]
+        last = prev[:, -1]
+        counts = n_edges - 1 - last
+        block[:, :s] = np.repeat(prev, counts, axis=0)
+        # within each row's run the new edge counts up from last + 1
+        offset = np.cumsum(counts) - counts - last - 1
+        block[:, s] = np.arange(sizes[s]) - np.repeat(offset, counts)
+    return table
 
 
 def _below(z: np.ndarray, lam: np.ndarray, x: float, rows: np.ndarray) -> np.ndarray:
@@ -213,16 +234,16 @@ def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:
     current = g
     original = list(range(len(g.edges)))
     removed: list[int] = []
+    start = spectral = algebraic_connectivity(g)
     for _ in range(m):
-        spectral = algebraic_connectivity(current)
         if spectral.lambda2 <= 0.0:
             break  # already disconnected; extra removals gain nothing
         # argmax takes the first index on a tie
         k = int(np.argmax(edge_impact_scores(current, spectral)))
         removed.append(original.pop(k))
         current = remove_links(current, (k,))
-    lam = algebraic_connectivity(current).lambda2
-    return WorstCaseResult(tuple(sorted(removed)), lam, False)
+        spectral = algebraic_connectivity(current)
+    return WorstCaseResult(tuple(sorted(removed)), spectral.lambda2, False, start, spectral)
 
 
 def edge_impact_scores(g: WeightedGraph, spectral: SpectralResult) -> np.ndarray:

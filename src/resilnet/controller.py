@@ -25,8 +25,8 @@ from .graph_core import (
     LayerProfiles,
     WeightProfile,
     WeightedGraph,
+    _distances,
     _pair_distances,
-    algebraic_connectivity,
     as_positions,
     build_proximity_graph,
     connectivity_gradient,
@@ -110,7 +110,6 @@ class _Eval:
     full_lambda2: float
     worst: WorstCaseResult
     graph: WeightedGraph
-    spectral: object
 
 
 def project_motion(current, proposed, delta: float) -> np.ndarray:
@@ -134,29 +133,38 @@ def _push_apart(points: np.ndarray, d_min: float) -> None:
 
     Each sweep visits the pairs i < j in lexicographic order and judges each
     on the positions the moves before it left.  A whole-team distance scan
-    stands in for the per-pair norms (same bits); it is repeated after each
-    move, and the sweep jumps to the next close pair.
+    stands in for the per-pair norms (same bits); after each move only the
+    distances from the two moved agents are computed again, and the sweep
+    jumps to the next close pair.
     """
     i, j, dist = _pair_distances(points)
+    agents = np.arange(len(points))
+    # slot[p, q] is where dist holds pair (p, q), either way round; the
+    # diagonal points at a spare entry past the end of dist
+    slot = np.full((len(agents), len(agents)), len(dist))
+    slot[i, j] = slot[j, i] = np.arange(len(dist))
+    store = np.append(dist, 0.0)
+    dist = store[:-1]
     for _ in range(_PUSH_SWEEPS):
         k, moved = 0, False
         # ~(>=) rather than <: a NaN distance is close and moves like any other
         while len(close := np.flatnonzero(~(dist[k:] >= d_min - 1e-12))):
             k += int(close[0])
             a, b, d = int(i[k]), int(j[k]), float(dist[k])
-            diff = points[a] - points[b]
             if d < 1e-12:
                 # coincident pair: split along the first axis
                 unit = np.zeros(points.shape[1])
                 unit[0] = 1.0
             else:
-                unit = diff / d
-            shift = 0.5 * (d_min - d)
-            points[a] += shift * unit
-            points[b] -= shift * unit
+                unit = (points[a] - points[b]) / d
+            step = 0.5 * (d_min - d) * unit
+            points[a] += step
+            points[b] -= step
             moved = True
             k += 1
-            dist = _pair_distances(points)[2]
+            # p - q is -(q - p) exactly, so either order gives the same bits
+            ends = np.array([[a], [b]])
+            store[slot[ends[:, 0]]] = _distances(points, ends, agents)
         if not moved:
             return
 
@@ -185,21 +193,20 @@ def _snap(lam: float) -> float:
 
 def _evaluate(positions, profile, m: int) -> _Eval:
     g = build_proximity_graph(positions, profile)
-    spectral = algebraic_connectivity(g)
     wc = worst_case_removal(g, RemovalBudget(min(m, g.edge_count)))
-    return _Eval(_snap(wc.lambda2_after), _snap(spectral.lambda2), wc, g, spectral)
+    return _Eval(_snap(wc.lambda2_after), _snap(wc.start.lambda2), wc, g)
 
 
 def _ascent_gradient_rows(positions, profile, ev: _Eval) -> np.ndarray:
-    """Per-agent gradient of the worst-case lambda2 at ``positions``."""
+    """Per-agent gradient of the worst-case lambda2 at ``positions``, from
+    the spectra the worst-case search solved."""
     attacked = remove_links(ev.graph, ev.worst.removal)
-    spec_att = algebraic_connectivity(attacked)
-    grad = connectivity_gradient(positions, profile, spec_att, attacked).per_agent
+    grad = connectivity_gradient(positions, profile, ev.worst.attacked, attacked).per_agent
     if float(np.max(np.linalg.norm(grad, axis=1))) < _ZERO_GRAD:
         # worst-case objective is flat (attack disconnects); climb the
         # unattacked connectivity instead until redundancy appears
         grad = connectivity_gradient(
-            positions, profile, ev.spectral, ev.graph
+            positions, profile, ev.worst.start, ev.graph
         ).per_agent
     return grad
 

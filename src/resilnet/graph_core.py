@@ -205,15 +205,21 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair i < j in lexicographic order, and its Euclidean distance.
+def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distance between the agents of ``i`` and ``j``, which
+    broadcast against each other.
 
     The stacked row dot is the same BLAS dot ``np.linalg.norm`` takes for
     one vector, so each distance keeps the bits of the per-pair norm.
     """
-    i, j = _upper_pairs(len(pos))
     diff = pos[i] - pos[j]
-    return i, j, np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
+def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair i < j in lexicographic order, and its Euclidean distance."""
+    i, j = _upper_pairs(len(pos))
+    return i, j, _distances(pos, i, j)
 
 
 def _link_rule(
@@ -291,24 +297,22 @@ def _deflate(lap: np.ndarray) -> tuple[np.ndarray, float]:
     return lap + (shift / n) * np.ones((n, n)), shift
 
 
-def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
-    """Compute lambda2 and a unit Fiedler vector orthogonal to all-ones.
-
-    The all-ones kernel direction is deflated by a rank-one shift before the
-    dense symmetric eigendecomposition, so the returned eigenvector is
-    orthogonal to all-ones even when the graph is disconnected and the zero
-    eigenvalue is repeated.
-    """
+def _eigensolve(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues, eigenvectors and shift of the deflated Laplacian of g."""
     if g.n < 2:
         raise ValueError("need at least 2 agents")
-    n = g.n
-    deflated, _ = _deflate(laplacian(g))
+    deflated, shift = _deflate(laplacian(g))
     evals, evecs = np.linalg.eigh(deflated)
+    return evals, evecs, shift
+
+
+def _spectral_result(evals: np.ndarray, evecs: np.ndarray) -> SpectralResult:
+    """lambda2, unit Fiedler vector and simplicity from :func:`_eigensolve`."""
     lam2 = float(evals[0])
     if lam2 < _NEGATIVE_TOL:
         raise SpectralError(f"negative lambda2 from eigensolver: {lam2}")
     lam2 = max(lam2, 0.0)
-    lam3 = float(evals[1]) if n >= 3 else math.inf
+    lam3 = float(evals[1]) if len(evals) >= 3 else math.inf
     vec = evecs[:, 0]
     # sweep out any residual all-ones component and fix a deterministic sign:
     # the first entry clear of roundoff is positive (a unit vector has one)
@@ -320,6 +324,18 @@ def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
     if vec[np.argmax(np.abs(vec) > 1e-12)] < 0:
         vec = -vec
     return SpectralResult(lam2, vec, bool(lam3 - lam2 > _SIMPLE_GAP))
+
+
+def algebraic_connectivity(g: WeightedGraph) -> SpectralResult:
+    """Compute lambda2 and a unit Fiedler vector orthogonal to all-ones.
+
+    The all-ones kernel direction is deflated by a rank-one shift before the
+    dense symmetric eigendecomposition, so the returned eigenvector is
+    orthogonal to all-ones even when the graph is disconnected and the zero
+    eigenvalue is repeated.
+    """
+    evals, evecs, _ = _eigensolve(g)
+    return _spectral_result(evals, evecs)
 
 
 def connectivity_gradient(

@@ -1,7 +1,7 @@
 """Worst-case link removal against independent enumeration."""
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from resilnet import (
     BINARY,
     SMOOTH,
+    ControlOptions,
     RemovalBudget,
+    SpectralError,
     WeightedGraph,
     WeightProfile,
     adversary,
     algebraic_connectivity,
     build_proximity_graph,
     edge_impact_scores,
+    plan_step,
     remove_links,
     worst_case_removal,
 )
@@ -235,15 +238,20 @@ def jittered_lattice():
 @pytest.mark.parametrize("kind, solves", [(SMOOTH, 2), (BINARY, 9)])
 def test_reference_eigensolves_per_search(monkeypatch, kind, solves):
     # the start graph, then the window: the smooth weights single out one
-    # worst pair, while the binary lattice ties eight pairs by its symmetry
+    # worst pair, while the binary lattice ties eight pairs by its symmetry.
+    # One dense eigensolve of the start graph serves the screen and the
+    # start spectrum, so only the window goes through algebraic_connectivity
     g = build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
-    calls = []
+    calls, eighs = [], []
+    eigh = np.linalg.eigh
     monkeypatch.setattr(
         adversary, "algebraic_connectivity",
         lambda h: calls.append(h) or algebraic_connectivity(h),
     )
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
     worst_case_removal(g, RemovalBudget(2), mode="exhaustive")
-    assert len(calls) == solves
+    assert len(eighs) == solves
+    assert len(calls) == solves - 1
 
 
 def test_disconnecting_removal_drives_incumbent_to_zero(monkeypatch):
@@ -391,3 +399,129 @@ def test_lone_candidate_stop_matches_reference_on_random_graphs(seed, m, scale):
     w = g.weights.copy()
     w[int(rng.integers(0, len(w)))] *= scale
     assert_matches_reference(WeightedGraph(g.n, g.edges, w), m)
+
+
+def reference_subsets(n_edges, m):
+    """The itertools builder that the numpy table replaced, verbatim."""
+    width, blocks = max(m, 2), []
+    for s in range(1, m + 1):
+        flat = np.fromiter(chain.from_iterable(combinations(range(n_edges), s)), np.intp)
+        pad = ((0, 0), (0, width - s))
+        blocks.append(np.pad(flat.reshape(-1, s), pad, constant_values=n_edges))
+    return np.concatenate(blocks)
+
+
+def test_subset_table_matches_itertools_builder():
+    cases = [(e, m) for e in range(1, 31) for m in range(1, min(e, 5) + 1)]
+    for n_edges, m in cases + [(110, 2), (16, 4)]:
+        got, want = adversary._subsets(n_edges, m), reference_subsets(n_edges, m)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (n_edges, m)
+
+
+def assert_same_spectrum(got, want):
+    assert got.lambda2.hex() == want.lambda2.hex()
+    assert got.fiedler.tobytes() == want.fiedler.tobytes()
+    assert got.is_simple is want.is_simple
+
+
+def assert_spectra_are_fresh(g, m, mode):
+    """The search's start and attacked spectra are, bit for bit, what fresh
+    eigensolves of the start and attacked graphs give."""
+    res = worst_case_removal(g, RemovalBudget(m), mode=mode)
+    assert_same_spectrum(res.start, algebraic_connectivity(g))
+    assert_same_spectrum(res.attacked, algebraic_connectivity(remove_links(g, res.removal)))
+    assert res.attacked.lambda2.hex() == res.lambda2_after.hex()
+    if m == 0:
+        assert res.attacked is res.start
+    return res
+
+
+def test_spectra_leave_equality_and_repr_alone():
+    one = algebraic_connectivity(TRIANGLE)
+    other = algebraic_connectivity(structured_graph("path", 3))
+    a = adversary.WorstCaseResult((1,), 0.5, True, one, one)
+    b = adversary.WorstCaseResult((1,), 0.5, True, other, one)
+    assert a == b and repr(a) == repr(b)
+    assert "start" not in repr(a) and "attacked" not in repr(a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 3),
+    mode=st.sampled_from(["exhaustive", "greedy"]),
+    scale=st.sampled_from([1.0, 1e-9, 0.0]),
+)
+def test_start_and_attacked_spectra_match_fresh_eigensolves(seed, m, mode, scale):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=int(rng.integers(2, 8)))
+    if g.edge_count < m:
+        return
+    w = g.weights.copy()
+    if len(w):
+        # a zero weight leaves an edge that carries nothing
+        w[int(rng.integers(0, len(w)))] *= scale
+    assert_spectra_are_fresh(WeightedGraph(g.n, g.edges, w), m, mode)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["lone-candidate", "tied-window", "zero-incumbent", "disconnected-greedy", "greedy-lattice"],
+)
+def test_start_and_attacked_spectra_on_fixed_cases(monkeypatch, case):
+    if case == "lone-candidate":
+        # the bisection stops at the winner and the replay reuses its spectrum
+        g = build_proximity_graph(jittered_lattice(), WeightProfile(SMOOTH, 1.6))
+        assert lone_stop(g, traced_search(monkeypatch, g, 2)[1])[0]
+        assert_spectra_are_fresh(g, 2, "exhaustive")
+    elif case == "tied-window":
+        g = build_proximity_graph(jittered_lattice(), WeightProfile(BINARY, 1.6))
+        assert not lone_stop(g, traced_search(monkeypatch, g, 2)[1])[0]
+        for m in (0, 1, 2):
+            assert_spectra_are_fresh(g, m, "exhaustive")
+    elif case == "zero-incumbent":
+        g = build_proximity_graph(king_grid() + [(4.5, 3.0)], WeightProfile(BINARY, 1.6))
+        res = assert_spectra_are_fresh(g, 2, "exhaustive")
+        assert res.lambda2_after == 0.0 and res.start.lambda2 > 0.0
+    elif case == "disconnected-greedy":
+        # a triangle and an isolated agent: lambda2 is exactly 0
+        g = WeightedGraph(4, [(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 1.0])
+        res = assert_spectra_are_fresh(g, 2, "greedy")
+        assert res.removal == () and res.attacked is res.start
+    else:
+        g = build_proximity_graph(jittered_lattice(), WeightProfile(SMOOTH, 1.6))
+        res = assert_spectra_are_fresh(g, 3, "greedy")
+        assert len(res.removal) == 3
+
+
+def lying_eigensolver(monkeypatch):
+    """np.linalg.eigh that reports lambda2 = -1e-6 for every matrix."""
+    eigh = np.linalg.eigh
+
+    def lie(a):
+        w, v = eigh(a)
+        w = w.copy()
+        w[0] = -1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", lie)
+
+
+@pytest.mark.parametrize("m, mode", [(0, "auto"), (2, "exhaustive"), (2, "greedy")])
+def test_negative_start_lambda2_raises_before_any_screen(monkeypatch, m, mode):
+    g = build_proximity_graph(jittered_lattice(), WeightProfile(SMOOTH, 1.6))
+    screens = []
+    below = adversary._below
+    monkeypatch.setattr(adversary, "_below", lambda *a: screens.append(a) or below(*a))
+    lying_eigensolver(monkeypatch)
+    with pytest.raises(SpectralError, match=r"^negative lambda2 from eigensolver: -1e-06$"):
+        worst_case_removal(g, RemovalBudget(m), mode=mode)
+    assert screens == []
+
+
+def test_negative_start_lambda2_stops_the_planner(monkeypatch):
+    lying_eigensolver(monkeypatch)
+    opts = ControlOptions(RemovalBudget(2), 0.3)
+    with pytest.raises(SpectralError, match=r"^negative lambda2 from eigensolver: -1e-06$"):
+        plan_step(jittered_lattice(), WeightProfile(SMOOTH, 1.6), opts)

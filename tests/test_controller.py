@@ -1,6 +1,7 @@
 """Anticipatory connectivity controller: invariants and plateau escape."""
 
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,20 @@ from resilnet import (
     SMOOTH,
     ControlOptions,
     RemovalBudget,
+    WeightedGraph,
     WeightProfile,
+    WorstCaseResult,
     algebraic_connectivity,
     build_proximity_graph,
+    connectivity_gradient,
     controller,
     plan_step,
     plan_step_decentralized,
     project_motion,
+    remove_links,
     run_scenario,
     scenario_from_dict,
+    simulator,
     two_hop_neighborhoods,
     worst_case_removal,
 )
@@ -292,3 +298,88 @@ def test_push_apart_matches_per_pair_loop_on_benchmark_inputs(monkeypatch, seed)
         assert_push_matches_reference(points, d_min)
         moving += bool(np.any(controller._pair_distances(points)[2] < d_min - 1e-12))
     assert moving >= 10
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceEval:
+    worst_lambda2: float
+    full_lambda2: float
+    worst: WorstCaseResult
+    graph: WeightedGraph
+    spectral: object
+
+
+def reference_evaluate(positions, profile, m):
+    """The evaluation that solves the start spectrum afresh."""
+    g = build_proximity_graph(positions, profile)
+    spectral = algebraic_connectivity(g)
+    wc = controller.worst_case_removal(g, RemovalBudget(min(m, g.edge_count)))
+    return ReferenceEval(
+        controller._snap(wc.lambda2_after), controller._snap(spectral.lambda2), wc, g, spectral
+    )
+
+
+def reference_ascent_gradient_rows(positions, profile, ev):
+    """The ascent direction that solves the attacked spectrum afresh."""
+    attacked = remove_links(ev.graph, ev.worst.removal)
+    spec_att = algebraic_connectivity(attacked)
+    grad = connectivity_gradient(positions, profile, spec_att, attacked).per_agent
+    if float(np.max(np.linalg.norm(grad, axis=1))) < controller._ZERO_GRAD:
+        grad = connectivity_gradient(
+            positions, profile, ev.spectral, ev.graph
+        ).per_agent
+    return grad
+
+
+def plan_with_and_without_fresh_spectra(monkeypatch, planner, *args):
+    got = planner(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(controller, "_evaluate", reference_evaluate)
+        patch.setattr(controller, "_ascent_gradient_rows", reference_ascent_gradient_rows)
+        want = planner(*args)
+    assert got.targets.tobytes() == want.targets.tobytes()
+    assert got.predicted_worst_lambda2.hex() == want.predicted_worst_lambda2.hex()
+    assert got.worst_removal.removal == want.worst_removal.removal
+    assert got.iterations_used == want.iterations_used
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 11, 2026])
+def test_plan_reuses_the_search_spectra_on_benchmark_inputs(monkeypatch, seed):
+    # every planning call of a grid16-jam run, as the simulator makes it
+    calls = []
+    plan = simulator.plan_step
+    monkeypatch.setattr(simulator, "plan_step", lambda *a: calls.append(a) or plan(*a))
+    [doc] = perf_workloads().grid16_jam(seed)
+    run_scenario(scenario_from_dict(doc))
+    monkeypatch.undo()
+    assert len(calls) == 3
+    accepted = 0
+    for args in calls:
+        plan = plan_with_and_without_fresh_spectra(monkeypatch, plan_step, *args)
+        accepted += plan.iterations_used
+    assert accepted > 0
+
+
+def test_plan_reuses_the_search_spectra_decentralized(monkeypatch):
+    pos = np.random.default_rng(7).uniform(0.0, 2.0, size=(10, 2))
+    profile = WeightProfile(SMOOTH, 1.3)
+    o = opts(m=2, delta=0.3, outer_iters=2)
+    hoods = two_hop_neighborhoods(build_proximity_graph(pos, profile))
+    decentral = plan_with_and_without_fresh_spectra(
+        monkeypatch, plan_step_decentralized, pos, hoods, profile, o
+    )
+    central = plan_with_and_without_fresh_spectra(monkeypatch, plan_step, pos, profile, o)
+    assert decentral.iterations_used > 0 and central.iterations_used > 0
+
+
+def test_plan_reuses_the_start_spectrum_where_the_attack_disconnects(monkeypatch):
+    # any cut disconnects a line, so the ascent climbs the unattacked lambda2
+    line = np.array([[i * 1.0, 0.0] for i in range(5)])
+    hoods = two_hop_neighborhoods(build_proximity_graph(line, PROFILE))
+    for planner, args in [
+        (plan_step, (line, PROFILE, opts(m=1, delta=0.8, outer_iters=30))),
+        (plan_step_decentralized, (line, hoods, PROFILE, opts(m=1, delta=0.8, outer_iters=4))),
+    ]:
+        plan = plan_with_and_without_fresh_spectra(monkeypatch, planner, *args)
+        assert plan.iterations_used > 0
