@@ -68,6 +68,7 @@ def _simulation(raw) -> tuple[ScenarioConfig, int | None]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     raw = _load_yaml(args.scenario)
     cfg, onset = _simulation(raw)
+    digest = config_hash(raw)  # before the run, so that a failure writes nothing
     out = _out_dir(args.out)
     trace = run_scenario(cfg)
     trace_path = out / "trace.jsonl"
@@ -80,7 +81,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         outputs["report"] = str(report_path)
     manifest = RunManifest(
         version=__version__,
-        config_hash=config_hash(raw),
+        config_hash=digest,
         seed=cfg.rng_seed,
         outputs=outputs,
     )
@@ -103,6 +104,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_gne(args: argparse.Namespace) -> int:
     raw = _load_yaml(args.params)
     prob = gne_from_dict(raw)
+    digest = config_hash(raw)
     out = _out_dir(args.out)
     state = gne_solve(
         prob.costs,
@@ -121,7 +123,7 @@ def _cmd_gne(args: argparse.Namespace) -> int:
             fh.write(dumps_canonical({"iteration": k, "residual": r}) + "\n")
     manifest = RunManifest(
         version=__version__,
-        config_hash=config_hash(raw),
+        config_hash=digest,
         seed=0,  # solver is deterministic; no randomness to seed
         outputs={"result": str(result_path), "residuals": str(residuals_path)},
     )

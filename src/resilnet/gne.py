@@ -313,6 +313,13 @@ def flipit_equilibrium(
 # ---------------------------------------------------------------------------
 
 
+def _check_table(name: str, table: np.ndarray) -> None:
+    if table.shape != (2, 2, 2):
+        raise ValueError(f"{name} must have shape (2, 2, 2)")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class SignalingParams:
     """Prior P(sender = attacker) and utility tables u[type, message, action]."""
@@ -325,15 +332,9 @@ class SignalingParams:
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must be in [0, 1]")
         object.__setattr__(self, "prior", float(self.prior))
-        for name, table in (
-            ("sender_utils", self.sender_utils),
-            ("receiver_utils", self.receiver_utils),
-        ):
-            arr = np.asarray(table, dtype=float)
-            if arr.shape != (2, 2, 2):
-                raise ValueError(f"{name} must have shape (2, 2, 2)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("sender_utils", "receiver_utils"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            _check_table(name, arr)
             object.__setattr__(self, name, arr)
 
 
@@ -363,6 +364,7 @@ _ONE_HOT = ((1.0, 0.0), (0.0, 1.0))
 # for subnormal products) has the sign of any rounding of both dot products
 _TIE_REL = 2.0**-50
 _TIE_ABS = 2.0**-1070
+_KIND_RANK = {"separating": 0, "hybrid": 1, "pooling": 2, "mixed": 3}
 
 
 class _Candidate(NamedTuple):
@@ -374,6 +376,14 @@ class _Candidate(NamedTuple):
     sender_values: tuple[float, float]
     receiver_value: float
     kind: str
+
+    def rank(self) -> tuple:
+        s, r = self.sender_strategy, self.receiver_strategy
+        profile = (s[ATTACKER][0], s[DEFENDER][0], r[0][TRUST], r[1][TRUST])
+        return _KIND_RANK[self.kind], -self.receiver_value, profile
+
+    def outcome(self) -> SignalingOutcome:
+        return SignalingOutcome(*(np.array(x) for x in self[:3]), *self[3:])
 
 
 def _posterior(prior: float, sigma_s: tuple) -> tuple:
@@ -387,85 +397,55 @@ def _posterior(prior: float, sigma_s: tuple) -> tuple:
     return tuple(beliefs)
 
 
-def _receiver_br(belief: tuple, u_r: list, table: np.ndarray, m: int) -> int:
-    """The receiver's action at message m under ``belief``; ties trust.
-
-    The float gap decides unless it is within rounding of a tie.  There the
-    decision is numpy's own length-2 dot on ``table`` (``u_r`` as an
-    array), so that a platform's rounding of it, fused or not, is kept.
-    """
-    b0, b1 = belief
-    t0, t1 = b0 * u_r[0][m][TRUST], b1 * u_r[1][m][TRUST]
-    r0, r1 = b0 * u_r[0][m][REJECT], b1 * u_r[1][m][REJECT]
-    gap = (t0 + t1) - (r0 + r1)
-    if abs(gap) > _TIE_REL * (abs(t0) + abs(t1) + abs(r0) + abs(r1)) + _TIE_ABS:
-        return TRUST if gap > 0.0 else REJECT
-    beliefs_m = np.array(belief)
-    eu_trust = float(beliefs_m @ table[:, m, TRUST])
-    eu_reject = float(beliefs_m @ table[:, m, REJECT])
-    return TRUST if eu_trust >= eu_reject else REJECT
-
-
-def _candidate(
-    kind: str,
-    prior: float,
-    sigma_s: tuple,
-    sigma_r: tuple,
-    beliefs: tuple,
-    u_s: list,
-    u_r: list,
-) -> _Candidate:
-    """The profile with both senders' values and the receiver's value."""
+def _sender_values(u_s: list, sigma_s: tuple, sigma_r: tuple) -> tuple[float, float]:
     # folds from 0.0 in numpy's order; sum() of floats is compensated from
     # Python 3.12 on and would change the last bits
-    sender_vals = []
+    vals = []
     for t in range(2):
         v = 0.0
         for m in range(2):
             for a in range(2):
                 v += sigma_s[t][m] * sigma_r[m][a] * u_s[t][m][a]
-        sender_vals.append(v)
-    pi = (prior, 1.0 - prior)
-    rv = 0.0
-    for t in range(2):
-        for m in range(2):
-            for a in range(2):
-                rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * u_r[t][m][a]
-    return _Candidate(sigma_s, sigma_r, beliefs, (sender_vals[0], sender_vals[1]), rv, kind)
+        vals.append(v)
+    return vals[0], vals[1]
 
 
-def _pure_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
-    found = []
-    for m_att, m_def in product(range(2), range(2)):
-        sigma_s = (_ONE_HOT[m_att], _ONE_HOT[m_def])
-        beliefs = _posterior(prm.prior, sigma_s)
-        actions = [_receiver_br(beliefs[m], u_r, prm.receiver_utils, m) for m in range(2)]
-        if any(
-            u_s[t][1 - m_t][actions[1 - m_t]] > u_s[t][m_t][actions[m_t]] + 1e-9
-            for t, m_t in ((ATTACKER, m_att), (DEFENDER, m_def))
-        ):
-            continue
-        sigma_r = (_ONE_HOT[actions[0]], _ONE_HOT[actions[1]])
-        kind = "separating" if m_att != m_def else "pooling"
-        found.append(_candidate(kind, prm.prior, sigma_s, sigma_r, beliefs, u_s, u_r))
-    return found
+class _TrustGame:
+    """The trust game on fixed tables, set up once to be solved at many priors.
 
-
-def _hybrid_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
-    """One type mixes, the receiver mixes on the shared message.
-
-    The receiver's indifference at the shared message pins the posterior,
-    Bayes then pins the sender's mixing weight, and the mixing type's own
-    indifference pins the receiver's trust probability.
+    The constructor validates the tables and does every step that does not
+    depend on the prior.  :meth:`solve` does the rest with the float
+    operations of a fresh solve, in the same order, so each result has its
+    bits.
     """
-    pi = (prm.prior, 1.0 - prm.prior)
-    if pi[0] < 1e-12 or pi[1] < 1e-12:
-        return []  # a missing type cannot mix on path
-    found = []
-    for tau in range(2):
-        other = 1 - tau
-        for m_s in range(2):  # message shared with the pure type
-            m_x = 1 - m_s
+
+    def __init__(self, sender_utils, receiver_utils) -> None:
+        s, r = (np.asarray(t, dtype=float) for t in (sender_utils, receiver_utils))
+        _check_table("sender_utils", s)
+        _check_table("receiver_utils", r)
+        self.receiver_utils = r
+        self.u_s, self.u_r = u_s, u_r = s.tolist(), r.tolist()
+        # [type][message]: the response where that type alone sends the message
+        self.alone = tuple(tuple(self._br(_ONE_HOT[t], m) for m in range(2)) for t in range(2))
+
+        # (m_att, m_def, actions) -> receiver strategy, sender values; kept
+        # only where neither type gains by switching its message
+        self.pure = {}
+        for m_att, m_def, a0, a1 in product(range(2), repeat=4):
+            actions = (a0, a1)
+            if any(
+                u_s[t][1 - m_t][actions[1 - m_t]] > u_s[t][m_t][actions[m_t]] + 1e-9
+                for t, m_t in ((ATTACKER, m_att), (DEFENDER, m_def))
+            ):
+                continue
+            sigma_s = (_ONE_HOT[m_att], _ONE_HOT[m_def])
+            sigma_r = (_ONE_HOT[a0], _ONE_HOT[a1])
+            self.pure[m_att, m_def, actions] = sigma_r, _sender_values(u_s, sigma_s, sigma_r)
+
+        # (mixing type, shared message, posterior on it there, receiver strategy)
+        self.hybrids = []
+        for tau, m_s in product(range(2), range(2)):
+            other, m_x = 1 - tau, 1 - m_s
             d_tau = u_r[tau][m_s][TRUST] - u_r[tau][m_s][REJECT]
             d_oth = u_r[other][m_s][TRUST] - u_r[other][m_s][REJECT]
             if abs(d_oth - d_tau) < 1e-15:
@@ -473,13 +453,7 @@ def _hybrid_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Cand
             mu = d_oth / (d_oth - d_tau)  # posterior on tau at m_s
             if not 1e-12 < mu < 1.0 - 1e-12:
                 continue
-            share = mu * pi[other] / ((1.0 - mu) * pi[tau])
-            # no margin below 1: a share under 1 puts the prior past the
-            # pooling threshold, so a margin there left priors with no
-            # equilibrium at all
-            if not 1e-12 < share < 1.0:
-                continue
-            a_x = _receiver_br(_ONE_HOT[tau], u_r, prm.receiver_utils, m_x)
+            a_x = self.alone[tau][m_x]
             denom = u_s[tau][m_s][TRUST] - u_s[tau][m_s][REJECT]
             if abs(denom) < 1e-15:
                 continue
@@ -490,114 +464,205 @@ def _hybrid_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Cand
             eu_other = q * u_s[other][m_s][TRUST] + (1.0 - q) * u_s[other][m_s][REJECT]
             if u_s[other][m_x][a_x] > eu_other + 1e-9:
                 continue
-            mixing = (share, 1.0 - share) if m_s == 0 else (1.0 - share, share)
-            sigma_s = (mixing, _ONE_HOT[m_s]) if tau == 0 else (_ONE_HOT[m_s], mixing)
             mixed_r = (q, 1.0 - q)
             sigma_r = (mixed_r, _ONE_HOT[a_x]) if m_s == 0 else (_ONE_HOT[a_x], mixed_r)
-            beliefs = _posterior(prm.prior, sigma_s)
-            found.append(_candidate("hybrid", prm.prior, sigma_s, sigma_r, beliefs, u_s, u_r))
-    return found
+            self.hybrids.append((tau, m_s, mu, sigma_r))
 
+        self.mixed = self._mixed_setup(s)
 
-def _mixed_equilibria(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
-    """Both sender types mix; the receiver is indifferent at both messages.
+        # (pooled message, its action, the passive off-path action) -> the
+        # off-path trust probability, g_att, g_def, receiver strategy, values
+        self.pooling = {}
+        for m, a_on in product(range(2), range(2)):
+            m_off = 1 - m
+            lo, hi = 0.0, 1.0
+            feasible = True
+            for t in range(2):
+                slope = u_s[t][m_off][TRUST] - u_s[t][m_off][REJECT]
+                level = u_s[t][m][a_on] - u_s[t][m_off][REJECT]
+                # need slope*q <= level for q in the deterrence interval
+                if slope > 1e-15:
+                    hi = min(hi, level / slope)
+                elif slope < -1e-15:
+                    lo = max(lo, level / slope)
+                elif level < -1e-12:
+                    feasible = False
+                    break
+            if not feasible or lo > hi + 1e-12:
+                continue
+            g_att = u_r[ATTACKER][m_off][TRUST] - u_r[ATTACKER][m_off][REJECT]
+            g_def = u_r[DEFENDER][m_off][TRUST] - u_r[DEFENDER][m_off][REJECT]
+            # only trust is rationalizable if every belief trusts, only
+            # rejection if every belief rejects, and any mixture otherwise
+            lo = max(lo, 1.0 if min(g_att, g_def) >= 0.0 else 0.0)
+            hi = min(hi, 0.0 if max(g_att, g_def) < 0.0 else 1.0)
+            if lo > hi + 1e-12:
+                continue
+            sigma_s = (_ONE_HOT[m], _ONE_HOT[m])
+            for a_off in range(2):
+                q_off = min(max(1.0 if a_off == TRUST else 0.0, lo), hi)
+                on_r, off_r = _ONE_HOT[a_on], (q_off, 1.0 - q_off)
+                sigma_r = (on_r, off_r) if m == 0 else (off_r, on_r)
+                values = _sender_values(u_s, sigma_s, sigma_r)
+                self.pooling[m, a_on, a_off] = q_off, g_att, g_def, sigma_r, values
 
-    The receiver's per-message indifference pins both posteriors, Bayes then
-    pins both sender mixing weights, and the two sender-indifference
-    conditions pin the receiver's trust probabilities.  Degenerate when the
-    receiver's tables do not depend on the message (equal posterior targets).
-    """
-    p = prm.prior
-    if not 1e-12 < p < 1.0 - 1e-12:
-        return []
-    targets = []
-    for m in range(2):
-        g_att = u_r[ATTACKER][m][TRUST] - u_r[ATTACKER][m][REJECT]
-        g_def = u_r[DEFENDER][m][TRUST] - u_r[DEFENDER][m][REJECT]
-        if abs(g_def - g_att) < 1e-15:
-            return []
-        mu = g_def / (g_def - g_att)
-        if not 1e-9 < mu < 1.0 - 1e-9:
-            return []
-        targets.append(mu)
-    c0, c1 = ((1.0 - mu) / mu for mu in targets)
-    if abs(c0 - c1) < 1e-15:
-        return []
-    x = ((1.0 - p) / p - c1) / (c0 - c1)  # attacker's weight on message 0
-    if not 1e-12 < x < 1.0 - 1e-12:
-        return []
-    y = p * x * c0 / (1.0 - p)
-    if not 1e-12 < y < 1.0 - 1e-12:
-        return []
-    table = prm.sender_utils
-    delta = table[:, :, TRUST] - table[:, :, REJECT]
-    rhs = table[:, 1, REJECT] - table[:, 0, REJECT]
-    mat = np.column_stack((delta[:, 0], -delta[:, 1]))
-    if abs(np.linalg.det(mat)) < 1e-15:
-        return []
-    q = np.linalg.solve(mat, rhs)
-    if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
-        return []
-    q0, q1 = np.clip(q, 0.0, 1.0).tolist()
-    sigma_s = ((x, 1.0 - x), (y, 1.0 - y))
-    sigma_r = ((q0, 1.0 - q0), (q1, 1.0 - q1))
-    beliefs = _posterior(p, sigma_s)
-    return [_candidate("mixed", p, sigma_s, sigma_r, beliefs, u_s, u_r)]
+    def _br(self, belief: tuple, m: int) -> int:
+        """The receiver's action at message m under ``belief``; ties trust.
 
+        The float gap decides unless it is within rounding of a tie.  There the
+        decision is numpy's own length-2 dot on the table, so that a
+        platform's rounding of it, fused or not, is kept.
+        """
+        u_r = self.u_r
+        b0, b1 = belief
+        t0, t1 = b0 * u_r[0][m][TRUST], b1 * u_r[1][m][TRUST]
+        r0, r1 = b0 * u_r[0][m][REJECT], b1 * u_r[1][m][REJECT]
+        gap = (t0 + t1) - (r0 + r1)
+        if abs(gap) > _TIE_REL * (abs(t0) + abs(t1) + abs(r0) + abs(r1)) + _TIE_ABS:
+            return TRUST if gap > 0.0 else REJECT
+        beliefs_m = np.array(belief)
+        eu_trust = float(beliefs_m @ self.receiver_utils[:, m, TRUST])
+        eu_reject = float(beliefs_m @ self.receiver_utils[:, m, REJECT])
+        return TRUST if eu_trust >= eu_reject else REJECT
 
-def _supported_pooling(prm: SignalingParams, u_s: list, u_r: list) -> list[_Candidate]:
-    """Pooling held up by off-path beliefs other than the prior.
+    def _mixed_setup(self, table: np.ndarray) -> tuple | None:
+        """Both posterior odds targets and the receiver strategy of the
+        mixed construction, or None if the tables admit none."""
+        targets = []
+        for m in range(2):
+            g_att = self.u_r[ATTACKER][m][TRUST] - self.u_r[ATTACKER][m][REJECT]
+            g_def = self.u_r[DEFENDER][m][TRUST] - self.u_r[DEFENDER][m][REJECT]
+            if abs(g_def - g_att) < 1e-15:
+                return None
+            mu = g_def / (g_def - g_att)
+            if not 1e-9 < mu < 1.0 - 1e-9:
+                return None
+            targets.append(mu)
+        c0, c1 = ((1.0 - mu) / mu for mu in targets)
+        if abs(c0 - c1) < 1e-15:
+            return None
+        delta = table[:, :, TRUST] - table[:, :, REJECT]
+        rhs = table[:, 1, REJECT] - table[:, 0, REJECT]
+        mat = np.column_stack((delta[:, 0], -delta[:, 1]))
+        if abs(np.linalg.det(mat)) < 1e-15:
+            return None
+        q = np.linalg.solve(mat, rhs)
+        if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
+            return None
+        q0, q1 = np.clip(q, 0.0, 1.0).tolist()
+        return c0, c1, ((q0, 1.0 - q0), (q1, 1.0 - q1))
 
-    Off the path any belief is admissible, so the receiver's off-path trust
-    probability can be anything its possible beliefs rationalize: a pure
-    action, or any mixture when some belief makes it indifferent.  Within
-    the q-interval that deters both sender types, the value closest to the
-    passive-belief response is chosen and the rationalizing belief stored.
-    """
-    pi = (prm.prior, 1.0 - prm.prior)
-    found = []
-    for m in range(2):
-        m_off = 1 - m
-        a_on = _receiver_br(pi, u_r, prm.receiver_utils, m)
-        lo, hi = 0.0, 1.0
-        feasible = True
+    def _candidate(self, kind, pi, sigma_s, sigma_r, beliefs, values) -> _Candidate:
+        """The profile with the receiver's value."""
+        u_r = self.u_r
+        rv = 0.0
         for t in range(2):
-            slope = u_s[t][m_off][TRUST] - u_s[t][m_off][REJECT]
-            level = u_s[t][m][a_on] - u_s[t][m_off][REJECT]
-            # need slope*q <= level for q in the deterrence interval
-            if slope > 1e-15:
-                hi = min(hi, level / slope)
-            elif slope < -1e-15:
-                lo = max(lo, level / slope)
-            elif level < -1e-12:
-                feasible = False
-                break
-        if not feasible or lo > hi + 1e-12:
-            continue
-        g_att = u_r[ATTACKER][m_off][TRUST] - u_r[ATTACKER][m_off][REJECT]
-        g_def = u_r[DEFENDER][m_off][TRUST] - u_r[DEFENDER][m_off][REJECT]
-        if min(g_att, g_def) >= 0.0:
-            rationalizable = (1.0, 1.0)  # trust at every belief
-        elif max(g_att, g_def) < 0.0:
-            rationalizable = (0.0, 0.0)
-        else:
-            rationalizable = (0.0, 1.0)
-        lo = max(lo, rationalizable[0])
-        hi = min(hi, rationalizable[1])
-        if lo > hi + 1e-12:
-            continue
-        q_passive = 1.0 if _receiver_br(pi, u_r, prm.receiver_utils, m_off) == TRUST else 0.0
-        q_off = min(max(q_passive, lo), hi)
-        belief_off = _rationalizing_belief(q_off, g_att, g_def, prm.prior)
-        if belief_off is None:
-            continue
-        sigma_s = (_ONE_HOT[m], _ONE_HOT[m])
-        on_r, off_r = _ONE_HOT[a_on], (q_off, 1.0 - q_off)
-        on_b, off_b = _posterior(prm.prior, sigma_s)[m], (belief_off, 1.0 - belief_off)
-        sigma_r = (on_r, off_r) if m == 0 else (off_r, on_r)
-        beliefs = (on_b, off_b) if m == 0 else (off_b, on_b)
-        found.append(_candidate("pooling", prm.prior, sigma_s, sigma_r, beliefs, u_s, u_r))
-    return found
+            for m in range(2):
+                for a in range(2):
+                    rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * u_r[t][m][a]
+        return _Candidate(sigma_s, sigma_r, beliefs, values, rv, kind)
+
+    def solve(self, p: float) -> _Candidate:
+        """The equilibrium :func:`signaling_equilibrium` selects at prior p."""
+        pi = (p, 1.0 - p)
+        passive = (self._br(pi, 0), self._br(pi, 1))
+        found = self._pure(p, pi, passive) + self._hybrid(p, pi)
+        if not found:
+            found = self._mixed(p, pi)
+        if not found:
+            found = self._supported_pooling(p, pi, passive)
+        if not found:
+            raise RuntimeError("no equilibrium with passive or supported beliefs")
+        return min(found, key=_Candidate.rank)
+
+    def _pure(self, p: float, pi: tuple, passive: tuple) -> list[_Candidate]:
+        # A message one type sends alone has that type's one-hot posterior
+        # while the type's mass exceeds 1e-15 (see _posterior), and the prior
+        # otherwise.  A pooled message's posterior is the prior too, since
+        # p + (1 - p) rounds to 1 for every p in [0, 1].  In a separating
+        # profile type m_att sends message 0, and type m_def message 1.
+        alone = tuple(self.alone[t] if pi[t] > 1e-15 else passive for t in range(2))
+        found = []
+        for m_att, m_def in product(range(2), range(2)):
+            actions = passive if m_att == m_def else (alone[m_att][0], alone[m_def][1])
+            entry = self.pure.get((m_att, m_def, actions))
+            if entry is None:
+                continue
+            kind = "separating" if m_att != m_def else "pooling"
+            sigma_s = (_ONE_HOT[m_att], _ONE_HOT[m_def])
+            beliefs = _posterior(p, sigma_s)
+            found.append(self._candidate(kind, pi, sigma_s, entry[0], beliefs, entry[1]))
+        return found
+
+    def _hybrid(self, p: float, pi: tuple) -> list[_Candidate]:
+        """One type mixes, the receiver mixes on the shared message.
+
+        The receiver's indifference at the shared message pins the posterior,
+        Bayes then pins the sender's mixing weight, and the mixing type's own
+        indifference pins the receiver's trust probability.
+        """
+        if pi[0] < 1e-12 or pi[1] < 1e-12:
+            return []  # a missing type cannot mix on path
+        found = []
+        for tau, m_s, mu, sigma_r in self.hybrids:
+            share = mu * pi[1 - tau] / ((1.0 - mu) * pi[tau])
+            # no margin below 1: a share under 1 puts the prior past the
+            # pooling threshold, so a margin there left priors with no
+            # equilibrium at all
+            if not 1e-12 < share < 1.0:
+                continue
+            mixing = (share, 1.0 - share) if m_s == 0 else (1.0 - share, share)
+            sigma_s = (mixing, _ONE_HOT[m_s]) if tau == 0 else (_ONE_HOT[m_s], mixing)
+            values = _sender_values(self.u_s, sigma_s, sigma_r)
+            found.append(
+                self._candidate("hybrid", pi, sigma_s, sigma_r, _posterior(p, sigma_s), values)
+            )
+        return found
+
+    def _mixed(self, p: float, pi: tuple) -> list[_Candidate]:
+        """Both sender types mix; the receiver is indifferent at both messages.
+
+        The receiver's per-message indifference pins both posteriors, Bayes then
+        pins both sender mixing weights, and the two sender-indifference
+        conditions pin the receiver's trust probabilities.  Degenerate when the
+        receiver's tables do not depend on the message (equal posterior targets).
+        """
+        if self.mixed is None or not 1e-12 < p < 1.0 - 1e-12:
+            return []
+        c0, c1, sigma_r = self.mixed
+        x = ((1.0 - p) / p - c1) / (c0 - c1)  # attacker's weight on message 0
+        if not 1e-12 < x < 1.0 - 1e-12:
+            return []
+        y = p * x * c0 / (1.0 - p)
+        if not 1e-12 < y < 1.0 - 1e-12:
+            return []
+        sigma_s = ((x, 1.0 - x), (y, 1.0 - y))
+        values = _sender_values(self.u_s, sigma_s, sigma_r)
+        return [self._candidate("mixed", pi, sigma_s, sigma_r, _posterior(p, sigma_s), values)]
+
+    def _supported_pooling(self, p: float, pi: tuple, passive: tuple) -> list[_Candidate]:
+        """Pooling held up by off-path beliefs other than the prior.
+
+        Off the path any belief is admissible, so the receiver's off-path trust
+        probability can be anything its possible beliefs rationalize: a pure
+        action, or any mixture when some belief makes it indifferent.  Within
+        the q-interval that deters both sender types, the value closest to the
+        passive-belief response is chosen and the rationalizing belief stored.
+        """
+        found = []
+        for m in range(2):
+            entry = self.pooling.get((m, passive[m], passive[1 - m]))
+            if entry is None:
+                continue
+            q_off, g_att, g_def, sigma_r, values = entry
+            belief_off = _rationalizing_belief(q_off, g_att, g_def, p)
+            if belief_off is None:
+                continue
+            sigma_s = (_ONE_HOT[m], _ONE_HOT[m])
+            on_b, off_b = _posterior(p, sigma_s)[m], (belief_off, 1.0 - belief_off)
+            beliefs = (on_b, off_b) if m == 0 else (off_b, on_b)
+            found.append(self._candidate("pooling", pi, sigma_s, sigma_r, beliefs, values))
+        return found
 
 
 def _rationalizing_belief(
@@ -624,9 +689,6 @@ def _rationalizing_belief(
     return mu if -1e-9 <= mu <= 1.0 + 1e-9 else None
 
 
-_KIND_RANK = {"separating": 0, "hybrid": 1, "pooling": 2, "mixed": 3}
-
-
 def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     """Find a perfect Bayesian equilibrium of the 2x2x2 trust game.
 
@@ -644,31 +706,10 @@ def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     trusts when its expected payoff from trusting is at least that from
     rejecting.  When the two are within rounding of a tie, the comparison is
     numpy's own dot product of the beliefs with the table, so a platform's
-    rounding of a near tie decides as it does in numpy.
+    rounding of a near tie decides as it does in numpy.  This is one solve
+    of the prepared game that :func:`gne_solve` sets up once per solve.
     """
-    u_s, u_r = prm.sender_utils.tolist(), prm.receiver_utils.tolist()
-    candidates = _pure_equilibria(prm, u_s, u_r) + _hybrid_equilibria(prm, u_s, u_r)
-    if not candidates:
-        candidates = _mixed_equilibria(prm, u_s, u_r)
-    if not candidates:
-        candidates = _supported_pooling(prm, u_s, u_r)
-    if not candidates:
-        raise RuntimeError("no equilibrium with passive or supported beliefs")
-
-    def key(c: _Candidate):
-        return (
-            _KIND_RANK[c.kind],
-            -c.receiver_value,
-            (
-                c.sender_strategy[ATTACKER][0],
-                c.sender_strategy[DEFENDER][0],
-                c.receiver_strategy[0][TRUST],
-                c.receiver_strategy[1][TRUST],
-            ),
-        )
-
-    best = min(candidates, key=key)
-    return SignalingOutcome(*(np.array(x) for x in best[:3]), *best[3:])
+    return _TrustGame(prm.sender_utils, prm.receiver_utils).solve(prm.prior).outcome()
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +757,13 @@ def physical_utilities(plant: PlantSpec) -> np.ndarray:
     back to the (safe) fallback input; trusting the defender applies the
     one-step-optimal feedback u = -(a b q x) / (q b^2 + r) at every step.
     Utilities are negated accumulated costs over the horizon and do not
-    depend on the message.
+    depend on the message.  A cost past the float range raises ValueError.
     """
-    denom = plant.q * plant.b**2 + plant.r
+    overflow = "rollout costs overflow a float; shorten the horizon or scale the plant"
+    try:
+        denom = plant.q * plant.b**2 + plant.r
+    except OverflowError:
+        raise ValueError(overflow) from None
     if denom > 0:
         gain = plant.a * plant.b * plant.q / denom
     else:
@@ -726,6 +771,8 @@ def physical_utilities(plant: PlantSpec) -> np.ndarray:
     attack = _rollout_cost(plant, lambda x: plant.attack_input)
     fallback = _rollout_cost(plant, lambda x: plant.fallback_input)
     defend = _rollout_cost(plant, lambda x: -gain * x)
+    if not all(math.isfinite(c) for c in (attack, fallback, defend)):
+        raise ValueError(overflow)
     u_r = np.empty((2, 2, 2))
     u_r[ATTACKER, :, TRUST] = -attack
     u_r[DEFENDER, :, TRUST] = -defend
@@ -765,16 +812,15 @@ class GNEState:
 def _stage(
     p: float,
     costs: GNECosts,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
+    game: _TrustGame,
     timing: dict[tuple[float, float], FlipItOutcome],
-) -> tuple[SignalingOutcome, float, float, FlipItOutcome]:
+) -> tuple[_Candidate, float, float, FlipItOutcome]:
     """One signaling solve at prior p, and the timing game at its values.
 
     ``timing`` holds the timing games already solved at these costs, keyed
     on the exact sender values; a new pair is solved and added.
     """
-    sig = signaling_equilibrium(SignalingParams(p, u_s, u_r))
+    sig = game.solve(p)
     v_a = max(0.0, sig.sender_values[ATTACKER])
     v_d = max(0.0, sig.sender_values[DEFENDER])
     if (v_a, v_d) not in timing:
@@ -795,10 +841,11 @@ def gne_solve(
 ) -> GNEState:
     """Find the composed equilibrium by damped fixed-point iteration.
 
-    Every stage solves the signaling game afresh; the timing game is solved
-    once per distinct pair of sender values (v_a, v_d), compared exactly, and
-    reused by later stages and by the final one.  It is a pure function of
-    its parameters, so the result is what solving it at every stage gives.
+    The trust game's table-only work is done once, before the iteration;
+    each stage does only what depends on its prior.  The timing game is
+    solved once per distinct pair of sender values (v_a, v_d), compared
+    exactly, and reused by later stages and by the final one.  So the result
+    is what solving both games afresh at every stage gives, bit for bit.
 
     Args:
         costs: timing-game move costs.
@@ -819,15 +866,14 @@ def gne_solve(
         raise ValueError("damping must be in (0, 1]")
     if not 0 <= p0 <= 1:
         raise ValueError("p0 must be in [0, 1]")
-    u_s = np.asarray(sender_utils, dtype=float)
-    u_r = np.asarray(receiver_utils, dtype=float)
+    game = _TrustGame(sender_utils, receiver_utils)
     p = float(p0)
     history: list[float] = []
     timing: dict[tuple[float, float], FlipItOutcome] = {}
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        _, _, _, flip = _stage(p, costs, u_s, u_r, timing)
+        _, _, _, flip = _stage(p, costs, game, timing)
         p_next = (1.0 - damping) * p + damping * flip.control_fraction
         residual = abs(p_next - p)
         history.append(residual)
@@ -835,14 +881,14 @@ def gne_solve(
         if residual < tol:
             converged = True
             break
-    sig, v_a, v_d, flip = _stage(p, costs, u_s, u_r, timing)
+    sig, v_a, v_d, flip = _stage(p, costs, game, timing)
     final_residual = damping * abs(flip.control_fraction - p)
     return GNEState(
         control_fraction=p,
         attacker_value=v_a,
         defender_value=v_d,
         flipit=flip,
-        signaling=sig,
+        signaling=sig.outcome(),
         residual=final_residual,
         iterations=iterations,
         converged=converged,

@@ -697,7 +697,9 @@ def parse_gne(path: str | Path) -> GNEProblem:
 # ---------------------------------------------------------------------------
 
 
-def _float_repr(x: float) -> str:
+def _float_repr(x: float, allow_inf: bool) -> str:
+    if allow_inf and math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite number in canonical output")
     text = format(x, ".17g")
@@ -706,7 +708,7 @@ def _float_repr(x: float) -> str:
     return text
 
 
-def _write_canonical(obj: Any, parts: list[str], sort_keys: bool) -> None:
+def _write_canonical(obj: Any, parts: list[str], sort_keys: bool, allow_inf: bool) -> None:
     if obj is None:
         parts.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -714,11 +716,11 @@ def _write_canonical(obj: Any, parts: list[str], sort_keys: bool) -> None:
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(_float_repr(float(obj)))
+        parts.append(_float_repr(float(obj), allow_inf))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _write_canonical(obj.tolist(), parts, sort_keys)
+        _write_canonical(obj.tolist(), parts, sort_keys, allow_inf)
     elif isinstance(obj, Mapping):
         parts.append("{")
         keys = sorted(obj) if sort_keys else list(obj)
@@ -729,14 +731,14 @@ def _write_canonical(obj: Any, parts: list[str], sort_keys: bool) -> None:
                 parts.append(",")
             parts.append(json.dumps(key))
             parts.append(":")
-            _write_canonical(obj[key], parts, sort_keys)
+            _write_canonical(obj[key], parts, sort_keys, allow_inf)
         parts.append("}")
     elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
         parts.append("[")
         for k, item in enumerate(obj):
             if k:
                 parts.append(",")
-            _write_canonical(item, parts, sort_keys)
+            _write_canonical(item, parts, sort_keys, allow_inf)
         parts.append("]")
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
@@ -745,13 +747,21 @@ def _write_canonical(obj: Any, parts: list[str], sort_keys: bool) -> None:
 def dumps_canonical(obj: Any, sort_keys: bool = False) -> str:
     """Deterministic compact JSON with floats at 17 significant digits."""
     parts: list[str] = []
-    _write_canonical(obj, parts, sort_keys)
+    _write_canonical(obj, parts, sort_keys, allow_inf=False)
     return "".join(parts)
 
 
 def config_hash(data: Any) -> str:
-    """Platform-stable digest of a deserialized config document."""
-    return hashlib.sha256(dumps_canonical(data, sort_keys=True).encode()).hexdigest()
+    """Platform-stable digest of a deserialized config document.
+
+    The document is written as by :func:`dumps_canonical` with sorted keys,
+    except that +-inf (``motion_bound: .inf``) is written ``Infinity`` or
+    ``-Infinity``: no finite document holds those bare words, so its digest
+    is unchanged.
+    """
+    parts: list[str] = []
+    _write_canonical(data, parts, sort_keys=True, allow_inf=True)
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,34 @@ def test_fixed_baseline_allows_an_event_at_step_0(tmp_path):
     assert json.loads((tmp_path / "out" / "resilience.json").read_text())["onset"] == 0
 
 
+def test_unbounded_motion_runs_to_all_outputs(tmp_path):
+    data = dict(SCENARIO, control=dict(SCENARIO["control"], motion_bound=float("inf")))
+    path = tmp_path / "inf.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert "motion_bound: .inf" in path.read_text()
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == 0
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "resilience.json", "trace.jsonl",
+    ]
+    assert len(json.loads((out / "manifest.json").read_text())["config_hash"]) == 64
+
+
+def test_overflowing_plant_is_rejected_by_validate_and_gne(tmp_path, capsys):
+    data = {k: v for k, v in GNE_PARAMS.items() if k != "receiver_utils"}
+    data["plant"] = {"a": 10, "b": 1, "q": 1, "r": 1, "horizon": 400, "attack_input": 1}
+    path = tmp_path / "plant.yaml"
+    path.write_text(yaml.safe_dump(data))
+    error = "error: plant: rollout costs overflow a float"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    out = tmp_path / "out"
+    assert main(["gne", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not out.exists()
+
+
 def test_validate_detects_game_files(gne_file):
     assert main(["validate", str(gne_file)]) == 0
 

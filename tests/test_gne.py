@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilnet import gne
@@ -860,24 +860,87 @@ def test_signaling_matches_numpy_reference_on_subnormal_receiver_tables():
         for prior in (0.25, 0.5, 0.75):
             assert_signaling_matches_reference(prior, u_s, u_r)
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    style=st.sampled_from(["random", "tenths", "message-free", "message-free tenths"]),
-)
-def test_signaling_matches_numpy_reference_on_random_tables(seed, style):
-    rng = np.random.default_rng(seed)
+TABLE_STYLES = ["random", "tenths", "message-free", "message-free tenths"]
+
+
+def random_tables(rng, style):
     u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
     u_r = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
     if style.startswith("message-free"):
         u_r[:, 1, :] = u_r[:, 0, :]  # the receiver's payoffs ignore the message
     if style.endswith("tenths"):  # coarse tables tie often
         u_s, u_r = np.round(u_s, 1), np.round(u_r, 1)
+    return u_s, u_r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), style=st.sampled_from(TABLE_STYLES))
+def test_signaling_matches_numpy_reference_on_random_tables(seed, style):
+    rng = np.random.default_rng(seed)
+    u_s, u_r = random_tables(rng, style)
     priors = [0.0, 1.0, float(rng.uniform())]
     for mu in indifference_priors(u_r):
         priors += [p for p in ulp_neighbours(mu, 3) if 0.0 <= p <= 1.0]
     for prior in priors:
         assert_signaling_matches_reference(prior, u_s, u_r)
+
+
+# priors where a branch of the trust-game solver switches: a type's mass
+# against the posterior's 1e-15 floor and the 1e-12 floors of the hybrid and
+# mixed constructions, and the demo receiver's indifference prior 1/9
+BRANCH_PRIORS = [
+    0.0, 1.0, 1e-16, 1.0 - 1e-12,
+    *ulp_neighbours(1e-15, 1), *ulp_neighbours(1e-12, 1),
+    *ulp_neighbours(1.0 - 1e-15, 1), *ulp_neighbours(1.0 - 1e-12, 1),
+    *ulp_neighbours(1.0 / 9.0, 4),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), style=st.sampled_from(["demo", *TABLE_STYLES]))
+def test_prepared_game_matches_numpy_reference_at_branch_priors(seed, style):
+    rng = np.random.default_rng(seed)
+    u_s, u_r = (DEMO_SENDER, DEMO_RECEIVER) if style == "demo" else random_tables(rng, style)
+    game = gne._TrustGame(u_s, u_r)  # one set-up serves every prior, as in gne_solve
+    priors = BRANCH_PRIORS + [float(rng.uniform())]
+    for mu in indifference_priors(u_r):
+        priors += [p for p in ulp_neighbours(mu, 2) if 0.0 <= p <= 1.0]
+    for prior in priors:
+        try:
+            want = reference_signaling_equilibrium(SignalingParams(prior, u_s, u_r))
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                game.solve(prior)
+            continue
+        got = game.solve(prior).outcome()
+        assert got.kind == want.kind
+        for name in ("sender_strategy", "receiver_strategy", "beliefs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert [v.hex() for v in got.sender_values] == [v.hex() for v in want.sender_values]
+        assert got.receiver_value.hex() == want.receiver_value.hex()
+
+
+BAD_TABLES = [
+    (np.zeros((2, 2)), "must have shape (2, 2, 2)"),
+    (np.where(np.eye(2, dtype=bool)[None], np.nan, DEMO_RECEIVER), "must be finite"),
+    (np.full((2, 2, 2), -np.inf), "must be finite"),
+]
+
+
+@pytest.mark.parametrize("bad, error", BAD_TABLES)
+@pytest.mark.parametrize("name", ["sender_utils", "receiver_utils"])
+def test_bad_tables_raise_the_same_errors_in_both_solvers(name, bad, error):
+    tables = {"sender_utils": DEMO_SENDER, "receiver_utils": DEMO_RECEIVER, name: bad}
+    message = f"^{re.escape(f'{name} {error}')}$"
+    with pytest.raises(ValueError, match=message):
+        signaling_equilibrium(SignalingParams(0.5, **tables))
+    with pytest.raises(ValueError, match=message):
+        gne_solve(DEMO_COSTS, tables["sender_utils"], tables["receiver_utils"])
+    # with both tables bad, both solvers name the sender's first
+    with pytest.raises(ValueError, match="^sender_utils"):
+        SignalingParams(0.5, bad, bad)
+    with pytest.raises(ValueError, match="^sender_utils"):
+        gne_solve(DEMO_COSTS, bad, bad)
 
 
 def test_signaling_rejects_bad_inputs():
@@ -1070,6 +1133,12 @@ def test_gne_solve_matches_uncached_reference(attack, defense):
     damping=st.sampled_from([0.25, 0.5, 1.0]),
     p0=st.floats(0.0, 1.0),
 )
+@example(seed=0, damping=1.0, p0=0.0)
+@example(seed=0, damping=1.0, p0=1.0)
+@example(seed=7, damping=1.0, p0=0.0)
+@example(seed=7, damping=1.0, p0=1.0)
+@example(seed=2026, damping=0.5, p0=0.0)
+@example(seed=2026, damping=0.5, p0=1.0)
 def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0):
     rng = np.random.default_rng(seed)
     costs = GNECosts(*(float(c) for c in rng.uniform(0.05, 1.0, size=2)))
@@ -1081,10 +1150,10 @@ def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0
 @pytest.mark.parametrize("defense", [0.2, 0.5])
 def test_gne_solve_solves_each_timing_game_once(monkeypatch, defense):
     visited, solved = [], []
-    signaling, flipit = gne.signaling_equilibrium, gne.flipit_equilibrium
+    signaling, flipit = gne._TrustGame.solve, gne.flipit_equilibrium
 
-    def watch_signaling(prm):
-        out = signaling(prm)
+    def watch_signaling(game, prior):
+        out = signaling(game, prior)
         visited.append(tuple(max(0.0, v) for v in out.sender_values))
         return out
 
@@ -1092,7 +1161,7 @@ def test_gne_solve_solves_each_timing_game_once(monkeypatch, defense):
         solved.append((prm.attacker_value, prm.defender_value))
         return flipit(prm)
 
-    monkeypatch.setattr(gne, "signaling_equilibrium", watch_signaling)
+    monkeypatch.setattr(gne._TrustGame, "solve", watch_signaling)
     monkeypatch.setattr(gne, "flipit_equilibrium", count_flipit)
     state = gne_solve(GNECosts(0.3, defense), DEMO_SENDER, DEMO_RECEIVER)
     assert len(visited) == state.iterations + 1

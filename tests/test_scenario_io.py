@@ -1,6 +1,7 @@
 """Config validation, canonical serialization, and file round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -333,6 +334,21 @@ def test_canonical_sorted_keys_for_hashing():
     assert config_hash(a) != config_hash({"a": 2, "b": 99})
 
 
+def test_config_hash_admits_infinities_and_keeps_finite_digests():
+    doc = {"control": {"motion_bound": 0.25, "outer_iters": 8}, "ids": ["a", "Infinity"]}
+    plain = hashlib.sha256(dumps_canonical(doc, sort_keys=True).encode()).hexdigest()
+    assert config_hash(doc) == plain
+    digests = {
+        config_hash({"control": {"motion_bound": bound}})
+        for bound in (math.inf, -math.inf, "Infinity", 1e308)
+    }
+    assert len(digests) == 4
+    with pytest.raises(ValueError, match="non-finite"):
+        config_hash({"x": math.nan})
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_canonical({"x": math.inf}, sort_keys=True)
+
+
 def test_canonical_rejects_non_string_keys():
     with pytest.raises(TypeError):
         dumps_canonical({1: "x"})
@@ -556,6 +572,25 @@ def test_gne_problem_accepts_plant_instead_of_tables():
     prob = gne_from_dict(data)
     assert prob.receiver_utils[0, 0, 0] == pytest.approx(-5.0)
     assert prob.receiver_utils[1, 1, 0] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        {"a": 10, "b": 1, "q": 1, "r": 1, "horizon": 400, "attack_input": 1},
+        {"a": 1, "b": 1e200, "q": 1, "r": 1, "horizon": 4, "attack_input": 1},
+    ],
+    ids=["rollout", "b_squared"],
+)
+def test_gne_problem_rejects_a_plant_whose_costs_overflow(plant):
+    data = deep(GNE_MINIMAL)
+    del data["receiver_utils"]
+    data["plant"] = plant
+    with pytest.raises(ConfigError) as exc:
+        gne_from_dict(data)
+    assert exc.value.errors == (
+        "plant: rollout costs overflow a float; shorten the horizon or scale the plant",
+    )
 
 
 def test_gne_problem_table_xor_plant():
