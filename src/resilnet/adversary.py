@@ -93,7 +93,7 @@ def worst_case_removal(
         budget: at most ``budget.m`` edges removed; must not exceed the edge
             count.
         mode: ``"exhaustive"``, ``"greedy"``, or ``"auto"`` (exhaustive while
-            the subset count C(edge_count, m) stays within ``SUBSET_CAP``).
+            the count of subsets of 1..m edges stays within ``SUBSET_CAP``).
 
     Returns:
         :class:`WorstCaseResult`.  Ties in the exhaustive search are broken
@@ -110,7 +110,8 @@ def worst_case_removal(
         start = algebraic_connectivity(g)
         return WorstCaseResult((), start.lambda2, True, start, start)
     if mode == "auto":
-        mode = "exhaustive" if math.comb(n_edges, m) <= SUBSET_CAP else "greedy"
+        scanned = sum(math.comb(n_edges, s) for s in range(1, m + 1))
+        mode = "exhaustive" if scanned <= SUBSET_CAP else "greedy"
     if mode == "exhaustive":
         return _exhaustive(g, m)
     return _greedy(g, m)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "PlanResult",
     "plan_step",
     "plan_step_decentralized",
-    "project_motion",
-    "two_hop_neighborhoods",
 ]
 
 _BALL_TOL = 1e-9
@@ -84,9 +82,10 @@ class ControlOptions:
     mode: str = CENTRALIZED
 
     def __post_init__(self) -> None:
-        if self.motion_bound < 0:
+        # not >= rather than <: NaN fails it too
+        if not self.motion_bound >= 0:
             raise ValueError("motion_bound must be >= 0")
-        if self.min_separation < 0:
+        if not self.min_separation >= 0:
             raise ValueError("min_separation must be >= 0")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
@@ -112,7 +111,7 @@ class _Eval:
     graph: WeightedGraph
 
 
-def project_motion(current, proposed, delta: float) -> np.ndarray:
+def _project_motion(current, proposed, delta: float) -> np.ndarray:
     """Pull each proposed position back into the delta-ball of its origin."""
     cur = as_positions(current)
     prop = as_positions(proposed)
@@ -171,18 +170,24 @@ def _push_apart(points: np.ndarray, d_min: float) -> None:
 
 def _enforce(
     origin: np.ndarray, proposal: np.ndarray, delta: float, d_min: float
-) -> tuple[np.ndarray, bool]:
-    """Project into the motion ball, push pairs apart, check both limits."""
-    adjusted = project_motion(origin, proposal, delta)
+) -> np.ndarray | None:
+    """Project into the motion ball and push pairs apart; None if either
+    limit then fails, or if every agent lands on one point, where no plan
+    can start."""
+    adjusted = _project_motion(origin, proposal, delta)
     if d_min > 0:
         _push_apart(adjusted, d_min)
     if not math.isinf(delta):
         disp = np.linalg.norm(adjusted - origin, axis=1)
         if np.any(disp > delta + _BALL_TOL):
-            return adjusted, False
+            return None
     if d_min > 0 and np.any(_pair_distances(adjusted)[2] < d_min - _SEP_TOL):
-        return adjusted, False
-    return adjusted, True
+        return None
+    return None if _coincident(adjusted) else adjusted
+
+
+def _coincident(points: np.ndarray) -> bool:
+    return bool(np.max(np.linalg.norm(points - points[0], axis=1)) < 1e-12)
 
 
 def _snap(lam: float) -> float:
@@ -220,6 +225,26 @@ def _improves(before: _Eval, after: _Eval, gain: float) -> bool:
     )
 
 
+def _line_search(
+    ev: _Eval, trial_at: Callable[[float], np.ndarray | None], profile, m: int
+) -> tuple[np.ndarray, _Eval] | None:
+    """Backtracking search from ``ev``: the first trial that is feasible and
+    gains _TOL per unit step, with its evaluation, or None.
+
+    ``trial_at(eta)`` gives the positions at step ``eta``, or None where they
+    break a limit.
+    """
+    eta = _STEP_SIZE
+    for _ in range(_MAX_BACKTRACKS):
+        trial = trial_at(eta)
+        if trial is not None:
+            ev2 = _evaluate(trial, profile, m)
+            if _improves(ev, ev2, _TOL * eta):
+                return trial, ev2
+        eta *= _BACKTRACK
+    return None
+
+
 def _plan_input_errors(pos: np.ndarray, profile, opts: ControlOptions) -> list[tuple[str, str]]:
     """The planner's failed preconditions, each with the scenario field that
     sets it; the scenario validator reports them all, the planner the first."""
@@ -230,15 +255,9 @@ def _plan_input_errors(pos: np.ndarray, profile, opts: ControlOptions) -> list[t
         errors.append(
             ("control.min_separation", "min_separation must be below the communication range")
         )
-    if len(pos) >= 2 and np.max(np.linalg.norm(pos - pos[0], axis=1)) < 1e-12:
+    if len(pos) >= 2 and _coincident(pos):
         errors.append(("agents", "degenerate start: all agents coincident"))
     return errors
-
-
-def _validate_plan_inputs(pos: np.ndarray, profile, opts: ControlOptions) -> None:
-    errors = _plan_input_errors(pos, profile, opts)
-    if errors:
-        raise ValueError(errors[0][1])
 
 
 def plan_step(
@@ -259,8 +278,11 @@ def plan_step(
         below its value at the starting configuration.
     """
     pos = as_positions(reported_positions)
-    _validate_plan_inputs(pos, profile, opts)
+    errors = _plan_input_errors(pos, profile, opts)
+    if errors:
+        raise ValueError(errors[0][1])
     m = opts.anticipated_budget.m
+    bound, d_min = opts.motion_bound, opts.min_separation
     ev = _evaluate(pos, profile, m)
     candidate = pos.copy()
     accepted = 0
@@ -270,33 +292,23 @@ def plan_step(
         if gmax < _ZERO_GRAD:
             break  # no useful gradient
         direction = grad / gmax
-        eta = _STEP_SIZE
-        took = False
-        for _ in range(_MAX_BACKTRACKS):
-            adjusted, feasible = _enforce(
-                pos, candidate + eta * direction, opts.motion_bound,
-                opts.min_separation,
-            )
-            if feasible:
-                ev2 = _evaluate(adjusted, profile, m)
-                if _improves(ev, ev2, _TOL * eta):
-                    candidate, ev = adjusted, ev2
-                    accepted += 1
-                    took = True
-                    break
-            eta *= _BACKTRACK
-        if not took:
+        found = _line_search(
+            ev, lambda eta: _enforce(pos, candidate + eta * direction, bound, d_min), profile, m
+        )
+        if found is None:
             break
+        candidate, ev = found
+        accepted += 1
     return PlanResult(candidate, ev.worst_lambda2, ev.worst, accepted)
 
 
-def two_hop_neighborhoods(g: WeightedGraph) -> tuple[frozenset[int], ...]:
-    """Each agent's own index plus its one- and two-hop neighbors."""
+def _two_hop_neighborhoods(g: WeightedGraph) -> list[list[int]]:
+    """Each agent's own index plus its one- and two-hop neighbors, sorted."""
     adj = np.eye(g.n, dtype=np.intp)
     adj[g.edges[:, 0], g.edges[:, 1]] = 1
     adj[g.edges[:, 1], g.edges[:, 0]] = 1
     # with the diagonal set, (adj @ adj)[i, k] > 0 iff k is within two hops
-    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj @ adj)
+    return [np.flatnonzero(row).tolist() for row in adj @ adj]
 
 
 def _slice_profile(profile, idx: Sequence[int]):
@@ -308,33 +320,31 @@ def _slice_profile(profile, idx: Sequence[int]):
 
 
 def plan_step_decentralized(
-    reported_positions,
-    neighborhoods: Sequence[frozenset[int]],
-    profile: WeightProfile | LayerProfiles,
-    opts: ControlOptions,
+    reported_positions, profile: WeightProfile | LayerProfiles, opts: ControlOptions
 ) -> PlanResult:
     """Decentralized variant: one synchronous round per outer iteration.
 
-    Each agent line-searches its own local objective (neighbors frozen at the
-    round's snapshot) and moves only itself; motion and separation limits are
-    then enforced jointly.  There is no global-improvement guarantee; the
-    globally evaluated objective at the final targets is reported for
+    Each agent plans over its two-hop neighborhood in the proximity graph of
+    the reported positions.  It runs the centralized planner's line search
+    on that neighborhood's objective, with the neighbors frozen at the
+    round's snapshot, and moves only itself; motion and separation limits
+    are then enforced jointly.  There is no global-improvement guarantee;
+    the globally evaluated objective at the final targets is reported for
     comparison against the centralized planner.
     """
     pos = as_positions(reported_positions)
-    _validate_plan_inputs(pos, profile, opts)
-    if len(neighborhoods) != len(pos):
-        raise ValueError("need one neighborhood per agent")
+    errors = _plan_input_errors(pos, profile, opts)
+    if errors:
+        raise ValueError(errors[0][1])
     m = opts.anticipated_budget.m
-    hoods = [sorted(set(nb) | {i}) for i, nb in enumerate(neighborhoods)]
+    hoods = _two_hop_neighborhoods(build_proximity_graph(pos, profile))
     candidate = pos.copy()
     rounds = 0
     for _ in range(opts.outer_iters):
         snapshot = candidate.copy()
         proposal = candidate.copy()
         any_moved = False
-        for i in range(len(pos)):
-            idx = hoods[i]
+        for i, idx in enumerate(hoods):
             if len(idx) < 2:
                 continue
             sub_profile = _slice_profile(profile, idx)
@@ -346,25 +356,20 @@ def plan_step_decentralized(
             if norm < _ZERO_GRAD:
                 continue
             unit = gi / norm
-            eta = _STEP_SIZE
-            for _ in range(_MAX_BACKTRACKS):
+
+            def trial_at(eta: float) -> np.ndarray:
                 trial = local.copy()
-                moved = snapshot[i] + eta * unit
-                trial[loc] = project_motion(
-                    pos[i][None, :], moved[None, :], opts.motion_bound
-                )[0]
-                ev2 = _evaluate(trial, sub_profile, m)
-                if _improves(ev, ev2, _TOL * eta):
-                    proposal[i] = trial[loc]
-                    any_moved = True
-                    break
-                eta *= _BACKTRACK
+                moved = (snapshot[i] + eta * unit)[None, :]
+                trial[loc] = _project_motion(pos[i][None, :], moved, opts.motion_bound)[0]
+                return trial
+            found = _line_search(ev, trial_at, sub_profile, m)
+            if found is not None:
+                proposal[i] = found[0][loc]
+                any_moved = True
         if not any_moved:
             break
-        adjusted, feasible = _enforce(
-            pos, proposal, opts.motion_bound, opts.min_separation
-        )
-        if not feasible:
+        adjusted = _enforce(pos, proposal, opts.motion_bound, opts.min_separation)
+        if adjusted is None:
             break
         candidate = adjusted
         rounds += 1

@@ -26,7 +26,6 @@ from .controller import (
     PlanResult,
     plan_step,
     plan_step_decentralized,
-    two_hop_neighborhoods,
 )
 from .graph_core import (
     LayerProfiles,
@@ -214,17 +213,9 @@ def planning_profile(cfg: ScenarioConfig):
 
 
 def _plan(reported: np.ndarray, ctrl_profile, opts: ControlOptions) -> PlanResult:
-    """One planning step with the planner ``opts.mode`` names.
-
-    The decentralized planner gets each agent's two-hop neighborhood in the
-    graph the planner sees.
-    """
-    if opts.mode == CENTRALIZED:
-        return plan_step(reported, ctrl_profile, opts)
-    seen = build_proximity_graph(reported, ctrl_profile)
-    return plan_step_decentralized(
-        reported, two_hop_neighborhoods(seen), ctrl_profile, opts
-    )
+    """One planning step with the planner ``opts.mode`` names."""
+    planner = plan_step if opts.mode == CENTRALIZED else plan_step_decentralized
+    return planner(reported, ctrl_profile, opts)
 
 
 def _step_options(cfg: ScenarioConfig, step: int) -> ControlOptions:

@@ -96,6 +96,18 @@ def test_auto_mode_falls_back_to_greedy(monkeypatch):
     assert res.exact
 
 
+def test_auto_mode_counts_the_subsets_of_every_size(monkeypatch):
+    # removing every link of a 4-cycle is one subset of its own size,
+    # C(4, 4) = 1, but the exhaustive search scans all 15 subsets of 1..4
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    g = build_proximity_graph(square, WeightProfile(BINARY, 1.2))
+    assert g.edge_count == 4
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 14)
+    assert not worst_case_removal(g, RemovalBudget(4)).exact
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 15)
+    assert worst_case_removal(g, RemovalBudget(4)).exact
+
+
 def test_budget_beyond_edges_rejected():
     with pytest.raises(ValueError, match="exceeds"):
         worst_case_removal(TRIANGLE, RemovalBudget(4))

@@ -1,11 +1,18 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from resilnet import CENTRALIZED, DECENTRALIZED
 from resilnet.cli import main
+from resilnet.scenario_io import _CONTROL_FIELDS
 
 SCENARIO = {
     "dimension": 2,
@@ -162,10 +169,19 @@ def test_simulate_writes_all_outputs(scenario_file, tmp_path):
     assert len(manifest["config_hash"]) == 64
 
 
-def test_simulate_rerun_is_byte_identical(scenario_file, tmp_path):
+@pytest.fixture(params=[CENTRALIZED, DECENTRALIZED])
+def mode_file(request, tmp_path):
+    """The scenario file, planned by each planner in turn."""
+    path = tmp_path / "scenario.yaml"
+    control = dict(SCENARIO["control"], mode=request.param)
+    path.write_text(yaml.safe_dump(dict(SCENARIO, control=control)))
+    return path
+
+
+def test_simulate_rerun_is_byte_identical(mode_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["simulate", str(scenario_file), "--out", str(out1)]) == 0
-    assert main(["simulate", str(scenario_file), "--out", str(out2)]) == 0
+    assert main(["simulate", str(mode_file), "--out", str(out1)]) == 0
+    assert main(["simulate", str(mode_file), "--out", str(out2)]) == 0
     assert (out1 / "trace.jsonl").read_bytes() == (out2 / "trace.jsonl").read_bytes()
     assert (out1 / "resilience.json").read_bytes() == (out2 / "resilience.json").read_bytes()
     m1 = json.loads((out1 / "manifest.json").read_text())
@@ -229,8 +245,8 @@ def test_metrics_bad_onset_exits_1(scenario_file, tmp_path, capsys):
     assert "onset" in capsys.readouterr().err
 
 
-def test_plan_prints_one_record_per_step(scenario_file, capsys):
-    assert main(["plan", str(scenario_file), "--steps", "2"]) == 0
+def test_plan_prints_one_record_per_step(mode_file, capsys):
+    assert main(["plan", str(mode_file), "--steps", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
@@ -305,3 +321,120 @@ def test_gne_nonconvergence_exits_2(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
     # outputs are still written for diagnosis
     assert (out / "gne.json").exists()
+
+
+def field_values(rule):
+    """Values of an optional field from its parser rule: any choice, the
+    first few integers from the lower bound, or floats across the range and
+    at both of its ends."""
+    if "choices" in rule:
+        return st.sampled_from(rule["choices"])
+    low = rule.get("minimum", rule.get("exclusive_min", 0))
+    if rule.get("integer"):
+        return st.integers(int(low) + ("exclusive_min" in rule), int(low) + 3)
+    high = rule.get("maximum", low + 2.0)
+    return st.sampled_from([low, high]) | st.floats(low, high)
+
+
+@st.composite
+def scenario_documents(draw):
+    """Scenario documents over the schema, valid or not: dimension 2 and 3,
+    single and layered profiles, explicit and random layouts, both planner
+    modes, motion bounds 0, finite and infinite, budgets above the edge
+    count, and stacked jams and spoofs."""
+    dim = draw(st.sampled_from([2, 3]))
+    steps = draw(st.integers(1, 4))
+    ids = [f"a{k}" for k in range(draw(st.integers(2, 9)))]
+    # 40 links exceed the 36 pairs of the largest team.  The planner searches
+    # every subset of up to that many links in each line-search trial, so it
+    # anticipates 40 only in teams of 4 (63 subsets at most)
+    jam_budgets = st.sampled_from([0, 1, 2, 40])
+    plan_budgets = st.sampled_from([0, 1, 2, 40] if len(ids) <= 4 else [0, 1, 2])
+    coordinate = st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 3.0)
+
+    def vector():
+        return draw(st.lists(coordinate, min_size=dim, max_size=dim))
+
+    def profile():
+        kind = draw(st.sampled_from(["binary", "smooth"]))
+        prof = {"kind": kind, "range": draw(st.sampled_from([0.8, 1.5, 2.5]))}
+        if kind == "smooth" and draw(st.booleans()):
+            prof["decay"] = draw(st.sampled_from([0.5, 3.0]))
+        return prof
+
+    doc = {"dimension": dim, "steps": steps, "rng_seed": draw(st.integers(0, 99))}
+    layers = None
+    if draw(st.booleans()):
+        doc["profile"] = profile()
+    else:
+        layers = ["near", "far"][: draw(st.integers(1, 2))]
+        doc["profiles"] = {name: profile() for name in layers}
+    explicit = draw(st.booleans())
+    doc["agents"] = []
+    for aid in ids:
+        agent = {"id": aid}
+        if layers:
+            agent["layer"] = draw(st.sampled_from(layers))
+        if explicit:
+            agent["position"] = vector()
+        doc["agents"].append(agent)
+    if not explicit:
+        side = draw(st.sampled_from([0.5, 2.0, 4.0]))
+        doc["layout"] = {"low": [0.0] * dim, "high": [side] * dim}
+    doc["control"] = {
+        "anticipated_budget": draw(plan_budgets),
+        "motion_bound": draw(st.sampled_from([0.0, 0.3, 1.0, math.inf])),
+    }
+    # every field is drawn: outer_iters from its rule stays far below the
+    # default 40 iterations
+    for key, rule in _CONTROL_FIELDS.items():
+        doc["control"][key] = draw(field_values(rule))
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, steps - 1))
+        if draw(st.booleans()):
+            end = draw(st.integers(start + 1, steps))
+            event = {"type": "jam", "budget": draw(jam_budgets), "start": start, "end": end}
+            if draw(st.booleans()):
+                event["edges"] = [draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2))]
+        else:
+            event = {
+                "type": "spoof",
+                "targets": draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3)),
+                "offset": vector(),
+                "start": start,
+                "duration": draw(st.integers(1, steps - start)),
+            }
+        events.append(event)
+    if events:
+        doc["events"] = events
+    if draw(st.booleans()):
+        doc["baseline"] = {"policy": "fixed", "value": 0.5}
+    if steps > 1 and draw(st.booleans()):
+        entry = {"from_step": draw(st.integers(1, steps - 1)), "budget": draw(plan_budgets)}
+        doc["budget_schedule"] = [entry]
+    return doc
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=scenario_documents())
+def test_every_document_validate_accepts_runs(doc, tmp_path, capsys):
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 1:
+        return
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    assert main(["simulate", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    written = {"trace.jsonl", "manifest.json"} | ({"resilience.json"} if "events" in doc else set())
+    assert {p.name for p in out.iterdir()} == written
+    assert len((out / "trace.jsonl").read_text().splitlines()) == doc["steps"]
+    assert main(["plan", str(path), "--steps", "1"]) == 0, capsys.readouterr().err
+    assert len(capsys.readouterr().out.splitlines()) == 1

@@ -1,6 +1,7 @@
 """Anticipatory connectivity controller: invariants and plateau escape."""
 
 import importlib.util
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilnet import (
+    CENTRALIZED,
+    DECENTRALIZED,
     SMOOTH,
     ControlOptions,
+    LayerProfiles,
     RemovalBudget,
     WeightedGraph,
     WeightProfile,
@@ -22,13 +26,27 @@ from resilnet import (
     controller,
     plan_step,
     plan_step_decentralized,
-    project_motion,
     remove_links,
     run_scenario,
     scenario_from_dict,
     simulator,
-    two_hop_neighborhoods,
     worst_case_removal,
+)
+from resilnet.controller import (
+    _BACKTRACK,
+    _BALL_TOL,
+    _MAX_BACKTRACKS,
+    _SEP_TOL,
+    _STEP_SIZE,
+    _TOL,
+    _ZERO_GRAD,
+    _ascent_gradient_rows,
+    _evaluate,
+    _improves,
+    _pair_distances,
+    _project_motion,
+    _push_apart,
+    _slice_profile,
 )
 
 PROFILE = WeightProfile(SMOOTH, 1.5)
@@ -46,13 +64,13 @@ def worst_lambda2(positions, profile, m):
 def test_project_motion_noop_inside_ball():
     cur = np.zeros((3, 2))
     prop = np.array([[0.1, 0.0], [0.0, -0.2], [0.3, 0.3]])
-    np.testing.assert_array_equal(project_motion(cur, prop, 0.5), prop)
+    np.testing.assert_array_equal(controller._project_motion(cur, prop, 0.5), prop)
 
 
 def test_project_motion_clips_per_agent():
     cur = np.zeros((2, 2))
     prop = np.array([[3.0, 4.0], [0.1, 0.0]])
-    out = project_motion(cur, prop, 1.0)
+    out = controller._project_motion(cur, prop, 1.0)
     assert np.linalg.norm(out[0]) == pytest.approx(1.0)
     np.testing.assert_allclose(out[0], [0.6, 0.8])
     np.testing.assert_array_equal(out[1], prop[1])
@@ -81,14 +99,14 @@ def test_project_motion_matches_loop_reference(dim):
         if case % 5 == 0:
             # one agent moves by delta, up to rounding: the edge of the ball
             prop[0] = cur[0] + np.eye(dim)[0] * delta
-        out = project_motion(cur, prop, delta)
+        out = controller._project_motion(cur, prop, delta)
         assert np.array_equal(out, reference_project_motion(cur, prop, delta))
 
 
 def test_project_motion_unbounded():
     cur = np.zeros((2, 2))
     prop = np.array([[10.0, 0.0], [0.0, 10.0]])
-    np.testing.assert_array_equal(project_motion(cur, prop, np.inf), prop)
+    np.testing.assert_array_equal(controller._project_motion(cur, prop, np.inf), prop)
 
 
 def test_plan_never_violates_motion_bound():
@@ -145,12 +163,19 @@ def test_zero_budget_plan_climbs_plain_connectivity():
 
 
 def test_zero_motion_bound_holds_position():
-    # motion_bound 0 is a legal static-network run, negative is not
+    # motion_bound 0 is a legal static-network run; a negative or NaN bound
+    # is not, and neither is a NaN min_separation: NaN would switch a limit off
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     plan = plan_step(pos, PROFILE, opts(m=0, delta=0.0, outer_iters=3))
     np.testing.assert_array_equal(plan.targets, pos)
-    with pytest.raises(ValueError):
-        ControlOptions(RemovalBudget(1), -1.0)
+    nan = float("nan")
+    for bound, d_min, name in [
+        (-1.0, 0.0, "motion_bound"),
+        (nan, 0.0, "motion_bound"),
+        (0.5, nan, "min_separation"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            ControlOptions(RemovalBudget(1), bound, d_min)
 
 
 def test_plan_rejects_coincident_start():
@@ -159,20 +184,32 @@ def test_plan_rejects_coincident_start():
         plan_step(pos, PROFILE, opts())
 
 
+def test_plan_never_gathers_every_agent_on_one_point():
+    # any cut disconnects a pair, so the ascent climbs the unattacked lambda2,
+    # whose smooth weight peaks where the two agents meet; a plan that met
+    # there would leave the next step nothing to plan from
+    pair = np.array([[0.25, 0.0], [0.0, 0.0]])
+    o = opts(m=1, delta=0.3, outer_iters=8)
+    for planner in (plan_step, plan_step_decentralized):
+        plan = planner(pair, PROFILE, o)
+        assert plan.iterations_used > 0
+        assert not controller._coincident(plan.targets)
+        planner(plan.targets, PROFILE, o)
+
+
 def test_two_hop_neighborhoods_on_path():
     g = build_proximity_graph(
         [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], WeightProfile(SMOOTH, 1.2)
     )
-    hoods = two_hop_neighborhoods(g)
-    assert hoods[0] == frozenset({0, 1, 2})
-    assert hoods[1] == frozenset({0, 1, 2, 3})
+    hoods = controller._two_hop_neighborhoods(g)
+    assert hoods[0] == [0, 1, 2]
+    assert hoods[1] == [0, 1, 2, 3]
 
 
 def test_decentralized_plan_moves_and_respects_bounds():
     pos = np.array([[i * 1.0, 0.0] for i in range(5)])
     o = opts(m=1, delta=0.6, outer_iters=15)
-    g = build_proximity_graph(pos, PROFILE)
-    plan = plan_step_decentralized(pos, two_hop_neighborhoods(g), PROFILE, o)
+    plan = plan_step_decentralized(pos, PROFILE, o)
     moved = np.linalg.norm(plan.targets - pos, axis=1)
     assert np.all(moved <= 0.6 + 1e-9)
     assert plan.predicted_worst_lambda2 >= 0.0
@@ -182,9 +219,9 @@ def test_isolated_agent_contributes_zero_gradient():
     # an agent with no neighbours has no local objective to climb, so the
     # decentralized planner leaves it at its start while the pair moves
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 50.0]])
-    hoods = two_hop_neighborhoods(build_proximity_graph(pos, PROFILE))
-    assert hoods[2] == frozenset({2})
-    plan = plan_step_decentralized(pos, hoods, PROFILE, opts(m=0))
+    hoods = controller._two_hop_neighborhoods(build_proximity_graph(pos, PROFILE))
+    assert hoods[2] == [2]
+    plan = plan_step_decentralized(pos, PROFILE, opts(m=0))
     np.testing.assert_array_equal(plan.targets[2], pos[2])
     assert not np.array_equal(plan.targets[:2], pos[:2])
 
@@ -365,9 +402,8 @@ def test_plan_reuses_the_search_spectra_decentralized(monkeypatch):
     pos = np.random.default_rng(7).uniform(0.0, 2.0, size=(10, 2))
     profile = WeightProfile(SMOOTH, 1.3)
     o = opts(m=2, delta=0.3, outer_iters=2)
-    hoods = two_hop_neighborhoods(build_proximity_graph(pos, profile))
     decentral = plan_with_and_without_fresh_spectra(
-        monkeypatch, plan_step_decentralized, pos, hoods, profile, o
+        monkeypatch, plan_step_decentralized, pos, profile, o
     )
     central = plan_with_and_without_fresh_spectra(monkeypatch, plan_step, pos, profile, o)
     assert decentral.iterations_used > 0 and central.iterations_used > 0
@@ -376,10 +412,169 @@ def test_plan_reuses_the_search_spectra_decentralized(monkeypatch):
 def test_plan_reuses_the_start_spectrum_where_the_attack_disconnects(monkeypatch):
     # any cut disconnects a line, so the ascent climbs the unattacked lambda2
     line = np.array([[i * 1.0, 0.0] for i in range(5)])
-    hoods = two_hop_neighborhoods(build_proximity_graph(line, PROFILE))
-    for planner, args in [
-        (plan_step, (line, PROFILE, opts(m=1, delta=0.8, outer_iters=30))),
-        (plan_step_decentralized, (line, hoods, PROFILE, opts(m=1, delta=0.8, outer_iters=4))),
-    ]:
-        plan = plan_with_and_without_fresh_spectra(monkeypatch, planner, *args)
+    for planner, iters in [(plan_step, 30), (plan_step_decentralized, 4)]:
+        o = opts(m=1, delta=0.8, outer_iters=iters)
+        plan = plan_with_and_without_fresh_spectra(monkeypatch, planner, line, PROFILE, o)
         assert plan.iterations_used > 0
+
+
+def test_decentralized_run_calls_its_planner_once_per_step(monkeypatch):
+    # the benchmark's tracer stamps each step where the simulator calls its
+    # module-global planner
+    calls = []
+    plan = simulator.plan_step_decentralized
+    monkeypatch.setattr(
+        simulator, "plan_step_decentralized", lambda *a: calls.append(a) or plan(*a)
+    )
+    monkeypatch.setattr(simulator, "plan_step", None)
+    [doc] = perf_workloads().grid16_jam(11)
+    doc["control"].update(mode="decentralized", outer_iters=2)
+    cfg = scenario_from_dict(doc)
+    run_scenario(cfg)
+    assert len(calls) == cfg.steps
+
+
+def reference_two_hop_neighborhoods(g):
+    """Each agent's own index plus its one- and two-hop neighbors."""
+    adj = np.eye(g.n, dtype=np.intp)
+    adj[g.edges[:, 0], g.edges[:, 1]] = 1
+    adj[g.edges[:, 1], g.edges[:, 0]] = 1
+    # with the diagonal set, (adj @ adj)[i, k] > 0 iff k is within two hops
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj @ adj)
+
+
+# The planners as they were when each kept its own copy of the backtracking
+# loop, verbatim but for the validation that the property's inputs pass, with
+# the (positions, feasible) limit check they were written for.  That check
+# does not reject a trial that gathers every agent on one point; the drawn
+# teams of 3 to 9 never come near one.
+
+
+def reference_enforce(origin, proposal, delta, d_min):
+    """Project into the motion ball, push pairs apart, check both limits."""
+    adjusted = _project_motion(origin, proposal, delta)
+    if d_min > 0:
+        _push_apart(adjusted, d_min)
+    if not math.isinf(delta):
+        disp = np.linalg.norm(adjusted - origin, axis=1)
+        if np.any(disp > delta + _BALL_TOL):
+            return adjusted, False
+    if d_min > 0 and np.any(_pair_distances(adjusted)[2] < d_min - _SEP_TOL):
+        return adjusted, False
+    return adjusted, True
+
+
+def reference_plan_step(pos, profile, opts):
+    m = opts.anticipated_budget.m
+    ev = _evaluate(pos, profile, m)
+    candidate = pos.copy()
+    accepted = 0
+    for _ in range(opts.outer_iters):
+        grad = _ascent_gradient_rows(candidate, profile, ev)
+        gmax = float(np.max(np.linalg.norm(grad, axis=1)))
+        if gmax < _ZERO_GRAD:
+            break  # no useful gradient
+        direction = grad / gmax
+        eta = _STEP_SIZE
+        took = False
+        for _ in range(_MAX_BACKTRACKS):
+            adjusted, feasible = reference_enforce(
+                pos, candidate + eta * direction, opts.motion_bound,
+                opts.min_separation,
+            )
+            if feasible:
+                ev2 = _evaluate(adjusted, profile, m)
+                if _improves(ev, ev2, _TOL * eta):
+                    candidate, ev = adjusted, ev2
+                    accepted += 1
+                    took = True
+                    break
+            eta *= _BACKTRACK
+        if not took:
+            break
+    return candidate, ev.worst_lambda2, ev.worst, accepted
+
+
+def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
+    m = opts.anticipated_budget.m
+    hoods = [sorted(set(nb) | {i}) for i, nb in enumerate(neighborhoods)]
+    candidate = pos.copy()
+    rounds = 0
+    for _ in range(opts.outer_iters):
+        snapshot = candidate.copy()
+        proposal = candidate.copy()
+        any_moved = False
+        for i in range(len(pos)):
+            idx = hoods[i]
+            if len(idx) < 2:
+                continue
+            sub_profile = _slice_profile(profile, idx)
+            loc = idx.index(i)
+            local = snapshot[idx]
+            ev = _evaluate(local, sub_profile, m)
+            gi = _ascent_gradient_rows(local, sub_profile, ev)[loc]
+            norm = float(np.linalg.norm(gi))
+            if norm < _ZERO_GRAD:
+                continue
+            unit = gi / norm
+            eta = _STEP_SIZE
+            for _ in range(_MAX_BACKTRACKS):
+                trial = local.copy()
+                moved = snapshot[i] + eta * unit
+                trial[loc] = _project_motion(
+                    pos[i][None, :], moved[None, :], opts.motion_bound
+                )[0]
+                ev2 = _evaluate(trial, sub_profile, m)
+                if _improves(ev, ev2, _TOL * eta):
+                    proposal[i] = trial[loc]
+                    any_moved = True
+                    break
+                eta *= _BACKTRACK
+        if not any_moved:
+            break
+        adjusted, feasible = reference_enforce(
+            pos, proposal, opts.motion_bound, opts.min_separation
+        )
+        if not feasible:
+            break
+        candidate = adjusted
+        rounds += 1
+    ev = _evaluate(candidate, profile, m)
+    return candidate, ev.worst_lambda2, ev.worst, rounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 9),
+    dim=st.sampled_from([2, 3]),
+    layered=st.booleans(),
+    m=st.integers(0, 2),
+    delta=st.sampled_from([0.0, 0.2, 0.5, np.inf]),
+    d_min=st.sampled_from([0.0, 0.0, 0.3, 0.6]),
+    iters=st.integers(1, 4),
+    mode=st.sampled_from([CENTRALIZED, DECENTRALIZED]),
+)
+def test_shared_line_search_matches_the_per_planner_loops(
+    seed, n, dim, layered, m, delta, d_min, iters, mode
+):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 2.0, size=(n, dim))
+    profile = WeightProfile(SMOOTH, float(rng.uniform(0.9, 1.8)))
+    if layered:
+        layers = tuple(rng.choice(["a", "b"], size=n).tolist())
+        other = WeightProfile(SMOOTH, float(rng.uniform(0.9, 1.8)))
+        profile = LayerProfiles(layers, {"a": profile, "b": other})
+    o = opts(m=m, delta=delta, min_separation=d_min, outer_iters=iters, mode=mode)
+    if mode == CENTRALIZED:
+        got = plan_step(pos, profile, o)
+        want = reference_plan_step(pos, profile, o)
+    else:
+        got = plan_step_decentralized(pos, profile, o)
+        hoods = reference_two_hop_neighborhoods(build_proximity_graph(pos, profile))
+        want = reference_plan_step_decentralized(pos, hoods, profile, o)
+    targets, worst_lambda2, worst, used = want
+    assert got.targets.tobytes() == targets.tobytes()
+    assert got.predicted_worst_lambda2.hex() == worst_lambda2.hex()
+    assert got.worst_removal.removal == worst.removal
+    assert got.iterations_used == used
