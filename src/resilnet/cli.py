@@ -31,6 +31,8 @@ from .scenario_io import (
     parse_trace,
     plan_record,
     scenario_from_dict,
+    _GNE_FIELDS,
+    _SCENARIO_FIELDS,
     _load_yaml,
 )
 from .simulator import (
@@ -160,7 +162,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     raw = _load_yaml(args.file)
-    if isinstance(raw, dict) and "costs" in raw:
+    keys = raw.keys() if isinstance(raw, dict) else set()
+    # the schema that names more of the document's fields; ties go to scenarios
+    if len(keys & _GNE_FIELDS.keys()) > len(keys & _SCENARIO_FIELDS.keys()):
         gne_from_dict(raw)
     else:
         _simulation(raw)

@@ -255,8 +255,6 @@ def _plan_input_errors(pos: np.ndarray, profile, opts: ControlOptions) -> list[t
         errors.append(
             ("control.min_separation", "min_separation must be below the communication range")
         )
-    if len(pos) >= 2 and _coincident(pos):
-        errors.append(("agents", "degenerate start: all agents coincident"))
     return errors
 
 

@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from .adversary import RemovalBudget
-from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult, _plan_input_errors
+from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult
+from .controller import _coincident, _plan_input_errors
 from .gne import GNECosts, GNEState, PlantSpec, physical_utilities
 from .graph_core import BINARY, SMOOTH, WeightProfile, WeightedGraph
 from .simulator import (
@@ -64,10 +65,16 @@ class ConfigError(ValueError):
 
 
 class _Walk:
-    """Error collector for a validation pass over a config tree."""
+    """Error collector for a validation pass over a config tree.
+
+    ``dim`` and ``ids`` are the scenario's dimension and agent ids, set once
+    parsed; the vector and id-list rules of the field tables read them.
+    """
 
     def __init__(self) -> None:
         self.errors: list[str] = []
+        self.dim = 0
+        self.ids: Sequence[str] = ()
 
     def err(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
@@ -83,88 +90,92 @@ class _Walk:
             if key not in allowed:
                 self.err(f"{path}.{key}" if path else str(key), "unknown field")
 
+    def block(
+        self, node: Any, path: str, table: Mapping[str, dict], *, closed: bool = True, after=None
+    ) -> dict | None:
+        """Check a mapping against its field table; None if it is not one.
+
+        Reports the fields the table does not name (unless ``closed`` is
+        false), then visits the table's fields in order: a missing required
+        field is reported, a present one is checked by its rule, and
+        ``after(path, key, value)`` runs, for cross-field rules that report in
+        field order.  A rule's ``check`` names the method that checks the
+        value (``number`` if absent); its keys other than ``_RULE_KEYS`` are
+        that method's parameters.  Returns the present, required and
+        defaulted fields; a field that fails takes its default, or None.
+        Other absent fields are left out, so the target dataclass supplies
+        its own defaults.
+        """
+        data = self.mapping(node, path)
+        if data is None:
+            return None
+        if closed:
+            self.reject_unknown(data, table, path)
+        out = {}
+        for key, rule in table.items():
+            label = f"{path}.{key}" if path else key
+            if key in data:
+                params = {k: v for k, v in rule.items() if k not in _RULE_KEYS}
+                value = getattr(self, rule.get("check", "number"))(data[key], label, **params)
+                out[key] = rule.get("default") if value is None else value
+            elif rule.get("required"):
+                self.err(label, "required field missing")
+                out[key] = None
+            elif "default" in rule:
+                out[key] = rule["default"]
+            if after is not None:
+                after(label, key, out.get(key))
+        return out
+
+    def node(self, value: Any, path: str) -> Any:
+        """A block or list that its own code checks."""
+        return value
+
     def number(
         self,
-        node: Mapping,
-        key: str,
+        value: Any,
         path: str,
         *,
-        required: bool = False,
-        default: float | None = None,
         integer: bool = False,
         minimum: float | None = None,
         exclusive_min: float | None = None,
         maximum: float | None = None,
         allow_inf: bool = False,
     ):
-        label = f"{path}.{key}" if path else key
-        if key not in node:
-            if required:
-                self.err(label, "required field missing")
-            return default
-        value = node[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.err(label, f"expected a number, got {type(value).__name__}")
-            return default
+            self.err(path, f"expected a number, got {type(value).__name__}")
+            return None
         if isinstance(value, float) and not (
             math.isfinite(value) or (allow_inf and value == math.inf)
         ):
-            self.err(label, f"must be finite, got {value}")
-            return default
+            self.err(path, f"must be finite, got {value}")
+            return None
         if integer and not isinstance(value, int):
-            self.err(label, f"expected an integer, got {value!r}")
-            return default
+            self.err(path, f"expected an integer, got {value!r}")
+            return None
         if minimum is not None and value < minimum:
-            self.err(label, f"must be >= {minimum}, got {value}")
-            return default
+            self.err(path, f"must be >= {minimum}, got {value}")
+            return None
         if exclusive_min is not None and value <= exclusive_min:
-            self.err(label, f"must be > {exclusive_min}, got {value}")
-            return default
+            self.err(path, f"must be > {exclusive_min}, got {value}")
+            return None
         if maximum is not None and value > maximum:
-            self.err(label, f"must be <= {maximum}, got {value}")
-            return default
+            self.err(path, f"must be <= {maximum}, got {value}")
+            return None
         return int(value) if integer else float(value)
 
-    def string(
-        self,
-        node: Mapping,
-        key: str,
-        path: str,
-        *,
-        required: bool = False,
-        default: str | None = None,
-        choices: Sequence[str] | None = None,
-    ) -> str | None:
-        label = f"{path}.{key}" if path else key
-        if key not in node:
-            if required:
-                self.err(label, "required field missing")
-            return default
-        value = node[key]
+    def string(self, value: Any, path: str, *, choices: Sequence[str] | None = None) -> str | None:
         if not isinstance(value, str):
-            self.err(label, f"expected a string, got {type(value).__name__}")
-            return default
+            self.err(path, f"expected a string, got {type(value).__name__}")
+            return None
         if choices is not None and value not in choices:
-            self.err(label, f"must be one of {list(choices)}, got {value!r}")
-            return default
+            self.err(path, f"must be one of {list(choices)}, got {value!r}")
+            return None
         return value
 
-    def optional(self, node: Mapping, path: str, rules: Mapping[str, dict]) -> dict:
-        """Validated values of the optional fields present in ``node``.
-
-        ``rules`` maps each field to the keyword arguments of :meth:`string`
-        (when they name ``choices``) or of :meth:`number`.  Absent fields are
-        left out, so the target dataclass supplies its own defaults; a field
-        that fails validation maps to None.
-        """
-        out = {}
-        for key, rule in rules.items():
-            if key in node:
-                check = self.string if "choices" in rule else self.number
-                out[key] = check(node, key, path, **rule)
-        return out
-
-    def vector(self, node: Any, dim: int, path: str) -> tuple[float, ...] | None:
+    def vector(self, node: Any, path: str, dim: int | None = None) -> tuple[float, ...] | None:
+        """``dim`` numbers; the scenario's dimension by default."""
+        dim = self.dim if dim is None else dim
         if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
             self.err(path, f"expected a list of {dim} numbers")
             return None
@@ -182,44 +193,119 @@ class _Walk:
             vals.append(float(v))
         return tuple(vals)
 
+    def agent_ids(self, node: Any, path: str) -> tuple[str, ...] | None:
+        if node is None:  # an empty value reads as a missing list
+            self.err(path, "required field missing")
+            return None
+        if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
+            self.err(path, "expected a list of agent ids")
+            return None
+        if not node:
+            self.err(path, "must not be empty")
+            return None
+        out = []
+        for k, aid in enumerate(node):
+            if not isinstance(aid, str) or aid not in self.ids:
+                self.err(f"{path}[{k}]", f"unknown agent id {aid!r}")
+                return None
+            out.append(aid)
+        return tuple(out)
+
+    def id_pairs(self, node: Any, path: str) -> tuple[tuple[str, str], ...] | None:
+        if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
+            self.err(path, "expected a list of [id, id] pairs")
+            return None
+        pairs = []
+        for k, pair in enumerate(node):
+            if (
+                not isinstance(pair, Sequence)
+                or isinstance(pair, (str, bytes))
+                or len(pair) != 2
+                or not all(isinstance(x, str) for x in pair)
+            ):
+                self.err(f"{path}[{k}]", "expected an [id, id] pair")
+                return None
+            for x in pair:
+                if x not in self.ids:
+                    self.err(f"{path}[{k}]", f"unknown agent id {x!r}")
+                    return None
+            pairs.append((pair[0], pair[1]))
+        return tuple(pairs)
+
 
 # ---------------------------------------------------------------------------
 # scenario parsing
 # ---------------------------------------------------------------------------
 
-_PROFILE_KEYS = ("kind", "range", "decay")
-_TOP_KEYS = (
-    "dimension",
-    "steps",
-    "rng_seed",
-    "profile",
-    "profiles",
-    "agents",
-    "layout",
-    "control",
-    "events",
-    "baseline",
-    "budget_schedule",
-)
-# optional control fields; the defaults are those of ControlOptions
+# One field table per block, in the order its fields are checked; _Walk.block
+# describes the rules.  Absent optional fields take the defaults of the
+# dataclass the block becomes.
+_RULE_KEYS = ("check", "required", "default")
+_DEFAULT_LAYER = "default"
+_NODE = dict(check="node")  # a block or list that its own parser checks
+_SCENARIO_FIELDS = {
+    "dimension": dict(required=True, integer=True, minimum=2, maximum=3),
+    "steps": dict(required=True, integer=True, minimum=1),
+    "rng_seed": dict(default=0, integer=True, minimum=0),
+    **dict.fromkeys(
+        ("profile", "profiles", "agents", "layout", "control", "events", "baseline",
+         "budget_schedule"),
+        _NODE,
+    ),
+}
+_PROFILE_FIELDS = {
+    "kind": dict(required=True, check="string", choices=(BINARY, SMOOTH)),
+    "range": dict(required=True, exclusive_min=0.0),
+    "decay": dict(exclusive_min=0.0),
+}
+_AGENT_FIELDS = {
+    "id": dict(required=True, check="string"),
+    "layer": dict(default=_DEFAULT_LAYER, check="string"),
+    "position": dict(check="vector"),
+}
 _CONTROL_FIELDS = {
+    "anticipated_budget": dict(required=True, integer=True, minimum=0),
+    # .inf is the documented "no bound"
+    "motion_bound": dict(required=True, minimum=0.0, allow_inf=True),
     "min_separation": dict(minimum=0.0),
     "outer_iters": dict(integer=True, minimum=1),
-    "mode": dict(choices=(CENTRALIZED, DECENTRALIZED)),
+    "mode": dict(check="string", choices=(CENTRALIZED, DECENTRALIZED)),
 }
-_CONTROL_KEYS = ("anticipated_budget", "motion_bound", *_CONTROL_FIELDS)
-
-_DEFAULT_LAYER = "default"
+_EVENT_TYPE = {"type": dict(required=True, check="string", choices=("jam", "spoof"))}
+_JAM_FIELDS = {
+    **_EVENT_TYPE,
+    "budget": dict(required=True, integer=True, minimum=0),
+    "start": dict(required=True, integer=True, minimum=0),
+    "end": dict(required=True, integer=True, minimum=1),
+    "edges": dict(check="id_pairs"),
+}
+_SPOOF_FIELDS = {
+    **_EVENT_TYPE,
+    "targets": dict(required=True, check="agent_ids"),
+    "offset": dict(required=True, check="vector"),
+    "start": dict(required=True, integer=True, minimum=0),
+    "duration": dict(required=True, integer=True, minimum=1),
+}
+_LAYOUT_FIELDS = {
+    "low": dict(required=True, check="vector"),
+    "high": dict(required=True, check="vector"),
+}
+_BASELINE_FIELDS = {
+    "policy": dict(check="string", choices=("pre_event", "fixed")),
+    "value": dict(exclusive_min=0.0),
+    "recovery_fraction": dict(exclusive_min=0.0, maximum=1.0),
+}
+_SCHEDULE_FIELDS = {
+    "from_step": dict(required=True, integer=True, minimum=0),
+    "budget": dict(required=True, integer=True, minimum=0),
+}
 
 
 def _parse_profile(w: _Walk, node: Any, path: str) -> WeightProfile | None:
-    data = w.mapping(node, path)
-    if data is None:
+    got = w.block(node, path, _PROFILE_FIELDS)
+    if got is None:
         return None
-    w.reject_unknown(data, _PROFILE_KEYS, path)
-    kind = w.string(data, "kind", path, required=True, choices=(BINARY, SMOOTH))
-    rng = w.number(data, "range", path, required=True, exclusive_min=0.0)
-    decay = w.number(data, "decay", path, exclusive_min=0.0)
+    kind, rng, decay = got["kind"], got["range"], got.get("decay")
     if kind == BINARY and decay is not None:
         w.err(f"{path}.decay", "binary profile takes no decay")
         return None
@@ -233,7 +319,7 @@ def _parse_profile(w: _Walk, node: Any, path: str) -> WeightProfile | None:
 
 
 def _parse_agents(
-    w: _Walk, node: Any, dim: int, layers: Sequence[str]
+    w: _Walk, node: Any, layers: Sequence[str]
 ) -> tuple[list[str], list[str], list[tuple[float, ...]] | None]:
     ids: list[str] = []
     agent_layers: list[str] = []
@@ -241,57 +327,42 @@ def _parse_agents(
     if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
         w.err("agents", "expected a list of agents")
         return ids, agent_layers, None
+
+    def after(path: str, key: str, value: Any) -> None:
+        # runs between the fields, so these errors precede the position's
+        if key == "id" and value is not None:
+            if value in ids:
+                w.err(path, f"duplicate id {value!r}")
+            ids.append(value)
+        elif key == "layer":
+            if value not in layers:
+                w.err(path, f"unknown layer {value!r}")
+            agent_layers.append(value if value in layers else layers[0])
+
     for k, entry in enumerate(node):
-        path = f"agents[{k}]"
-        data = w.mapping(entry, path)
-        if data is None:
-            continue
-        w.reject_unknown(data, ("id", "layer", "position"), path)
-        aid = w.string(data, "id", path, required=True)
-        if aid is not None:
-            if aid in ids:
-                w.err(f"{path}.id", f"duplicate id {aid!r}")
-            ids.append(aid)
-        layer = w.string(data, "layer", path, default=_DEFAULT_LAYER)
-        if layer not in layers:
-            w.err(f"{path}.layer", f"unknown layer {layer!r}")
-        agent_layers.append(layer if layer in layers else layers[0])
-        if "position" in data:
-            positions.append(w.vector(data["position"], dim, f"{path}.position"))
-        else:
-            positions.append(None)
+        got = w.block(entry, f"agents[{k}]", _AGENT_FIELDS, after=after)
+        if got is not None:
+            positions.append(got.get("position"))
     if len(ids) < 2:
         w.err("agents", "need at least 2 agents")
-    given = [p is not None for p in positions]
-    if any(given) and not all(given):
+    given = [p for p in positions if p is not None]
+    if given and len(given) < len(positions):
         w.err("agents", "either every agent has a position or none has")
-        return ids, agent_layers, None
-    if not any(given):
-        return ids, agent_layers, None
-    return ids, agent_layers, [p for p in positions if p is not None]
+    return ids, agent_layers, given if given and len(given) == len(positions) else None
 
 
 def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
-    data = w.mapping(node, "control")
-    if data is None:
-        return None
-    w.reject_unknown(data, _CONTROL_KEYS, "control")
-    budget = w.number(data, "anticipated_budget", "control", required=True, integer=True, minimum=0)
-    # .inf is the documented "no bound"
-    motion = w.number(data, "motion_bound", "control", required=True, minimum=0.0, allow_inf=True)
-    kwargs = w.optional(data, "control", _CONTROL_FIELDS)
-    if budget is None or motion is None or None in kwargs.values():
+    got = w.block(node, "control", _CONTROL_FIELDS)
+    if got is None or None in got.values():
         return None
     try:
-        return ControlOptions(RemovalBudget(budget), motion, **kwargs)
+        return ControlOptions(RemovalBudget(got.pop("anticipated_budget")), **got)
     except ValueError as exc:
         w.err("control", str(exc))
         return None
 
 
-def _parse_events(
-    w: _Walk, node: Any, dim: int, steps: int, ids: Sequence[str]
-) -> tuple:
+def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
     if node is None:
         return ()
     if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
@@ -300,18 +371,13 @@ def _parse_events(
     events = []
     for k, entry in enumerate(node):
         path = f"events[{k}]"
-        data = w.mapping(entry, path)
-        if data is None:
+        # the type picks the table; a bad type is reported alone
+        head = w.block(entry, path, _EVENT_TYPE, closed=False)
+        if head is None or head["type"] is None:
             continue
-        etype = w.string(data, "type", path, required=True, choices=("jam", "spoof"))
-        if etype == "jam":
-            w.reject_unknown(data, ("type", "budget", "start", "end", "edges"), path)
-            budget = w.number(data, "budget", path, required=True, integer=True, minimum=0)
-            start = w.number(data, "start", path, required=True, integer=True, minimum=0)
-            end = w.number(data, "end", path, required=True, integer=True, minimum=1)
-            edges = None
-            if "edges" in data:
-                edges = _parse_edge_list(w, data["edges"], f"{path}.edges", ids)
+        if head["type"] == "jam":
+            got = w.block(entry, path, _JAM_FIELDS)
+            budget, start, end = got["budget"], got["start"], got["end"]
             if None in (budget, start, end):
                 continue
             if end <= start:
@@ -320,109 +386,32 @@ def _parse_events(
             if end > steps:
                 w.err(path, f"window [{start}, {end}) extends beyond steps={steps}")
                 continue
-            events.append(JamEvent(budget, start, end, edges))
-        elif etype == "spoof":
-            w.reject_unknown(data, ("type", "targets", "offset", "start", "duration"), path)
-            targets = _parse_targets(w, data.get("targets"), f"{path}.targets", ids)
-            offset = None
-            if "offset" in data:
-                offset = w.vector(data["offset"], dim, f"{path}.offset")
-            else:
-                w.err(f"{path}.offset", "required field missing")
-            start = w.number(data, "start", path, required=True, integer=True, minimum=0)
-            duration = w.number(data, "duration", path, required=True, integer=True, minimum=1)
-            if targets is None or offset is None or None in (start, duration):
+            events.append(JamEvent(budget, start, end, got.get("edges")))
+        else:
+            got = w.block(entry, path, _SPOOF_FIELDS)
+            if None in got.values():
                 continue
+            start, duration = got["start"], got["duration"]
             if start + duration > steps:
                 w.err(path, f"window [{start}, {start + duration}) extends beyond steps={steps}")
                 continue
-            events.append(SpoofEvent(targets, offset, start, duration))
+            events.append(SpoofEvent(got["targets"], got["offset"], start, duration))
     return tuple(events)
 
 
-def _parse_targets(
-    w: _Walk, node: Any, path: str, ids: Sequence[str]
-) -> tuple[str, ...] | None:
-    if node is None:
-        w.err(path, "required field missing")
+def _parse_layout(w: _Walk, node: Any) -> RandomLayout | None:
+    got = w.block(node, "layout", _LAYOUT_FIELDS)
+    if got is None or None in got.values():
         return None
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        w.err(path, "expected a list of agent ids")
-        return None
-    if not node:
-        w.err(path, "must not be empty")
-        return None
-    out = []
-    for k, aid in enumerate(node):
-        if not isinstance(aid, str) or aid not in ids:
-            w.err(f"{path}[{k}]", f"unknown agent id {aid!r}")
-            return None
-        out.append(aid)
-    return tuple(out)
-
-
-def _parse_edge_list(
-    w: _Walk, node: Any, path: str, ids: Sequence[str]
-) -> tuple[tuple[str, str], ...] | None:
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        w.err(path, "expected a list of [id, id] pairs")
-        return None
-    pairs = []
-    for k, pair in enumerate(node):
-        if (
-            not isinstance(pair, Sequence)
-            or isinstance(pair, (str, bytes))
-            or len(pair) != 2
-            or not all(isinstance(x, str) for x in pair)
-        ):
-            w.err(f"{path}[{k}]", "expected an [id, id] pair")
-            return None
-        for x in pair:
-            if x not in ids:
-                w.err(f"{path}[{k}]", f"unknown agent id {x!r}")
-                return None
-        pairs.append((pair[0], pair[1]))
-    return tuple(pairs)
-
-
-def _parse_layout(w: _Walk, node: Any, dim: int) -> RandomLayout | None:
-    data = w.mapping(node, "layout")
-    if data is None:
-        return None
-    w.reject_unknown(data, ("low", "high"), "layout")
-    low = high = None
-    if "low" in data:
-        low = w.vector(data["low"], dim, "layout.low")
-    else:
-        w.err("layout.low", "required field missing")
-    if "high" in data:
-        high = w.vector(data["high"], dim, "layout.high")
-    else:
-        w.err("layout.high", "required field missing")
-    if low is None or high is None:
-        return None
-    if any(lo >= hi for lo, hi in zip(low, high)):
+    if any(lo >= hi for lo, hi in zip(got["low"], got["high"])):
         w.err("layout", "low must be elementwise below high")
         return None
-    return RandomLayout(low, high)
-
-
-# the defaults are those of BaselineSpec
-_BASELINE_FIELDS = {
-    "policy": dict(choices=("pre_event", "fixed")),
-    "value": dict(exclusive_min=0.0),
-    "recovery_fraction": dict(exclusive_min=0.0, maximum=1.0),
-}
+    return RandomLayout(**got)
 
 
 def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
-    if node is None:
+    if node is None or (kwargs := w.block(node, "baseline", _BASELINE_FIELDS)) is None:
         return BaselineSpec()
-    data = w.mapping(node, "baseline")
-    if data is None:
-        return BaselineSpec()
-    w.reject_unknown(data, _BASELINE_FIELDS, "baseline")
-    kwargs = w.optional(data, "baseline", _BASELINE_FIELDS)
     if kwargs.get("policy") == "fixed" and kwargs.get("value") is None:
         w.err("baseline.value", "required when policy is fixed")
         return BaselineSpec()
@@ -445,14 +434,10 @@ def _parse_schedule(w: _Walk, node: Any, steps: int) -> tuple[tuple[int, int], .
     prev = -1
     for k, entry in enumerate(node):
         path = f"budget_schedule[{k}]"
-        data = w.mapping(entry, path)
-        if data is None:
+        got = w.block(entry, path, _SCHEDULE_FIELDS)
+        if got is None or None in got.values():
             continue
-        w.reject_unknown(data, ("from_step", "budget"), path)
-        frm = w.number(data, "from_step", path, required=True, integer=True, minimum=0)
-        budget = w.number(data, "budget", path, required=True, integer=True, minimum=0)
-        if frm is None or budget is None:
-            continue
+        frm, budget = got["from_step"], got["budget"]
         if frm <= prev:
             w.err(f"{path}.from_step", "must increase along the schedule")
             continue
@@ -471,14 +456,11 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         ConfigError: with every validation error found, not just the first.
     """
     w = _Walk()
-    top = w.mapping(data, "")
+    top = w.block(data, "", _SCENARIO_FIELDS)
     if top is None:
         raise ConfigError(w.errors)
-    w.reject_unknown(top, _TOP_KEYS, "")
-
-    dim = w.number(top, "dimension", "", required=True, integer=True, minimum=2, maximum=3) or 2
-    steps = w.number(top, "steps", "", required=True, integer=True, minimum=1) or 1
-    seed = w.number(top, "rng_seed", "", default=0, integer=True, minimum=0)
+    w.dim = dim = top["dimension"] or 2
+    steps = top["steps"] or 1
 
     profiles: dict[str, WeightProfile] = {}
     if ("profile" in top) == ("profiles" in top):
@@ -498,18 +480,19 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
                     profiles[str(name)] = prof
 
     layer_names = tuple(profiles) if profiles else (_DEFAULT_LAYER,)
-    ids, agent_layers, positions = _parse_agents(w, top.get("agents"), dim, layer_names)
-    opts = _parse_control(w, top.get("control")) if "control" in top else None
+    ids, agent_layers, positions = _parse_agents(w, top.get("agents"), layer_names)
+    w.ids = ids
+    opts = _parse_control(w, top["control"]) if "control" in top else None
     if "control" not in top:
         w.err("control", "required field missing")
 
-    layout = _parse_layout(w, top["layout"], dim) if "layout" in top else None
+    layout = _parse_layout(w, top["layout"]) if "layout" in top else None
     if positions is None and layout is None:
         w.err("agents", "agents need positions unless a layout is given")
     if positions is not None and layout is not None:
         w.err("layout", "layout conflicts with explicit agent positions")
 
-    events = _parse_events(w, top.get("events"), dim, steps, ids)
+    events = _parse_events(w, top.get("events"), steps)
     baseline = _parse_baseline(w, top.get("baseline"))
     schedule = _parse_schedule(w, top.get("budget_schedule"), steps)
 
@@ -525,7 +508,7 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
             opts=opts,
             steps=steps,
             events=events,
-            rng_seed=seed,
+            rng_seed=top["rng_seed"],
             baseline=baseline,
             layout=layout,
             budget_schedule=schedule,
@@ -533,7 +516,11 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     # the planner's own checks, on the profile and start it plans from
-    errors = _plan_input_errors(initial_positions(cfg), planning_profile(cfg), opts)
+    start = initial_positions(cfg)
+    errors = _plan_input_errors(start, planning_profile(cfg), opts)
+    if _coincident(start):
+        # the planners hold such a team in place at every step
+        errors.append(("agents", "degenerate start: all agents coincident"))
     if errors:
         raise ConfigError([f"{path}: {message}" for path, message in errors])
     return cfg
@@ -585,7 +572,7 @@ def _parse_table(w: _Walk, node: Any, path: str) -> np.ndarray | None:
         return None
     rows = []
     for m, row in enumerate(node):
-        vec = w.vector(row, 2, f"{path}[{m}]")
+        vec = w.vector(row, f"{path}[{m}]", 2)
         if vec is None:
             return None
         rows.append(vec)
@@ -609,16 +596,20 @@ def _parse_typed_tables(w: _Walk, node: Any, path: str) -> np.ndarray | None:
     return np.stack(tables)
 
 
-_PLANT_REQUIRED = {
-    "a": {},
-    "b": {},
-    "q": dict(minimum=0.0),
-    "r": dict(minimum=0.0),
-    "horizon": dict(integer=True, minimum=1),
-    "attack_input": {},
+_GNE_FIELDS = dict.fromkeys(("costs", "sender_utils", "receiver_utils", "plant", "solver"), _NODE)
+_COSTS_FIELDS = {
+    "attack": dict(required=True, exclusive_min=0.0),
+    "defense": dict(required=True, exclusive_min=0.0),
 }
-# the defaults are those of PlantSpec and GNEProblem
-_PLANT_OPTIONAL = {"fallback_input": {}}
+_PLANT_FIELDS = {
+    "a": dict(required=True),
+    "b": dict(required=True),
+    "q": dict(required=True, minimum=0.0),
+    "r": dict(required=True, minimum=0.0),
+    "horizon": dict(required=True, integer=True, minimum=1),
+    "attack_input": dict(required=True),
+    "fallback_input": {},
+}
 _SOLVER_FIELDS = {
     "damping": dict(exclusive_min=0.0, maximum=1.0),
     "tol": dict(exclusive_min=0.0),
@@ -630,22 +621,17 @@ _SOLVER_FIELDS = {
 def gne_from_dict(data: Any) -> GNEProblem:
     """Validate a deserialized coupled-game document."""
     w = _Walk()
-    top = w.mapping(data, "")
+    top = w.block(data, "", _GNE_FIELDS)
     if top is None:
         raise ConfigError(w.errors)
-    w.reject_unknown(top, ("costs", "sender_utils", "receiver_utils", "plant", "solver"), "")
 
     costs = None
     if "costs" not in top:
         w.err("costs", "required field missing")
     else:
-        cdata = w.mapping(top["costs"], "costs")
-        if cdata is not None:
-            w.reject_unknown(cdata, ("attack", "defense"), "costs")
-            ca = w.number(cdata, "attack", "costs", required=True, exclusive_min=0.0)
-            cd = w.number(cdata, "defense", "costs", required=True, exclusive_min=0.0)
-            if ca is not None and cd is not None:
-                costs = GNECosts(ca, cd)
+        got = w.block(top["costs"], "costs", _COSTS_FIELDS)
+        if got is not None and None not in got.values():
+            costs = GNECosts(got["attack"], got["defense"])
 
     sender = None
     if "sender_utils" not in top:
@@ -659,28 +645,14 @@ def gne_from_dict(data: Any) -> GNEProblem:
     elif "receiver_utils" in top:
         receiver = _parse_typed_tables(w, top["receiver_utils"], "receiver_utils")
     else:
-        pdata = w.mapping(top["plant"], "plant")
-        if pdata is not None:
-            w.reject_unknown(pdata, (*_PLANT_REQUIRED, *_PLANT_OPTIONAL), "plant")
-            kwargs = {
-                key: w.number(pdata, key, "plant", required=True, **rule)
-                for key, rule in _PLANT_REQUIRED.items()
-            }
-            kwargs.update(w.optional(pdata, "plant", _PLANT_OPTIONAL))
-            if None not in kwargs.values():
-                try:
-                    receiver = physical_utilities(PlantSpec(**kwargs))
-                except ValueError as exc:
-                    w.err("plant", str(exc))
+        got = w.block(top["plant"], "plant", _PLANT_FIELDS)
+        if got is not None and None not in got.values():
+            try:
+                receiver = physical_utilities(PlantSpec(**got))
+            except ValueError as exc:
+                w.err("plant", str(exc))
 
-    solver = {}
-    if "solver" in top:
-        sdata = w.mapping(top["solver"], "solver")
-        if sdata is not None:
-            w.reject_unknown(sdata, _SOLVER_FIELDS, "solver")
-            solver = w.optional(sdata, "solver", _SOLVER_FIELDS)
-            if None in solver.values():
-                solver = {}
+    solver = w.block(top["solver"], "solver", _SOLVER_FIELDS) if "solver" in top else {}
 
     if w.errors:
         raise ConfigError(w.errors)

@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 
 from resilnet import CENTRALIZED, DECENTRALIZED
 from resilnet.cli import main
-from resilnet.scenario_io import _CONTROL_FIELDS
+from resilnet.scenario_io import (
+    _AGENT_FIELDS,
+    _BASELINE_FIELDS,
+    _CONTROL_FIELDS,
+    _JAM_FIELDS,
+    _LAYOUT_FIELDS,
+    _PROFILE_FIELDS,
+    _SCENARIO_FIELDS,
+    _SCHEDULE_FIELDS,
+    _SPOOF_FIELDS,
+)
 
 SCENARIO = {
     "dimension": 2,
@@ -141,6 +151,19 @@ def test_validate_detects_game_files(gne_file):
     assert main(["validate", str(gne_file)]) == 0
 
 
+def test_validate_picks_the_schema_that_shares_more_fields(tmp_path, capsys):
+    game = {("cost" if k == "costs" else k): v for k, v in GNE_PARAMS.items()}
+    scenario = dict(SCENARIO, solver={"max_iters": 5})
+    for data, errors in (
+        (game, ["cost: unknown field", "costs: required field missing"]),
+        (scenario, ["solver: unknown field"]),
+    ):
+        path = tmp_path / "doc.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["validate", "no/such/file.yaml"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -187,6 +210,39 @@ def test_simulate_rerun_is_byte_identical(mode_file, tmp_path):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["config_hash"] == m2["config_hash"]  # outputs name different dirs
+
+
+# the spoof reports a0 at a1's position, so step 0 plans from a team on one
+# point
+COINCIDENT_SPOOF = {
+    "dimension": 2,
+    "steps": 2,
+    "profile": {"kind": "binary", "range": 1.6},
+    "agents": [{"id": "a0", "position": [0.0, 0.0]}, {"id": "a1", "position": [1.0, 1.0]}],
+    "control": {"anticipated_budget": 1, "motion_bound": 0.25},
+    "events": [
+        {"type": "spoof", "targets": ["a0"], "offset": [1.0, 1.0], "start": 0, "duration": 1}
+    ],
+    "baseline": {"policy": "fixed", "value": 0.5},
+}
+
+
+@pytest.mark.parametrize("mode", [CENTRALIZED, DECENTRALIZED])
+def test_spoof_onto_one_point_holds_the_team(mode, tmp_path):
+    path = tmp_path / "spoof.yaml"
+    control = dict(COINCIDENT_SPOOF["control"], mode=mode)
+    path.write_text(yaml.safe_dump(dict(COINCIDENT_SPOOF, control=control)))
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "run"
+    snapshots = []
+    for _ in range(2):
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert snapshots[0] == snapshots[1]
+    assert list(snapshots[0]) == ["manifest.json", "resilience.json", "trace.jsonl"]
+    step0 = json.loads(snapshots[0]["trace.jsonl"].splitlines()[0])
+    assert step0["reported"] == [[1.0, 1.0], [1.0, 1.0]]
+    assert step0["true"] == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_reruns_into_one_dir_rewrite_every_file_byte_for_byte(
@@ -323,17 +379,54 @@ def test_gne_nonconvergence_exits_2(tmp_path, capsys):
     assert (out / "gne.json").exists()
 
 
+def rule_drawn(table):
+    """The fields that scenario_documents draws from their rules: the
+    optional numbers and choices."""
+    return [
+        key for key, rule in table.items()
+        if not rule.get("required")
+        and ("choices" in rule or rule.get("check", "number") == "number")
+    ]
+
+
+# the fields that scenario_documents draws by hand, table by table
+HAND_DRAWN = [
+    (_SCENARIO_FIELDS, {
+        "dimension", "steps", "profile", "profiles", "agents", "layout", "control", "events",
+        "baseline", "budget_schedule",
+    }),
+    (_PROFILE_FIELDS, {"kind", "range"}),
+    (_AGENT_FIELDS, {"id", "layer", "position"}),
+    (_CONTROL_FIELDS, {"anticipated_budget", "motion_bound"}),
+    (_JAM_FIELDS, {"type", "budget", "start", "end", "edges"}),
+    (_SPOOF_FIELDS, {"type", "targets", "offset", "start", "duration"}),
+    (_LAYOUT_FIELDS, {"low", "high"}),
+    (_BASELINE_FIELDS, set()),
+    (_SCHEDULE_FIELDS, {"from_step", "budget"}),
+]
+
+
+def test_document_strategy_draws_every_field():
+    for table, hand in HAND_DRAWN:
+        by_rule = set(rule_drawn(table))
+        assert by_rule | hand == set(table)
+        assert not by_rule & hand
+
+
 def field_values(rule):
-    """Values of an optional field from its parser rule: any choice, the
-    first few integers from the lower bound, or floats across the range and
-    at both of its ends."""
+    """Values of a field that its rule accepts: any choice, the first few
+    integers from the lower bound, or floats across the range and at its
+    ends."""
     if "choices" in rule:
         return st.sampled_from(rule["choices"])
     low = rule.get("minimum", rule.get("exclusive_min", 0))
+    open_low = "exclusive_min" in rule
     if rule.get("integer"):
-        return st.integers(int(low) + ("exclusive_min" in rule), int(low) + 3)
+        return st.integers(int(low) + open_low, int(low) + 3)
     high = rule.get("maximum", low + 2.0)
-    return st.sampled_from([low, high]) | st.floats(low, high)
+    return st.sampled_from([high] if open_low else [low, high]) | st.floats(
+        low, high, exclude_min=open_low
+    )
 
 
 @st.composite
@@ -341,7 +434,8 @@ def scenario_documents(draw):
     """Scenario documents over the schema, valid or not: dimension 2 and 3,
     single and layered profiles, explicit and random layouts, both planner
     modes, motion bounds 0, finite and infinite, budgets above the edge
-    count, and stacked jams and spoofs."""
+    count, and stacked jams and spoofs.  Every optional number or choice of
+    every table comes from its rule, through drawn()."""
     dim = draw(st.sampled_from([2, 3]))
     steps = draw(st.integers(1, 4))
     ids = [f"a{k}" for k in range(draw(st.integers(2, 9)))]
@@ -352,17 +446,26 @@ def scenario_documents(draw):
     plan_budgets = st.sampled_from([0, 1, 2, 40] if len(ids) <= 4 else [0, 1, 2])
     coordinate = st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 3.0)
 
+    def drawn(table, always=()):
+        """The table's rule-drawn fields, each present by a coin flip unless
+        listed in ``always``."""
+        return {
+            key: draw(field_values(table[key]))
+            for key in rule_drawn(table)
+            if key in always or draw(st.booleans())
+        }
+
     def vector():
         return draw(st.lists(coordinate, min_size=dim, max_size=dim))
 
     def profile():
         kind = draw(st.sampled_from(["binary", "smooth"]))
         prof = {"kind": kind, "range": draw(st.sampled_from([0.8, 1.5, 2.5]))}
-        if kind == "smooth" and draw(st.booleans()):
-            prof["decay"] = draw(st.sampled_from([0.5, 3.0]))
+        if kind == "smooth":  # a binary profile takes no decay
+            prof.update(drawn(_PROFILE_FIELDS))
         return prof
 
-    doc = {"dimension": dim, "steps": steps, "rng_seed": draw(st.integers(0, 99))}
+    doc = {"dimension": dim, "steps": steps, **drawn(_SCENARIO_FIELDS)}
     layers = None
     if draw(st.booleans()):
         doc["profile"] = profile()
@@ -372,7 +475,7 @@ def scenario_documents(draw):
     explicit = draw(st.booleans())
     doc["agents"] = []
     for aid in ids:
-        agent = {"id": aid}
+        agent = {"id": aid, **drawn(_AGENT_FIELDS)}
         if layers:
             agent["layer"] = draw(st.sampled_from(layers))
         if explicit:
@@ -380,15 +483,14 @@ def scenario_documents(draw):
         doc["agents"].append(agent)
     if not explicit:
         side = draw(st.sampled_from([0.5, 2.0, 4.0]))
-        doc["layout"] = {"low": [0.0] * dim, "high": [side] * dim}
+        doc["layout"] = {"low": [0.0] * dim, "high": [side] * dim, **drawn(_LAYOUT_FIELDS)}
     doc["control"] = {
         "anticipated_budget": draw(plan_budgets),
         "motion_bound": draw(st.sampled_from([0.0, 0.3, 1.0, math.inf])),
+        # every field is drawn: outer_iters from its rule stays far below the
+        # default 40 iterations
+        **drawn(_CONTROL_FIELDS, always=_CONTROL_FIELDS),
     }
-    # every field is drawn: outer_iters from its rule stays far below the
-    # default 40 iterations
-    for key, rule in _CONTROL_FIELDS.items():
-        doc["control"][key] = draw(field_values(rule))
     events = []
     for _ in range(draw(st.integers(0, 3))):
         start = draw(st.integers(0, steps - 1))
@@ -397,6 +499,7 @@ def scenario_documents(draw):
             event = {"type": "jam", "budget": draw(jam_budgets), "start": start, "end": end}
             if draw(st.booleans()):
                 event["edges"] = [draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2))]
+            event.update(drawn(_JAM_FIELDS))
         else:
             event = {
                 "type": "spoof",
@@ -404,15 +507,17 @@ def scenario_documents(draw):
                 "offset": vector(),
                 "start": start,
                 "duration": draw(st.integers(1, steps - start)),
+                **drawn(_SPOOF_FIELDS),
             }
         events.append(event)
     if events:
         doc["events"] = events
-    if draw(st.booleans()):
-        doc["baseline"] = {"policy": "fixed", "value": 0.5}
+    # a fixed baseline half the time, where a pre_event one would reject an
+    # event at step 0
+    doc["baseline"] = drawn(_BASELINE_FIELDS, always=_BASELINE_FIELDS)
     if steps > 1 and draw(st.booleans()):
         entry = {"from_step": draw(st.integers(1, steps - 1)), "budget": draw(plan_budgets)}
-        doc["budget_schedule"] = [entry]
+        doc["budget_schedule"] = [{**entry, **drawn(_SCHEDULE_FIELDS)}]
     return doc
 
 

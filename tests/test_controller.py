@@ -178,10 +178,16 @@ def test_zero_motion_bound_holds_position():
             ControlOptions(RemovalBudget(1), bound, d_min)
 
 
-def test_plan_rejects_coincident_start():
+def test_plan_holds_a_coincident_start():
+    # a spoof can report every agent on one point; lambda2's gradient is 0
+    # there, so neither planner has a direction to move the team in
     pos = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="coincident"):
-        plan_step(pos, PROFILE, opts())
+    for planner in (plan_step, plan_step_decentralized):
+        for m in (0, 1):
+            plan = planner(pos, PROFILE, opts(m=m))
+            np.testing.assert_array_equal(plan.targets, pos)
+            assert plan.iterations_used == 0
+            assert plan.predicted_worst_lambda2 > 0
 
 
 def test_plan_never_gathers_every_agent_on_one_point():

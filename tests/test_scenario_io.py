@@ -22,14 +22,18 @@ from resilnet import (
     BaselineSpec,
     ConfigError,
     ControlOptions,
+    GNECosts,
     GNEProblem,
     JamEvent,
+    PlantSpec,
+    RandomLayout,
     RemovalBudget,
     ResilienceReport,
     RunManifest,
     SpoofEvent,
     StepTrace,
     WeightedGraph,
+    WeightProfile,
     config_hash,
     dumps_canonical,
     emit_manifest,
@@ -41,7 +45,22 @@ from resilnet import (
     scenario_from_dict,
     trace_record,
 )
-from resilnet.scenario_io import _BASELINE_FIELDS, _CONTROL_KEYS, _SOLVER_FIELDS, _load_yaml
+from resilnet.scenario_io import (
+    _AGENT_FIELDS,
+    _BASELINE_FIELDS,
+    _CONTROL_FIELDS,
+    _COSTS_FIELDS,
+    _GNE_FIELDS,
+    _JAM_FIELDS,
+    _LAYOUT_FIELDS,
+    _PLANT_FIELDS,
+    _PROFILE_FIELDS,
+    _SCENARIO_FIELDS,
+    _SCHEDULE_FIELDS,
+    _SOLVER_FIELDS,
+    _SPOOF_FIELDS,
+    _load_yaml,
+)
 from test_controller import perf_workloads
 
 MINIMAL = {
@@ -120,9 +139,18 @@ def test_parser_fields_match_the_dataclasses():
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert set(_CONTROL_KEYS) == fields(ControlOptions)
-    assert set(_BASELINE_FIELDS) == fields(BaselineSpec)
-    assert set(_SOLVER_FIELDS) == fields(GNEProblem) - {
+    def names(table, **renamed):
+        return {renamed.get(key, key) for key in table}
+
+    assert names(_PROFILE_FIELDS, range="comm_range") == fields(WeightProfile)
+    assert names(_CONTROL_FIELDS) == fields(ControlOptions)
+    assert names(_JAM_FIELDS) - {"type"} == fields(JamEvent)
+    assert names(_SPOOF_FIELDS) - {"type"} == fields(SpoofEvent)
+    assert names(_LAYOUT_FIELDS) == fields(RandomLayout)
+    assert names(_BASELINE_FIELDS) == fields(BaselineSpec)
+    assert names(_COSTS_FIELDS, attack="attack_cost", defense="defense_cost") == fields(GNECosts)
+    assert names(_PLANT_FIELDS) == fields(PlantSpec) - {"x0"}
+    assert names(_SOLVER_FIELDS) == fields(GNEProblem) - {
         "costs", "sender_utils", "receiver_utils"
     }
 
@@ -175,6 +203,31 @@ def test_layered_profiles_need_known_layers():
     data["agents"][1]["layer"] = "ground"
     cfg = scenario_from_dict(data)
     assert cfg.agent_layers == ("air", "ground")
+
+
+def test_errors_keep_the_order_of_the_fields():
+    data = deep(MINIMAL, profiles={
+        "air": {"kind": "binary", "range": 3.0},
+        "ground": {"kind": "binary", "range": 1.5},
+    })
+    del data["profile"]
+    data["agents"] = [
+        {"id": "a", "layer": "air", "position": [0.0, 0.0]},
+        {"id": "a", "layer": 7, "position": [math.nan, 0.0]},
+    ]
+    data["events"] = [{"type": "jam", "budget": 1, "start": 2, "end": 1, "edges": [["a", "z"]]}]
+    # an agent's id and layer rules report before its position's; a layer
+    # that fails falls back to "default", which no profile names
+    assert errors_of(data) == (
+        "agents[1].id: duplicate id 'a'",
+        "agents[1].layer: expected a string, got int",
+        "agents[1].layer: unknown layer 'default'",
+        "agents[1].position[0]: must be finite, got nan",
+        "agents: either every agent has a position or none has",
+        "agents: agents need positions unless a layout is given",
+        "events[0].edges[0]: unknown agent id 'z'",
+        "events[0]: end (1) must exceed start (2)",
+    )
 
 
 def test_profile_xor_profiles_enforced():
@@ -621,6 +674,109 @@ def test_gne_problem_validates_shapes_and_costs():
     errs = exc.value.errors
     assert any("sender_utils.attacker" in e for e in errs)
     assert any("costs.attack" in e for e in errs)
+
+
+# every block of both schemas: its table, a valid document holding it, and
+# the block's place in that document
+FULL_SCENARIO = deep(
+    MINIMAL,
+    rng_seed=1,
+    profile={"kind": "smooth", "range": 1.5, "decay": 2.0},
+    events=[
+        {"type": "jam", "budget": 1, "start": 0, "end": 2, "edges": [["a", "b"]]},
+        {"type": "spoof", "targets": ["b"], "offset": [0.5, 0.0], "start": 1, "duration": 1},
+    ],
+    baseline={"policy": "fixed", "value": 0.5, "recovery_fraction": 0.8},
+    budget_schedule=[{"from_step": 1, "budget": 0}],
+)
+FULL_SCENARIO["agents"][0]["layer"] = "default"
+FULL_SCENARIO["control"].update(outer_iters=3, mode=CENTRALIZED)
+LAYOUT_SCENARIO = deep(
+    MINIMAL,
+    agents=[{"id": "a"}, {"id": "b"}],
+    layout={"low": [0.0, 0.0], "high": [1.0, 1.0]},
+)
+FULL_GAME = deep(GNE_MINIMAL, solver={"damping": 0.4, "tol": 1e-9, "max_iters": 50, "p0": 0.3})
+PLANT_GAME = deep(GNE_MINIMAL, plant={
+    "a": 1.0, "b": 1.0, "q": 1.0, "r": 1.0, "horizon": 2, "attack_input": 1.0,
+    "fallback_input": 0.5,
+})
+del PLANT_GAME["receiver_utils"]
+BLOCKS = [
+    (_SCENARIO_FIELDS, FULL_SCENARIO, ()),
+    (_PROFILE_FIELDS, FULL_SCENARIO, ("profile",)),
+    (_AGENT_FIELDS, FULL_SCENARIO, ("agents", 0)),
+    (_CONTROL_FIELDS, FULL_SCENARIO, ("control",)),
+    (_JAM_FIELDS, FULL_SCENARIO, ("events", 0)),
+    (_SPOOF_FIELDS, FULL_SCENARIO, ("events", 1)),
+    (_LAYOUT_FIELDS, LAYOUT_SCENARIO, ("layout",)),
+    (_BASELINE_FIELDS, FULL_SCENARIO, ("baseline",)),
+    (_SCHEDULE_FIELDS, FULL_SCENARIO, ("budget_schedule", 0)),
+    (_GNE_FIELDS, FULL_GAME, ()),
+    (_COSTS_FIELDS, FULL_GAME, ("costs",)),
+    (_PLANT_FIELDS, PLANT_GAME, ("plant",)),
+    (_SOLVER_FIELDS, FULL_GAME, ("solver",)),
+]
+# a value of the wrong type for each scalar check, and the error it gives
+WRONG_TYPE = {
+    "number": ("x", "expected a number, got str"),
+    "string": (1, "expected a string, got int"),
+}
+
+
+def parse_document(data):
+    return gne_from_dict(data) if "costs" in data else scenario_from_dict(data)
+
+
+def field_path(place, key):
+    path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in (*place, key))
+    return path.lstrip(".")
+
+
+def test_every_block_document_parses_and_holds_every_field():
+    for table, doc, place in BLOCKS:
+        parse_document(doc)
+        block = doc
+        for p in place:
+            block = block[p]
+        assert set(block) <= set(table)
+        # every field the table checks itself is present in the document
+        assert {k for k, rule in table.items() if rule.get("check") != "node"} <= set(block)
+
+
+# the scalar fields, and the required ones
+FIELDS = [
+    (table, doc, place, key)
+    for table, doc, place in BLOCKS
+    for key, rule in table.items()
+    if rule.get("check", "number") in WRONG_TYPE or rule.get("required")
+]
+
+
+@pytest.mark.parametrize(
+    "table, doc, place, key", FIELDS, ids=[field_path(p, k) for _, _, p, k in FIELDS]
+)
+def test_each_field_reports_its_own_error(table, doc, place, key):
+    path = field_path(place, key)
+    rule = table[key]
+
+    def errors_at(change):
+        data = deep(doc)
+        block = data
+        for p in place:
+            block = block[p]
+        change(block)
+        with pytest.raises(ConfigError) as exc:
+            parse_document(data)
+        return [e for e in exc.value.errors if e.startswith(f"{path}: ")]
+
+    # the field's first error is its rule's; a cross-field rule may add one
+    # (a fixed baseline's value that fails is also missing)
+    if rule.get("check", "number") in WRONG_TYPE:
+        value, message = WRONG_TYPE[rule.get("check", "number")]
+        assert errors_at(lambda block: block.update({key: value}))[:1] == [f"{path}: {message}"]
+    if rule.get("required"):
+        assert errors_at(lambda block: block.pop(key)) == [f"{path}: required field missing"]
 
 
 # scalars whose type hangs on the resolver: YAML 1.1 booleans, nulls,
