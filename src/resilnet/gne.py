@@ -15,10 +15,14 @@ at the converged point: the timing game's pair must be a certified mutual
 best response there, and p must stay put to within the tolerance.  The
 sender values are piecewise constant in p, so the iteration meets the same
 timing game again and again; each distinct one is solved once per solve.
+A priced-out timing game is settled without a search or a payoff scan,
+and a search's certification reuses the payoffs of its last scans.  Every
+result keeps the bits of solving both games afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -126,12 +130,18 @@ def _defender_payoffs(grid: np.ndarray, alpha_a: float, prm: FlipItParams) -> np
     return prm.defender_value * (1.0 - _holding(alpha_a, grid)) - prm.defense_cost * grid
 
 
-def _argmax_with_ties(payoffs: np.ndarray, incumbent: int | None) -> int:
-    best = float(np.max(payoffs))
-    ties = np.flatnonzero(payoffs >= best - _PAYOFF_TOL)
-    if incumbent is not None and incumbent in ties:
-        return incumbent
-    return int(ties[0])
+def _argmax_with_ties(payoffs: np.ndarray, incumbent: int) -> tuple[int, float]:
+    """The incumbent if within _PAYOFF_TOL of the best payoff, else the first
+    index that is; and the best payoff.
+
+    A NaN payoff (from rates that overflow to inf) leaves no index within
+    tolerance, and the search fails with an IndexError.
+    """
+    best = payoffs.max()
+    ties = payoffs >= best - _PAYOFF_TOL
+    if ties[incumbent]:
+        return incumbent, best
+    return int(np.flatnonzero(ties)[0]), best
 
 
 def _rate_grid(lo: float, hi: float, points: int, extra: Sequence[float] = ()) -> np.ndarray:
@@ -172,44 +182,65 @@ def _best_response_pair(
     start_a: int,
     start_d: int,
     max_iters: int,
-) -> tuple[int, int, int, bool]:
-    """Gauss-Seidel best response on the grids; returns (iA, iD, iters, fixed)."""
+) -> tuple[int, int, int, tuple[float, float] | None]:
+    """Gauss-Seidel best response on the grids; returns (iA, iD, iters, best).
+
+    At a fixed point the last two scans were against (d*, a*), so ``best``
+    holds their best payoffs, attacker's then defender's; otherwise None.
+    """
     i_a = start_a
     i_d = start_d
     seen: set[tuple[int, int]] = set()
     prev = (-1, -1)
     for it in range(1, max_iters + 1):
-        i_a = _argmax_with_ties(
+        i_a, best_a = _argmax_with_ties(
             _attacker_payoffs(grid_a, float(grid_d[i_d]), prm), i_a
         )
-        i_d = _argmax_with_ties(
+        i_d, best_d = _argmax_with_ties(
             _defender_payoffs(grid_d, float(grid_a[i_a]), prm), i_d
         )
         state = (i_a, i_d)
         if state == prev:
-            return i_a, i_d, it, True
+            return i_a, i_d, it, (best_a, best_d)
         if state in seen:
-            return i_a, i_d, it, False  # cycling
+            return i_a, i_d, it, None  # cycling
         seen.add(state)
         prev = state
-    return i_a, i_d, max_iters, False
+    return i_a, i_d, max_iters, None
 
 
-def _dropout_outcome(prm: FlipItParams, grid: np.ndarray) -> FlipItOutcome:
-    """Attacker-exits outcome; flagged an equilibrium only if re-entry never pays."""
-    deviation = float(np.max(_attacker_payoffs(grid, 0.0, prm)))
+def _dropout_outcome(
+    prm: FlipItParams, grid: Sequence[float], certified: bool | None = None
+) -> FlipItOutcome:
+    """Attacker-exits outcome; flagged an equilibrium only if re-entry never pays.
+
+    ``certified`` is passed where that is known without scoring re-entry.
+    """
+    if certified is None:
+        certified = float(np.max(_attacker_payoffs(grid, 0.0, prm))) <= 1e-9
+    grid = tuple(grid)
     return FlipItOutcome(
         attacker_rate=0.0,
         defender_rate=0.0,
         control_fraction=0.0,
         attacker_payoff=0.0,
         defender_payoff=prm.defender_value,
-        is_equilibrium=deviation <= 1e-9,
+        is_equilibrium=certified,
         dropped_out=True,
         iterations=0,
-        grid_attacker=tuple(grid),
-        grid_defender=tuple(grid),
+        grid_attacker=grid,
+        grid_defender=grid,
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _exit_grid(alpha_max: float, grid_points: int, extras: tuple[float, ...]) -> tuple:
+    """The search grid as a tuple, for an attacker that exits without a search.
+
+    It depends on these three alone, so the games a solve prices out, which
+    differ only in the attacker's value, share one build.
+    """
+    return tuple(_rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras))
 
 
 def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
@@ -251,21 +282,34 @@ def flipit_equilibrium(
     against any defender rate, and the first best response, hence the
     search, ends at rate 0.  With ``max_iters`` 0 no best response is taken
     and the analytic start is returned, so the shortcut is not applied.
+    The same argument against defender rate 0 makes the dropout an
+    equilibrium, so it is flagged without a deviation scan, and so is that
+    of an attacker with no value.  The smallest positive grid rate is the
+    least of 1e-4 and the positive analytic rates, so the grid is built
+    only for the outcome.  It depends on alpha_max, ``grid_points`` and
+    those rates alone, so a small cache shares it between games that differ
+    only in the attacker's value, as the hybrid regimes of one composed
+    solve do.  ``grid_points`` must be at least 2.
     """
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
     v = max(prm.attacker_value, prm.defender_value)
     alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
     ratio = (alpha_max / _RATE_FLOOR) ** (1.0 / (grid_points - 1))
+    # an attacker with nothing to gain exits: re-entry pays at most 0
     if prm.attacker_value <= 0:
-        return _dropout_outcome(prm, _rate_grid(_RATE_FLOOR, alpha_max, grid_points))
+        return _dropout_outcome(prm, _exit_grid(alpha_max, grid_points, ()), True)
 
     candidate = _equilibrium_candidate(prm)
     # sub-grid-scale candidates would let the attacker lurk at rates the
     # grid is not meant to resolve; without them the dropout rule applies
-    extras = candidate if max(candidate) >= _RATE_FLOOR else ()
-    grid = _rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras)
-    if max_iters > 0 and prm.attacker_value - prm.attack_cost * grid[1] < -_PAYOFF_TOL:
+    extras = tuple(r for r in candidate if r > 0) if max(candidate) >= _RATE_FLOOR else ()
+    # grid[1], the grid's smallest positive rate (geomspace starts at lo)
+    smallest = min((_RATE_FLOOR, *extras))
+    if max_iters > 0 and prm.attacker_value - prm.attack_cost * smallest < -_PAYOFF_TOL:
         # priced out: the search would end at rate 0 (see the docstring)
-        return _dropout_outcome(prm, grid)
+        return _dropout_outcome(prm, _exit_grid(alpha_max, grid_points, extras), True)
+    grid = _rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras)
 
     def refine(center: float) -> np.ndarray:
         if center <= 0:
@@ -280,7 +324,7 @@ def flipit_equilibrium(
     grid_a, grid_d = refine(float(grid[i_a])), refine(float(grid[i_d]))
     j_a = int(np.argmin(np.abs(grid_a - grid[i_a])))
     j_d = int(np.argmin(np.abs(grid_d - grid[i_d])))
-    i_a, i_d, it2, _ = _best_response_pair(grid_a, grid_d, prm, j_a, j_d, max_iters)
+    i_a, i_d, it2, best = _best_response_pair(grid_a, grid_d, prm, j_a, j_d, max_iters)
 
     a_star = float(grid_a[i_a])
     d_star = float(grid_d[i_d])
@@ -289,8 +333,13 @@ def flipit_equilibrium(
     p = flipit_control_fraction(a_star, d_star)
     u_a = prm.attacker_value * p - prm.attack_cost * a_star
     u_d = prm.defender_value * (1.0 - p) - prm.defense_cost * d_star
-    gain_a = float(np.max(_attacker_payoffs(grid_a, d_star, prm))) - u_a
-    gain_d = float(np.max(_defender_payoffs(grid_d, a_star, prm))) - u_d
+    if best is None:
+        best = (
+            np.max(_attacker_payoffs(grid_a, d_star, prm)),
+            np.max(_defender_payoffs(grid_d, a_star, prm)),
+        )
+    gain_a = float(best[0]) - u_a
+    gain_d = float(best[1]) - u_d
     certified = gain_a <= 1e-9 and gain_d <= 1e-9
     if not certified and not _can_profit(grid, prm):
         return _dropout_outcome(prm, grid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -255,7 +256,8 @@ _SCENARIO_FIELDS = {
 }
 _PROFILE_FIELDS = {
     "kind": dict(required=True, check="string", choices=(BINARY, SMOOTH)),
-    "range": dict(required=True, exclusive_min=0.0),
+    # the planner's smooth profile squares the range, which must stay finite
+    "range": dict(required=True, exclusive_min=0.0, maximum=math.sqrt(sys.float_info.max)),
     "decay": dict(exclusive_min=0.0),
 }
 _AGENT_FIELDS = {
@@ -478,6 +480,8 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
                 prof = _parse_profile(w, node, f"profiles.{name}")
                 if prof is not None:
                     profiles[str(name)] = prof
+            if len({prof.kind for prof in profiles.values()}) > 1:
+                w.err("profiles", "all layer profiles must share one kind")
 
     layer_names = tuple(profiles) if profiles else (_DEFAULT_LAYER,)
     ids, agent_layers, positions = _parse_agents(w, top.get("agents"), layer_names)

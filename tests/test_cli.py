@@ -96,8 +96,24 @@ JAM_AT_0 = [{"type": "jam", "budget": 1, "start": 0, "end": 2}]
             dict(SCENARIO, events=JAM_AT_0),
             "baseline.policy: pre_event needs a step before the first event",
         ),
+        (
+            # the planner's smooth profile squares the range; this once
+            # failed with an OverflowError and exit 2
+            dict(SCENARIO, profile={"kind": "binary", "range": 1.0e300}),
+            "profile.range: must be <= 1.3407807929942596e+154, got 1e+300",
+        ),
+        (
+            {
+                **{k: v for k, v in SCENARIO.items() if k != "profile"},
+                "profiles": {
+                    "default": {"kind": "smooth", "range": 1.6},
+                    "far": {"kind": "binary", "range": 1.6},
+                },
+            },
+            "profiles: all layer profiles must share one kind",
+        ),
     ],
-    ids=["min_separation", "coincident", "pre_event_onset_0"],
+    ids=["min_separation", "coincident", "pre_event_onset_0", "range_overflow", "mixed_kinds"],
 )
 def test_validate_rejects_what_simulate_rejects(data, error, tmp_path, capsys):
     path = tmp_path / "bad.yaml"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -200,45 +201,116 @@ def test_uncertified_pair_drops_out_when_entry_never_pays(profit_checks):
     assert out.defender_payoff == prm.defender_value
 
 
+# The timing-game search as it was before the priced-out exit, with verbatim
+# copies of the helpers it used then, so that changes to gne's helpers are
+# checked against a fixed reference.
+
+
+def _ref_holding(alpha_a, alpha_d):
+    slow, fast = np.minimum(alpha_a, alpha_d), np.maximum(alpha_a, alpha_d)
+    half = np.divide(slow, 2.0 * fast, out=np.zeros_like(slow, dtype=float), where=fast > 0)
+    return np.where(alpha_a <= alpha_d, half, 1.0 - half)
+
+
+def _ref_attacker_payoffs(grid, alpha_d, prm):
+    return prm.attacker_value * _ref_holding(grid, alpha_d) - prm.attack_cost * grid
+
+
+def _ref_defender_payoffs(grid, alpha_a, prm):
+    return prm.defender_value * (1.0 - _ref_holding(alpha_a, grid)) - prm.defense_cost * grid
+
+
+def _ref_argmax_with_ties(payoffs, incumbent):
+    best = float(np.max(payoffs))
+    ties = np.flatnonzero(payoffs >= best - gne._PAYOFF_TOL)
+    if incumbent is not None and incumbent in ties:
+        return incumbent
+    return int(ties[0])
+
+
+def _ref_rate_grid(lo, hi, points, extra=()):
+    base = np.concatenate(([0.0], np.geomspace(lo, hi, points)))
+    pos = [r for r in extra if r > 0]
+    return np.union1d(base, pos) if pos else base
+
+
+def _ref_best_response_pair(grid_a, grid_d, prm, start_a, start_d, max_iters):
+    i_a = start_a
+    i_d = start_d
+    seen = set()
+    prev = (-1, -1)
+    for it in range(1, max_iters + 1):
+        i_a = _ref_argmax_with_ties(
+            _ref_attacker_payoffs(grid_a, float(grid_d[i_d]), prm), i_a
+        )
+        i_d = _ref_argmax_with_ties(
+            _ref_defender_payoffs(grid_d, float(grid_a[i_a]), prm), i_d
+        )
+        state = (i_a, i_d)
+        if state == prev:
+            return i_a, i_d, it, True
+        if state in seen:
+            return i_a, i_d, it, False  # cycling
+        seen.add(state)
+        prev = state
+    return i_a, i_d, max_iters, False
+
+
+def _ref_dropout_outcome(prm, grid):
+    deviation = float(np.max(_ref_attacker_payoffs(grid, 0.0, prm)))
+    return gne.FlipItOutcome(
+        attacker_rate=0.0,
+        defender_rate=0.0,
+        control_fraction=0.0,
+        attacker_payoff=0.0,
+        defender_payoff=prm.defender_value,
+        is_equilibrium=deviation <= 1e-9,
+        dropped_out=True,
+        iterations=0,
+        grid_attacker=tuple(grid),
+        grid_defender=tuple(grid),
+    )
+
+
 def reference_flipit_equilibrium(prm, grid_points=200, max_iters=500):
     """``flipit_equilibrium`` without the early exit for priced-out attackers."""
     v = max(prm.attacker_value, prm.defender_value)
     alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
     ratio = (alpha_max / gne._RATE_FLOOR) ** (1.0 / (grid_points - 1))
     if prm.attacker_value <= 0:
-        return gne._dropout_outcome(prm, gne._rate_grid(gne._RATE_FLOOR, alpha_max, grid_points))
+        return _ref_dropout_outcome(prm, _ref_rate_grid(gne._RATE_FLOOR, alpha_max, grid_points))
 
     candidate = gne._equilibrium_candidate(prm)
     extras = candidate if max(candidate) >= gne._RATE_FLOOR else ()
-    grid = gne._rate_grid(gne._RATE_FLOOR, alpha_max, grid_points, extras)
+    grid = _ref_rate_grid(gne._RATE_FLOOR, alpha_max, grid_points, extras)
 
     def refine(center):
         if center <= 0:
             return grid
         lo = max(center / ratio, gne._RATE_FLOOR / ratio)
         hi = min(center * ratio, alpha_max * ratio)
-        return gne._rate_grid(lo, hi, grid_points, extras)
+        return _ref_rate_grid(lo, hi, grid_points, extras)
 
     start_a = int(np.argmin(np.abs(grid - candidate[0])))
     start_d = int(np.argmin(np.abs(grid - candidate[1])))
-    i_a, i_d, it1, _ = gne._best_response_pair(grid, grid, prm, start_a, start_d, max_iters)
+    i_a, i_d, it1, _ = _ref_best_response_pair(grid, grid, prm, start_a, start_d, max_iters)
     grid_a, grid_d = refine(float(grid[i_a])), refine(float(grid[i_d]))
     j_a = int(np.argmin(np.abs(grid_a - grid[i_a])))
     j_d = int(np.argmin(np.abs(grid_d - grid[i_d])))
-    i_a, i_d, it2, _ = gne._best_response_pair(grid_a, grid_d, prm, j_a, j_d, max_iters)
+    i_a, i_d, it2, _ = _ref_best_response_pair(grid_a, grid_d, prm, j_a, j_d, max_iters)
 
     a_star = float(grid_a[i_a])
     d_star = float(grid_d[i_d])
     if a_star == 0.0:
-        return gne._dropout_outcome(prm, grid)
+        return _ref_dropout_outcome(prm, grid)
     p = flipit_control_fraction(a_star, d_star)
     u_a = prm.attacker_value * p - prm.attack_cost * a_star
     u_d = prm.defender_value * (1.0 - p) - prm.defense_cost * d_star
-    gain_a = float(np.max(gne._attacker_payoffs(grid_a, d_star, prm))) - u_a
-    gain_d = float(np.max(gne._defender_payoffs(grid_d, a_star, prm))) - u_d
+    gain_a = float(np.max(_ref_attacker_payoffs(grid_a, d_star, prm))) - u_a
+    gain_d = float(np.max(_ref_defender_payoffs(grid_d, a_star, prm))) - u_d
     certified = gain_a <= 1e-9 and gain_d <= 1e-9
     if not certified and not gne._can_profit(grid, prm):
-        return gne._dropout_outcome(prm, grid)
+        return _ref_dropout_outcome(prm, grid)
     return gne.FlipItOutcome(
         attacker_rate=a_star,
         defender_rate=d_star,
@@ -259,7 +331,7 @@ def smallest_positive_rate(attack, defense, value, defender_value):
     alpha_max = max(1.0, max(value, defender_value) / min(attack, defense))
     candidate = gne._equilibrium_candidate(prm)
     extras = candidate if max(candidate) >= gne._RATE_FLOOR else ()
-    return float(gne._rate_grid(gne._RATE_FLOOR, alpha_max, gne._GRID_POINTS, extras)[1])
+    return float(_ref_rate_grid(gne._RATE_FLOOR, alpha_max, gne._GRID_POINTS, extras)[1])
 
 
 def priced_out_boundary(attack, defense, defender_value):
@@ -327,6 +399,81 @@ def test_priced_out_exit_with_a_sub_floor_grid_rate():
         for max_iters in (0, 1, 500):
             want = reference_flipit_equilibrium(prm, max_iters=max_iters)
             assert repr(flipit_equilibrium(prm, max_iters=max_iters)) == repr(want)
+
+
+def outcome_or_error(solve, prm, max_iters):
+    """repr of the outcome, or the type and message of what the solve raised.
+
+    Rates past the float range make numpy warn; the warnings are ignored so
+    that both solvers are compared on what they return or raise.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return repr(solve(prm, max_iters=max_iters))
+        except (ValueError, IndexError) as exc:
+            return type(exc).__name__, str(exc)
+
+
+# log-uniform parameters: mostly at the scales a game has, and now and then
+# far enough out that the grid's top rate overflows to inf
+magnitudes = (st.floats(-8.0, 8.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    attack=magnitudes,
+    defense=magnitudes,
+    value=magnitudes,
+    defender_value=st.just(0.0) | magnitudes,
+    at=st.sampled_from(["drawn", "edge", "zero"]),
+    edge=st.integers(0, 15),
+    max_iters=st.sampled_from([0, 1, 500]),
+)
+# a slow defender's analytic rate below the floor becomes grid[1]
+@example(attack=1e-6, defense=0.2, value=1.0, defender_value=0.9, at="edge", edge=0, max_iters=500)
+@example(attack=1e-6, defense=0.2, value=1.0, defender_value=0.9, at="edge", edge=7, max_iters=1)
+# refined passes that cycle: the pair they stop at is scored afresh, since
+# their last scans were not against it
+@example(attack=0.00818083940688921, defense=264.762033355677, value=408.1737354659494,
+         defender_value=9734295.345434401, at="drawn", edge=0, max_iters=500)
+@example(attack=21.05730793224485, defense=1.1998871377689875e-06, value=18122.609786190926,
+         defender_value=33731521.09567791, at="drawn", edge=0, max_iters=500)
+@example(attack=2.1652955111179604, defense=0.06494628048552151, value=5980874.730878314,
+         defender_value=182575.17493742474, at="drawn", edge=0, max_iters=500)
+def test_flipit_matches_the_frozen_reference(
+    attack, defense, value, defender_value, at, edge, max_iters
+):
+    if at == "edge":  # within a few ulp of the priced-out edge, or below it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            values = [v for v in priced_out_boundary(attack, defense, defender_value) if v >= 0]
+        value = values[edge % len(values)]
+    elif at == "zero":
+        value = 0.0
+    prm = FlipItParams(attack, defense, value, defender_value)
+    want = outcome_or_error(reference_flipit_equilibrium, prm, max_iters)
+    assert outcome_or_error(flipit_equilibrium, prm, max_iters) == want
+
+
+def test_flipit_rejects_a_grid_of_fewer_than_two_points():
+    for points in (-1, 0, 1):
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            flipit_equilibrium(FlipItParams(0.3, 0.2, 0.9, 0.9), grid_points=points)
+
+
+def test_priced_out_games_share_one_bounded_grid_cache():
+    gne._exit_grid.cache_clear()
+    # the hybrid values of the demo game: three games, one exit grid
+    for value in (6.9e-18, 2.1e-17, 2.8e-17, 0.0):
+        out = flipit_equilibrium(FlipItParams(0.3, 0.2, value, 0.7))
+        assert out.dropped_out and out.is_equilibrium
+    info = gne._exit_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    for defender_value in np.linspace(0.5, 5.0, 40):  # 40 grids
+        flipit_equilibrium(FlipItParams(0.3, 0.2, 0.0, float(defender_value)))
+    info = gne._exit_grid.cache_info()
+    assert info.currsize == info.maxsize <= 8
 
 
 def test_demo_game_solves_three_of_four_timing_games_without_a_search(monkeypatch):
@@ -906,18 +1053,55 @@ def test_prepared_game_matches_numpy_reference_at_branch_priors(seed, style):
     for mu in indifference_priors(u_r):
         priors += [p for p in ulp_neighbours(mu, 2) if 0.0 <= p <= 1.0]
     for prior in priors:
-        try:
-            want = reference_signaling_equilibrium(SignalingParams(prior, u_s, u_r))
-        except RuntimeError as exc:
-            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-                game.solve(prior)
-            continue
-        got = game.solve(prior).outcome()
-        assert got.kind == want.kind
-        for name in ("sender_strategy", "receiver_strategy", "beliefs"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert [v.hex() for v in got.sender_values] == [v.hex() for v in want.sender_values]
-        assert got.receiver_value.hex() == want.receiver_value.hex()
+        assert_prepared_matches_reference(game, prior, u_s, u_r)
+
+
+def assert_prepared_matches_reference(game, prior, u_s, u_r):
+    """The prepared game's solve at ``prior`` has the numpy reference's bits."""
+    try:
+        want = reference_signaling_equilibrium(SignalingParams(prior, u_s, u_r))
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            game.solve(prior)
+        return "raise"
+    got = game.solve(prior).outcome()
+    assert got.kind == want.kind
+    for name in ("sender_strategy", "receiver_strategy", "beliefs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert [v.hex() for v in got.sender_values] == [v.hex() for v in want.sender_values]
+    assert got.receiver_value.hex() == want.receiver_value.hex()
+    return got
+
+
+def test_pooling_candidates_whose_values_tie_within_rounding_match_the_reference():
+    # message 1's receiver table is message 0's moved by an ulp or two, so
+    # the two pooling candidates' receiver values tie or differ in the last
+    # bits, and the strategy profile or that last bit decides between them
+    rng = np.random.default_rng(19)
+    kinds = set()
+    for _ in range(100):
+        u_s, u_r = random_tables(rng, "message-free")
+        for a in range(2):
+            k = int(rng.choice([0, 0, 1, 2, 3, 4]))  # equal, or 1 or 2 ulp either way
+            u_r[:, 1, a] = [ulp_neighbours(float(x), 2)[k] for x in u_r[:, 0, a]]
+        game = gne._TrustGame(u_s, u_r)
+        for prior in [*BRANCH_PRIORS, *rng.uniform(size=8).tolist()]:
+            got = assert_prepared_matches_reference(game, prior, u_s, u_r)
+            if got != "raise":
+                kinds.add(got.kind)
+    assert "pooling" in kinds
+
+
+def test_tables_with_signed_zeros_match_the_reference_at_priors_0_and_1():
+    # signed zeros in the tables and at the priors reach the values and the
+    # beliefs; the sign of each zero must be the reference's
+    rng = np.random.default_rng(23)
+    entries = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+    for _ in range(200):
+        u_s, u_r = rng.choice(entries, size=(2, 2, 2, 2))
+        game = gne._TrustGame(u_s, u_r)
+        for prior in (0.0, -0.0, 1.0, 0.5, float(rng.uniform())):
+            assert_prepared_matches_reference(game, prior, u_s, u_r)
 
 
 BAD_TABLES = [

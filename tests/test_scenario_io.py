@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from itertools import combinations
 
 import re
@@ -203,6 +204,35 @@ def test_layered_profiles_need_known_layers():
     data["agents"][1]["layer"] = "ground"
     cfg = scenario_from_dict(data)
     assert cfg.agent_layers == ("air", "ground")
+
+
+@pytest.mark.parametrize("kind", ["binary", "smooth"])
+def test_a_range_whose_square_overflows_is_rejected_with_its_path(kind):
+    # the planner's smooth profile squares the range
+    data = deep(MINIMAL, profile={"kind": kind, "range": 1.0e300})
+    assert errors_of(data) == ("profile.range: must be <= 1.3407807929942596e+154, got 1e+300",)
+    layered = deep(MINIMAL, profiles={
+        "default": {"kind": kind, "range": 1.5},
+        "far": {"kind": kind, "range": 1.0e300},
+    })
+    del layered["profile"]
+    assert errors_of(layered)[:1] == (
+        "profiles.far.range: must be <= 1.3407807929942596e+154, got 1e+300",
+    )
+    # the largest range whose square is finite is accepted
+    data["profile"]["range"] = math.sqrt(sys.float_info.max)
+    assert scenario_from_dict(data).profiles["default"].comm_range == 1.3407807929942596e154
+
+
+def test_layered_profiles_of_mixed_kinds_are_rejected_with_their_path():
+    data = deep(MINIMAL, profiles={
+        "default": {"kind": "smooth", "range": 1.5},
+        "far": {"kind": "binary", "range": 3.0},
+    })
+    del data["profile"]
+    assert errors_of(data) == ("profiles: all layer profiles must share one kind",)
+    data["profiles"]["far"]["kind"] = "smooth"
+    assert scenario_from_dict(data).profiles["far"].kind == "smooth"
 
 
 def test_errors_keep_the_order_of_the_fields():
