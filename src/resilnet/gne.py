@@ -15,15 +15,21 @@ at the converged point: the timing game's pair must be a certified mutual
 best response there, and p must stay put to within the tolerance.  The
 sender values are piecewise constant in p, so the iteration meets the same
 timing game again and again; each distinct one is solved once per solve.
-A priced-out timing game is settled without a search or a payoff scan,
-and a search's certification reuses the payoffs of its last scans.  Every
-result keeps the bits of solving both games afresh.
+The trust game is set up once per solve, with narrow bands around every
+prior where a decision of its solver can flip.  Between two bands a
+separating or pooling equilibrium, once found, is selected at every prior,
+and its values are table entries, so later stages there reuse them without
+a solve.  A priced-out timing game is settled without a search or a payoff
+scan, and a search's certification reuses the payoffs of its last scans.
+Every result keeps the bits of solving both games afresh.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -55,6 +61,12 @@ TRUST, REJECT = 0, 1
 _RATE_FLOOR = 1e-4
 _GRID_POINTS = 200
 _PAYOFF_TOL = 1e-12
+# The largest ratio of a sender value to a move cost whose search grids stay
+# finite and positive.  alpha_max / _RATE_FLOOR must not overflow; below that
+# the refined grids' ends, alpha_max times a grid ratio under 36, are finite
+# too.  The margin covers a sender value that rounds a few ulps past the
+# largest table entry.
+_MAX_VALUE_PER_COST = sys.float_info.max * _RATE_FLOOR * (1.0 - 2.0**-40)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +121,18 @@ def flipit_control_fraction(alpha_a: float, alpha_d: float) -> float:
     Both players move periodically with uniformly random phases.  The slower
     mover's last move lands uniformly inside the faster mover's period, so the
     slower mover holds the resource a fraction slow / (2 fast) of the time.
+
+    The rates are taken as Python floats, and the result has the bits of
+    :func:`_holding` on them, for NaN, infinite and signed-zero rates too.
     """
     if alpha_a < 0 or alpha_d < 0:
         raise ValueError("rates must be >= 0")
-    return float(_holding(alpha_a, alpha_d))
+    a, d = float(alpha_a), float(alpha_d)
+    if a != a or d != d:
+        return 1.0  # _holding's minimum and maximum are NaN, and a <= d fails
+    if a <= d:
+        return a / (2.0 * d) if d > 0 else 0.0
+    return 1.0 - d / (2.0 * a)
 
 
 def _holding(alpha_a, alpha_d) -> np.ndarray:
@@ -459,13 +479,61 @@ def _sender_values(u_s: list, sigma_s: tuple, sigma_r: tuple) -> tuple[float, fl
     return vals[0], vals[1]
 
 
+# An exclusion band's ends lie this share of their magnitude beyond the
+# rounding bounds they are derived from.
+_BAND_REL = 2.0**-40
+# Priors within about 1e-12 of 0 or 1 meet the 1e-15 floors on a type's mass
+# and the 1e-12 floors of the hybrid and mixed constructions: one band each.
+_EDGE_BANDS = ((-math.inf, 1e-12 * (1.0 + _BAND_REL)), (1.0 - 1e-12 - _BAND_REL, math.inf))
+
+
+def _band(lo: float, hi: float) -> tuple[float, float] | None:
+    """[lo, hi] widened by _BAND_REL, or None if it misses [0, 1]."""
+    if hi < -0.5 or lo > 1.5:
+        return None
+    return lo - _BAND_REL * abs(lo), hi + _BAND_REL * abs(hi)
+
+
+def _line_band(a: float, b: float, scale: float) -> tuple[float, float] | None:
+    """The priors p where the gap p a + (1 - p) b may round to either sign.
+
+    ``scale`` bounds the magnitudes of the terms the gap is computed from.
+    Outside the band the exact gap exceeds four times the _TIE_REL/_TIE_ABS
+    tie bound there, which is several times the rounding of both the gap's
+    float evaluation and of a and b, so the float gap keeps the exact sign
+    and stays clear of that tie bound.  None if it keeps one sign on [0, 1].
+    """
+    if not math.isfinite(2.0 * scale):
+        return -math.inf, math.inf
+    tie = 4.0 * (_TIE_REL * scale + _TIE_ABS)
+    if (a > tie and b > tie) or (a < -tie and b < -tie):
+        return None
+    slope = a - b
+    if slope == 0.0:  # within rounding of 0 at every prior
+        return -math.inf, math.inf
+    ends = ((tie - b) / slope, (-tie - b) / slope)
+    return _band(min(ends), max(ends))
+
+
+def _crossing(line: tuple, other: tuple) -> tuple[float, float] | None:
+    """Where two candidates' receiver values, p A + (1 - p) B at the lines'
+    (A, B), may tie or swap order.  Identical lines round alike and tie at
+    every prior, so their strategy profiles decide: no band.  Lines that
+    differ only by rounding get a band over all of [0, 1]."""
+    if line == other:
+        return None
+    (a1, b1), (a2, b2) = line, other
+    return _line_band(a1 - a2, b1 - b2, abs(a1) + abs(a2) + abs(b1) + abs(b2))
+
+
 class _TrustGame:
     """The trust game on fixed tables, set up once to be solved at many priors.
 
     The constructor validates the tables and does every step that does not
     depend on the prior.  :meth:`solve` does the rest with the float
     operations of a fresh solve, in the same order, so each result has its
-    bits.
+    bits.  :meth:`values` returns the sender values of a solve, and skips
+    the solve where they are already known (see there).
     """
 
     def __init__(self, sender_utils, receiver_utils) -> None:
@@ -554,6 +622,94 @@ class _TrustGame:
                 sigma_r = (on_r, off_r) if m == 0 else (off_r, on_r)
                 values = _sender_values(u_s, sigma_s, sigma_r)
                 self.pooling[m, a_on, a_off] = q_off, g_att, g_def, sigma_r, values
+
+        # flat [lo, hi) ends of the merged exclusion bands, and the memo of
+        # the sender values selected between them
+        self.edges = self._band_edges()
+        self.memo: dict[int, tuple[float, float]] = {}
+
+    def _band_edges(self) -> list[float]:
+        """The ends of the bands around every prior where a decision of
+        :meth:`solve` that a pure or pooling selection rests on can flip."""
+        u_r, alone, pure, pooling = self.u_r, self.alone, self.pure, self.pooling
+        bands = [*_EDGE_BANDS]
+        # the passive responses: the sign of each message's trust gap
+        for m in range(2):
+            t0, t1 = u_r[0][m][TRUST], u_r[1][m][TRUST]
+            r0, r1 = u_r[0][m][REJECT], u_r[1][m][REJECT]
+            bands.append(_line_band(t0 - r0, t1 - r1, abs(t0) + abs(t1) + abs(r0) + abs(r1)))
+        # the receiver values of the two separating profiles; inside the
+        # edge bands a type's lone response is always self.alone
+        a01, a10 = (alone[0][0], alone[1][1]), (alone[1][0], alone[0][1])
+        if (0, 1, a01) in pure and (1, 0, a10) in pure:
+            bands.append(_crossing(
+                (u_r[0][0][a01[0]], u_r[1][1][a01[1]]), (u_r[0][1][a10[1]], u_r[1][0][a10[0]])
+            ))
+        # those of the two pooled messages, pure or supported, at each pair
+        # of passive responses.  Which supported poolings exist does not
+        # depend on p: their deterrence intervals keep an off-path trust
+        # only where the gap at belief 0 or 1 is >= 0, and a rejection only
+        # where one is < 0, so _rationalizing_belief never returns None for
+        # a pure off-path action, and it ignores the prior for a mixed one.
+        for a0, a1 in product(range(2), repeat=2):
+            if ((0, 0, (a0, a1)) in pure and (1, 1, (a0, a1)) in pure) or (
+                (0, a0, a1) in pooling and (1, a1, a0) in pooling
+            ):
+                bands.append(_crossing(
+                    (u_r[0][0][a0], u_r[1][0][a0]), (u_r[0][1][a1], u_r[1][1][a1])
+                ))
+        # each hybrid's share, mu pi[other] / ((1 - mu) pi[tau]), at 1e-12
+        # and at 1: it is monotone in p and a few roundings from exact, so
+        # the prior where it meets each bound is known to a few ulps
+        for tau, _, mu, _ in self.hybrids:
+            c = 1.0 - mu
+            for theta in (1e-12, 1.0):
+                r = mu / (mu + theta * c) if tau == 0 else theta * c / (mu + theta * c)
+                bands.append(_band(r, r))
+        # the mixed construction's weights x and y at 1e-12 and 1 - 1e-12,
+        # through the odds o = (1 - p) / p: x = (o - c1) / (c0 - c1) and
+        # y = c0 x / o.  The widths bound the rounding of x and y (with the
+        # cancellation in o - c1) over their slopes in p.
+        if self.mixed is not None:
+            c0, c1, _ = self.mixed
+            for theta in (1e-12, 1.0 - 1e-12):
+                r = 1.0 / (1.0 + c1 * (1.0 - theta) + theta * c0)
+                h = _BAND_REL * r * (1.0 + r * (c0 + c1))
+                bands.append(_band(r - h, r + h))
+                den = c0 * (1.0 - theta) + theta * c1
+                r = den / (den + c0 * c1)
+                h = _BAND_REL * (r + (1.0 - r) ** 2 * (1.0 / c0 + 1.0 / c1))
+                bands.append(_band(r - h, r + h))
+        edges: list[float] = []
+        for lo, hi in sorted(b for b in bands if b is not None):
+            if edges and lo <= edges[-1]:
+                edges[-1] = max(edges[-1], hi)
+            else:
+                edges += (lo, hi)
+        return edges
+
+    def values(self, p: float) -> tuple[float, float]:
+        """``solve(p).sender_values`` for p in [0, 1], without the solve
+        where it is known.
+
+        Between two exclusion bands no decision of :meth:`solve` that a
+        separating or pooling selection rests on changes: which candidates
+        exist, the passive responses, and the order of the receiver values
+        of two candidates of one kind.  So once a solve there selects one,
+        every prior up to the next band selects it too, and its sender
+        values are table entries computed at set-up, the same bits at every
+        prior.  They are kept for that interval.  Hybrid and mixed values
+        depend on p in their last bits, and priors inside a band are
+        always solved.
+        """
+        i = bisect.bisect_right(self.edges, p)
+        values = self.memo.get(i)
+        if values is None:
+            sig = self.solve(p)
+            values = sig.sender_values
+            if not i & 1 and sig.kind in ("separating", "pooling"):
+                self.memo[i] = values
+        return values
 
     def _br(self, belief: tuple, m: int) -> int:
         """The receiver's action at message m under ``belief``; ties trust.
@@ -858,25 +1014,23 @@ class GNEState:
     residual_history: tuple[float, ...]
 
 
-def _stage(
-    p: float,
+def _timing_game(
+    values: tuple[float, float],
     costs: GNECosts,
-    game: _TrustGame,
     timing: dict[tuple[float, float], FlipItOutcome],
-) -> tuple[_Candidate, float, float, FlipItOutcome]:
-    """One signaling solve at prior p, and the timing game at its values.
+) -> tuple[float, float, FlipItOutcome]:
+    """The timing game at the sender values, clamped at 0.
 
     ``timing`` holds the timing games already solved at these costs, keyed
-    on the exact sender values; a new pair is solved and added.
+    on the exact clamped values; a new pair is solved and added.
     """
-    sig = game.solve(p)
-    v_a = max(0.0, sig.sender_values[ATTACKER])
-    v_d = max(0.0, sig.sender_values[DEFENDER])
+    v_a = max(0.0, values[ATTACKER])
+    v_d = max(0.0, values[DEFENDER])
     if (v_a, v_d) not in timing:
         timing[v_a, v_d] = flipit_equilibrium(
             FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
         )
-    return sig, v_a, v_d, timing[v_a, v_d]
+    return v_a, v_d, timing[v_a, v_d]
 
 
 def gne_solve(
@@ -890,11 +1044,15 @@ def gne_solve(
 ) -> GNEState:
     """Find the composed equilibrium by damped fixed-point iteration.
 
-    The trust game's table-only work is done once, before the iteration;
-    each stage does only what depends on its prior.  The timing game is
-    solved once per distinct pair of sender values (v_a, v_d), compared
-    exactly, and reused by later stages and by the final one.  So the result
-    is what solving both games afresh at every stage gives, bit for bit.
+    The trust game's table-only work, and its bands around the priors
+    where its selection can change, are done once, before the iteration.
+    A stage takes its sender values from :meth:`_TrustGame.values`, which
+    reuses, with the same bits, a separating or pooling selection found
+    earlier between the same two bands; the final stage solves in full.
+    The timing game is solved once per distinct pair of sender values
+    (v_a, v_d), compared exactly, and reused by later stages and by the
+    final one.  So the result is what solving both games afresh at every
+    stage gives, bit for bit.
 
     Args:
         costs: timing-game move costs.
@@ -922,7 +1080,7 @@ def gne_solve(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        _, _, _, flip = _stage(p, costs, game, timing)
+        flip = _timing_game(game.values(p), costs, timing)[2]
         p_next = (1.0 - damping) * p + damping * flip.control_fraction
         residual = abs(p_next - p)
         history.append(residual)
@@ -930,7 +1088,8 @@ def gne_solve(
         if residual < tol:
             converged = True
             break
-    sig, v_a, v_d, flip = _stage(p, costs, game, timing)
+    sig = game.solve(p)
+    v_a, v_d, flip = _timing_game(sig.sender_values, costs, timing)
     final_residual = damping * abs(flip.control_fraction - p)
     return GNEState(
         control_fraction=p,

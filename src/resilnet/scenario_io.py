@@ -23,7 +23,7 @@ import yaml
 from .adversary import RemovalBudget
 from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult
 from .controller import _coincident, _plan_input_errors
-from .gne import GNECosts, GNEState, PlantSpec, physical_utilities
+from .gne import _MAX_VALUE_PER_COST, GNECosts, GNEState, PlantSpec, physical_utilities
 from .graph_core import BINARY, SMOOTH, WeightProfile, WeightedGraph
 from .simulator import (
     BaselineSpec,
@@ -642,6 +642,17 @@ def gne_from_dict(data: Any) -> GNEProblem:
         w.err("sender_utils", "required field missing")
     else:
         sender = _parse_typed_tables(w, top["sender_utils"], "sender_utils")
+    if costs is not None and sender is not None:
+        # a cost below max |sender_utils| / _MAX_VALUE_PER_COST overflows
+        # the timing game's rate grid
+        top_value = float(np.max(np.abs(sender)))
+        for key, cost in (("attack", costs.attack_cost), ("defense", costs.defense_cost)):
+            if top_value / cost > _MAX_VALUE_PER_COST:
+                w.err(
+                    f"costs.{key}",
+                    f"max |sender_utils| / cost must be <= {_MAX_VALUE_PER_COST!r}, "
+                    f"got {top_value / cost!r}",
+                )
 
     receiver = None
     if ("receiver_utils" in top) == ("plant" in top):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from resilnet import CENTRALIZED, DECENTRALIZED
 from resilnet.cli import main
+from resilnet.gne import _MAX_VALUE_PER_COST
 from resilnet.scenario_io import (
     _AGENT_FIELDS,
     _BASELINE_FIELDS,
@@ -161,6 +162,33 @@ def test_overflowing_plant_is_rejected_by_validate_and_gne(tmp_path, capsys):
     assert main(["gne", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["attack", "defense"])
+def test_a_move_cost_at_the_grid_bound_runs_and_a_smaller_one_is_rejected(
+    key, tmp_path, capsys
+):
+    # max |sender_utils| is 1.0 in these tables; 1e-310 once passed validate
+    # and made gne exit 1 on a rate grid that overflowed
+    at_bound = 1.0 / _MAX_VALUE_PER_COST  # the least cost c with 1 / c in bound
+    while 1.0 / at_bound > _MAX_VALUE_PER_COST:
+        at_bound = math.nextafter(at_bound, math.inf)
+    while 1.0 / math.nextafter(at_bound, 0.0) <= _MAX_VALUE_PER_COST:
+        at_bound = math.nextafter(at_bound, 0.0)
+    for cost, code in ((at_bound, 0), (math.nextafter(at_bound, 0.0), 1), (1e-310, 1)):
+        params = json.loads(json.dumps(GNE_PARAMS))
+        params["costs"][key] = cost
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump(params))
+        out = tmp_path / f"out{cost!r}"
+        assert main(["validate", str(path)]) == code
+        assert main(["gne", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            error = f"error: costs.{key}: max |sender_utils| / cost must be <= "
+            assert err.startswith(error) and err.count(error) == 2, err
+        else:
+            assert json.loads((out / "gne.json").read_text())["verified"]
 
 
 def test_validate_detects_game_files(gne_file):

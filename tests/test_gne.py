@@ -72,6 +72,23 @@ def test_control_fraction_trivials():
         flipit_control_fraction(-1.0, 1.0)
 
 
+RATES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-324, 1.0, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(alpha_a=RATES, alpha_d=RATES, equal=st.booleans())
+def test_control_fraction_has_the_bits_of_the_array_form(alpha_a, alpha_d, equal):
+    if equal:
+        alpha_d = alpha_a
+    with np.errstate(all="ignore"):
+        want = float(gne._holding(alpha_a, alpha_d))
+    # repr tells -0.0 from 0.0 and writes every bit; a NaN rate gives 1.0
+    assert repr(flipit_control_fraction(alpha_a, alpha_d)) == repr(want)
+
+
 def test_control_fraction_against_simulation():
     rng = np.random.default_rng(101)
     for _ in range(8):
@@ -1073,17 +1090,27 @@ def assert_prepared_matches_reference(game, prior, u_s, u_r):
     return got
 
 
+def ulp_shifted_tables(rng):
+    """Message-free tables whose message-1 receiver columns are message 0's
+    moved by an ulp or two, so the two pooling candidates' receiver values
+    tie or differ in the last bits."""
+    u_s, u_r = random_tables(rng, "message-free")
+    for a in range(2):
+        k = int(rng.choice([0, 0, 1, 2, 3, 4]))  # equal, or 1 or 2 ulp either way
+        u_r[:, 1, a] = [ulp_neighbours(float(x), 2)[k] for x in u_r[:, 0, a]]
+    return u_s, u_r
+
+
+SIGNED_ENTRIES = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+
+
 def test_pooling_candidates_whose_values_tie_within_rounding_match_the_reference():
-    # message 1's receiver table is message 0's moved by an ulp or two, so
-    # the two pooling candidates' receiver values tie or differ in the last
-    # bits, and the strategy profile or that last bit decides between them
+    # the strategy profile or the last bit of the receiver values decides
+    # between the two pooling candidates
     rng = np.random.default_rng(19)
     kinds = set()
     for _ in range(100):
-        u_s, u_r = random_tables(rng, "message-free")
-        for a in range(2):
-            k = int(rng.choice([0, 0, 1, 2, 3, 4]))  # equal, or 1 or 2 ulp either way
-            u_r[:, 1, a] = [ulp_neighbours(float(x), 2)[k] for x in u_r[:, 0, a]]
+        u_s, u_r = ulp_shifted_tables(rng)
         game = gne._TrustGame(u_s, u_r)
         for prior in [*BRANCH_PRIORS, *rng.uniform(size=8).tolist()]:
             got = assert_prepared_matches_reference(game, prior, u_s, u_r)
@@ -1096,12 +1123,82 @@ def test_tables_with_signed_zeros_match_the_reference_at_priors_0_and_1():
     # signed zeros in the tables and at the priors reach the values and the
     # beliefs; the sign of each zero must be the reference's
     rng = np.random.default_rng(23)
-    entries = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
     for _ in range(200):
-        u_s, u_r = rng.choice(entries, size=(2, 2, 2, 2))
+        u_s, u_r = rng.choice(SIGNED_ENTRIES, size=(2, 2, 2, 2))
         game = gne._TrustGame(u_s, u_r)
         for prior in (0.0, -0.0, 1.0, 0.5, float(rng.uniform())):
             assert_prepared_matches_reference(game, prior, u_s, u_r)
+
+
+def sender_values_or_error(values, prior):
+    try:
+        return [v.hex() for v in values(prior)]
+    except RuntimeError as exc:
+        return str(exc)
+
+
+MEMO_STYLES = ["demo", *TABLE_STYLES, "ulp-shifted", "signed zeros"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), style=st.sampled_from(MEMO_STYLES))
+# tables that need one family of bands each: the 1e-15 and 1e-12 floors and
+# bands of some width (demo), the passive responses (0), the separating
+# profiles' receiver values (62), the pooled messages' (103, 22), a hybrid's
+# share at 1e-12 (46) and the mixed construction's bounds (22, tenths)
+@example(seed=0, style="demo")
+@example(seed=0, style="random")
+@example(seed=62, style="random")
+@example(seed=103, style="random")
+@example(seed=22, style="ulp-shifted")
+@example(seed=46, style="random")
+@example(seed=22, style="tenths")
+def test_memoized_values_match_a_full_solve(seed, style):
+    rng = np.random.default_rng(seed)
+    if style == "demo":
+        u_s, u_r = DEMO_SENDER, DEMO_RECEIVER
+    elif style == "ulp-shifted":
+        u_s, u_r = ulp_shifted_tables(rng)
+    elif style == "signed zeros":
+        u_s, u_r = rng.choice(SIGNED_ENTRIES, size=(2, 2, 2, 2))
+    else:
+        u_s, u_r = random_tables(rng, style)
+    edges = gne._TrustGame(u_s, u_r).edges
+    # both ends of every band, each band's middle (its breakpoint, where the
+    # band was not merged), the receiver's indifference priors, the branch
+    # priors and random ones
+    middles = [(lo + hi) / 2 for lo, hi in zip(edges[::2], edges[1::2])]
+    centres = [x for x in edges + middles if math.isfinite(x)] + indifference_priors(u_r)
+    priors = [p for x in centres for p in ulp_neighbours(x, 4)]
+    priors += [-0.0, *BRANCH_PRIORS, *rng.uniform(size=20).tolist()]
+    priors = [p for p in priors if 0.0 <= p <= 1.0]
+    # a memo taken in a narrow interval and read in a wide one, and one
+    # taken in a wide interval and read in a narrow one
+    for order in (priors, priors[::-1]):
+        game = gne._TrustGame(u_s, u_r)
+        for prior in order:
+            assert sender_values_or_error(game.values, prior) == sender_values_or_error(
+                lambda p: game.solve(p).sender_values, prior
+            ), prior
+
+
+def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
+    game = gne._TrustGame(DEMO_SENDER, DEMO_RECEIVER)
+    kinds = []
+    solve = gne._TrustGame.solve
+
+    def count(self, prior):
+        out = solve(self, prior)
+        kinds.append(out.kind)
+        return out
+
+    monkeypatch.setattr(gne._TrustGame, "solve", count)
+    # the demo selects supported pooling on (0, 1/9) and a hybrid above
+    pooled = {game.values(p) for p in np.linspace(0.01, 0.1, 10)}
+    assert pooled == {(0.2, 0.9)} and kinds == ["pooling"]
+    for prior in (0.2, 0.3, 0.2):
+        game.values(prior)
+    assert kinds == ["pooling", "hybrid", "hybrid", "hybrid"]
 
 
 BAD_TABLES = [
@@ -1323,6 +1420,13 @@ def test_gne_solve_matches_uncached_reference(attack, defense):
 @example(seed=7, damping=1.0, p0=1.0)
 @example(seed=2026, damping=0.5, p0=0.0)
 @example(seed=2026, damping=0.5, p0=1.0)
+# starts on breakpoints of the trust game: a receiver indifference prior, a
+# band's lower end, where pooling gives way to a hybrid, a hybrid's share at
+# 1e-12
+@example(seed=7, damping=0.5, p0=0.6654678673300932)
+@example(seed=7, damping=1.0, p0=0.5160689530990551)
+@example(seed=2026, damping=0.5, p0=0.8683482871091496)
+@example(seed=2026, damping=0.25, p0=6.595799386383759e-12)
 def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0):
     rng = np.random.default_rng(seed)
     costs = GNECosts(*(float(c) for c in rng.uniform(0.05, 1.0, size=2)))
@@ -1348,7 +1452,9 @@ def test_gne_solve_solves_each_timing_game_once(monkeypatch, defense):
     monkeypatch.setattr(gne._TrustGame, "solve", watch_signaling)
     monkeypatch.setattr(gne, "flipit_equilibrium", count_flipit)
     state = gne_solve(GNECosts(0.3, defense), DEMO_SENDER, DEMO_RECEIVER)
-    assert len(visited) == state.iterations + 1
+    # a stage between two exclusion bands reuses the pooling values that a
+    # solve there found, so there are fewer trust-game solves than stages
+    assert len(visited) < state.iterations + 1
     assert len(solved) == len(set(solved)) == len(set(visited))
     assert set(solved) == set(visited)
     # the stages revisit the same few timing games many times over

@@ -1,6 +1,7 @@
 """The documented library surface: README example and package exports."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -27,13 +28,27 @@ def test_readme_library_example_runs(capsys):
     assert len(lines) == 2 and all(float(x) > 0 for x in lines)
 
 
-def test_readme_yaml_blocks_validate(tmp_path, capsys):
+def readme_yaml_files(tmp_path) -> list[Path]:
     blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 2  # the scenario and the game parameter file
-    for k, block in enumerate(blocks):
-        path = tmp_path / f"block{k}.yaml"
+    paths = [tmp_path / f"block{k}.yaml" for k in range(2)]
+    for path, block in zip(paths, blocks):
         path.write_text(block)
+    return paths
+
+
+def test_readme_yaml_blocks_validate(tmp_path, capsys):
+    for path in readme_yaml_files(tmp_path):
         assert main(["validate", str(path)]) == 0, capsys.readouterr().err
+
+
+def test_readme_yaml_blocks_run(tmp_path, capsys):
+    scenario, game = readme_yaml_files(tmp_path)
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "sim")]) == 0, (
+        capsys.readouterr().err
+    )
+    assert main(["gne", str(game), "--out", str(tmp_path / "gne")]) == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "gne" / "gne.json").read_text())["verified"] is True
 
 
 def test_every_exported_name_resolves():
