@@ -108,15 +108,7 @@ def _cmd_gne(args: argparse.Namespace) -> int:
     prob = gne_from_dict(raw)
     digest = config_hash(raw)
     out = _out_dir(args.out)
-    state = gne_solve(
-        prob.costs,
-        prob.sender_utils,
-        prob.receiver_utils,
-        damping=prob.damping,
-        tol=prob.tol,
-        max_iters=prob.max_iters,
-        p0=prob.p0,
-    )
+    state = gne_solve(**vars(prob))
     result_path = out / "gne.json"
     result_path.write_text(dumps_canonical(gne_record(state)) + "\n")
     residuals_path = out / "residuals.jsonl"

@@ -5,22 +5,17 @@ defender re-take control of a cloud service: with periodic strategies and
 random phases, the attacker holds the resource a closed-form fraction of the
 time.  A 2-type/2-message/2-action signaling game decides whether the device
 trusts commands coming from that service, with the attacker's holding
-fraction as the prior probability that the sender is malicious.
+fraction as the prior probability that the sender is malicious.  It has an
+equilibrium at every prior, found by one enumeration of sender supports.
 
 The composed equilibrium is a fixed point: the signaling equilibrium at
 prior p yields each sender type's value of holding the service, those values
 feed the timing game, and the resulting holding fraction must reproduce p.
 It is found by damped fixed-point iteration, and verified by one more stage
 at the converged point: the timing game's pair must be a certified mutual
-best response there, and p must stay put to within the tolerance.  The
-sender values are piecewise constant in p, so the iteration meets the same
-timing game again and again; each distinct one is solved once per solve.
-The trust game is set up once per solve, with narrow bands around every
-prior where a decision of its solver can flip.  Between two bands a
-separating or pooling equilibrium, once found, is selected at every prior,
-and its values are table entries, so later stages there reuse them without
-a solve.  A priced-out timing game is settled without a search or a payoff
-scan, and a search's certification reuses the payoffs of its last scans.
+best response there, and p must stay put to within the tolerance.  Each
+distinct timing game is solved once per solve, and a separating or pooling
+trust-game selection is reused up to the next prior where it can flip.
 Every result keeps the bits of solving both games afresh.
 """
 
@@ -433,11 +428,42 @@ _ONE_HOT = ((1.0, 0.0), (0.0, 1.0))
 # for subnormal products) has the sign of any rounding of both dot products
 _TIE_REL = 2.0**-50
 _TIE_ABS = 2.0**-1070
+# a gap below this share lets the last layer's receiver mix
+_NEAR_REL = 1e-10
 _KIND_RANK = {"separating": 0, "hybrid": 1, "pooling": 2, "mixed": 3}
+# A sender type sends message 0, message 1, or mixes over both (_MIX).  The
+# receiver trusts or rejects, or near a tie gives _NEAR plus the action it
+# picks; _TRUST_RANGE is each response's interval of trust probabilities.
+_MIX = _NEAR = 2
+_TRUST_RANGE = ((1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+
+
+def _entry(pair: tuple) -> tuple:
+    """``pair``, its kind, and the source of the response at each message:
+    the type sending it alone, the prior (2), or a pinned posterior (3)."""
+    senders = [[t for t in range(2) if pair[t] in (m, _MIX)] for m in range(2)]
+    sources = [s[0] if len(s) == 1 else 3 if _MIX in pair else 2 for s in senders]
+    kinds = ("separating", "pooling") if _MIX not in pair else ("hybrid", "mixed")
+    return pair, kinds[pair[0] == pair[1]], *sources
+
+
+# The selection layers, in order: passive off-path beliefs; both types mixing;
+# pooling on other off-path beliefs; the receiver mixing near a tie.
+_PASSIVE, _BOTH_MIXING, _SUPPORTED, _TIED = range(4)
+_PAIRS = [*product(range(2), repeat=2), (_MIX, 0), (_MIX, 1), (0, _MIX), (1, _MIX)]
+# each layer's support pairs, whose numbers key the plans
+_LAYER_PAIRS = (_PAIRS, [(_MIX, _MIX)], [(0, 0), (1, 1)], _PAIRS)
+_SLOTS = {slot: k for k, slot in enumerate(
+    (layer, pair) for layer, pairs in enumerate(_LAYER_PAIRS) for pair in pairs
+)}
+_LAYERS = [
+    [(_SLOTS[layer, pair], *_entry(pair)) for pair in pairs]
+    for layer, pairs in enumerate(_LAYER_PAIRS)
+]
 
 
 class _Candidate(NamedTuple):
-    """A :class:`SignalingOutcome` on nested float tuples, in its field order."""
+    """A :class:`SignalingOutcome` on nested float tuples, and its layer."""
 
     sender_strategy: tuple
     receiver_strategy: tuple
@@ -445,6 +471,7 @@ class _Candidate(NamedTuple):
     sender_values: tuple[float, float]
     receiver_value: float
     kind: str
+    layer: int
 
     def rank(self) -> tuple:
         s, r = self.sender_strategy, self.receiver_strategy
@@ -452,17 +479,17 @@ class _Candidate(NamedTuple):
         return _KIND_RANK[self.kind], -self.receiver_value, profile
 
     def outcome(self) -> SignalingOutcome:
-        return SignalingOutcome(*(np.array(x) for x in self[:3]), *self[3:])
+        return SignalingOutcome(*(np.array(x) for x in self[:3]), *self[3:6])
 
 
-def _posterior(prior: float, sigma_s: tuple) -> tuple:
-    """Beliefs per message; passive (prior) beliefs off path."""
+def _posterior(prior: float, sigma_s: tuple, floor: float = 1e-15) -> tuple:
+    """Beliefs per message; the prior where its mass is ``floor`` or less."""
     pi = (prior, 1.0 - prior)
     beliefs = []
     for m in range(2):
         mass = (pi[0] * sigma_s[0][m], pi[1] * sigma_s[1][m])
         total = mass[0] + mass[1]
-        beliefs.append((mass[0] / total, mass[1] / total) if total > 1e-15 else pi)
+        beliefs.append((mass[0] / total, mass[1] / total) if total > floor else pi)
     return tuple(beliefs)
 
 
@@ -529,109 +556,42 @@ def _crossing(line: tuple, other: tuple) -> tuple[float, float] | None:
 class _TrustGame:
     """The trust game on fixed tables, set up once to be solved at many priors.
 
-    The constructor validates the tables and does every step that does not
-    depend on the prior.  :meth:`solve` does the rest with the float
-    operations of a fresh solve, in the same order, so each result has its
-    bits.  :meth:`values` returns the sender values of a solve, and skips
-    the solve where they are already known (see there).
+    One enumeration builds every candidate.  Each sender type sends message
+    0, message 1, or mixes: 9 support pairs.  At each message the receiver's
+    response is an interval of trust probabilities, [0, 1] where it is
+    indifferent: near a tie of :meth:`_br` (a tied row under a one-hot
+    posterior, or a pooled message at its indifference prior), at a
+    posterior a mixing type pins, and off path.  Each type's optimality is
+    then a half-plane in the trust probabilities (q0, q1), a line if it
+    mixes.  :meth:`plan` builds the receiver's strategy once; :meth:`solve`
+    weighs the messages at the prior.  The first three layers keep a numpy
+    solve's closed forms and floats, ties trusting; the last mixes at ties.
     """
 
     def __init__(self, sender_utils, receiver_utils) -> None:
         s, r = (np.asarray(t, dtype=float) for t in (sender_utils, receiver_utils))
         _check_table("sender_utils", s)
         _check_table("receiver_utils", r)
-        self.receiver_utils = r
-        self.u_s, self.u_r = u_s, u_r = s.tolist(), r.tolist()
+        self.sender_utils, self.receiver_utils = s, r
+        self.u_s, self.u_r = s.tolist(), r.tolist()
+        # [type][message]: the receiver's gain from trusting that type, and
+        # [message]: the trust probabilities some belief rationalizes there
+        self.gaps = [[row[TRUST] - row[REJECT] for row in self.u_r[t]] for t in range(2)]
+        self.trustable = [
+            (1.0 if min(g) >= 0.0 else 0.0, 0.0 if max(g) < 0.0 else 1.0) for g in zip(*self.gaps)
+        ]
         # [type][message]: the response where that type alone sends the message
         self.alone = tuple(tuple(self._br(_ONE_HOT[t], m) for m in range(2)) for t in range(2))
-
-        # (m_att, m_def, actions) -> receiver strategy, sender values; kept
-        # only where neither type gains by switching its message
-        self.pure = {}
-        for m_att, m_def, a0, a1 in product(range(2), repeat=4):
-            actions = (a0, a1)
-            if any(
-                u_s[t][1 - m_t][actions[1 - m_t]] > u_s[t][m_t][actions[m_t]] + 1e-9
-                for t, m_t in ((ATTACKER, m_att), (DEFENDER, m_def))
-            ):
-                continue
-            sigma_s = (_ONE_HOT[m_att], _ONE_HOT[m_def])
-            sigma_r = (_ONE_HOT[a0], _ONE_HOT[a1])
-            self.pure[m_att, m_def, actions] = sigma_r, _sender_values(u_s, sigma_s, sigma_r)
-
-        # (mixing type, shared message, posterior on it there, receiver strategy)
-        self.hybrids = []
-        for tau, m_s in product(range(2), range(2)):
-            other, m_x = 1 - tau, 1 - m_s
-            d_tau = u_r[tau][m_s][TRUST] - u_r[tau][m_s][REJECT]
-            d_oth = u_r[other][m_s][TRUST] - u_r[other][m_s][REJECT]
-            if abs(d_oth - d_tau) < 1e-15:
-                continue
-            mu = d_oth / (d_oth - d_tau)  # posterior on tau at m_s
-            if not 1e-12 < mu < 1.0 - 1e-12:
-                continue
-            a_x = self.alone[tau][m_x]
-            denom = u_s[tau][m_s][TRUST] - u_s[tau][m_s][REJECT]
-            if abs(denom) < 1e-15:
-                continue
-            q = (u_s[tau][m_x][a_x] - u_s[tau][m_s][REJECT]) / denom
-            if not -1e-12 <= q <= 1.0 + 1e-12:
-                continue
-            q = min(max(q, 0.0), 1.0)
-            eu_other = q * u_s[other][m_s][TRUST] + (1.0 - q) * u_s[other][m_s][REJECT]
-            if u_s[other][m_x][a_x] > eu_other + 1e-9:
-                continue
-            mixed_r = (q, 1.0 - q)
-            sigma_r = (mixed_r, _ONE_HOT[a_x]) if m_s == 0 else (_ONE_HOT[a_x], mixed_r)
-            self.hybrids.append((tau, m_s, mu, sigma_r))
-
-        self.mixed = self._mixed_setup(s)
-
-        # (pooled message, its action, the passive off-path action) -> the
-        # off-path trust probability, g_att, g_def, receiver strategy, values
-        self.pooling = {}
-        for m, a_on in product(range(2), range(2)):
-            m_off = 1 - m
-            lo, hi = 0.0, 1.0
-            feasible = True
-            for t in range(2):
-                slope = u_s[t][m_off][TRUST] - u_s[t][m_off][REJECT]
-                level = u_s[t][m][a_on] - u_s[t][m_off][REJECT]
-                # need slope*q <= level for q in the deterrence interval
-                if slope > 1e-15:
-                    hi = min(hi, level / slope)
-                elif slope < -1e-15:
-                    lo = max(lo, level / slope)
-                elif level < -1e-12:
-                    feasible = False
-                    break
-            if not feasible or lo > hi + 1e-12:
-                continue
-            g_att = u_r[ATTACKER][m_off][TRUST] - u_r[ATTACKER][m_off][REJECT]
-            g_def = u_r[DEFENDER][m_off][TRUST] - u_r[DEFENDER][m_off][REJECT]
-            # only trust is rationalizable if every belief trusts, only
-            # rejection if every belief rejects, and any mixture otherwise
-            lo = max(lo, 1.0 if min(g_att, g_def) >= 0.0 else 0.0)
-            hi = min(hi, 0.0 if max(g_att, g_def) < 0.0 else 1.0)
-            if lo > hi + 1e-12:
-                continue
-            sigma_s = (_ONE_HOT[m], _ONE_HOT[m])
-            for a_off in range(2):
-                q_off = min(max(1.0 if a_off == TRUST else 0.0, lo), hi)
-                on_r, off_r = _ONE_HOT[a_on], (q_off, 1.0 - q_off)
-                sigma_r = (on_r, off_r) if m == 0 else (off_r, on_r)
-                values = _sender_values(u_s, sigma_s, sigma_r)
-                self.pooling[m, a_on, a_off] = q_off, g_att, g_def, sigma_r, values
-
-        # flat [lo, hi) ends of the merged exclusion bands, and the memo of
-        # the sender values selected between them
-        self.edges = self._band_edges()
+        self.picked = [(r0 & 1, r1 & 1) for r0, r1 in self.alone]
+        self.plans: dict[tuple, tuple | None] = {}  # see plan()
+        # the merged exclusion bands' [lo, hi) ends, and the memo (see values())
+        self.edges: list[float] | None = None
         self.memo: dict[int, tuple[float, float]] = {}
 
     def _band_edges(self) -> list[float]:
         """The ends of the bands around every prior where a decision of
         :meth:`solve` that a pure or pooling selection rests on can flip."""
-        u_r, alone, pure, pooling = self.u_r, self.alone, self.pure, self.pooling
+        u_r, plan, lone = self.u_r, self.plan, self.picked
         bands = [*_EDGE_BANDS]
         # the passive responses: the sign of each message's trust gap
         for m in range(2):
@@ -639,21 +599,19 @@ class _TrustGame:
             r0, r1 = u_r[0][m][REJECT], u_r[1][m][REJECT]
             bands.append(_line_band(t0 - r0, t1 - r1, abs(t0) + abs(t1) + abs(r0) + abs(r1)))
         # the receiver values of the two separating profiles; inside the
-        # edge bands a type's lone response is always self.alone
-        a01, a10 = (alone[0][0], alone[1][1]), (alone[1][0], alone[0][1])
-        if (0, 1, a01) in pure and (1, 0, a10) in pure:
+        # edge bands a type's lone response is always self.alone's
+        a01, a10 = (lone[0][0], lone[1][1]), (lone[1][0], lone[0][1])
+        if plan(_PASSIVE, (0, 1), *a01) and plan(_PASSIVE, (1, 0), *a10):
             bands.append(_crossing(
                 (u_r[0][0][a01[0]], u_r[1][1][a01[1]]), (u_r[0][1][a10[1]], u_r[1][0][a10[0]])
             ))
-        # those of the two pooled messages, pure or supported, at each pair
-        # of passive responses.  Which supported poolings exist does not
-        # depend on p: their deterrence intervals keep an off-path trust
-        # only where the gap at belief 0 or 1 is >= 0, and a rejection only
-        # where one is < 0, so _rationalizing_belief never returns None for
-        # a pure off-path action, and it ignores the prior for a mixed one.
+        # those of the two pooled messages, passive or supported, at each pair
+        # of passive responses.  Which supported poolings exist does not depend
+        # on p: the rationalizable interval makes _off_path's rule hold at
+        # every prior for a pure off-path action, and ignore p for a mixed one.
         for a0, a1 in product(range(2), repeat=2):
-            if ((0, 0, (a0, a1)) in pure and (1, 1, (a0, a1)) in pure) or (
-                (0, a0, a1) in pooling and (1, a1, a0) in pooling
+            if (plan(0, (0, 0), a0, a1) and plan(0, (1, 1), a0, a1)) or (
+                plan(_SUPPORTED, (0, 0), a0, a1) and plan(_SUPPORTED, (1, 1), a0, a1)
             ):
                 bands.append(_crossing(
                     (u_r[0][0][a0], u_r[1][0][a0]), (u_r[0][1][a1], u_r[1][1][a1])
@@ -661,17 +619,21 @@ class _TrustGame:
         # each hybrid's share, mu pi[other] / ((1 - mu) pi[tau]), at 1e-12
         # and at 1: it is monotone in p and a few roundings from exact, so
         # the prior where it meets each bound is known to a few ulps
-        for tau, _, mu, _ in self.hybrids:
-            c = 1.0 - mu
-            for theta in (1e-12, 1.0):
-                r = mu / (mu + theta * c) if tau == 0 else theta * c / (mu + theta * c)
-                bands.append(_band(r, r))
-        # the mixed construction's weights x and y at 1e-12 and 1 - 1e-12,
-        # through the odds o = (1 - p) / p: x = (o - c1) / (c0 - c1) and
-        # y = c0 x / o.  The widths bound the rounding of x and y (with the
-        # cancellation in o - c1) over their slopes in p.
-        if self.mixed is not None:
-            c0, c1, _ = self.mixed
+        sources = (*lone, None, (TRUST, TRUST))
+        for _, pair, kind, w0, w1 in _LAYERS[_PASSIVE]:
+            hybrid = kind == "hybrid" and plan(_PASSIVE, pair, sources[w0][0], sources[w1][1])
+            if hybrid:
+                mu, c = hybrid[2], 1.0 - hybrid[2]
+                for theta in (1e-12, 1.0):
+                    r = mu / (mu + theta * c) if pair[0] == _MIX else theta * c / (mu + theta * c)
+                    bands.append(_band(r, r))
+        # both types' weights x and y at 1e-12 and 1 - 1e-12, through the
+        # odds o = (1 - p) / p: x = (o - c1) / (c0 - c1) and y = c0 x / o.
+        # The widths bound the rounding of x and y (with the cancellation in
+        # o - c1) over their slopes in p.
+        mixed = plan(_BOTH_MIXING, (_MIX, _MIX), TRUST, TRUST)
+        if mixed is not None:
+            c0, c1 = mixed[2]
             for theta in (1e-12, 1.0 - 1e-12):
                 r = 1.0 / (1.0 + c1 * (1.0 - theta) + theta * c0)
                 h = _BAND_REL * r * (1.0 + r * (c0 + c1))
@@ -692,227 +654,273 @@ class _TrustGame:
         """``solve(p).sender_values`` for p in [0, 1], without the solve
         where it is known.
 
-        Between two exclusion bands no decision of :meth:`solve` that a
-        separating or pooling selection rests on changes: which candidates
-        exist, the passive responses, and the order of the receiver values
-        of two candidates of one kind.  So once a solve there selects one,
-        every prior up to the next band selects it too, and its sender
-        values are table entries computed at set-up, the same bits at every
-        prior.  They are kept for that interval.  Hybrid and mixed values
-        depend on p in their last bits, and priors inside a band are
-        always solved.
+        Between two exclusion bands no decision that a separating or pooling
+        selection of the first three layers rests on changes: which
+        candidates exist, the passive responses, and the order of the
+        receiver values of two candidates of one kind.  So the interval keeps
+        such a selection's values, table entries with the same bits at every
+        prior.  The first call sets the bands up.
         """
+        if self.edges is None:
+            self.edges = self._band_edges()
         i = bisect.bisect_right(self.edges, p)
         values = self.memo.get(i)
         if values is None:
             sig = self.solve(p)
             values = sig.sender_values
-            if not i & 1 and sig.kind in ("separating", "pooling"):
+            if not i & 1 and sig.layer != _TIED and sig.kind in ("separating", "pooling"):
                 self.memo[i] = values
         return values
 
     def _br(self, belief: tuple, m: int) -> int:
-        """The receiver's action at message m under ``belief``; ties trust.
+        """The receiver's response at message m under ``belief``; ties trust.
 
-        The float gap decides unless it is within rounding of a tie.  There the
-        decision is numpy's own length-2 dot on the table, so that a
-        platform's rounding of it, fused or not, is kept.
-        """
+        The float gap decides unless it is within rounding of a tie.  There
+        the decision is numpy's own length-2 dot on the table, so that a
+        platform's rounding of it, fused or not, is kept.  Near a tie it is
+        marked _NEAR."""
         u_r = self.u_r
         b0, b1 = belief
         t0, t1 = b0 * u_r[0][m][TRUST], b1 * u_r[1][m][TRUST]
         r0, r1 = b0 * u_r[0][m][REJECT], b1 * u_r[1][m][REJECT]
         gap = (t0 + t1) - (r0 + r1)
-        if abs(gap) > _TIE_REL * (abs(t0) + abs(t1) + abs(r0) + abs(r1)) + _TIE_ABS:
-            return TRUST if gap > 0.0 else REJECT
+        scale = abs(t0) + abs(t1) + abs(r0) + abs(r1)
+        if abs(gap) > _TIE_REL * scale + _TIE_ABS:
+            response = TRUST if gap > 0.0 else REJECT
+            return response if abs(gap) > _NEAR_REL * scale else _NEAR + response
         beliefs_m = np.array(belief)
         eu_trust = float(beliefs_m @ self.receiver_utils[:, m, TRUST])
         eu_reject = float(beliefs_m @ self.receiver_utils[:, m, REJECT])
-        return TRUST if eu_trust >= eu_reject else REJECT
+        return _NEAR + (TRUST if eu_trust >= eu_reject else REJECT)
 
-    def _mixed_setup(self, table: np.ndarray) -> tuple | None:
-        """Both posterior odds targets and the receiver strategy of the
-        mixed construction, or None if the tables admit none."""
-        targets = []
-        for m in range(2):
-            g_att = self.u_r[ATTACKER][m][TRUST] - self.u_r[ATTACKER][m][REJECT]
-            g_def = self.u_r[DEFENDER][m][TRUST] - self.u_r[DEFENDER][m][REJECT]
-            if abs(g_def - g_att) < 1e-15:
-                return None
-            mu = g_def / (g_def - g_att)
-            if not 1e-9 < mu < 1.0 - 1e-9:
-                return None
-            targets.append(mu)
-        c0, c1 = ((1.0 - mu) / mu for mu in targets)
-        if abs(c0 - c1) < 1e-15:
+    def _pinned(self, tau: int, m: int, margin: float, tiny: float = 1e-15) -> float | None:
+        """The posterior on type tau at message m that leaves the receiver
+        indifferent, if inside (margin, 1 - margin) and the gaps differ by tiny."""
+        d_tau, d_oth = self.gaps[tau][m], self.gaps[1 - tau][m]
+        if abs(d_oth - d_tau) < tiny or d_oth == d_tau:
             return None
-        delta = table[:, :, TRUST] - table[:, :, REJECT]
-        rhs = table[:, 1, REJECT] - table[:, 0, REJECT]
-        mat = np.column_stack((delta[:, 0], -delta[:, 1]))
-        if abs(np.linalg.det(mat)) < 1e-15:
-            return None
-        q = np.linalg.solve(mat, rhs)
-        if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
-            return None
-        q0, q1 = np.clip(q, 0.0, 1.0).tolist()
-        return c0, c1, ((q0, 1.0 - q0), (q1, 1.0 - q1))
+        mu = d_oth / (d_oth - d_tau)
+        return mu if margin < mu < 1.0 - margin else None
 
-    def _candidate(self, kind, pi, sigma_s, sigma_r, beliefs, values) -> _Candidate:
-        """The profile with the receiver's value."""
-        u_r = self.u_r
-        rv = 0.0
-        for t in range(2):
-            for m in range(2):
-                for a in range(2):
-                    rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * u_r[t][m][a]
-        return _Candidate(sigma_s, sigma_r, beliefs, values, rv, kind)
+    def _off_path(self, m: int, q: float, tiny: float) -> tuple | None:
+        """A rule for a belief at message m under which trust probability q
+        is a best response, or None: (a belief, the sign of the trust gap at
+        which the prior replaces it, the gaps).  Trust needs a gap >= 0,
+        rejection one < 0, a mixture indifference (gaps that differ by tiny)."""
+        g_att, g_def = self.gaps[ATTACKER][m], self.gaps[DEFENDER][m]
+        if q >= 1.0 - 1e-12:
+            return 0.0 if g_def >= 0.0 else 1.0, True, g_att, g_def
+        if q <= 1e-12:
+            return 1.0 if g_att < 0.0 else 0.0, False, g_att, g_def
+        if abs(g_def - g_att) < tiny or g_def == g_att:
+            return None
+        mu = g_def / (g_def - g_att)
+        return (mu, None, g_att, g_def) if -1e-9 <= mu <= 1.0 + 1e-9 else None
+
+    def _stays(self, pair: tuple, sigma_r: list, tol: float) -> bool:
+        """Whether no type that sends one message gains over tol by the other."""
+        for row, m in zip(self.u_s, pair):
+            if m != _MIX:
+                (q, r), (q_x, r_x) = sigma_r[m], sigma_r[1 - m]
+                if q_x * row[1 - m][0] + r_x * row[1 - m][1] > q * row[m][0] + r * row[m][1] + tol:
+                    return False
+        return True
+
+    def plan(self, layer: int, pair: tuple, r0: int, r1: int) -> tuple | None:
+        """:meth:`_plan`, built on first use."""
+        key = (_SLOTS[layer, pair], r0, r1)
+        plan = self.plans.get(key, self)
+        if plan is self:
+            plan = self.plans[key] = self._plan(layer, pair, r0, r1)
+        return plan
+
+    def _plan(self, layer: int, pair: tuple, r0: int, r1: int) -> tuple | None:
+        """The prior-free part of the candidate of ``layer`` with sender
+        supports ``pair`` and receiver responses (r0, r1), or None: the
+        receiver's strategy, sender values, weights, and off-path rule."""
+        if pair == (_MIX, _MIX):
+            # the receiver's indifference pins both posteriors, and the types'
+            # its trust probabilities; not where the posteriors coincide
+            targets = [self._pinned(ATTACKER, m, 1e-9) for m in range(2)]
+            if None in targets:
+                return None
+            c0, c1 = ((1.0 - mu) / mu for mu in targets)
+            if abs(c0 - c1) < 1e-15:
+                return None
+            table = self.sender_utils
+            delta = table[:, :, TRUST] - table[:, :, REJECT]
+            rhs = table[:, 1, REJECT] - table[:, 0, REJECT]
+            mat = np.column_stack((delta[:, 0], -delta[:, 1]))
+            if abs(np.linalg.det(mat)) < 1e-15:
+                return None
+            q = np.linalg.solve(mat, rhs)
+            if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
+                return None
+            q0, q1 = np.clip(q, 0.0, 1.0).tolist()
+            return ((q0, 1.0 - q0), (q1, 1.0 - q1)), None, (c0, c1), None
+        u_s, responses, rule = self.u_s, (r0, r1), None
+        # a pinned posterior's margin and least trust-gap difference; no floors last
+        tolerances = (0.0, 0.0) if layer == _TIED else (1e-12, 1e-15)
+        # the pure profile, or the posterior on the mixing type where both send
+        tau = pair.index(_MIX) if _MIX in pair else None
+        if tau is None:
+            weights = (_ONE_HOT[pair[0]], _ONE_HOT[pair[1]])
+        elif (weights := self._pinned(tau, pair[1 - tau], *tolerances)) is None:
+            return None
+        if layer == _PASSIVE:
+            sigma_r = [_ONE_HOT[r0], _ONE_HOT[r1]]
+            if tau is not None:
+                # the mixing type's indifference pins trust at the shared message
+                m_s = pair[1 - tau]
+                denom = u_s[tau][m_s][TRUST] - u_s[tau][m_s][REJECT]
+                if abs(denom) < 1e-15:
+                    return None
+                q = (u_s[tau][1 - m_s][responses[1 - m_s]] - u_s[tau][m_s][REJECT]) / denom
+                if not -1e-12 <= q <= 1.0 + 1e-12:
+                    return None
+                q = min(max(q, 0.0), 1.0)
+                sigma_r[m_s] = (q, 1.0 - q)
+            if not self._stays(pair, sigma_r, 1e-9):
+                return None
+        elif layer == _SUPPORTED:
+            # the off-path trust probability nearest the passive one, among
+            # those that deter both types and that some belief rationalizes
+            m, m_off = pair[0], 1 - pair[0]
+            lo, hi = 0.0, 1.0
+            for t in range(2):
+                slope = u_s[t][m_off][TRUST] - u_s[t][m_off][REJECT]
+                level = u_s[t][m][responses[m]] - u_s[t][m_off][REJECT]
+                # need slope*q <= level for q in the deterrence interval
+                if slope > 1e-15:
+                    hi = min(hi, level / slope)
+                elif slope < -1e-15:
+                    lo = max(lo, level / slope)
+                elif level < -1e-12:
+                    return None
+            lo, hi = max(lo, self.trustable[m_off][0]), min(hi, self.trustable[m_off][1])
+            if lo > hi + 1e-12:
+                return None
+            q_off = min(max(1.0 if responses[m_off] == TRUST else 0.0, lo), hi)
+            sigma_r = [_ONE_HOT[responses[m]]] * 2
+            sigma_r[m_off] = (q_off, 1.0 - q_off)
+        elif (sigma_r := self._tied(pair, responses, tau)) is None:
+            return None
+        if layer != _PASSIVE and pair[0] == pair[1]:
+            rule = self._off_path(1 - pair[0], sigma_r[1 - pair[0]][TRUST], tolerances[1])
+            if rule is None:
+                return None
+        values = None if tau is not None else _sender_values(u_s, weights, sigma_r)
+        return tuple(sigma_r), values, weights, rule
+
+    def _tied(self, pair: tuple, responses: tuple, tau: int | None) -> list | None:
+        """Trust probabilities in the responses' intervals that keep each
+        type on its support, or None: a vertex of that polygon, where two edge
+        lines a q0 + b q1 + c = 0 (a payoff gap, a side) meet."""
+        (lo0, hi0), (lo1, hi1) = (
+            self.trustable[m] if pair == (1 - m, 1 - m) else _TRUST_RANGE[responses[m]]
+            for m in range(2)
+        )
+        gaps = [(t0 - r0, r1 - t1, r0 - r1) for (t0, r0), (t1, r1) in self.u_s]
+        edges = [(1.0, 0.0, -lo0), (1.0, 0.0, -hi0), (0.0, 1.0, -lo1), (0.0, 1.0, -hi1), *gaps]
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(self.sender_utils))))
+        for (a1, b1, c1), (a2, b2, c2) in product([gaps[tau]] if tau is not None else edges, edges):
+            det = a1 * b2 - a2 * b1
+            if det:
+                x, y = (b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det
+                if lo0 - 1e-12 <= x <= hi0 + 1e-12 and lo1 - 1e-12 <= y <= hi1 + 1e-12:
+                    q0, q1 = min(max(x, lo0), hi0), min(max(y, lo1), hi1)
+                    sigma_r = [(q0, 1.0 - q0), (q1, 1.0 - q1)]
+                    if self._stays(pair, sigma_r, tol):
+                        return sigma_r
+        return None
+
+    @staticmethod
+    def _senders(pair: tuple, weights, p: float, pi: tuple, layer: int) -> tuple | None:
+        """The strategy of senders that mix at prior p, or None below the
+        floors; ``weights`` is a pinned posterior mu, or two pinned odds."""
+        floor = 1e-300 if layer == _TIED else 1e-12  # the last layer's: clear of underflow
+        if pair == (_MIX, _MIX):
+            if not 1e-12 < p < 1.0 - 1e-12:
+                return None
+            c0, c1 = weights
+            x = ((1.0 - p) / p - c1) / (c0 - c1)  # attacker's weight on message 0
+            if not 1e-12 < x < 1.0 - 1e-12:
+                return None
+            y = p * x * c0 / (1.0 - p)
+            return ((x, 1.0 - x), (y, 1.0 - y)) if 1e-12 < y < 1.0 - 1e-12 else None
+        if pi[0] < floor or pi[1] < floor:
+            return None  # a missing type cannot mix on path
+        tau = pair.index(_MIX)
+        m_s = pair[1 - tau]
+        share = weights * pi[1 - tau] / ((1.0 - weights) * pi[tau])
+        # no margin below 1: a share under 1 puts the prior past the pooling
+        # threshold, so a margin there left priors with no equilibrium at all
+        if not floor < share < 1.0:
+            return None
+        mixing = (share, 1.0 - share) if m_s == 0 else (1.0 - share, share)
+        return (mixing, _ONE_HOT[m_s]) if tau == ATTACKER else (_ONE_HOT[m_s], mixing)
 
     def solve(self, p: float) -> _Candidate:
         """The equilibrium :func:`signaling_equilibrium` selects at prior p."""
         pi = (p, 1.0 - p)
         passive = (self._br(pi, 0), self._br(pi, 1))
-        found = self._pure(p, pi, passive) + self._hybrid(p, pi)
-        if not found:
-            found = self._mixed(p, pi)
-        if not found:
-            found = self._supported_pooling(p, pi, passive)
-        if not found:
-            raise RuntimeError("no equilibrium with passive or supported beliefs")
-        return min(found, key=_Candidate.rank)
-
-    def _pure(self, p: float, pi: tuple, passive: tuple) -> list[_Candidate]:
-        # A message one type sends alone has that type's one-hot posterior
-        # while the type's mass exceeds 1e-15 (see _posterior), and the prior
-        # otherwise.  A pooled message's posterior is the prior too, since
-        # p + (1 - p) rounds to 1 for every p in [0, 1].  In a separating
-        # profile type m_att sends message 0, and type m_def message 1.
-        alone = tuple(self.alone[t] if pi[t] > 1e-15 else passive for t in range(2))
-        found = []
-        for m_att, m_def in product(range(2), range(2)):
-            actions = passive if m_att == m_def else (alone[m_att][0], alone[m_def][1])
-            entry = self.pure.get((m_att, m_def, actions))
-            if entry is None:
-                continue
-            kind = "separating" if m_att != m_def else "pooling"
-            sigma_s = (_ONE_HOT[m_att], _ONE_HOT[m_def])
-            beliefs = _posterior(p, sigma_s)
-            found.append(self._candidate(kind, pi, sigma_s, entry[0], beliefs, entry[1]))
-        return found
-
-    def _hybrid(self, p: float, pi: tuple) -> list[_Candidate]:
-        """One type mixes, the receiver mixes on the shared message.
-
-        The receiver's indifference at the shared message pins the posterior,
-        Bayes then pins the sender's mixing weight, and the mixing type's own
-        indifference pins the receiver's trust probability.
-        """
-        if pi[0] < 1e-12 or pi[1] < 1e-12:
-            return []  # a missing type cannot mix on path
-        found = []
-        for tau, m_s, mu, sigma_r in self.hybrids:
-            share = mu * pi[1 - tau] / ((1.0 - mu) * pi[tau])
-            # no margin below 1: a share under 1 puts the prior past the
-            # pooling threshold, so a margin there left priors with no
-            # equilibrium at all
-            if not 1e-12 < share < 1.0:
-                continue
-            mixing = (share, 1.0 - share) if m_s == 0 else (1.0 - share, share)
-            sigma_s = (mixing, _ONE_HOT[m_s]) if tau == 0 else (_ONE_HOT[m_s], mixing)
-            values = _sender_values(self.u_s, sigma_s, sigma_r)
-            found.append(
-                self._candidate("hybrid", pi, sigma_s, sigma_r, _posterior(p, sigma_s), values)
-            )
-        return found
-
-    def _mixed(self, p: float, pi: tuple) -> list[_Candidate]:
-        """Both sender types mix; the receiver is indifferent at both messages.
-
-        The receiver's per-message indifference pins both posteriors, Bayes then
-        pins both sender mixing weights, and the two sender-indifference
-        conditions pin the receiver's trust probabilities.  Degenerate when the
-        receiver's tables do not depend on the message (equal posterior targets).
-        """
-        if self.mixed is None or not 1e-12 < p < 1.0 - 1e-12:
-            return []
-        c0, c1, sigma_r = self.mixed
-        x = ((1.0 - p) / p - c1) / (c0 - c1)  # attacker's weight on message 0
-        if not 1e-12 < x < 1.0 - 1e-12:
-            return []
-        y = p * x * c0 / (1.0 - p)
-        if not 1e-12 < y < 1.0 - 1e-12:
-            return []
-        sigma_s = ((x, 1.0 - x), (y, 1.0 - y))
-        values = _sender_values(self.u_s, sigma_s, sigma_r)
-        return [self._candidate("mixed", pi, sigma_s, sigma_r, _posterior(p, sigma_s), values)]
-
-    def _supported_pooling(self, p: float, pi: tuple, passive: tuple) -> list[_Candidate]:
-        """Pooling held up by off-path beliefs other than the prior.
-
-        Off the path any belief is admissible, so the receiver's off-path trust
-        probability can be anything its possible beliefs rationalize: a pure
-        action, or any mixture when some belief makes it indifferent.  Within
-        the q-interval that deters both sender types, the value closest to the
-        passive-belief response is chosen and the rationalizing belief stored.
-        """
-        found = []
-        for m in range(2):
-            entry = self.pooling.get((m, passive[m], passive[1 - m]))
-            if entry is None:
-                continue
-            q_off, g_att, g_def, sigma_r, values = entry
-            belief_off = _rationalizing_belief(q_off, g_att, g_def, p)
-            if belief_off is None:
-                continue
-            sigma_s = (_ONE_HOT[m], _ONE_HOT[m])
-            on_b, off_b = _posterior(p, sigma_s)[m], (belief_off, 1.0 - belief_off)
-            beliefs = (on_b, off_b) if m == 0 else (off_b, on_b)
-            found.append(self._candidate("pooling", pi, sigma_s, sigma_r, beliefs, values))
-        return found
-
-
-def _rationalizing_belief(
-    q: float, g_att: float, g_def: float, prior: float
-) -> float | None:
-    """A belief P(attacker) under which trust probability q is a best response."""
-
-    def gap(mu: float) -> float:
-        return mu * g_att + (1.0 - mu) * g_def
-
-    if q >= 1.0 - 1e-12:  # trust: needs weak preference (ties go to trust)
-        for mu in (prior, 0.0, 1.0):
-            if gap(mu) >= 0.0:
-                return mu
-        return None
-    if q <= 1e-12:  # reject: needs strict preference
-        for mu in (prior, 1.0, 0.0):
-            if gap(mu) < 0.0:
-                return mu
-        return None
-    if abs(g_def - g_att) < 1e-15:
-        return None
-    mu = g_def / (g_def - g_att)  # indifference point
-    return mu if -1e-9 <= mu <= 1.0 + 1e-9 else None
+        # the responses at _entry's sources: a message one type sends alone
+        # has its one-hot posterior while its mass exceeds 1e-15, and a pooled
+        # one the prior, since p + (1 - p) rounds to 1 for every p in [0, 1]
+        picked, lone, plans = (passive[0] & 1, passive[1] & 1), self.picked, self.plans
+        sources = (lone[0] if p > 1e-15 else picked, lone[1] if pi[1] > 1e-15 else picked)
+        sources += (picked, (TRUST, TRUST))
+        for layer, entries in enumerate(_LAYERS):
+            if layer == _TIED:
+                # Bayes wherever a message has mass
+                sources = [self.alone[t] if pi[t] > 0.0 else passive for t in range(2)]
+                sources += (passive, (_NEAR, _NEAR))
+            found = []
+            for k, pair, kind, w0, w1 in entries:
+                plan = plans.get((k, sources[w0][0], sources[w1][1]), self)
+                if plan is self:
+                    plan = self.plan(layer, pair, sources[w0][0], sources[w1][1])
+                if plan is None:
+                    continue
+                sigma_r, values, sigma_s, rule = plan
+                if values is None:  # a mixing type: its weights depend on p
+                    sigma_s = self._senders(pair, sigma_s, p, pi, layer)
+                    if sigma_s is None:
+                        continue
+                    values = _sender_values(self.u_s, sigma_s, sigma_r)
+                beliefs = _posterior(p, sigma_s, 0.0 if layer == _TIED else 1e-15)
+                if rule is not None:  # a pooling's off-path belief
+                    belief, want, g_att, g_def = rule
+                    if want is not None and (p * g_att + (1.0 - p) * g_def >= 0.0) == want:
+                        belief = p  # the prior's own trust gap has the sign wanted
+                    off_b = (belief, 1.0 - belief)
+                    beliefs = (beliefs[0], off_b) if pair[0] == 0 else (off_b, beliefs[1])
+                rv = 0.0  # the receiver's value, in numpy's order
+                for t, m, a in product(range(2), repeat=3):
+                    rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * self.u_r[t][m][a]
+                found.append(_Candidate(sigma_s, sigma_r, beliefs, values, rv, kind, layer))
+            if found:
+                return min(found, key=_Candidate.rank)
+        raise RuntimeError("no equilibrium found")
 
 
 def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     """Find a perfect Bayesian equilibrium of the 2x2x2 trust game.
 
-    All pure sender profiles are enumerated with Bayes-consistent beliefs on
-    path, prior beliefs off path, and receiver ties resolved toward trust;
-    partially-mixing equilibria are constructed in closed form.  Among the
-    candidates the order of preference is separating, then hybrid, then
-    pooling, then higher receiver value, then the lexicographically smallest
-    strategy profile.  Some games have no equilibrium with passive off-path
-    beliefs; for those a fully-mixed construction is tried, and failing
-    that, pooling supported by other off-path beliefs.
+    Each sender type sends message 0, message 1, or mixes, and the receiver
+    answers each message with a trust probability its beliefs allow.  The
+    support pairs are enumerated in layers, and the first layer with a
+    candidate is selected from: prior beliefs off path with receiver ties
+    resolved toward trust; both types mixing; pooling supported by other
+    off-path beliefs; the receiver mixing near a tie.  So every prior in
+    [0, 1] has an equilibrium.  Within a layer the kinds rank separating,
+    hybrid, pooling, mixed; then higher receiver value, then the
+    lexicographically smallest strategy profile, decide.
 
-    The candidates are built on Python floats with numpy's operation order,
-    so every result has the bits a numpy evaluation gives.  The receiver
-    trusts when its expected payoff from trusting is at least that from
-    rejecting.  When the two are within rounding of a tie, the comparison is
-    numpy's own dot product of the beliefs with the table, so a platform's
-    rounding of a near tie decides as it does in numpy.  This is one solve
-    of the prepared game that :func:`gne_solve` sets up once per solve.
+    Candidates are built on Python floats with numpy's operation order, and
+    near a tie the receiver compares numpy's own dot products, so every
+    result has the bits a numpy evaluation gives.  This is one solve of the
+    game that :func:`gne_solve` sets up once, without its memo's bands.
     """
     return _TrustGame(prm.sender_utils, prm.receiver_utils).solve(prm.prior).outcome()
 
@@ -1033,6 +1041,19 @@ def _timing_game(
     return v_a, v_d, timing[v_a, v_d]
 
 
+def _cost_errors(costs: GNECosts, sender_utils) -> list[tuple[str, str]]:
+    """Each move cost under max |sender_utils| / _MAX_VALUE_PER_COST, which
+    overflows the timing game's rate grid, with the document field that sets
+    it; the document validator reports them all, the solver the first."""
+    top = float(max(abs(v) for table in sender_utils for row in table for v in row))
+    return [
+        (f"costs.{key}", f"max |sender_utils| / cost must be <= {_MAX_VALUE_PER_COST!r}, "
+         f"got {top / cost!r}")
+        for key, cost in (("attack", costs.attack_cost), ("defense", costs.defense_cost))
+        if cost > 0 and top / cost > _MAX_VALUE_PER_COST
+    ]
+
+
 def gne_solve(
     costs: GNECosts,
     sender_utils,
@@ -1044,15 +1065,13 @@ def gne_solve(
 ) -> GNEState:
     """Find the composed equilibrium by damped fixed-point iteration.
 
-    The trust game's table-only work, and its bands around the priors
-    where its selection can change, are done once, before the iteration.
-    A stage takes its sender values from :meth:`_TrustGame.values`, which
-    reuses, with the same bits, a separating or pooling selection found
-    earlier between the same two bands; the final stage solves in full.
-    The timing game is solved once per distinct pair of sender values
-    (v_a, v_d), compared exactly, and reused by later stages and by the
-    final one.  So the result is what solving both games afresh at every
-    stage gives, bit for bit.
+    The trust game is set up once.  A stage takes its sender values from
+    :meth:`_TrustGame.values`, which reuses, with the same bits, a separating
+    or pooling selection found earlier between the same two bands; the final
+    stage solves in full.  The timing game is solved once per distinct pair
+    of sender values (v_a, v_d), compared exactly.  So the result is what
+    solving both games afresh at every stage gives, bit for bit.  A move cost
+    that would overflow the timing game's rate grid raises ValueError.
 
     Args:
         costs: timing-game move costs.
@@ -1074,6 +1093,9 @@ def gne_solve(
     if not 0 <= p0 <= 1:
         raise ValueError("p0 must be in [0, 1]")
     game = _TrustGame(sender_utils, receiver_utils)
+    errors = _cost_errors(costs, game.u_s)
+    if errors:
+        raise ValueError(errors[0][1])
     p = float(p0)
     history: list[float] = []
     timing: dict[tuple[float, float], FlipItOutcome] = {}

@@ -23,7 +23,7 @@ import yaml
 from .adversary import RemovalBudget
 from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult
 from .controller import _coincident, _plan_input_errors
-from .gne import _MAX_VALUE_PER_COST, GNECosts, GNEState, PlantSpec, physical_utilities
+from .gne import GNECosts, GNEState, PlantSpec, _cost_errors, physical_utilities
 from .graph_core import BINARY, SMOOTH, WeightProfile, WeightedGraph
 from .simulator import (
     BaselineSpec,
@@ -555,7 +555,8 @@ def _load_yaml(path: str | Path) -> Any:
 
 @dataclass(frozen=True, eq=False)
 class GNEProblem:
-    """A parsed coupled-game instance plus solver settings."""
+    """A parsed coupled-game instance plus solver settings: the arguments of
+    :func:`~resilnet.gne.gne_solve`."""
 
     costs: GNECosts
     sender_utils: np.ndarray
@@ -643,16 +644,8 @@ def gne_from_dict(data: Any) -> GNEProblem:
     else:
         sender = _parse_typed_tables(w, top["sender_utils"], "sender_utils")
     if costs is not None and sender is not None:
-        # a cost below max |sender_utils| / _MAX_VALUE_PER_COST overflows
-        # the timing game's rate grid
-        top_value = float(np.max(np.abs(sender)))
-        for key, cost in (("attack", costs.attack_cost), ("defense", costs.defense_cost)):
-            if top_value / cost > _MAX_VALUE_PER_COST:
-                w.err(
-                    f"costs.{key}",
-                    f"max |sender_utils| / cost must be <= {_MAX_VALUE_PER_COST!r}, "
-                    f"got {top_value / cost!r}",
-                )
+        for path, message in _cost_errors(costs, sender):
+            w.err(path, message)
 
     receiver = None
     if ("receiver_utils" in top) == ("plant" in top):
@@ -836,16 +829,8 @@ def gne_record(state: GNEState) -> dict:
         "iterations": state.iterations,
         "converged": state.converged,
         "verified": state.verified,
-        "flipit": {
-            "attacker_rate": flip.attacker_rate,
-            "defender_rate": flip.defender_rate,
-            "control_fraction": flip.control_fraction,
-            "attacker_payoff": flip.attacker_payoff,
-            "defender_payoff": flip.defender_payoff,
-            "is_equilibrium": flip.is_equilibrium,
-            "dropped_out": flip.dropped_out,
-            "iterations": flip.iterations,
-        },
+        # every field but the search grids, in their order
+        "flipit": {k: v for k, v in vars(flip).items() if not k.startswith("grid_")},
         "signaling": {
             "kind": sig.kind,
             "sender_strategy": sig.sender_strategy.tolist(),

@@ -17,11 +17,14 @@ from resilnet.scenario_io import (
     _AGENT_FIELDS,
     _BASELINE_FIELDS,
     _CONTROL_FIELDS,
+    _COSTS_FIELDS,
     _JAM_FIELDS,
     _LAYOUT_FIELDS,
+    _PLANT_FIELDS,
     _PROFILE_FIELDS,
     _SCENARIO_FIELDS,
     _SCHEDULE_FIELDS,
+    _SOLVER_FIELDS,
     _SPOOF_FIELDS,
 )
 
@@ -411,6 +414,23 @@ def test_gne_through_the_prior_window_exits_2_as_nonconvergence(tmp_path, capsys
     assert (out / "gne.json").exists()
 
 
+def test_a_game_whose_trust_game_had_no_equilibrium_runs(tmp_path, capsys):
+    # the receiver's attacker row ties at message 1; the trust game found no
+    # equilibrium at some priors of the iteration, and gne exited 2 with no
+    # output
+    params = {
+        "costs": {"attack": 0.3, "defense": 0.2},
+        "sender_utils": {"attacker": [[0, -1], [-0.2, 2]], "defender": [[0.5, 0.5], [4.8, 0.2]]},
+        "receiver_utils": {"attacker": [[2, -5], [2, 2]], "defender": [[-1, 0], [-3, 0]]},
+    }
+    path = tmp_path / "tied.yaml"
+    path.write_text(yaml.safe_dump(params))
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "g"
+    assert main(["gne", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert {p.name for p in out.iterdir()} == {"gne.json", "residuals.jsonl", "manifest.json"}
+
+
 def test_gne_nonconvergence_exits_2(tmp_path, capsys):
     params = json.loads(json.dumps(GNE_PARAMS))
     params["solver"] = {"max_iters": 2, "damping": 0.5}
@@ -423,12 +443,12 @@ def test_gne_nonconvergence_exits_2(tmp_path, capsys):
     assert (out / "gne.json").exists()
 
 
-def rule_drawn(table):
-    """The fields that scenario_documents draws from their rules: the
-    optional numbers and choices."""
+def rule_drawn(table, required=False):
+    """The fields that the document strategies draw from their rules: the
+    numbers and choices, the optional ones only unless ``required``."""
     return [
         key for key, rule in table.items()
-        if not rule.get("required")
+        if (required or not rule.get("required"))
         and ("choices" in rule or rule.get("check", "number") == "number")
     ]
 
@@ -450,11 +470,17 @@ HAND_DRAWN = [
 ]
 
 
+# the game tables, every field of which game_documents draws from its rule
+GAME_TABLES = [_COSTS_FIELDS, _SOLVER_FIELDS, _PLANT_FIELDS]
+
+
 def test_document_strategy_draws_every_field():
     for table, hand in HAND_DRAWN:
         by_rule = set(rule_drawn(table))
         assert by_rule | hand == set(table)
         assert not by_rule & hand
+    for table in GAME_TABLES:
+        assert set(rule_drawn(table, required=True)) == set(table)
 
 
 def field_values(rule):
@@ -587,3 +613,58 @@ def test_every_document_validate_accepts_runs(doc, tmp_path, capsys):
     assert len((out / "trace.jsonl").read_text().splitlines()) == doc["steps"]
     assert main(["plan", str(path), "--steps", "1"]) == 0, capsys.readouterr().err
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+# few and coarse utilities, so that receiver rows and sender payoffs tie
+GAME_ENTRIES = [-5.0, -3.0, -1.0, -0.5, 0.0, 0.2, 0.5, 1.0, 2.0, 4.8]
+
+
+@st.composite
+def game_documents(draw):
+    """Game documents over the schema, valid or not: every field of the
+    costs, solver and plant tables from its rule, an optional one by a coin
+    flip, and utility tables of GAME_ENTRIES; a plant stands in for the
+    receiver's tables half the time."""
+
+    def drawn(table):
+        return {
+            key: draw(field_values(table[key]))
+            for key in rule_drawn(table, required=True)
+            if table[key].get("required") or draw(st.booleans())
+        }
+
+    def tables():
+        row = st.lists(st.sampled_from(GAME_ENTRIES), min_size=2, max_size=2)
+        return {t: draw(st.lists(row, min_size=2, max_size=2)) for t in ("attacker", "defender")}
+
+    doc = {"costs": drawn(_COSTS_FIELDS), "sender_utils": tables()}
+    if draw(st.booleans()):
+        doc["receiver_utils"] = tables()
+    else:
+        doc["plant"] = drawn(_PLANT_FIELDS)
+    if draw(st.booleans()):
+        doc["solver"] = drawn(_SOLVER_FIELDS)
+    return doc
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=game_documents())
+def test_every_game_document_validate_accepts_runs(doc, tmp_path, capsys):
+    path = tmp_path / "game.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 1:
+        return
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    code = main(["gne", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "failure:" not in err
+    assert code == 0 or (code == 2 and "did not converge" in err), err
+    assert {p.name for p in out.iterdir()} == {"gne.json", "residuals.jsonl", "manifest.json"}

@@ -907,7 +907,7 @@ def _ref_supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
             continue
         q_passive = 1.0 if _ref_receiver_br(pi, u_r, m_off) == TRUST else 0.0
         q_off = min(max(q_passive, lo), hi)
-        belief_off = gne._rationalizing_belief(q_off, g_att, g_def, prm.prior)
+        belief_off = _ref_rationalizing_belief(q_off, g_att, g_def, prm.prior)
         if belief_off is None:
             continue
         sigma_s = np.zeros((2, 2))
@@ -923,6 +923,28 @@ def _ref_supported_pooling(prm: SignalingParams) -> list[SignalingOutcome]:
             SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "pooling")
         )
     return found
+
+
+def _ref_rationalizing_belief(q, g_att, g_def, prior):
+    """A belief P(attacker) under which trust probability q is a best response."""
+
+    def gap(mu):
+        return mu * g_att + (1.0 - mu) * g_def
+
+    if q >= 1.0 - 1e-12:  # trust: needs weak preference (ties go to trust)
+        for mu in (prior, 0.0, 1.0):
+            if gap(mu) >= 0.0:
+                return mu
+        return None
+    if q <= 1e-12:  # reject: needs strict preference
+        for mu in (prior, 1.0, 0.0):
+            if gap(mu) < 0.0:
+                return mu
+        return None
+    if abs(g_def - g_att) < 1e-15:
+        return None
+    mu = g_def / (g_def - g_att)  # indifference point
+    return mu if -1e-9 <= mu <= 1.0 + 1e-9 else None
 
 
 def reference_signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
@@ -954,9 +976,9 @@ def assert_signaling_matches_reference(prior, u_s, u_r):
     prm = SignalingParams(prior, u_s, u_r)
     try:
         want = reference_signaling_equilibrium(prm)
-    except RuntimeError as exc:
-        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-            signaling_equilibrium(prm)
+    except RuntimeError:
+        # the reference finds no equilibrium; the solver's last layer must
+        check_pbe(prm, signaling_equilibrium(prm))
         return "raise"
     got = signaling_equilibrium(prm)
     assert got.kind == want.kind
@@ -1008,10 +1030,41 @@ def test_signaling_matches_numpy_reference_on_each_kind(seed, kind):
     assert assert_signaling_matches_reference(prior, u_s, u_r) == kind
 
 
-def test_signaling_matches_numpy_reference_where_no_equilibrium_exists():
+def test_signaling_finds_an_equilibrium_where_the_numpy_reference_raises():
     u_s = np.array([[[-1.0, 0.9], [0.6, -0.3]], [[0.4, 0.5], [0.6, -0.8]]])
     u_r = np.array([[[-0.4, -0.4], [0.2, 0.2]], [[0.8, 0.5], [-0.2, 0.6]]])
+    with pytest.raises(RuntimeError, match="no equilibrium with passive or supported beliefs"):
+        reference_signaling_equilibrium(SignalingParams(0.5, u_s, u_r))
     assert assert_signaling_matches_reference(0.5, u_s, u_r) == "raise"
+
+
+# tables of a scan of ENTRIES tables where the numpy reference finds no
+# equilibrium, as (sender, receiver, priors): the first with no tie, where
+# the hybrid's share rounds to exactly 1; the last two only with a mixing
+# sender type and the receiver mixing at a tied row
+REFERENCE_RAISES = [
+    ([[[0.2, 0.5], [-1, 1]], [[-0.5, -3], [4.8, -1]]],
+     [[[4.8, 0.2], [-0.5, -1]], [[0.5, -3], [-5, -3]]], [0.8]),
+    ([[[4.8, 1], [2, 4.8]], [[-0.5, 4.8], [2, 1]]],
+     [[[0.5, 2], [0, -5]], [[0.5, -0.5], [0, 0.2]]], [0.4]),
+    ([[[-3, 2], [2, -1]], [[0.2, -1], [0.5, -0.5]]],
+     [[[2, 1], [0.2, 0.2]], [[-3, -0.5], [0.5, 1]]], np.linspace(0.0, 1.0, 41)[29:40]),
+    ([[[0.5, -1], [-0.5, 2]], [[-3, 0.5], [-3, 4.8]]],
+     [[[-5, -1], [-1, 2]], [[0.5, 0.5], [0, -3]]], np.linspace(0.0, 1.0, 41)[1:21]),
+]
+
+
+@pytest.mark.parametrize("u_s, u_r, priors", REFERENCE_RAISES)
+def test_scan_tables_without_a_reference_equilibrium_get_one(u_s, u_r, priors):
+    kinds = set()
+    for prior in priors:
+        prm = SignalingParams(float(prior), u_s, u_r)
+        with pytest.raises(RuntimeError):
+            reference_signaling_equilibrium(prm)
+        out = signaling_equilibrium(prm)
+        check_pbe(prm, out)
+        kinds.add(out.kind)
+    assert kinds <= {"pooling", "hybrid"}
 
 
 def test_signaling_matches_numpy_reference_on_subnormal_receiver_tables():
@@ -1024,10 +1077,14 @@ def test_signaling_matches_numpy_reference_on_subnormal_receiver_tables():
         for prior in (0.25, 0.5, 0.75):
             assert_signaling_matches_reference(prior, u_s, u_r)
 
-TABLE_STYLES = ["random", "tenths", "message-free", "message-free tenths"]
+TABLE_STYLES = ["random", "tenths", "message-free", "message-free tenths", "entries"]
+# few and coarse entries, so that receiver rows and sender payoffs tie
+ENTRIES = np.array([-5.0, -3.0, -1.0, -0.5, 0.0, 0.2, 0.5, 1.0, 2.0, 4.8])
 
 
 def random_tables(rng, style):
+    if style == "entries":
+        return tuple(rng.choice(ENTRIES, size=(2, 2, 2, 2)))
     u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
     u_r = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
     if style.startswith("message-free"):
@@ -1075,11 +1132,12 @@ def test_prepared_game_matches_numpy_reference_at_branch_priors(seed, style):
 
 def assert_prepared_matches_reference(game, prior, u_s, u_r):
     """The prepared game's solve at ``prior`` has the numpy reference's bits."""
+    prm = SignalingParams(prior, u_s, u_r)
     try:
-        want = reference_signaling_equilibrium(SignalingParams(prior, u_s, u_r))
-    except RuntimeError as exc:
-        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-            game.solve(prior)
+        want = reference_signaling_equilibrium(prm)
+    except RuntimeError:
+        # the reference finds no equilibrium; the solver's last layer must
+        check_pbe(prm, game.solve(prior).outcome())
         return "raise"
     got = game.solve(prior).outcome()
     assert got.kind == want.kind
@@ -1163,7 +1221,7 @@ def test_memoized_values_match_a_full_solve(seed, style):
         u_s, u_r = rng.choice(SIGNED_ENTRIES, size=(2, 2, 2, 2))
     else:
         u_s, u_r = random_tables(rng, style)
-    edges = gne._TrustGame(u_s, u_r).edges
+    edges = gne._TrustGame(u_s, u_r)._band_edges()
     # both ends of every band, each band's middle (its breakpoint, where the
     # band was not merged), the receiver's indifference priors, the branch
     # priors and random ones
@@ -1199,6 +1257,22 @@ def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
     for prior in (0.2, 0.3, 0.2):
         game.values(prior)
     assert kinds == ["pooling", "hybrid", "hybrid", "hybrid"]
+
+
+def test_band_edges_are_set_up_by_gne_solve_alone(monkeypatch):
+    calls = []
+    band_edges = gne._TrustGame._band_edges
+
+    def spy(self):
+        calls.append(self)
+        return band_edges(self)
+
+    monkeypatch.setattr(gne._TrustGame, "_band_edges", spy)
+    for prior in (0.0, 0.1, 0.3):
+        signaling_equilibrium(SignalingParams(prior, DEMO_SENDER, DEMO_RECEIVER))
+    assert calls == []
+    gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
+    assert len(calls) == 1
 
 
 BAD_TABLES = [
@@ -1342,6 +1416,14 @@ def test_gne_rejects_bad_solver_settings():
         gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, damping=0.0)
     with pytest.raises(ValueError):
         gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, p0=1.5)
+
+
+@pytest.mark.parametrize("costs", [GNECosts(1e-310, 0.2), GNECosts(0.3, 1e-310)])
+def test_gne_solve_rejects_a_move_cost_that_overflows_the_rate_grid(costs):
+    # the rule gne_from_dict reports with the field; it once surfaced as
+    # numpy's "Geometric sequence cannot include zero"
+    with pytest.raises(ValueError, match=r"^max \|sender_utils\| / cost must be <= "):
+        gne_solve(costs, DEMO_SENDER, DEMO_RECEIVER)
 
 
 def reference_gne_solve(costs, u_s, u_r, damping=0.5, tol=1e-8, max_iters=200, p0=0.5):
