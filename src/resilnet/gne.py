@@ -138,11 +138,25 @@ def _holding(alpha_a, alpha_d) -> np.ndarray:
 
 
 def _attacker_payoffs(grid: np.ndarray, alpha_d: float, prm: FlipItParams) -> np.ndarray:
-    return prm.attacker_value * _holding(grid, alpha_d) - prm.attack_cost * grid
+    """Payoffs on a sorted grid with :func:`_holding`'s bits: the rates up to
+    alpha_d, a prefix, hold rate / (2 alpha_d) (0 if alpha_d is 0), the rest
+    1 - alpha_d / (2 rate), and all 1 if alpha_d is NaN."""
+    held = np.ones_like(grid)
+    if alpha_d == alpha_d:
+        k = int(np.searchsorted(grid, alpha_d, "right"))
+        held[:k] = grid[:k] / (2.0 * alpha_d) if alpha_d > 0 else 0.0
+        np.subtract(1.0, alpha_d / (2.0 * grid[k:]), out=held[k:])
+    return prm.attacker_value * held - prm.attack_cost * grid
 
 
 def _defender_payoffs(grid: np.ndarray, alpha_a: float, prm: FlipItParams) -> np.ndarray:
-    return prm.defender_value * (1.0 - _holding(alpha_a, grid)) - prm.defense_cost * grid
+    """The mirror of :func:`_attacker_payoffs`; the prefix is the rates below alpha_a."""
+    held = np.ones_like(grid)
+    if alpha_a == alpha_a:
+        k = int(np.searchsorted(grid, alpha_a, "left"))
+        np.subtract(1.0, grid[:k] / (2.0 * alpha_a), out=held[:k])
+        held[k:] = alpha_a / (2.0 * grid[k:]) if alpha_a > 0 else 0.0
+    return prm.defender_value * (1.0 - held) - prm.defense_cost * grid
 
 
 def _argmax_with_ties(payoffs: np.ndarray, incumbent: int) -> tuple[int, float]:
@@ -160,10 +174,33 @@ def _argmax_with_ties(payoffs: np.ndarray, incumbent: int) -> tuple[int, float]:
 
 
 def _rate_grid(lo: float, hi: float, points: int, extra: Sequence[float] = ()) -> np.ndarray:
-    """The rate 0, a geometric grid on [lo, hi], and the positive extra rates."""
-    base = np.concatenate(([0.0], np.geomspace(lo, hi, points)))
+    """The rate 0, a geometric grid on [lo, hi], and the positive extra rates,
+    with the bits of ``np.union1d([0.0, *np.geomspace(lo, hi, points)], extra)``
+    (no union1d if no extra is positive) by geomspace's own ufuncs, for 2 or
+    more points and positive, zero (raising) or NaN ends.  At a zero step
+    (equal logs) linspace divides before scaling: both give 0.  The grids of
+    :func:`flipit_equilibrium` are sorted, as the payoffs need: lo < hi there,
+    and neighbours differ by at least a factor 1e4 ** (1 / points).
+    """
+    if lo == 0 or hi == 0:
+        raise ValueError("Geometric sequence cannot include zero")
+    hi = hi if lo == lo else lo  # geomspace divides both ends by lo's sign, NaN for NaN
+    start, stop = np.log10(lo), np.log10(hi)
+    y = np.arange(points) * ((stop - start) / (points - 1)) + start
+    y[-1] = stop
+    grid = np.zeros(points + 1)
+    np.power(10.0, y, out=grid[1:])
+    grid[1], grid[-1] = lo, hi
     pos = [r for r in extra if r > 0]
-    return np.union1d(base, pos) if pos else base
+    if not pos:
+        return grid
+    # np.unique's rule: sort, keep each first of equal neighbours, one NaN
+    grid = np.sort(np.concatenate((grid, pos)))
+    keep = np.ones(len(grid), dtype=bool)
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    if grid[-1] != grid[-1]:
+        keep[np.searchsorted(grid, grid[-1]) + 1 :] = False
+    return grid[keep]
 
 
 def _equilibrium_candidate(prm: FlipItParams) -> tuple[float, float]:
@@ -261,7 +298,7 @@ def _exit_grid(alpha_max: float, grid_points: int, extras: tuple[float, ...]) ->
 def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
     """True if some grid rate strictly profits against the defender's response."""
     rates = grid[1:]
-    payoffs = _defender_payoffs(grid[None, :], rates[:, None], prm)
+    payoffs = prm.defender_value * (1.0 - _holding(rates[:, None], grid)) - prm.defense_cost * grid
     # each row's response is its first rate within _PAYOFF_TOL of the best,
     # the rule of _argmax_with_ties without an incumbent
     ties = payoffs >= payoffs.max(axis=1, keepdims=True) - _PAYOFF_TOL
@@ -569,7 +606,7 @@ class _TrustGame:
     """
 
     def __init__(self, sender_utils, receiver_utils) -> None:
-        s, r = (np.asarray(t, dtype=float) for t in (sender_utils, receiver_utils))
+        s, r = (np.array(t, dtype=float) for t in (sender_utils, receiver_utils))  # copies
         _check_table("sender_utils", s)
         _check_table("receiver_utils", r)
         self.sender_utils, self.receiver_utils = s, r
@@ -584,7 +621,7 @@ class _TrustGame:
         self.alone = tuple(tuple(self._br(_ONE_HOT[t], m) for m in range(2)) for t in range(2))
         self.picked = [(r0 & 1, r1 & 1) for r0, r1 in self.alone]
         self.plans: dict[tuple, tuple | None] = {}  # see plan()
-        # the merged exclusion bands' [lo, hi) ends, and the memo (see values())
+        # the merged exclusion bands' [lo, hi) ends, and a default memo (see values())
         self.edges: list[float] | None = None
         self.memo: dict[int, tuple[float, float]] = {}
 
@@ -650,9 +687,9 @@ class _TrustGame:
                 edges += (lo, hi)
         return edges
 
-    def values(self, p: float) -> tuple[float, float]:
+    def values(self, p: float, memo: dict | None = None) -> tuple[float, float]:
         """``solve(p).sender_values`` for p in [0, 1], without the solve
-        where it is known.
+        where ``memo`` (the game's own if None) knows them.
 
         Between two exclusion bands no decision that a separating or pooling
         selection of the first three layers rests on changes: which
@@ -663,13 +700,14 @@ class _TrustGame:
         """
         if self.edges is None:
             self.edges = self._band_edges()
+        memo = self.memo if memo is None else memo
         i = bisect.bisect_right(self.edges, p)
-        values = self.memo.get(i)
+        values = memo.get(i)
         if values is None:
             sig = self.solve(p)
             values = sig.sender_values
             if not i & 1 and sig.layer != _TIED and sig.kind in ("separating", "pooling"):
-                self.memo[i] = values
+                memo[i] = values
         return values
 
     def _br(self, belief: tuple, m: int) -> int:
@@ -904,6 +942,17 @@ class _TrustGame:
         raise RuntimeError("no equilibrium found")
 
 
+def _trust_game(sender_utils, receiver_utils) -> _TrustGame:
+    """The game on these tables, kept for the last 8 pairs by shape and float64 bytes."""
+    tables = [np.asarray(t, dtype=float) for t in (sender_utils, receiver_utils)]
+    return _prepared_game(*((t.shape, t.tobytes()) for t in tables))
+
+
+@functools.lru_cache(maxsize=8)
+def _prepared_game(sender: tuple, receiver: tuple) -> _TrustGame:
+    return _TrustGame(*(np.frombuffer(data).reshape(shape) for shape, data in (sender, receiver)))
+
+
 def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     """Find a perfect Bayesian equilibrium of the 2x2x2 trust game.
 
@@ -920,9 +969,9 @@ def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     Candidates are built on Python floats with numpy's operation order, and
     near a tie the receiver compares numpy's own dot products, so every
     result has the bits a numpy evaluation gives.  This is one solve of the
-    game that :func:`gne_solve` sets up once, without its memo's bands.
+    game that :func:`gne_solve` prepares, without its memo's bands.
     """
-    return _TrustGame(prm.sender_utils, prm.receiver_utils).solve(prm.prior).outcome()
+    return _trust_game(prm.sender_utils, prm.receiver_utils).solve(prm.prior).outcome()
 
 
 # ---------------------------------------------------------------------------
@@ -1065,13 +1114,13 @@ def gne_solve(
 ) -> GNEState:
     """Find the composed equilibrium by damped fixed-point iteration.
 
-    The trust game is set up once.  A stage takes its sender values from
-    :meth:`_TrustGame.values`, which reuses, with the same bits, a separating
-    or pooling selection found earlier between the same two bands; the final
-    stage solves in full.  The timing game is solved once per distinct pair
-    of sender values (v_a, v_d), compared exactly.  So the result is what
-    solving both games afresh at every stage gives, bit for bit.  A move cost
-    that would overflow the timing game's rate grid raises ValueError.
+    The trust game is set up once per table pair in a process.  A stage takes
+    its sender values from :meth:`_TrustGame.values` and this solve's memo of
+    separating and pooling selections between two bands; the final stage
+    solves in full.  The timing game is solved once per distinct pair of
+    sender values (v_a, v_d), compared exactly.  So the result is what solving
+    both games afresh at every stage gives, bit for bit.  A move cost that
+    would overflow the timing game's rate grid raises ValueError.
 
     Args:
         costs: timing-game move costs.
@@ -1092,17 +1141,18 @@ def gne_solve(
         raise ValueError("damping must be in (0, 1]")
     if not 0 <= p0 <= 1:
         raise ValueError("p0 must be in [0, 1]")
-    game = _TrustGame(sender_utils, receiver_utils)
+    game = _trust_game(sender_utils, receiver_utils)
     errors = _cost_errors(costs, game.u_s)
     if errors:
         raise ValueError(errors[0][1])
     p = float(p0)
     history: list[float] = []
+    memo: dict[int, tuple[float, float]] = {}
     timing: dict[tuple[float, float], FlipItOutcome] = {}
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        flip = _timing_game(game.values(p), costs, timing)[2]
+        flip = _timing_game(game.values(p, memo), costs, timing)[2]
         p_next = (1.0 - damping) * p + damping * flip.control_fraction
         residual = abs(p_next - p)
         history.append(residual)

@@ -2,7 +2,10 @@
 
 import math
 import re
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -471,6 +474,62 @@ def test_flipit_matches_the_frozen_reference(
     prm = FlipItParams(attack, defense, value, defender_value)
     want = outcome_or_error(reference_flipit_equilibrium, prm, max_iters)
     assert outcome_or_error(flipit_equilibrium, prm, max_iters) == want
+
+
+def grid_or_error(make, lo, hi, points, extra):
+    try:
+        grid = make(lo, hi, points, extra)
+    except ValueError as exc:
+        return str(exc)
+    return grid.shape, grid.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    lo=magnitudes | st.sampled_from([0.0, math.nan]),
+    hi=st.sampled_from(["drawn", "equal", "zero"]),
+    hi_drawn=magnitudes,
+    points=st.integers(2, 400),
+    on_grid=st.lists(st.integers(0, 400), max_size=3),
+    off_grid=st.lists(magnitudes | st.sampled_from([0.0, -0.0, -1.0]), max_size=3),
+    repeat=st.booleans(),
+    value=st.just(0.0) | magnitudes,
+    cost=magnitudes,
+)
+# a refined grid, and a grid with the analytic rates inserted
+@example(lo=1e-4 / 1.0473708979594498, hi="drawn", hi_drawn=0.3, points=200, on_grid=[],
+         off_grid=[], repeat=False, value=0.9, cost=0.3)
+@example(lo=1e-4, hi="drawn", hi_drawn=4.5, points=200, on_grid=[],
+         off_grid=[0.05, 0.25], repeat=True, value=0.9, cost=0.3)
+def test_rate_grid_and_payoffs_have_the_bits_of_the_numpy_forms(
+    lo, hi, hi_drawn, points, on_grid, off_grid, repeat, value, cost
+):
+    hi = {"drawn": hi_drawn, "equal": lo, "zero": 0.0}[hi]
+    try:
+        base = _ref_rate_grid(lo, hi, points)
+    except ValueError:  # a zero end: both raise geomspace's error
+        base = np.zeros(1)
+    # extras on a grid point, off it, not positive, and repeated
+    extra = [float(base[i % len(base)]) for i in on_grid] + off_grid
+    extra += extra[:1] if repeat else []
+    want = grid_or_error(_ref_rate_grid, lo, hi, points, extra)
+    assert grid_or_error(gne._rate_grid, lo, hi, points, extra) == want
+    if isinstance(want, str):
+        assert want == "Geometric sequence cannot include zero"
+        return
+    # the payoffs need a sorted grid, as flipit_equilibrium's are
+    grid = np.sort(gne._rate_grid(lo, hi, points, extra))
+    prm = FlipItParams(cost, cost, value, value)
+    between = [float(a + (b - a) / 2) for a, b in zip(grid[:3], grid[1:4])]
+    for rate in (0.0, *grid[:: max(1, len(grid) // 7)].tolist(), *between, math.inf, math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pairs = [
+                (gne._attacker_payoffs(grid, rate, prm), _ref_attacker_payoffs(grid, rate, prm)),
+                (gne._defender_payoffs(grid, rate, prm), _ref_defender_payoffs(grid, rate, prm)),
+            ]
+        for got, ref in pairs:
+            assert got.tobytes() == ref.tobytes(), rate
 
 
 def test_flipit_rejects_a_grid_of_fewer_than_two_points():
@@ -1260,6 +1319,7 @@ def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
 
 
 def test_band_edges_are_set_up_by_gne_solve_alone(monkeypatch):
+    gne._prepared_game.cache_clear()
     calls = []
     band_edges = gne._TrustGame._band_edges
 
@@ -1273,6 +1333,123 @@ def test_band_edges_are_set_up_by_gne_solve_alone(monkeypatch):
     assert calls == []
     gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
     assert len(calls) == 1
+    # equal tables, as new arrays or nested lists, share the prepared game
+    gne_solve(DEMO_COSTS, DEMO_SENDER.copy(), DEMO_RECEIVER.copy())
+    gne_solve(DEMO_COSTS, DEMO_SENDER.tolist(), DEMO_RECEIVER.tolist())
+    assert len(calls) == 1
+    # a table one ulp or a signed zero away is another game
+    ulp, signed = DEMO_SENDER.copy(), DEMO_SENDER.copy()
+    ulp[ATTACKER, 0, TRUST] = math.nextafter(1.0, 2.0)
+    signed[ATTACKER, 0, REJECT] = -0.0
+    for u_s in (ulp, signed):
+        gne_solve(DEMO_COSTS, u_s, DEMO_RECEIVER)
+    assert len(calls) == 3
+    signaling_equilibrium(SignalingParams(0.3, DEMO_SENDER, DEMO_RECEIVER[::-1]))
+    assert len(calls) == 3
+
+
+def test_a_prior_sweep_on_fixed_tables_builds_each_plan_once(monkeypatch):
+    gne._prepared_game.cache_clear()
+    built = []
+    plan = gne._TrustGame._plan
+
+    def spy(self, *key):
+        built.append(key)
+        return plan(self, *key)
+
+    monkeypatch.setattr(gne._TrustGame, "_plan", spy)
+    priors = np.linspace(0.0, 1.0, 41)
+    for _ in range(2):
+        for prior in priors:
+            signaling_equilibrium(SignalingParams(prior, DEMO_SENDER, DEMO_RECEIVER))
+        assert len(built) == len(set(built)) > 0
+
+
+def signaling_afresh(prm):
+    """:func:`signaling_equilibrium` on a game set up for this call alone."""
+    return gne._TrustGame(prm.sender_utils, prm.receiver_utils).solve(prm.prior).outcome()
+
+
+def state_bits(state):
+    """Every field of a GNEState, floats by repr and arrays by their bytes."""
+    sig = state.signaling
+    arrays = (sig.sender_strategy, sig.receiver_strategy, sig.beliefs)
+    fields = {**vars(state), "signaling": (*(a.tobytes() for a in arrays), sig.kind,
+                                           repr(sig.sender_values), repr(sig.receiver_value))}
+    return {name: repr(value) for name, value in fields.items()}
+
+
+def test_a_table_changed_after_a_solve_leaves_the_prepared_game_alone(monkeypatch):
+    # the reference solves each stage on a game of its own
+    monkeypatch.setitem(globals(), "signaling_equilibrium", signaling_afresh)
+    gne._prepared_game.cache_clear()
+    u_s, u_r = DEMO_SENDER.copy(), DEMO_RECEIVER.copy()
+    before = assert_matches_reference(DEMO_COSTS, u_s, u_r)
+    assert not np.shares_memory(gne._trust_game(u_s, u_r).sender_utils, u_s)
+    u_s[ATTACKER, 0, TRUST], u_r[ATTACKER, 0, TRUST] = 0.5, -2.0
+    changed = assert_matches_reference(DEMO_COSTS, u_s, u_r)
+    assert changed.control_fraction != before.control_fraction
+    again = assert_matches_reference(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
+    assert state_bits(again) == state_bits(before)
+
+
+def test_the_prepared_game_cache_is_bounded():
+    gne._prepared_game.cache_clear()
+    for k in range(40):
+        signaling_equilibrium(SignalingParams(0.3, DEMO_SENDER + k, DEMO_RECEIVER))
+    info = gne._prepared_game.cache_info()
+    assert (info.misses, info.hits) == (40, 0)
+    assert info.currsize == info.maxsize <= 8
+
+
+def test_interleaved_cost_sweeps_on_two_table_pairs_match_the_reference(monkeypatch):
+    monkeypatch.setitem(globals(), "signaling_equilibrium", signaling_afresh)
+    gne._prepared_game.cache_clear()
+    tables = [(DEMO_SENDER, DEMO_RECEIVER), random_tables(np.random.default_rng(7), "random")]
+    for attack, defense in product((0.3, 0.6), (0.1, 0.2, 0.5)):
+        for u_s, u_r in tables:
+            assert_matches_reference(GNECosts(attack, defense), u_s, u_r)
+
+
+def reference_bits(costs, u_s, u_r):
+    """:func:`state_bits` of :func:`reference_gne_solve`'s result."""
+    p, v_a, v_d, flip, sig, residual, iterations, converged, history = reference_gne_solve(
+        costs, u_s, u_r
+    )
+    verified = converged and flip.is_equilibrium and residual < 1e-8
+    return state_bits(gne.GNEState(
+        p, v_a, v_d, flip, sig, residual, iterations, converged, verified, tuple(history)
+    ))
+
+
+@pytest.mark.parametrize("style", ["demo", "random"])
+def test_threads_solving_the_same_tables_get_the_reference_results(style):
+    tables = (DEMO_SENDER, DEMO_RECEIVER)
+    if style == "random":  # pooling and separating selections, which the memo keeps
+        tables = random_tables(np.random.default_rng(7), "random")
+    # the last cells' iterations swing across a regime change until max_iters
+    costs = [GNECosts(a, d) for a, d in [*product((0.3, 0.5, 0.8), (0.1, 0.3)), (0.2, 0.5)]]
+    want = [reference_bits(cost, *tables) for cost in costs]
+    gne._prepared_game.cache_clear()
+    gne._trust_game(*tables)  # one shared game, whose bands the threads race to set up
+    workers = 4  # more than the cores of a small host, racing to set the game up
+    start = threading.Barrier(workers)
+
+    def sweep(shift):
+        start.wait(timeout=60)
+        order = [(i + shift) % len(costs) for i in range(len(costs))]
+        return {i: state_bits(gne_solve(costs[i], *tables)) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(sweep, 2 * k) for k in range(workers)]
+            runs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in runs:
+        assert [got[i] for i in range(len(costs))] == want
 
 
 BAD_TABLES = [
