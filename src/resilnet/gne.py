@@ -14,9 +14,13 @@ feed the timing game, and the resulting holding fraction must reproduce p.
 It is found by damped fixed-point iteration, and verified by one more stage
 at the converged point: the timing game's pair must be a certified mutual
 best response there, and p must stay put to within the tolerance.  Each
-distinct timing game is solved once per solve, and a separating or pooling
-trust-game selection is reused up to the next prior where it can flip.
-Every result keeps the bits of solving both games afresh.
+distinct timing game is solved once per solve.  One memo per table pair,
+which every solve on those tables shares, keeps the trust game's sender
+values: a separating or pooling selection's up to the next prior where it
+can flip, any other's at its exact prior.  A stage that stays within the
+reach of the previous stage's separating or pooling selection reuses that
+stage's holding fraction.  Every result keeps the bits of solving both games
+afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import struct
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -262,15 +268,17 @@ def _best_response_pair(
 
 
 def _dropout_outcome(
-    prm: FlipItParams, grid: Sequence[float], certified: bool | None = None
+    prm: FlipItParams, grid: np.ndarray | tuple[float, ...], certified: bool | None = None
 ) -> FlipItOutcome:
     """Attacker-exits outcome; flagged an equilibrium only if re-entry never pays.
 
-    ``certified`` is passed where that is known without scoring re-entry.
+    ``certified`` is passed, with :func:`_exit_grid`'s tuple, where that is
+    known without scoring re-entry; otherwise re-entry is scored on the
+    searched grid, an array.
     """
     if certified is None:
         certified = float(np.max(_attacker_payoffs(grid, 0.0, prm))) <= 1e-9
-    grid = tuple(grid)
+        grid = tuple(grid.tolist())
     return FlipItOutcome(
         attacker_rate=0.0,
         defender_rate=0.0,
@@ -292,7 +300,7 @@ def _exit_grid(alpha_max: float, grid_points: int, extras: tuple[float, ...]) ->
     It depends on these three alone, so the games a solve prices out, which
     differ only in the attacker's value, share one build.
     """
-    return tuple(_rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras))
+    return tuple(_rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras).tolist())
 
 
 def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
@@ -404,8 +412,8 @@ def flipit_equilibrium(
         is_equilibrium=certified,
         dropped_out=False,
         iterations=it1 + it2,
-        grid_attacker=tuple(grid_a),
-        grid_defender=tuple(grid_d),
+        grid_attacker=tuple(grid_a.tolist()),
+        grid_defender=tuple(grid_d.tolist()),
     )
 
 
@@ -546,6 +554,10 @@ def _sender_values(u_s: list, sigma_s: tuple, sigma_r: tuple) -> tuple[float, fl
 # An exclusion band's ends lie this share of their magnitude beyond the
 # rounding bounds they are derived from.
 _BAND_REL = 2.0**-40
+# The most entries a prepared game's values memo holds; a full memo starts
+# over.  Its keys are band indices (ints) and priors' bits (bytes).
+_VALUES_MEMO = 256
+_PRIOR_BITS = struct.Struct("<d").pack
 # Priors within about 1e-12 of 0 or 1 meet the 1e-15 floors on a type's mass
 # and the 1e-12 floors of the hybrid and mixed constructions: one band each.
 _EDGE_BANDS = ((-math.inf, 1e-12 * (1.0 + _BAND_REL)), (1.0 - 1e-12 - _BAND_REL, math.inf))
@@ -621,9 +633,11 @@ class _TrustGame:
         self.alone = tuple(tuple(self._br(_ONE_HOT[t], m) for m in range(2)) for t in range(2))
         self.picked = [(r0 & 1, r1 & 1) for r0, r1 in self.alone]
         self.plans: dict[tuple, tuple | None] = {}  # see plan()
-        # the merged exclusion bands' [lo, hi) ends, and a default memo (see values())
+        # the merged exclusion bands' [lo, hi) ends (see bands()), and the
+        # values memo that every solve on these tables shares (see lookup())
         self.edges: list[float] | None = None
-        self.memo: dict[int, tuple[float, float]] = {}
+        self.memo: dict[int | bytes, tuple[float, float]] = {}
+        self.memo_lock = threading.Lock()  # keeps the memo's bound under threads
 
     def _band_edges(self) -> list[float]:
         """The ends of the bands around every prior where a decision of
@@ -687,28 +701,47 @@ class _TrustGame:
                 edges += (lo, hi)
         return edges
 
-    def values(self, p: float, memo: dict | None = None) -> tuple[float, float]:
+    def bands(self) -> list[float]:
+        """The merged exclusion bands' [lo, hi) ends, set up on first use."""
+        if self.edges is None:
+            self.edges = self._band_edges()
+        return self.edges
+
+    def values(self, p: float) -> tuple[float, float]:
         """``solve(p).sender_values`` for p in [0, 1], without the solve
-        where ``memo`` (the game's own if None) knows them.
+        where the game's memo knows them (see :meth:`lookup`)."""
+        return self.lookup(p, bisect.bisect_right(self.bands(), p))[0]
+
+    def lookup(self, p: float, i: int) -> tuple[tuple[float, float], bool]:
+        """:meth:`values` at p, which lies in interval i of :meth:`bands`,
+        and whether that interval's memo entry holds them.
 
         Between two exclusion bands no decision that a separating or pooling
         selection of the first three layers rests on changes: which
         candidates exist, the passive responses, and the order of the
         receiver values of two candidates of one kind.  So the interval keeps
         such a selection's values, table entries with the same bits at every
-        prior.  The first call sets the bands up.
+        prior, in an entry keyed on its index.  Any other selection's values
+        are kept under the prior's bits, so -0.0 and 0.0 stay apart.  Every
+        solve on these tables shares the memo; it holds at most _VALUES_MEMO
+        entries, and one that is full is cleared before the next is added.
         """
-        if self.edges is None:
-            self.edges = self._band_edges()
-        memo = self.memo if memo is None else memo
-        i = bisect.bisect_right(self.edges, p)
+        memo = self.memo
         values = memo.get(i)
-        if values is None:
-            sig = self.solve(p)
-            values = sig.sender_values
-            if not i & 1 and sig.layer != _TIED and sig.kind in ("separating", "pooling"):
-                memo[i] = values
-        return values
+        if values is not None:
+            return values, True
+        key = _PRIOR_BITS(p)
+        values = memo.get(key)
+        if values is not None:
+            return values, False
+        sig = self.solve(p)
+        values = sig.sender_values
+        held = not i & 1 and sig.layer != _TIED and sig.kind in ("separating", "pooling")
+        with self.memo_lock:
+            if len(memo) >= _VALUES_MEMO:
+                memo.clear()
+            memo[i if held else key] = values
+        return values, held
 
     def _br(self, belief: tuple, m: int) -> int:
         """The receiver's response at message m under ``belief``; ties trust.
@@ -1114,13 +1147,17 @@ def gne_solve(
 ) -> GNEState:
     """Find the composed equilibrium by damped fixed-point iteration.
 
-    The trust game is set up once per table pair in a process.  A stage takes
-    its sender values from :meth:`_TrustGame.values` and this solve's memo of
-    separating and pooling selections between two bands; the final stage
-    solves in full.  The timing game is solved once per distinct pair of
-    sender values (v_a, v_d), compared exactly.  So the result is what solving
-    both games afresh at every stage gives, bit for bit.  A move cost that
-    would overflow the timing game's rate grid raises ValueError.
+    The trust game is set up once per table pair in a process, with one
+    values memo (:meth:`_TrustGame.lookup`) that every solve on the tables
+    shares and that holds at most _VALUES_MEMO entries.  It keys a separating
+    or pooling selection's values on the interval between two bands, and any
+    other's on the prior's bits.  A stage in the interval whose entry held
+    the previous stage's values has that stage's values, so it reuses that
+    stage's holding fraction.  The final stage solves in full.  The timing game is solved once per
+    distinct pair of sender values (v_a, v_d), compared exactly.  So the
+    result is what solving both games afresh at every stage gives, bit for
+    bit.  A move cost that would overflow the timing game's rate grid raises
+    ValueError.
 
     Args:
         costs: timing-game move costs.
@@ -1147,13 +1184,18 @@ def gne_solve(
         raise ValueError(errors[0][1])
     p = float(p0)
     history: list[float] = []
-    memo: dict[int, tuple[float, float]] = {}
     timing: dict[tuple[float, float], FlipItOutcome] = {}
+    edges = game.bands()
+    band, control = -1, 0.0  # the interval whose entry held the last values, or -1
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        flip = _timing_game(game.values(p, memo), costs, timing)[2]
-        p_next = (1.0 - damping) * p + damping * flip.control_fraction
+        i = bisect.bisect_right(edges, p)
+        if i != band:
+            values, held = game.lookup(p, i)
+            band = i if held else -1
+            control = _timing_game(values, costs, timing)[2].control_fraction
+        p_next = (1.0 - damping) * p + damping * control
         residual = abs(p_next - p)
         history.append(residual)
         p = p_next

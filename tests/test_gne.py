@@ -287,8 +287,8 @@ def _ref_dropout_outcome(prm, grid):
         is_equilibrium=deviation <= 1e-9,
         dropped_out=True,
         iterations=0,
-        grid_attacker=tuple(grid),
-        grid_defender=tuple(grid),
+        grid_attacker=tuple(grid.tolist()),
+        grid_defender=tuple(grid.tolist()),
     )
 
 
@@ -340,8 +340,8 @@ def reference_flipit_equilibrium(prm, grid_points=200, max_iters=500):
         is_equilibrium=certified,
         dropped_out=False,
         iterations=it1 + it2,
-        grid_attacker=tuple(grid_a),
-        grid_defender=tuple(grid_d),
+        grid_attacker=tuple(grid_a.tolist()),
+        grid_defender=tuple(grid_d.tolist()),
     )
 
 
@@ -399,6 +399,7 @@ def test_priced_out_exit_matches_full_search(
         searched.clear()
         got = flipit_equilibrium(prm, max_iters=max_iters)
         assert repr(got) == repr(want)
+        assert {type(r) for r in got.grid_attacker + got.grid_defender} == {float}
         g1 = smallest_positive_rate(attack, defense, value, defender_value)
         if max_iters > 0 and value - attack * g1 < -gne._PAYOFF_TOL:
             exits += 1
@@ -1313,9 +1314,10 @@ def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
     # the demo selects supported pooling on (0, 1/9) and a hybrid above
     pooled = {game.values(p) for p in np.linspace(0.01, 0.1, 10)}
     assert pooled == {(0.2, 0.9)} and kinds == ["pooling"]
+    # a hybrid's values are kept at its exact prior
     for prior in (0.2, 0.3, 0.2):
         game.values(prior)
-    assert kinds == ["pooling", "hybrid", "hybrid", "hybrid"]
+    assert kinds == ["pooling", "hybrid", "hybrid"]
 
 
 def test_band_edges_are_set_up_by_gne_solve_alone(monkeypatch):
@@ -1450,6 +1452,83 @@ def test_threads_solving_the_same_tables_get_the_reference_results(style):
         sys.setswitchinterval(interval)
     for got in runs:
         assert [got[i] for i in range(len(costs))] == want
+
+
+def test_a_second_cost_sweep_solves_the_trust_game_once_per_cell(monkeypatch):
+    # every solve on the tables shares the game's values memo, so a sweep run
+    # again finds each stage's values there and solves its final stage alone
+    costs = [GNECosts(a, d) for a, d in product((0.3, 0.5, 0.8), (0.1, 0.2, 0.3))]
+    want = [reference_bits(cost, DEMO_SENDER, DEMO_RECEIVER) for cost in costs]
+    gne._prepared_game.cache_clear()
+    solved = []
+    solve = gne._TrustGame.solve
+
+    def spy(self, prior):
+        solved.append(prior)
+        return solve(self, prior)
+
+    monkeypatch.setattr(gne._TrustGame, "solve", spy)
+    for sweep in range(2):
+        for cost, bits in zip(costs, want):
+            solved.clear()
+            state = gne_solve(cost, DEMO_SENDER, DEMO_RECEIVER)
+            assert state_bits(state) == bits
+            if sweep:
+                assert solved == [state.control_fraction]
+
+
+@pytest.mark.parametrize("starts", [(-0.0, 0.0), (0.0, -0.0)])
+def test_starts_at_both_signed_zeros_match_the_reference(starts):
+    # the memo keys a prior on its bits, so -0.0 and 0.0 never share an entry
+    rng = np.random.default_rng(23)
+    tables = [(DEMO_SENDER, DEMO_RECEIVER)]
+    tables += [tuple(rng.choice(SIGNED_ENTRIES, size=(2, 2, 2, 2))) for _ in range(4)]
+    gne._prepared_game.cache_clear()
+    for p0 in starts:
+        for u_s, u_r in tables:
+            assert_matches_reference(DEMO_COSTS, u_s, u_r, p0=p0)
+
+
+def test_the_values_memo_is_bounded():
+    game = gne._TrustGame(DEMO_SENDER, DEMO_RECEIVER)
+    # the demo selects a hybrid above 1/9, whose values are kept per prior
+    priors = np.linspace(0.2, 0.9, gne._VALUES_MEMO + 40).tolist()
+    sizes = []
+    for prior in priors + priors[::7]:
+        assert repr(game.values(prior)) == repr(game.solve(prior).sender_values), prior
+        sizes.append(len(game.memo))
+    assert max(sizes) == gne._VALUES_MEMO > sizes[-1]
+
+
+def test_threads_filling_one_values_memo_keep_it_bounded(monkeypatch):
+    # a bound of one entry, so that every new prior fills the memo, and a
+    # thread switch between the check and the insert would overfill it
+    monkeypatch.setattr(gne, "_VALUES_MEMO", 1)
+    game = gne._TrustGame(DEMO_SENDER, DEMO_RECEIVER)
+    priors = np.linspace(0.2, 0.9, 3000).tolist()  # hybrids, one entry each
+    want = [repr(game.solve(p).sender_values) for p in priors]
+    workers = 4
+    start = threading.Barrier(workers)
+
+    def fill(shift):
+        start.wait(timeout=60)
+        sizes, got = [], []
+        for k in range(len(priors)):
+            got.append(repr(game.values(priors[(k + shift) % len(priors)])))
+            sizes.append(len(game.memo))
+        return shift, got, max(sizes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fill, 700 * k) for k in range(workers)]
+            runs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for shift, got, most in runs:
+        assert got == want[shift:] + want[:shift]
+        assert most <= gne._VALUES_MEMO
 
 
 BAD_TABLES = [
@@ -1696,6 +1775,7 @@ def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0
 
 @pytest.mark.parametrize("defense", [0.2, 0.5])
 def test_gne_solve_solves_each_timing_game_once(monkeypatch, defense):
+    gne._prepared_game.cache_clear()  # a memo that no earlier solve filled
     visited, solved = [], []
     signaling, flipit = gne._TrustGame.solve, gne.flipit_equilibrium
 
