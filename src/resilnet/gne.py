@@ -14,13 +14,14 @@ feed the timing game, and the resulting holding fraction must reproduce p.
 It is found by damped fixed-point iteration, and verified by one more stage
 at the converged point: the timing game's pair must be a certified mutual
 best response there, and p must stay put to within the tolerance.  Each
-distinct timing game is solved once per solve.  One memo per table pair,
-which every solve on those tables shares, keeps the trust game's sender
-values: a separating or pooling selection's up to the next prior where it
-can flip, any other's at its exact prior.  A stage that stays within the
-reach of the previous stage's separating or pooling selection reuses that
-stage's holding fraction.  Every result keeps the bits of solving both games
-afresh.
+distinct timing game is solved once per solve, and one whose attacker has
+no value or is priced out of the rate grid is settled without a grid.  One
+values memo per table pair, which every solve on those tables shares and
+which holds at most 256 entries, keeps the trust game's sender values: a
+separating or pooling selection's keyed on the interval between two
+exclusion bands, any other's on its prior's bits.  A stage in the interval
+that held the previous stage's values reuses that stage's holding fraction.
+Every result keeps the bits of solving both games afresh.
 """
 
 from __future__ import annotations
@@ -62,12 +63,23 @@ TRUST, REJECT = 0, 1
 _RATE_FLOOR = 1e-4
 _GRID_POINTS = 200
 _PAYOFF_TOL = 1e-12
-# The largest ratio of a sender value to a move cost whose search grids stay
-# finite and positive.  alpha_max / _RATE_FLOOR must not overflow; below that
-# the refined grids' ends, alpha_max times a grid ratio under 36, are finite
-# too.  The margin covers a sender value that rounds a few ulps past the
-# largest table entry.
+# The largest ratio of a value to a move cost whose search grids stay finite
+# and positive, which FlipItParams checks.  alpha_max / _RATE_FLOOR must not
+# overflow; below that the refined grids' ends, alpha_max times a grid ratio
+# under 36, are finite too.
+_MAX_FLIPIT_RATIO = sys.float_info.max * _RATE_FLOOR * (1.0 - 2.0**-41)
+# The bound on max |sender_utils| / move cost that gne_solve and game
+# documents check.  Its margin below _MAX_FLIPIT_RATIO covers a sender value
+# that rounds a few ulps past the largest table entry.
 _MAX_VALUE_PER_COST = sys.float_info.max * _RATE_FLOOR * (1.0 - 2.0**-40)
+_MAX_ITERS = 500  # best responses per pass of the timing-game search
+
+
+def _ratio_error(what: str, ratio: float, bound: float) -> str | None:
+    """The error for a value-per-cost ``ratio`` over ``bound``, or None."""
+    if ratio > bound:
+        return f"{what} must be <= {bound!r}, got {ratio!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +89,11 @@ _MAX_VALUE_PER_COST = sys.float_info.max * _RATE_FLOOR * (1.0 - 2.0**-40)
 
 @dataclass(frozen=True)
 class FlipItParams:
-    """Move costs and per-unit-time values of holding the resource."""
+    """Move costs and per-unit-time values of holding the resource.
+
+    The larger value over the smaller cost must be at most
+    _MAX_FLIPIT_RATIO, so that the search grids stay finite.
+    """
 
     attack_cost: float
     defense_cost: float
@@ -94,6 +110,11 @@ class FlipItParams:
             raise ValueError("attack_cost must be > 0")
         if self.attacker_value < 0 or self.defender_value < 0:
             raise ValueError("values must be >= 0")
+        value = max(self.attacker_value, self.defender_value)
+        ratio = value / min(self.attack_cost, self.defense_cost)
+        error = _ratio_error("max value / min cost", ratio, _MAX_FLIPIT_RATIO)
+        if error:
+            raise ValueError(error)
 
 
 @dataclass(frozen=True)
@@ -101,7 +122,7 @@ class FlipItOutcome:
     """Rates, attacker control fraction, payoffs, and search diagnostics.
 
     ``is_equilibrium`` is True when the pair is a mutual best response on the
-    stored grids; ``dropped_out`` marks the attacker-exits outcome.
+    search grids; ``dropped_out`` marks the attacker-exits outcome.
     """
 
     attacker_rate: float
@@ -112,8 +133,6 @@ class FlipItOutcome:
     is_equilibrium: bool
     dropped_out: bool
     iterations: int
-    grid_attacker: tuple[float, ...]
-    grid_defender: tuple[float, ...]
 
 
 def flipit_control_fraction(alpha_a: float, alpha_d: float) -> float:
@@ -239,7 +258,6 @@ def _best_response_pair(
     prm: FlipItParams,
     start_a: int,
     start_d: int,
-    max_iters: int,
 ) -> tuple[int, int, int, tuple[float, float] | None]:
     """Gauss-Seidel best response on the grids; returns (iA, iD, iters, best).
 
@@ -250,7 +268,7 @@ def _best_response_pair(
     i_d = start_d
     seen: set[tuple[int, int]] = set()
     prev = (-1, -1)
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         i_a, best_a = _argmax_with_ties(
             _attacker_payoffs(grid_a, float(grid_d[i_d]), prm), i_a
         )
@@ -264,21 +282,11 @@ def _best_response_pair(
             return i_a, i_d, it, None  # cycling
         seen.add(state)
         prev = state
-    return i_a, i_d, max_iters, None
+    return i_a, i_d, _MAX_ITERS, None
 
 
-def _dropout_outcome(
-    prm: FlipItParams, grid: np.ndarray | tuple[float, ...], certified: bool | None = None
-) -> FlipItOutcome:
-    """Attacker-exits outcome; flagged an equilibrium only if re-entry never pays.
-
-    ``certified`` is passed, with :func:`_exit_grid`'s tuple, where that is
-    known without scoring re-entry; otherwise re-entry is scored on the
-    searched grid, an array.
-    """
-    if certified is None:
-        certified = float(np.max(_attacker_payoffs(grid, 0.0, prm))) <= 1e-9
-        grid = tuple(grid.tolist())
+def _dropout_outcome(prm: FlipItParams, certified: bool) -> FlipItOutcome:
+    """Attacker-exits outcome, an equilibrium if ``certified``: re-entry never pays."""
     return FlipItOutcome(
         attacker_rate=0.0,
         defender_rate=0.0,
@@ -288,19 +296,7 @@ def _dropout_outcome(
         is_equilibrium=certified,
         dropped_out=True,
         iterations=0,
-        grid_attacker=grid,
-        grid_defender=grid,
     )
-
-
-@functools.lru_cache(maxsize=4)
-def _exit_grid(alpha_max: float, grid_points: int, extras: tuple[float, ...]) -> tuple:
-    """The search grid as a tuple, for an attacker that exits without a search.
-
-    It depends on these three alone, so the games a solve prices out, which
-    differ only in the attacker's value, share one build.
-    """
-    return tuple(_rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras).tolist())
 
 
 def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
@@ -315,11 +311,7 @@ def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
     return bool(np.any(u_a > _PAYOFF_TOL))
 
 
-def flipit_equilibrium(
-    prm: FlipItParams,
-    grid_points: int = _GRID_POINTS,
-    max_iters: int = 500,
-) -> FlipItOutcome:
+def flipit_equilibrium(prm: FlipItParams) -> FlipItOutcome:
     """Solve the timing game by iterated best response on a rate grid.
 
     The grid is geometric on [1e-4, alpha_max] plus the rate 0, with
@@ -329,67 +321,63 @@ def flipit_equilibrium(
     plateau that unseeded best-response dynamics orbit without reaching.
     After the coarse iteration settles, the grid is refined once around the
     incumbent and iterated again.  ``is_equilibrium`` is certified by an
-    exhaustive unilateral-deviation scan over the stored (refined) grids.
-    If no mutual best response is certified and no positive grid rate earns
-    the attacker a positive payoff against the defender's response, the
-    attacker drops out (rate 0, control fraction 0); otherwise the last
-    iterate is returned as a non-equilibrium diagnostic.
+    exhaustive unilateral-deviation scan over the refined grids.  If no
+    mutual best response is certified and no positive grid rate earns the
+    attacker a positive payoff against the defender's response, the
+    attacker drops out (rate 0, control fraction 0), an equilibrium if
+    re-entry pays nothing on the search grid; otherwise the last iterate is
+    returned as a non-equilibrium diagnostic.
 
     An attacker priced out of the grid, one whose value minus the cost of
     the smallest positive grid rate is below -1e-12, drops out without a
     search: the control fraction is at most 1 and float rounding is
     monotone, so every positive rate then pays less than rate 0 pays (0)
     against any defender rate, and the first best response, hence the
-    search, ends at rate 0.  With ``max_iters`` 0 no best response is taken
-    and the analytic start is returned, so the shortcut is not applied.
-    The same argument against defender rate 0 makes the dropout an
-    equilibrium, so it is flagged without a deviation scan, and so is that
-    of an attacker with no value.  The smallest positive grid rate is the
-    least of 1e-4 and the positive analytic rates, so the grid is built
-    only for the outcome.  It depends on alpha_max, ``grid_points`` and
-    those rates alone, so a small cache shares it between games that differ
-    only in the attacker's value, as the hybrid regimes of one composed
-    solve do.  ``grid_points`` must be at least 2.
+    search, ends at rate 0.  The same argument against defender rate 0
+    makes the dropout an equilibrium, so it is flagged without a deviation
+    scan, and so is that of an attacker with no value.  The smallest
+    positive grid rate is the least of 1e-4 and the positive analytic
+    rates, so neither exit builds a grid.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    v = max(prm.attacker_value, prm.defender_value)
-    alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
-    ratio = (alpha_max / _RATE_FLOOR) ** (1.0 / (grid_points - 1))
     # an attacker with nothing to gain exits: re-entry pays at most 0
     if prm.attacker_value <= 0:
-        return _dropout_outcome(prm, _exit_grid(alpha_max, grid_points, ()), True)
-
+        return _dropout_outcome(prm, True)
     candidate = _equilibrium_candidate(prm)
     # sub-grid-scale candidates would let the attacker lurk at rates the
     # grid is not meant to resolve; without them the dropout rule applies
     extras = tuple(r for r in candidate if r > 0) if max(candidate) >= _RATE_FLOOR else ()
     # grid[1], the grid's smallest positive rate (geomspace starts at lo)
     smallest = min((_RATE_FLOOR, *extras))
-    if max_iters > 0 and prm.attacker_value - prm.attack_cost * smallest < -_PAYOFF_TOL:
+    if prm.attacker_value - prm.attack_cost * smallest < -_PAYOFF_TOL:
         # priced out: the search would end at rate 0 (see the docstring)
-        return _dropout_outcome(prm, _exit_grid(alpha_max, grid_points, extras), True)
-    grid = _rate_grid(_RATE_FLOOR, alpha_max, grid_points, extras)
+        return _dropout_outcome(prm, True)
+    v = max(prm.attacker_value, prm.defender_value)
+    alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
+    ratio = (alpha_max / _RATE_FLOOR) ** (1.0 / (_GRID_POINTS - 1))
+    grid = _rate_grid(_RATE_FLOOR, alpha_max, _GRID_POINTS, extras)
 
     def refine(center: float) -> np.ndarray:
         if center <= 0:
             return grid
         lo = max(center / ratio, _RATE_FLOOR / ratio)
         hi = min(center * ratio, alpha_max * ratio)
-        return _rate_grid(lo, hi, grid_points, extras)
+        return _rate_grid(lo, hi, _GRID_POINTS, extras)
+
+    def dropout() -> FlipItOutcome:  # re-entry scored on the search grid
+        return _dropout_outcome(prm, float(np.max(_attacker_payoffs(grid, 0.0, prm))) <= 1e-9)
 
     start_a = int(np.argmin(np.abs(grid - candidate[0])))
     start_d = int(np.argmin(np.abs(grid - candidate[1])))
-    i_a, i_d, it1, _ = _best_response_pair(grid, grid, prm, start_a, start_d, max_iters)
+    i_a, i_d, it1, _ = _best_response_pair(grid, grid, prm, start_a, start_d)
     grid_a, grid_d = refine(float(grid[i_a])), refine(float(grid[i_d]))
     j_a = int(np.argmin(np.abs(grid_a - grid[i_a])))
     j_d = int(np.argmin(np.abs(grid_d - grid[i_d])))
-    i_a, i_d, it2, best = _best_response_pair(grid_a, grid_d, prm, j_a, j_d, max_iters)
+    i_a, i_d, it2, best = _best_response_pair(grid_a, grid_d, prm, j_a, j_d)
 
     a_star = float(grid_a[i_a])
     d_star = float(grid_d[i_d])
     if a_star == 0.0:
-        return _dropout_outcome(prm, grid)
+        return dropout()
     p = flipit_control_fraction(a_star, d_star)
     u_a = prm.attacker_value * p - prm.attack_cost * a_star
     u_d = prm.defender_value * (1.0 - p) - prm.defense_cost * d_star
@@ -402,7 +390,7 @@ def flipit_equilibrium(
     gain_d = float(best[1]) - u_d
     certified = gain_a <= 1e-9 and gain_d <= 1e-9
     if not certified and not _can_profit(grid, prm):
-        return _dropout_outcome(prm, grid)
+        return dropout()
     return FlipItOutcome(
         attacker_rate=a_star,
         defender_rate=d_star,
@@ -412,8 +400,6 @@ def flipit_equilibrium(
         is_equilibrium=certified,
         dropped_out=False,
         iterations=it1 + it2,
-        grid_attacker=tuple(grid_a.tolist()),
-        grid_defender=tuple(grid_d.tolist()),
     )
 
 
@@ -707,14 +693,9 @@ class _TrustGame:
             self.edges = self._band_edges()
         return self.edges
 
-    def values(self, p: float) -> tuple[float, float]:
-        """``solve(p).sender_values`` for p in [0, 1], without the solve
-        where the game's memo knows them (see :meth:`lookup`)."""
-        return self.lookup(p, bisect.bisect_right(self.bands(), p))[0]
-
     def lookup(self, p: float, i: int) -> tuple[tuple[float, float], bool]:
-        """:meth:`values` at p, which lies in interval i of :meth:`bands`,
-        and whether that interval's memo entry holds them.
+        """``solve(p).sender_values`` for p in [0, 1], which lies in interval
+        i of :meth:`bands`, and whether that interval's memo entry holds them.
 
         Between two exclusion bands no decision that a separating or pooling
         selection of the first three layers rests on changes: which
@@ -1129,10 +1110,10 @@ def _cost_errors(costs: GNECosts, sender_utils) -> list[tuple[str, str]]:
     it; the document validator reports them all, the solver the first."""
     top = float(max(abs(v) for table in sender_utils for row in table for v in row))
     return [
-        (f"costs.{key}", f"max |sender_utils| / cost must be <= {_MAX_VALUE_PER_COST!r}, "
-         f"got {top / cost!r}")
+        (f"costs.{key}", error)
         for key, cost in (("attack", costs.attack_cost), ("defense", costs.defense_cost))
-        if cost > 0 and top / cost > _MAX_VALUE_PER_COST
+        if cost > 0
+        and (error := _ratio_error("max |sender_utils| / cost", top / cost, _MAX_VALUE_PER_COST))
     ]
 
 
@@ -1153,11 +1134,12 @@ def gne_solve(
     or pooling selection's values on the interval between two bands, and any
     other's on the prior's bits.  A stage in the interval whose entry held
     the previous stage's values has that stage's values, so it reuses that
-    stage's holding fraction.  The final stage solves in full.  The timing game is solved once per
-    distinct pair of sender values (v_a, v_d), compared exactly.  So the
-    result is what solving both games afresh at every stage gives, bit for
-    bit.  A move cost that would overflow the timing game's rate grid raises
-    ValueError.
+    stage's holding fraction.  The final stage solves in full.  The timing
+    game is solved once per distinct pair of sender values (v_a, v_d),
+    compared exactly.  So the result is what solving both games afresh at
+    every stage gives, bit for bit.  A move cost under max |sender_utils| /
+    _MAX_VALUE_PER_COST, which would overflow the timing game's rate grid,
+    raises ValueError.
 
     Args:
         costs: timing-game move costs.

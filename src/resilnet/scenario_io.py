@@ -829,8 +829,7 @@ def gne_record(state: GNEState) -> dict:
         "iterations": state.iterations,
         "converged": state.converged,
         "verified": state.verified,
-        # every field but the search grids, in their order
-        "flipit": {k: v for k, v in vars(flip).items() if not k.startswith("grid_")},
+        "flipit": asdict(flip),
         "signaling": {
             "kind": sig.kind,
             "sender_strategy": sig.sender_strategy.tolist(),

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from resilnet import CENTRALIZED, DECENTRALIZED
+from resilnet import CENTRALIZED, DECENTRALIZED, gne
 from resilnet.cli import main
 from resilnet.gne import _MAX_VALUE_PER_COST
 from resilnet.scenario_io import (
@@ -295,6 +295,7 @@ def test_spoof_onto_one_point_holds_the_team(mode, tmp_path):
 def test_reruns_into_one_dir_rewrite_every_file_byte_for_byte(
     scenario_file, gne_file, tmp_path
 ):
+    gne._prepared_game.cache_clear()  # so the first gne run is cold, the second warm
     out = tmp_path / "run"
     for command, config in (("simulate", scenario_file), ("gne", gne_file)):
         snapshots = []
@@ -382,6 +383,10 @@ def test_gne_solves_and_writes_outputs(gne_file, tmp_path):
     state = json.loads((out / "gne.json").read_text())
     assert state["converged"] and state["verified"]
     assert state["control_fraction"] == pytest.approx(2.0 / 27.0, abs=1e-6)
+    assert list(state["flipit"]) == [
+        "attacker_rate", "defender_rate", "control_fraction", "attacker_payoff",
+        "defender_payoff", "is_equilibrium", "dropped_out", "iterations",
+    ]
     residuals = (out / "residuals.jsonl").read_text().splitlines()
     assert len(residuals) == state["iterations"]
     assert json.loads(residuals[0])["iteration"] == 1

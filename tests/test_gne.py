@@ -1,5 +1,7 @@
 """Timing game, trust signaling game, and their composed fixed point."""
 
+import bisect
+import functools
 import math
 import re
 import sys
@@ -7,6 +9,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,9 +105,10 @@ def test_control_fraction_against_simulation():
 
 
 def assert_mutual_best_response(out, prm, tol=1e-9):
-    """No deviation along the stored grids may beat the returned rates."""
-    ga = np.asarray(out.grid_attacker)
-    gd = np.asarray(out.grid_defender)
+    """``out`` is the frozen reference's outcome, and no deviation along the
+    reference's search grids beats its rates."""
+    want, (ga, gd) = reference_flipit_equilibrium(prm)
+    assert repr(out) == repr(want)
     for a in ga:
         pay = prm.attacker_value * flipit_control_fraction(
             float(a), out.defender_rate
@@ -287,13 +291,12 @@ def _ref_dropout_outcome(prm, grid):
         is_equilibrium=deviation <= 1e-9,
         dropped_out=True,
         iterations=0,
-        grid_attacker=tuple(grid.tolist()),
-        grid_defender=tuple(grid.tolist()),
-    )
+    ), (grid, grid)
 
 
 def reference_flipit_equilibrium(prm, grid_points=200, max_iters=500):
-    """``flipit_equilibrium`` without the early exit for priced-out attackers."""
+    """``flipit_equilibrium`` without the early exit for priced-out attackers,
+    and the attacker's and the defender's last search grids."""
     v = max(prm.attacker_value, prm.defender_value)
     alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
     ratio = (alpha_max / gne._RATE_FLOOR) ** (1.0 / (grid_points - 1))
@@ -340,14 +343,20 @@ def reference_flipit_equilibrium(prm, grid_points=200, max_iters=500):
         is_equilibrium=certified,
         dropped_out=False,
         iterations=it1 + it2,
-        grid_attacker=tuple(grid_a.tolist()),
-        grid_defender=tuple(grid_d.tolist()),
-    )
+    ), (grid_a, grid_d)
+
+
+def reference_outcome(prm):
+    return reference_flipit_equilibrium(prm)[0]
 
 
 def smallest_positive_rate(attack, defense, value, defender_value):
-    """grid[1] of the search grid ``flipit_equilibrium`` builds for these parameters."""
-    prm = FlipItParams(attack, defense, value, defender_value)
+    """grid[1] of the search grid ``flipit_equilibrium`` builds for these
+    parameters, which may lie past the bound that FlipItParams checks."""
+    prm = SimpleNamespace(
+        attack_cost=attack, defense_cost=defense, attacker_value=value,
+        defender_value=defender_value,
+    )
     alpha_max = max(1.0, max(value, defender_value) / min(attack, defense))
     candidate = gne._equilibrium_candidate(prm)
     extras = candidate if max(candidate) >= gne._RATE_FLOOR else ()
@@ -369,20 +378,17 @@ def priced_out_boundary(attack, defense, defender_value):
     return values + [0.9 * value, 0.5 * value]
 
 
-@pytest.mark.parametrize("max_iters", [0, 1, 500])
 @pytest.mark.parametrize(
     "attack, defense, defender_value",
     [
         (0.3, 0.2, 0.9),
         (0.3, 0.2, 0.0),  # nothing to defend: the analytic start is the rate floor
-        (1e-4, 0.5, 0.0),  # there a cheap attack's start is certified at max_iters 0
+        (1e-4, 0.5, 0.0),
         (0.3, 1e-9, 0.9),  # near-free defense: the defender's payoffs tie
         (5.0, 0.2, 0.7),
     ],
 )
-def test_priced_out_exit_matches_full_search(
-    monkeypatch, max_iters, attack, defense, defender_value
-):
+def test_priced_out_exit_matches_full_search(monkeypatch, attack, defense, defender_value):
     searched = []
     pair = gne._best_response_pair
 
@@ -395,21 +401,18 @@ def test_priced_out_exit_matches_full_search(
     exits = 0
     for value in values:
         prm = FlipItParams(attack, defense, value, defender_value)
-        want = reference_flipit_equilibrium(prm, max_iters=max_iters)
+        want = reference_outcome(prm)
         searched.clear()
-        got = flipit_equilibrium(prm, max_iters=max_iters)
+        got = flipit_equilibrium(prm)
         assert repr(got) == repr(want)
-        assert {type(r) for r in got.grid_attacker + got.grid_defender} == {float}
         g1 = smallest_positive_rate(attack, defense, value, defender_value)
-        if max_iters > 0 and value - attack * g1 < -gne._PAYOFF_TOL:
+        if value - attack * g1 < -gne._PAYOFF_TOL:
             exits += 1
             assert got.dropped_out and not searched
         else:
             assert len(searched) == 2
-    if max_iters == 0:
-        assert exits == 0
-    else:  # the values straddle the exit: some take it, some search
-        assert 0 < exits < len(values)
+    # the values straddle the exit: some take it, some search
+    assert 0 < exits < len(values)
 
 
 def test_priced_out_exit_with_a_sub_floor_grid_rate():
@@ -417,12 +420,10 @@ def test_priced_out_exit_with_a_sub_floor_grid_rate():
     assert smallest_positive_rate(1e-6, 0.2, 1.0, 0.9) < gne._RATE_FLOOR
     for value in (1.0, 1e-12, 1e-18):
         prm = FlipItParams(1e-6, 0.2, value, 0.9)
-        for max_iters in (0, 1, 500):
-            want = reference_flipit_equilibrium(prm, max_iters=max_iters)
-            assert repr(flipit_equilibrium(prm, max_iters=max_iters)) == repr(want)
+        assert repr(flipit_equilibrium(prm)) == repr(reference_outcome(prm))
 
 
-def outcome_or_error(solve, prm, max_iters):
+def outcome_or_error(solve, prm):
     """repr of the outcome, or the type and message of what the solve raised.
 
     Rates past the float range make numpy warn; the warnings are ignored so
@@ -431,7 +432,7 @@ def outcome_or_error(solve, prm, max_iters):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            return repr(solve(prm, max_iters=max_iters))
+            return repr(solve(prm))
         except (ValueError, IndexError) as exc:
             return type(exc).__name__, str(exc)
 
@@ -449,22 +450,19 @@ magnitudes = (st.floats(-8.0, 8.0) | st.floats(-300.0, 300.0)).map(lambda e: 10.
     defender_value=st.just(0.0) | magnitudes,
     at=st.sampled_from(["drawn", "edge", "zero"]),
     edge=st.integers(0, 15),
-    max_iters=st.sampled_from([0, 1, 500]),
 )
 # a slow defender's analytic rate below the floor becomes grid[1]
-@example(attack=1e-6, defense=0.2, value=1.0, defender_value=0.9, at="edge", edge=0, max_iters=500)
-@example(attack=1e-6, defense=0.2, value=1.0, defender_value=0.9, at="edge", edge=7, max_iters=1)
+@example(attack=1e-6, defense=0.2, value=1.0, defender_value=0.9, at="edge", edge=0)
+@example(attack=1e-6, defense=0.2, value=1.0, defender_value=0.9, at="edge", edge=7)
 # refined passes that cycle: the pair they stop at is scored afresh, since
 # their last scans were not against it
 @example(attack=0.00818083940688921, defense=264.762033355677, value=408.1737354659494,
-         defender_value=9734295.345434401, at="drawn", edge=0, max_iters=500)
+         defender_value=9734295.345434401, at="drawn", edge=0)
 @example(attack=21.05730793224485, defense=1.1998871377689875e-06, value=18122.609786190926,
-         defender_value=33731521.09567791, at="drawn", edge=0, max_iters=500)
+         defender_value=33731521.09567791, at="drawn", edge=0)
 @example(attack=2.1652955111179604, defense=0.06494628048552151, value=5980874.730878314,
-         defender_value=182575.17493742474, at="drawn", edge=0, max_iters=500)
-def test_flipit_matches_the_frozen_reference(
-    attack, defense, value, defender_value, at, edge, max_iters
-):
+         defender_value=182575.17493742474, at="drawn", edge=0)
+def test_flipit_matches_the_frozen_reference(attack, defense, value, defender_value, at, edge):
     if at == "edge":  # within a few ulp of the priced-out edge, or below it
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -472,9 +470,14 @@ def test_flipit_matches_the_frozen_reference(
         value = values[edge % len(values)]
     elif at == "zero":
         value = 0.0
-    prm = FlipItParams(attack, defense, value, defender_value)
-    want = outcome_or_error(reference_flipit_equilibrium, prm, max_iters)
-    assert outcome_or_error(flipit_equilibrium, prm, max_iters) == want
+    args = (attack, defense, value, defender_value)
+    if max(value, defender_value) / min(attack, defense) > gne._MAX_FLIPIT_RATIO:
+        with pytest.raises(ValueError, match=r"^max value / min cost must be <= "):
+            FlipItParams(*args)
+        return
+    prm = FlipItParams(*args)
+    want = outcome_or_error(reference_outcome, prm)
+    assert outcome_or_error(flipit_equilibrium, prm) == want
 
 
 def grid_or_error(make, lo, hi, points, extra):
@@ -533,24 +536,72 @@ def test_rate_grid_and_payoffs_have_the_bits_of_the_numpy_forms(
             assert got.tobytes() == ref.tobytes(), rate
 
 
-def test_flipit_rejects_a_grid_of_fewer_than_two_points():
-    for points in (-1, 0, 1):
-        with pytest.raises(ValueError, match="grid_points must be >= 2"):
-            flipit_equilibrium(FlipItParams(0.3, 0.2, 0.9, 0.9), grid_points=points)
+def test_timing_games_settled_without_a_search_build_no_grid(monkeypatch):
+    grids = []
+    rate_grid = gne._rate_grid
 
+    def spy(*args):
+        grids.append(args)
+        return rate_grid(*args)
 
-def test_priced_out_games_share_one_bounded_grid_cache():
-    gne._exit_grid.cache_clear()
-    # the hybrid values of the demo game: three games, one exit grid
-    for value in (6.9e-18, 2.1e-17, 2.8e-17, 0.0):
-        out = flipit_equilibrium(FlipItParams(0.3, 0.2, value, 0.7))
+    monkeypatch.setattr(gne, "_rate_grid", spy)
+    # an attacker with no value, and the demo game's hybrid attacker values,
+    # priced out of the grid
+    for value in (0.0, 6.9e-18, 2.1e-17, 2.8e-17):
+        prm = FlipItParams(0.3, 0.2, value, 0.77)
+        out = flipit_equilibrium(prm)
         assert out.dropped_out and out.is_equilibrium
-    info = gne._exit_grid.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    for defender_value in np.linspace(0.5, 5.0, 40):  # 40 grids
-        flipit_equilibrium(FlipItParams(0.3, 0.2, 0.0, float(defender_value)))
-    info = gne._exit_grid.cache_info()
-    assert info.currsize == info.maxsize <= 8
+        assert repr(out) == repr(reference_outcome(prm))
+    assert grids == []
+    # a search builds its grid and a refined one per player
+    flipit_equilibrium(FlipItParams(0.3, 0.2, 0.9, 0.9))
+    assert len(grids) == 3
+
+
+def test_flipit_params_bound_the_value_per_cost():
+    bound = gne._MAX_FLIPIT_RATIO
+    over = math.nextafter(bound, math.inf)
+    error = r"^max value / min cost must be <= 1\.7976931348614984e\+304, got "
+    # the first once failed in numpy's geomspace; with no value to the
+    # attacker, or one priced out, it would settle without touching a grid
+    for args in [
+        (1.0, 1e-300, 1.0, 1e10),
+        (1.0, 1e-300, 0.0, 1e10),
+        (1e300, 1e-305, 1.0, 1.0),
+        (1.0, 1.0, over, 0.0),
+        (1.0, 1.0, 0.0, over),
+        (2.0, 1.0, 0.0, 2.0 * over),
+        (5e-324, 1.0, 1.0, 0.0),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            FlipItParams(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in [(1.0, 1.0, bound, 0.0), (1.0, 1.0, bound, bound), (1.0, 1.0, 1.0, bound)]:
+            prm = FlipItParams(*args)
+            out = flipit_equilibrium(prm)
+            assert repr(out) == repr(reference_outcome(prm))
+            assert all(math.isfinite(x) for x in (out.attacker_rate, out.defender_rate))
+
+
+def test_a_sender_value_past_the_table_bound_per_cost_still_solves():
+    # a hybrid at p = 0.25 gives the defender a value one ulp past the largest
+    # entry, 1/3; at the least cost that the table bound accepts, that value
+    # per cost lies past _MAX_VALUE_PER_COST, and within _MAX_FLIPIT_RATIO
+    third = 0.3333333333333333
+    u_s = np.array([
+        [[0.3, third], [third, 0.09999999999999999]],
+        [[-0.2333333333333333, third], [third, third]],
+    ])
+    u_r = np.array([
+        [[-0.1, -0.9], [-1.0, 1.6666666666666665]],
+        [[1.0, 5.0], [1.6666666666666665, -1.0]],
+    ])
+    cost = 1.8542282154243544e-305
+    costs = GNECosts(cost, cost)
+    assert not gne._cost_errors(costs, u_s)
+    assert max(gne._TrustGame(u_s, u_r).solve(0.25).sender_values) / cost > gne._MAX_VALUE_PER_COST
+    assert assert_matches_reference(costs, u_s, u_r, p0=0.25).verified
 
 
 def test_demo_game_solves_three_of_four_timing_games_without_a_search(monkeypatch):
@@ -1248,6 +1299,11 @@ def test_tables_with_signed_zeros_match_the_reference_at_priors_0_and_1():
             assert_prepared_matches_reference(game, prior, u_s, u_r)
 
 
+def memo_values(game, p):
+    """The sender values at prior p through the game's values memo."""
+    return game.lookup(p, bisect.bisect_right(game.bands(), p))[0]
+
+
 def sender_values_or_error(values, prior):
     try:
         return [v.hex() for v in values(prior)]
@@ -1295,7 +1351,9 @@ def test_memoized_values_match_a_full_solve(seed, style):
     for order in (priors, priors[::-1]):
         game = gne._TrustGame(u_s, u_r)
         for prior in order:
-            assert sender_values_or_error(game.values, prior) == sender_values_or_error(
+            assert sender_values_or_error(
+                functools.partial(memo_values, game), prior
+            ) == sender_values_or_error(
                 lambda p: game.solve(p).sender_values, prior
             ), prior
 
@@ -1312,11 +1370,11 @@ def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
 
     monkeypatch.setattr(gne._TrustGame, "solve", count)
     # the demo selects supported pooling on (0, 1/9) and a hybrid above
-    pooled = {game.values(p) for p in np.linspace(0.01, 0.1, 10)}
+    pooled = {memo_values(game, p) for p in np.linspace(0.01, 0.1, 10)}
     assert pooled == {(0.2, 0.9)} and kinds == ["pooling"]
     # a hybrid's values are kept at its exact prior
     for prior in (0.2, 0.3, 0.2):
-        game.values(prior)
+        memo_values(game, prior)
     assert kinds == ["pooling", "hybrid", "hybrid"]
 
 
@@ -1495,7 +1553,7 @@ def test_the_values_memo_is_bounded():
     priors = np.linspace(0.2, 0.9, gne._VALUES_MEMO + 40).tolist()
     sizes = []
     for prior in priors + priors[::7]:
-        assert repr(game.values(prior)) == repr(game.solve(prior).sender_values), prior
+        assert repr(memo_values(game, prior)) == repr(game.solve(prior).sender_values), prior
         sizes.append(len(game.memo))
     assert max(sizes) == gne._VALUES_MEMO > sizes[-1]
 
@@ -1514,7 +1572,7 @@ def test_threads_filling_one_values_memo_keep_it_bounded(monkeypatch):
         start.wait(timeout=60)
         sizes, got = [], []
         for k in range(len(priors)):
-            got.append(repr(game.values(priors[(k + shift) % len(priors)])))
+            got.append(repr(memo_values(game, priors[(k + shift) % len(priors)])))
             sizes.append(len(game.memo))
         return shift, got, max(sizes)
 
