@@ -222,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,13 +15,13 @@ It is found by damped fixed-point iteration, and verified by one more stage
 at the converged point: the timing game's pair must be a certified mutual
 best response there, and p must stay put to within the tolerance.  Each
 distinct timing game is solved once per solve, and one whose attacker has
-no value or is priced out of the rate grid is settled without a grid.  One
-values memo per table pair, which every solve on those tables shares and
-which holds at most 256 entries, keeps the trust game's sender values: a
-separating or pooling selection's keyed on the interval between two
-exclusion bands, any other's on its prior's bits.  A stage in the interval
-that held the previous stage's values reuses that stage's holding fraction.
-Every result keeps the bits of solving both games afresh.
+no value or is priced out of the rate grid is settled without a grid.  The
+trust game's sender values are fixed per candidate, a mixing type's by its
+indifference, so one values memo per table pair, which every solve on those
+tables shares, keeps them under the interval between two exclusion bands.
+A stage in the interval that held the previous stage's values reuses that
+stage's holding fraction.  Every result keeps the bits of solving both
+games afresh.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import struct
 import sys
-import threading
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -494,7 +492,8 @@ _LAYERS = [
 
 
 class _Candidate(NamedTuple):
-    """A :class:`SignalingOutcome` on nested float tuples, and its layer."""
+    """A :class:`SignalingOutcome` on nested float tuples, its layer, and
+    whether the values memo may hold its sender values (see lookup())."""
 
     sender_strategy: tuple
     receiver_strategy: tuple
@@ -503,6 +502,7 @@ class _Candidate(NamedTuple):
     receiver_value: float
     kind: str
     layer: int
+    held: bool = False
 
     def rank(self) -> tuple:
         s, r = self.sender_strategy, self.receiver_strategy
@@ -524,15 +524,20 @@ def _posterior(prior: float, sigma_s: tuple, floor: float = 1e-15) -> tuple:
     return tuple(beliefs)
 
 
-def _sender_values(u_s: list, sigma_s: tuple, sigma_r: tuple) -> tuple[float, float]:
+def _sender_values(u_s: list, pair: tuple, sigma_r: tuple) -> tuple[float, float]:
+    """Each type's payoff at the message it sends; a type that mixes is
+    indifferent, so at one the receiver answers with a pure action if there
+    is one (a table entry), else at message 0.  No value depends on p."""
+    m_mix = 1 if sigma_r[0] not in _ONE_HOT and sigma_r[1] in _ONE_HOT else 0
     # folds from 0.0 in numpy's order; sum() of floats is compensated from
     # Python 3.12 on and would change the last bits
     vals = []
     for t in range(2):
+        sigma_t = _ONE_HOT[m_mix if pair[t] == _MIX else pair[t]]
         v = 0.0
         for m in range(2):
             for a in range(2):
-                v += sigma_s[t][m] * sigma_r[m][a] * u_s[t][m][a]
+                v += sigma_t[m] * sigma_r[m][a] * u_s[t][m][a]
         vals.append(v)
     return vals[0], vals[1]
 
@@ -540,10 +545,6 @@ def _sender_values(u_s: list, sigma_s: tuple, sigma_r: tuple) -> tuple[float, fl
 # An exclusion band's ends lie this share of their magnitude beyond the
 # rounding bounds they are derived from.
 _BAND_REL = 2.0**-40
-# The most entries a prepared game's values memo holds; a full memo starts
-# over.  Its keys are band indices (ints) and priors' bits (bytes).
-_VALUES_MEMO = 256
-_PRIOR_BITS = struct.Struct("<d").pack
 # Priors within about 1e-12 of 0 or 1 meet the 1e-15 floors on a type's mass
 # and the 1e-12 floors of the hybrid and mixed constructions: one band each.
 _EDGE_BANDS = ((-math.inf, 1e-12 * (1.0 + _BAND_REL)), (1.0 - 1e-12 - _BAND_REL, math.inf))
@@ -598,9 +599,10 @@ class _TrustGame:
     posterior, or a pooled message at its indifference prior), at a
     posterior a mixing type pins, and off path.  Each type's optimality is
     then a half-plane in the trust probabilities (q0, q1), a line if it
-    mixes.  :meth:`plan` builds the receiver's strategy once; :meth:`solve`
-    weighs the messages at the prior.  The first three layers keep a numpy
-    solve's closed forms and floats, ties trusting; the last mixes at ties.
+    mixes.  :meth:`plan` builds the receiver's strategy and the sender
+    values once; :meth:`solve` weighs the messages at the prior.  The first
+    three layers keep a numpy solve's closed forms and floats, ties
+    trusting; the last mixes at ties.
     """
 
     def __init__(self, sender_utils, receiver_utils) -> None:
@@ -622,8 +624,7 @@ class _TrustGame:
         # the merged exclusion bands' [lo, hi) ends (see bands()), and the
         # values memo that every solve on these tables shares (see lookup())
         self.edges: list[float] | None = None
-        self.memo: dict[int | bytes, tuple[float, float]] = {}
-        self.memo_lock = threading.Lock()  # keeps the memo's bound under threads
+        self.memo: dict[int, tuple[float, float]] = {}
 
     def _band_edges(self) -> list[float]:
         """The ends of the bands around every prior where a decision of
@@ -697,32 +698,24 @@ class _TrustGame:
         """``solve(p).sender_values`` for p in [0, 1], which lies in interval
         i of :meth:`bands`, and whether that interval's memo entry holds them.
 
-        Between two exclusion bands no decision that a separating or pooling
-        selection of the first three layers rests on changes: which
-        candidates exist, the passive responses, and the order of the
-        receiver values of two candidates of one kind.  So the interval keeps
-        such a selection's values, table entries with the same bits at every
-        prior, in an entry keyed on its index.  Any other selection's values
-        are kept under the prior's bits, so -0.0 and 0.0 stay apart.  Every
-        solve on these tables shares the memo; it holds at most _VALUES_MEMO
-        entries, and one that is full is cleared before the next is added.
+        Every plan's sender values are fixed (see :func:`_sender_values`),
+        and between two exclusion bands no decision of the first three layers
+        that a selection rests on changes: which candidates exist, the
+        passive responses, and the order of the receiver values of two
+        candidates of one kind, but for two hybrids.  So an interval keeps
+        the values of a selection that :meth:`solve` marks ``held``, under
+        its index: a separating, pooling or mixed one, or a lone hybrid.
+        Every solve on these tables shares the memo, which holds at most one
+        entry per interval; a write races only with one of the same bits.
         """
-        memo = self.memo
-        values = memo.get(i)
+        values = self.memo.get(i)
         if values is not None:
             return values, True
-        key = _PRIOR_BITS(p)
-        values = memo.get(key)
-        if values is not None:
-            return values, False
         sig = self.solve(p)
-        values = sig.sender_values
-        held = not i & 1 and sig.layer != _TIED and sig.kind in ("separating", "pooling")
-        with self.memo_lock:
-            if len(memo) >= _VALUES_MEMO:
-                memo.clear()
-            memo[i if held else key] = values
-        return values, held
+        held = sig.held and not i & 1
+        if held:
+            self.memo[i] = sig.sender_values
+        return sig.sender_values, held
 
     def _br(self, belief: tuple, m: int) -> int:
         """The receiver's response at message m under ``belief``; ties trust.
@@ -809,7 +802,8 @@ class _TrustGame:
             if not np.all((q > -1e-12) & (q < 1.0 + 1e-12)):
                 return None
             q0, q1 = np.clip(q, 0.0, 1.0).tolist()
-            return ((q0, 1.0 - q0), (q1, 1.0 - q1)), None, (c0, c1), None
+            sigma_r = ((q0, 1.0 - q0), (q1, 1.0 - q1))
+            return sigma_r, _sender_values(self.u_s, pair, sigma_r), (c0, c1), None
         u_s, responses, rule = self.u_s, (r0, r1), None
         # a pinned posterior's margin and least trust-gap difference; no floors last
         tolerances = (0.0, 0.0) if layer == _TIED else (1e-12, 1e-15)
@@ -861,8 +855,7 @@ class _TrustGame:
             rule = self._off_path(1 - pair[0], sigma_r[1 - pair[0]][TRUST], tolerances[1])
             if rule is None:
                 return None
-        values = None if tau is not None else _sender_values(u_s, weights, sigma_r)
-        return tuple(sigma_r), values, weights, rule
+        return tuple(sigma_r), _sender_values(u_s, pair, sigma_r), weights, rule
 
     def _tied(self, pair: tuple, responses: tuple, tau: int | None) -> list | None:
         """Trust probabilities in the responses' intervals that keep each
@@ -935,12 +928,13 @@ class _TrustGame:
                 if plan is None:
                     continue
                 sigma_r, values, sigma_s, rule = plan
-                if values is None:  # a mixing type: its weights depend on p
+                mixing = _MIX in pair
+                if mixing:  # its weights depend on p
                     sigma_s = self._senders(pair, sigma_s, p, pi, layer)
                     if sigma_s is None:
                         continue
-                    values = _sender_values(self.u_s, sigma_s, sigma_r)
-                beliefs = _posterior(p, sigma_s, 0.0 if layer == _TIED else 1e-15)
+                # Bayes at any mass where a type mixes, or in the last layer
+                beliefs = _posterior(p, sigma_s, 0.0 if mixing or layer == _TIED else 1e-15)
                 if rule is not None:  # a pooling's off-path belief
                     belief, want, g_att, g_def = rule
                     if want is not None and (p * g_att + (1.0 - p) * g_def >= 0.0) == want:
@@ -952,7 +946,11 @@ class _TrustGame:
                     rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * self.u_r[t][m][a]
                 found.append(_Candidate(sigma_s, sigma_r, beliefs, values, rv, kind, layer))
             if found:
-                return min(found, key=_Candidate.rank)
+                best = min(found, key=_Candidate.rank)
+                # the bands miss the last layer's ties and two hybrids' crossing
+                hybrids = sum(c.kind == "hybrid" for c in found)
+                held = layer != _TIED and (best.kind != "hybrid" or hybrids == 1)
+                return best._replace(held=held)
         raise RuntimeError("no equilibrium found")
 
 
@@ -980,10 +978,12 @@ def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
     hybrid, pooling, mixed; then higher receiver value, then the
     lexicographically smallest strategy profile, decide.
 
-    Candidates are built on Python floats with numpy's operation order, and
-    near a tie the receiver compares numpy's own dot products, so every
-    result has the bits a numpy evaluation gives.  This is one solve of the
-    game that :func:`gne_solve` prepares, without its memo's bands.
+    A mixing type's value is its payoff at one message of its support, by
+    its indifference, and its messages' beliefs follow Bayes' rule at any
+    mass.  Candidates are built on Python floats with numpy's operation
+    order, and near a tie the receiver compares numpy's own dot products, so
+    every result has the bits a numpy evaluation gives.  This is one solve
+    of the game that :func:`gne_solve` prepares, without its memo's bands.
     """
     return _trust_game(prm.sender_utils, prm.receiver_utils).solve(prm.prior).outcome()
 
@@ -1130,16 +1130,14 @@ def gne_solve(
 
     The trust game is set up once per table pair in a process, with one
     values memo (:meth:`_TrustGame.lookup`) that every solve on the tables
-    shares and that holds at most _VALUES_MEMO entries.  It keys a separating
-    or pooling selection's values on the interval between two bands, and any
-    other's on the prior's bits.  A stage in the interval whose entry held
-    the previous stage's values has that stage's values, so it reuses that
-    stage's holding fraction.  The final stage solves in full.  The timing
-    game is solved once per distinct pair of sender values (v_a, v_d),
-    compared exactly.  So the result is what solving both games afresh at
-    every stage gives, bit for bit.  A move cost under max |sender_utils| /
-    _MAX_VALUE_PER_COST, which would overflow the timing game's rate grid,
-    raises ValueError.
+    shares, keyed on the interval between two exclusion bands.  A stage in
+    the interval whose entry held the previous stage's values has those
+    values, so it reuses that stage's holding fraction.  The final stage
+    solves in full.  The timing game is solved once per distinct pair of
+    sender values (v_a, v_d), compared exactly.  So the result is what
+    solving both games afresh at every stage gives, bit for bit.  A move
+    cost under max |sender_utils| / _MAX_VALUE_PER_COST, which would
+    overflow the timing game's rate grid, raises ValueError.
 
     Args:
         costs: timing-game move costs.

@@ -585,26 +585,30 @@ def test_flipit_params_bound_the_value_per_cost():
 
 
 def test_a_sender_value_past_the_table_bound_per_cost_still_solves():
-    # a hybrid at p = 0.25 gives the defender a value one ulp past the largest
-    # entry, 1/3; at the least cost that the table bound accepts, that value
-    # per cost lies past _MAX_VALUE_PER_COST, and within _MAX_FLIPIT_RATIO
+    # in a hybrid the defender sends message 1 alone, where the receiver
+    # mixes over two entries of 1/3, the largest; that fold rounds one ulp
+    # past it.  At the least cost that the table bound accepts, the value per
+    # cost lies past _MAX_VALUE_PER_COST, and within _MAX_FLIPIT_RATIO
     third = 0.3333333333333333
     u_s = np.array([
-        [[0.3, third], [third, 0.09999999999999999]],
-        [[-0.2333333333333333, third], [third, third]],
+        [[0.1, 0.2333333333333333], [0.1, third]],
+        [[-0.2, 0.09999999999999999], [third, third]],
     ])
     u_r = np.array([
-        [[-0.1, -0.9], [-1.0, 1.6666666666666665]],
-        [[1.0, 5.0], [1.6666666666666665, -1.0]],
+        [[-0.2, 0.7], [0.6666666666666666, third]],
+        [[0.1, 0.3], [0.3, third]],
     ])
     cost = 1.8542282154243544e-305
     costs = GNECosts(cost, cost)
     assert not gne._cost_errors(costs, u_s)
-    assert max(gne._TrustGame(u_s, u_r).solve(0.25).sender_values) / cost > gne._MAX_VALUE_PER_COST
-    assert assert_matches_reference(costs, u_s, u_r, p0=0.25).verified
+    state = assert_matches_reference(costs, u_s, u_r, p0=0.25)
+    assert state.verified and state.signaling.kind == "hybrid"
+    assert state.signaling.sender_strategy[DEFENDER].tolist() == [0.0, 1.0]
+    assert state.defender_value == math.nextafter(third, 1.0)
+    assert state.defender_value / cost > gne._MAX_VALUE_PER_COST
 
 
-def test_demo_game_solves_three_of_four_timing_games_without_a_search(monkeypatch):
+def test_demo_game_solves_one_of_two_timing_games_without_a_search(monkeypatch):
     solves = []
     flipit, pair = gne.flipit_equilibrium, gne._best_response_pair
     searches = [0]
@@ -623,8 +627,9 @@ def test_demo_game_solves_three_of_four_timing_games_without_a_search(monkeypatc
     monkeypatch.setattr(gne, "flipit_equilibrium", watch_flipit)
     state = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
     assert state.verified
-    # the hybrid's attacker value is 0 up to rounding: priced out, no search
-    assert sorted(solves) == [0, 0, 0, 2]
+    # the hybrid's attacker value is exactly 0 at every prior: one timing
+    # game, priced out with no search
+    assert sorted(solves) == [0, 2]
 
 
 def test_flipit_params_validation():
@@ -702,6 +707,27 @@ def test_signaling_demo_above_threshold_is_hybrid():
     check_pbe(prm, out)
     assert out.kind == "hybrid"
     assert out.sender_values[ATTACKER] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_the_demo_hybrids_attacker_value_is_exactly_zero():
+    # the attacker mixes, so it is indifferent: its value is its payoff at
+    # message 0, which the receiver rejects, an entry of 0.0 at every prior
+    for prior in np.linspace(0.12, 1.0 - 1e-9, 60).tolist():
+        out = signaling_equilibrium(SignalingParams(prior, DEMO_SENDER, DEMO_RECEIVER))
+        assert out.kind == "hybrid"
+        assert repr(out.sender_values) == "(0.0, 0.7000000000000001)", prior
+
+
+def test_beliefs_follow_bayes_at_a_mixing_message_with_little_mass():
+    # the attacker sends message 1 with mass 3.3e-17 here; the receiver
+    # rejects it, which only the posterior there, not the prior, supports
+    u_s = [[[-5, -0.5], [4.8, -3]], [[1, 0], [-1, -0.5]]]
+    u_r = [[[2, -5], [-5, -3]], [[-3, 0], [2, 0.5]]]
+    prm = SignalingParams(0.30000000000000004, u_s, u_r)
+    out = signaling_equilibrium(prm)
+    assert out.kind == "hybrid" and 0.0 < prm.prior * out.sender_strategy[ATTACKER, 1] < 1e-15
+    assert out.receiver_strategy[1].tolist() == [0.0, 1.0]
+    check_pbe(prm, out)
 
 
 def test_signaling_demo_below_threshold_is_supported_pooling():
@@ -800,14 +826,14 @@ def test_signaling_priors_just_above_one_ninth_have_an_equilibrium():
 # ---------------------------------------------------------------------------
 
 
-def _ref_posterior(prior: float, sigma_s: np.ndarray) -> np.ndarray:
+def _ref_posterior(prior: float, sigma_s: np.ndarray, floor: float = 1e-15) -> np.ndarray:
     """Beliefs per message; passive (prior) beliefs off path."""
     pi = np.array([prior, 1.0 - prior])
     beliefs = np.empty((2, 2))
     for m in range(2):
         mass = pi * sigma_s[:, m]
         total = float(mass.sum())
-        beliefs[m] = mass / total if total > 1e-15 else pi
+        beliefs[m] = mass / total if total > floor else pi
     return beliefs
 
 
@@ -840,6 +866,25 @@ def _ref_values(
         for a in range(2)
     )
     return (sender_vals[0], sender_vals[1]), float(rv)
+
+
+def _ref_mixing_values(
+    prior: float,
+    sigma_s: np.ndarray,
+    sigma_r: np.ndarray,
+    u_s: np.ndarray,
+    u_r: np.ndarray,
+) -> tuple[tuple[float, float], float]:
+    """:func:`_ref_values`, where a type that mixes takes its payoff at one
+    message of its support: one the receiver answers with a pure action if
+    there is one, else message 0."""
+    def pure(row):
+        return sorted(row.tolist()) == [0.0, 1.0]
+
+    m_mix = 1 if pure(sigma_r[1]) and not pure(sigma_r[0]) else 0
+    sigma_v = np.array([row if pure(row) else np.eye(2)[m_mix] for row in sigma_s])
+    sender_vals = _ref_values(prior, sigma_v, sigma_r, u_s, u_r)[0]
+    return sender_vals, _ref_values(prior, sigma_s, sigma_r, u_s, u_r)[1]
 
 
 def _ref_pure_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
@@ -918,8 +963,8 @@ def _ref_hybrid_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
             sigma_r[m_s, TRUST] = q
             sigma_r[m_s, REJECT] = 1.0 - q
             sigma_r[m_x, a_x] = 1.0
-            beliefs = _ref_posterior(prm.prior, sigma_s)
-            sender_vals, rv = _ref_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+            beliefs = _ref_posterior(prm.prior, sigma_s, 0.0)
+            sender_vals, rv = _ref_mixing_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
             found.append(
                 SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "hybrid")
             )
@@ -968,8 +1013,8 @@ def _ref_mixed_equilibria(prm: SignalingParams) -> list[SignalingOutcome]:
     q = np.clip(q, 0.0, 1.0)
     sigma_s = np.array([[x, 1.0 - x], [y, 1.0 - y]])
     sigma_r = np.array([[q[0], 1.0 - q[0]], [q[1], 1.0 - q[1]]])
-    beliefs = _ref_posterior(prm.prior, sigma_s)
-    sender_vals, rv = _ref_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
+    beliefs = _ref_posterior(prm.prior, sigma_s, 0.0)
+    sender_vals, rv = _ref_mixing_values(prm.prior, sigma_s, sigma_r, u_s, u_r)
     return [SignalingOutcome(sigma_s, sigma_r, beliefs, sender_vals, rv, "mixed")]
 
 
@@ -1168,6 +1213,7 @@ REFERENCE_RAISES = [
 @pytest.mark.parametrize("u_s, u_r, priors", REFERENCE_RAISES)
 def test_scan_tables_without_a_reference_equilibrium_get_one(u_s, u_r, priors):
     kinds = set()
+    game = gne._TrustGame(u_s, u_r)
     for prior in priors:
         prm = SignalingParams(float(prior), u_s, u_r)
         with pytest.raises(RuntimeError):
@@ -1175,7 +1221,10 @@ def test_scan_tables_without_a_reference_equilibrium_get_one(u_s, u_r, priors):
         out = signaling_equilibrium(prm)
         check_pbe(prm, out)
         kinds.add(out.kind)
-    assert kinds <= {"pooling", "hybrid"}
+        # the last layer's selections are never held in the values memo
+        i = bisect.bisect_right(game.bands(), prm.prior)
+        assert game.lookup(prm.prior, i) == (out.sender_values, False)
+    assert kinds <= {"pooling", "hybrid"} and not game.memo
 
 
 def test_signaling_matches_numpy_reference_on_subnormal_receiver_tables():
@@ -1372,10 +1421,10 @@ def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
     # the demo selects supported pooling on (0, 1/9) and a hybrid above
     pooled = {memo_values(game, p) for p in np.linspace(0.01, 0.1, 10)}
     assert pooled == {(0.2, 0.9)} and kinds == ["pooling"]
-    # a hybrid's values are kept at its exact prior
+    # so are those of a hybrid with no rival in its layer
     for prior in (0.2, 0.3, 0.2):
-        memo_values(game, prior)
-    assert kinds == ["pooling", "hybrid", "hybrid"]
+        assert memo_values(game, prior) == (0.0, 0.7000000000000001)
+    assert kinds == ["pooling", "hybrid"]
 
 
 def test_band_edges_are_set_up_by_gne_solve_alone(monkeypatch):
@@ -1537,7 +1586,7 @@ def test_a_second_cost_sweep_solves_the_trust_game_once_per_cell(monkeypatch):
 
 @pytest.mark.parametrize("starts", [(-0.0, 0.0), (0.0, -0.0)])
 def test_starts_at_both_signed_zeros_match_the_reference(starts):
-    # the memo keys a prior on its bits, so -0.0 and 0.0 never share an entry
+    # -0.0 and 0.0 lie in the lowest band, where the memo holds no values
     rng = np.random.default_rng(23)
     tables = [(DEMO_SENDER, DEMO_RECEIVER)]
     tables += [tuple(rng.choice(SIGNED_ENTRIES, size=(2, 2, 2, 2))) for _ in range(4)]
@@ -1547,46 +1596,16 @@ def test_starts_at_both_signed_zeros_match_the_reference(starts):
             assert_matches_reference(DEMO_COSTS, u_s, u_r, p0=p0)
 
 
-def test_the_values_memo_is_bounded():
+def test_the_values_memo_holds_an_int_key_per_gap_interval_at_most():
     game = gne._TrustGame(DEMO_SENDER, DEMO_RECEIVER)
-    # the demo selects a hybrid above 1/9, whose values are kept per prior
-    priors = np.linspace(0.2, 0.9, gne._VALUES_MEMO + 40).tolist()
-    sizes = []
-    for prior in priors + priors[::7]:
+    gaps = len(game.bands()) // 2 + 1  # the even intervals of bisect_right
+    # the demo selects a lone hybrid above 1/9 and supported pooling below
+    priors = np.linspace(0.2, 0.9, 300).tolist() + np.linspace(0.01, 0.1, 100).tolist()
+    for prior in priors:
         assert repr(memo_values(game, prior)) == repr(game.solve(prior).sender_values), prior
-        sizes.append(len(game.memo))
-    assert max(sizes) == gne._VALUES_MEMO > sizes[-1]
-
-
-def test_threads_filling_one_values_memo_keep_it_bounded(monkeypatch):
-    # a bound of one entry, so that every new prior fills the memo, and a
-    # thread switch between the check and the insert would overfill it
-    monkeypatch.setattr(gne, "_VALUES_MEMO", 1)
-    game = gne._TrustGame(DEMO_SENDER, DEMO_RECEIVER)
-    priors = np.linspace(0.2, 0.9, 3000).tolist()  # hybrids, one entry each
-    want = [repr(game.solve(p).sender_values) for p in priors]
-    workers = 4
-    start = threading.Barrier(workers)
-
-    def fill(shift):
-        start.wait(timeout=60)
-        sizes, got = [], []
-        for k in range(len(priors)):
-            got.append(repr(memo_values(game, priors[(k + shift) % len(priors)])))
-            sizes.append(len(game.memo))
-        return shift, got, max(sizes)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, 700 * k) for k in range(workers)]
-            runs = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for shift, got, most in runs:
-        assert got == want[shift:] + want[:shift]
-        assert most <= gne._VALUES_MEMO
+        assert all(type(key) is int for key in game.memo)
+        assert len(game.memo) <= gaps
+    assert len(game.memo) == 2
 
 
 BAD_TABLES = [
