@@ -12,13 +12,12 @@ The composed equilibrium is a fixed point: the signaling equilibrium at
 prior p yields each sender type's value of holding the service, those values
 feed the timing game, and the resulting holding fraction must reproduce p.
 It is found by damped fixed-point iteration, and verified by one more stage
-at the converged point: the timing game's pair must be a certified mutual
-best response there, and p must stay put to within the tolerance.  Each
-distinct timing game is solved once per solve, and one whose attacker has
-no value or is priced out of the rate grid is settled without a grid.  The
-trust game's sender values are fixed per candidate, a mixing type's by its
-indifference, so one values memo per table pair, which every solve on those
-tables shares, keeps them under the interval between two exclusion bands.
+at the converged point: the timing game's pair must be an equilibrium
+there, and p must stay put to within the tolerance.  The timing game is
+solved in closed form with an analytic certificate.  The trust game's
+sender values are fixed per candidate, a mixing type's by its indifference,
+so one values memo per table pair, which every solve on those tables
+shares, keeps them under the interval between two exclusion bands.
 A stage in the interval that held the previous stage's values reuses that
 stage's holding fraction.  Every result keeps the bits of solving both
 games afresh.
@@ -32,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +58,17 @@ ATTACKER, DEFENDER = 0, 1
 TRUST, REJECT = 0, 1
 
 _RATE_FLOOR = 1e-4
-_GRID_POINTS = 200
-_PAYOFF_TOL = 1e-12
-# The largest ratio of a value to a move cost whose search grids stay finite
-# and positive, which FlipItParams checks.  alpha_max / _RATE_FLOOR must not
-# overflow; below that the refined grids' ends, alpha_max times a grid ratio
-# under 36, are finite too.
+# The largest ratio of a value to a move cost that FlipItParams accepts.  The
+# equilibrium rates are at most value / (2 cost) and the payoffs at most the
+# values, so every outcome stays finite well inside it; the margin, a 1e-4
+# share of the float range, is the bound the README and the game-document
+# validator state.
 _MAX_FLIPIT_RATIO = sys.float_info.max * _RATE_FLOOR * (1.0 - 2.0**-41)
 # The bound on max |sender_utils| / move cost that gne_solve and game
 # documents check.  Its margin below _MAX_FLIPIT_RATIO covers a sender value
-# that rounds a few ulps past the largest table entry.
+# that rounds a few ulps past the largest table entry, so that every timing
+# game a solve meets is a valid FlipItParams.
 _MAX_VALUE_PER_COST = sys.float_info.max * _RATE_FLOOR * (1.0 - 2.0**-40)
-_MAX_ITERS = 500  # best responses per pass of the timing-game search
 
 
 def _ratio_error(what: str, ratio: float, bound: float) -> str | None:
@@ -90,7 +88,7 @@ class FlipItParams:
     """Move costs and per-unit-time values of holding the resource.
 
     The larger value over the smaller cost must be at most
-    _MAX_FLIPIT_RATIO, so that the search grids stay finite.
+    _MAX_FLIPIT_RATIO, the bound the README states.
     """
 
     attack_cost: float
@@ -117,10 +115,12 @@ class FlipItParams:
 
 @dataclass(frozen=True)
 class FlipItOutcome:
-    """Rates, attacker control fraction, payoffs, and search diagnostics.
+    """Rates, attacker control fraction, and payoffs of the closed form.
 
-    ``is_equilibrium`` is True when the pair is a mutual best response on the
-    search grids; ``dropped_out`` marks the attacker-exits outcome.
+    ``is_equilibrium`` is the closed form's analytic certificate: True
+    unless the attacker has value and the defender none, where the game has
+    no equilibrium.  ``dropped_out`` marks the attacker-exits outcome, and
+    ``iterations`` is always 0, since no search runs.
     """
 
     attacker_rate: float
@@ -140,264 +140,84 @@ def flipit_control_fraction(alpha_a: float, alpha_d: float) -> float:
     mover's last move lands uniformly inside the faster mover's period, so the
     slower mover holds the resource a fraction slow / (2 fast) of the time.
 
-    The rates are taken as Python floats, and the result has the bits of
-    :func:`_holding` on them, for NaN, infinite and signed-zero rates too.
+    The rates are taken as Python floats, and the result has the bits of the
+    array form ``where(a <= d, half, 1 - half)``, with ``half = min / (2 max)``
+    (0 where max is 0), for NaN, infinite and signed-zero rates too.
     """
     if alpha_a < 0 or alpha_d < 0:
         raise ValueError("rates must be >= 0")
     a, d = float(alpha_a), float(alpha_d)
     if a != a or d != d:
-        return 1.0  # _holding's minimum and maximum are NaN, and a <= d fails
+        return 1.0  # the array form's minimum and maximum are NaN, and a <= d fails
     if a <= d:
         return a / (2.0 * d) if d > 0 else 0.0
     return 1.0 - d / (2.0 * a)
 
 
-def _holding(alpha_a, alpha_d) -> np.ndarray:
-    """:func:`flipit_control_fraction` broadcast over arrays of rates."""
-    slow, fast = np.minimum(alpha_a, alpha_d), np.maximum(alpha_a, alpha_d)
-    half = np.divide(slow, 2.0 * fast, out=np.zeros_like(slow, dtype=float), where=fast > 0)
-    return np.where(alpha_a <= alpha_d, half, 1.0 - half)
-
-
-def _attacker_payoffs(grid: np.ndarray, alpha_d: float, prm: FlipItParams) -> np.ndarray:
-    """Payoffs on a sorted grid with :func:`_holding`'s bits: the rates up to
-    alpha_d, a prefix, hold rate / (2 alpha_d) (0 if alpha_d is 0), the rest
-    1 - alpha_d / (2 rate), and all 1 if alpha_d is NaN."""
-    held = np.ones_like(grid)
-    if alpha_d == alpha_d:
-        k = int(np.searchsorted(grid, alpha_d, "right"))
-        held[:k] = grid[:k] / (2.0 * alpha_d) if alpha_d > 0 else 0.0
-        np.subtract(1.0, alpha_d / (2.0 * grid[k:]), out=held[k:])
-    return prm.attacker_value * held - prm.attack_cost * grid
-
-
-def _defender_payoffs(grid: np.ndarray, alpha_a: float, prm: FlipItParams) -> np.ndarray:
-    """The mirror of :func:`_attacker_payoffs`; the prefix is the rates below alpha_a."""
-    held = np.ones_like(grid)
-    if alpha_a == alpha_a:
-        k = int(np.searchsorted(grid, alpha_a, "left"))
-        np.subtract(1.0, grid[:k] / (2.0 * alpha_a), out=held[:k])
-        held[k:] = alpha_a / (2.0 * grid[k:]) if alpha_a > 0 else 0.0
-    return prm.defender_value * (1.0 - held) - prm.defense_cost * grid
-
-
-def _argmax_with_ties(payoffs: np.ndarray, incumbent: int) -> tuple[int, float]:
-    """The incumbent if within _PAYOFF_TOL of the best payoff, else the first
-    index that is; and the best payoff.
-
-    A NaN payoff (from rates that overflow to inf) leaves no index within
-    tolerance, and the search fails with an IndexError.
-    """
-    best = payoffs.max()
-    ties = payoffs >= best - _PAYOFF_TOL
-    if ties[incumbent]:
-        return incumbent, best
-    return int(np.flatnonzero(ties)[0]), best
-
-
-def _rate_grid(lo: float, hi: float, points: int, extra: Sequence[float] = ()) -> np.ndarray:
-    """The rate 0, a geometric grid on [lo, hi], and the positive extra rates,
-    with the bits of ``np.union1d([0.0, *np.geomspace(lo, hi, points)], extra)``
-    (no union1d if no extra is positive) by geomspace's own ufuncs, for 2 or
-    more points and positive, zero (raising) or NaN ends.  At a zero step
-    (equal logs) linspace divides before scaling: both give 0.  The grids of
-    :func:`flipit_equilibrium` are sorted, as the payoffs need: lo < hi there,
-    and neighbours differ by at least a factor 1e4 ** (1 / points).
-    """
-    if lo == 0 or hi == 0:
-        raise ValueError("Geometric sequence cannot include zero")
-    hi = hi if lo == lo else lo  # geomspace divides both ends by lo's sign, NaN for NaN
-    start, stop = np.log10(lo), np.log10(hi)
-    y = np.arange(points) * ((stop - start) / (points - 1)) + start
-    y[-1] = stop
-    grid = np.zeros(points + 1)
-    np.power(10.0, y, out=grid[1:])
-    grid[1], grid[-1] = lo, hi
-    pos = [r for r in extra if r > 0]
-    if not pos:
-        return grid
-    # np.unique's rule: sort, keep each first of equal neighbours, one NaN
-    grid = np.sort(np.concatenate((grid, pos)))
-    keep = np.ones(len(grid), dtype=bool)
-    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
-    if grid[-1] != grid[-1]:
-        keep[np.searchsorted(grid, grid[-1]) + 1 :] = False
-    return grid[keep]
-
-
 def _equilibrium_candidate(prm: FlipItParams) -> tuple[float, float]:
-    """Analytic rate pair where both linear-branch indifferences balance.
+    """The periodic game's equilibrium rates in closed form.
 
-    With periodic play, the slower player's payoff is linear in its own
-    rate, so at equilibrium that player is indifferent and the faster
-    player's interior optimum pins both rates.  Which side is slower is
-    decided by the cost/value ratios.  The candidate seeds (and is inserted
-    into) the search grid; naive best-response dynamics orbit around this
-    plateau instead of settling on it.
+    With periodic play the slower player's payoff is linear in its own rate,
+    with slope value / (2 fast) - cost, so at equilibrium the faster
+    player's rate zeroes that slope.  The faster player's payoff is concave,
+    with its maximum at the rate where the slower player's slope is zero
+    too.  Which side is slower is decided by the cost/value ratios.  With no
+    defender value the attacker wants the least positive rate, which does
+    not exist; the rate floor 1e-4 is reported.
+
+    A value per cost below about 5.6e-309 makes its ratio overflow, where
+    0 * inf or inf / inf could make a rate NaN.  There the values per cost
+    decide instead, and every rate is below 2.8e-309.  A faster attacker's
+    rate is then at least the least positive float: at rate 0 it would hold
+    nothing, and against a defender at 0 that rate is its best response.
     """
     if prm.attacker_value <= 0:
         return 0.0, 0.0
     if prm.defender_value <= 0:
-        # nothing worth defending: attacker flips at the cheapest rate
         return _RATE_FLOOR, 0.0
     ratio_a = prm.attack_cost / prm.attacker_value
     ratio_d = prm.defense_cost / prm.defender_value
-    if ratio_a >= ratio_d:
+    if max(ratio_a, ratio_d) < math.inf:
+        if ratio_a >= ratio_d:
+            a_d = prm.attacker_value / (2.0 * prm.attack_cost)
+            return a_d * ratio_d / ratio_a, a_d
+        a_a = prm.defender_value / (2.0 * prm.defense_cost)
+        return a_a, a_a * ratio_a / ratio_d
+    k_a = prm.attacker_value / prm.attack_cost
+    k_d = prm.defender_value / prm.defense_cost
+    if k_a <= k_d:
         a_d = prm.attacker_value / (2.0 * prm.attack_cost)
-        return a_d * ratio_d / ratio_a, a_d
-    a_a = prm.defender_value / (2.0 * prm.defense_cost)
-    return a_a, a_a * ratio_a / ratio_d
-
-
-def _best_response_pair(
-    grid_a: np.ndarray,
-    grid_d: np.ndarray,
-    prm: FlipItParams,
-    start_a: int,
-    start_d: int,
-) -> tuple[int, int, int, tuple[float, float] | None]:
-    """Gauss-Seidel best response on the grids; returns (iA, iD, iters, best).
-
-    At a fixed point the last two scans were against (d*, a*), so ``best``
-    holds their best payoffs, attacker's then defender's; otherwise None.
-    """
-    i_a = start_a
-    i_d = start_d
-    seen: set[tuple[int, int]] = set()
-    prev = (-1, -1)
-    for it in range(1, _MAX_ITERS + 1):
-        i_a, best_a = _argmax_with_ties(
-            _attacker_payoffs(grid_a, float(grid_d[i_d]), prm), i_a
-        )
-        i_d, best_d = _argmax_with_ties(
-            _defender_payoffs(grid_d, float(grid_a[i_a]), prm), i_d
-        )
-        state = (i_a, i_d)
-        if state == prev:
-            return i_a, i_d, it, (best_a, best_d)
-        if state in seen:
-            return i_a, i_d, it, None  # cycling
-        seen.add(state)
-        prev = state
-    return i_a, i_d, _MAX_ITERS, None
-
-
-def _dropout_outcome(prm: FlipItParams, certified: bool) -> FlipItOutcome:
-    """Attacker-exits outcome, an equilibrium if ``certified``: re-entry never pays."""
-    return FlipItOutcome(
-        attacker_rate=0.0,
-        defender_rate=0.0,
-        control_fraction=0.0,
-        attacker_payoff=0.0,
-        defender_payoff=prm.defender_value,
-        is_equilibrium=certified,
-        dropped_out=True,
-        iterations=0,
-    )
-
-
-def _can_profit(grid: np.ndarray, prm: FlipItParams) -> bool:
-    """True if some grid rate strictly profits against the defender's response."""
-    rates = grid[1:]
-    payoffs = prm.defender_value * (1.0 - _holding(rates[:, None], grid)) - prm.defense_cost * grid
-    # each row's response is its first rate within _PAYOFF_TOL of the best,
-    # the rule of _argmax_with_ties without an incumbent
-    ties = payoffs >= payoffs.max(axis=1, keepdims=True) - _PAYOFF_TOL
-    response = grid[np.argmax(ties, axis=1)]
-    u_a = prm.attacker_value * _holding(rates, response) - prm.attack_cost * rates
-    return bool(np.any(u_a > _PAYOFF_TOL))
+        return (a_d / k_d * k_a if a_d else 0.0), a_d
+    a_a = max(prm.defender_value / (2.0 * prm.defense_cost), 5e-324)
+    return a_a, a_a / k_a * k_d
 
 
 def flipit_equilibrium(prm: FlipItParams) -> FlipItOutcome:
-    """Solve the timing game by iterated best response on a rate grid.
+    """Solve the timing game in closed form, with an analytic certificate.
 
-    The grid is geometric on [1e-4, alpha_max] plus the rate 0, with
-    alpha_max = max(1, max-value / min-cost).  When the analytic
-    indifference rates are at grid scale they are inserted into the grid
-    and the iteration is seeded there: the equilibrium lies on a payoff
-    plateau that unseeded best-response dynamics orbit without reaching.
-    After the coarse iteration settles, the grid is refined once around the
-    incumbent and iterated again.  ``is_equilibrium`` is certified by an
-    exhaustive unilateral-deviation scan over the refined grids.  If no
-    mutual best response is certified and no positive grid rate earns the
-    attacker a positive payoff against the defender's response, the
-    attacker drops out (rate 0, control fraction 0), an equilibrium if
-    re-entry pays nothing on the search grid; otherwise the last iterate is
-    returned as a non-equilibrium diagnostic.
-
-    An attacker priced out of the grid, one whose value minus the cost of
-    the smallest positive grid rate is below -1e-12, drops out without a
-    search: the control fraction is at most 1 and float rounding is
-    monotone, so every positive rate then pays less than rate 0 pays (0)
-    against any defender rate, and the first best response, hence the
-    search, ends at rate 0.  The same argument against defender rate 0
-    makes the dropout an equilibrium, so it is flagged without a deviation
-    scan, and so is that of an attacker with no value.  The smallest
-    positive grid rate is the least of 1e-4 and the positive analytic
-    rates, so neither exit builds a grid.
+    The rates are :func:`_equilibrium_candidate`'s, with no rate floor.
+    Where both players have value the pair is an equilibrium: the slower
+    player's payoff is linear in its own rate, with slope 0 at the faster
+    player's rate, and the faster player's is concave, with its maximum at
+    its own rate.  With no defender value there is none, and the outcome
+    says so.  The attacker drops out (rate 0, control fraction 0 and
+    payoff 0), certified, where it has no value or its closed-form rate
+    rounds to 0.  The defender then keeps its closed-form rate, at which
+    entry pays nothing: 0 where the attacker has no value.
     """
-    # an attacker with nothing to gain exits: re-entry pays at most 0
-    if prm.attacker_value <= 0:
-        return _dropout_outcome(prm, True)
-    candidate = _equilibrium_candidate(prm)
-    # sub-grid-scale candidates would let the attacker lurk at rates the
-    # grid is not meant to resolve; without them the dropout rule applies
-    extras = tuple(r for r in candidate if r > 0) if max(candidate) >= _RATE_FLOOR else ()
-    # grid[1], the grid's smallest positive rate (geomspace starts at lo)
-    smallest = min((_RATE_FLOOR, *extras))
-    if prm.attacker_value - prm.attack_cost * smallest < -_PAYOFF_TOL:
-        # priced out: the search would end at rate 0 (see the docstring)
-        return _dropout_outcome(prm, True)
-    v = max(prm.attacker_value, prm.defender_value)
-    alpha_max = max(1.0, v / min(prm.attack_cost, prm.defense_cost))
-    ratio = (alpha_max / _RATE_FLOOR) ** (1.0 / (_GRID_POINTS - 1))
-    grid = _rate_grid(_RATE_FLOOR, alpha_max, _GRID_POINTS, extras)
-
-    def refine(center: float) -> np.ndarray:
-        if center <= 0:
-            return grid
-        lo = max(center / ratio, _RATE_FLOOR / ratio)
-        hi = min(center * ratio, alpha_max * ratio)
-        return _rate_grid(lo, hi, _GRID_POINTS, extras)
-
-    def dropout() -> FlipItOutcome:  # re-entry scored on the search grid
-        return _dropout_outcome(prm, float(np.max(_attacker_payoffs(grid, 0.0, prm))) <= 1e-9)
-
-    start_a = int(np.argmin(np.abs(grid - candidate[0])))
-    start_d = int(np.argmin(np.abs(grid - candidate[1])))
-    i_a, i_d, it1, _ = _best_response_pair(grid, grid, prm, start_a, start_d)
-    grid_a, grid_d = refine(float(grid[i_a])), refine(float(grid[i_d]))
-    j_a = int(np.argmin(np.abs(grid_a - grid[i_a])))
-    j_d = int(np.argmin(np.abs(grid_d - grid[i_d])))
-    i_a, i_d, it2, best = _best_response_pair(grid_a, grid_d, prm, j_a, j_d)
-
-    a_star = float(grid_a[i_a])
-    d_star = float(grid_d[i_d])
-    if a_star == 0.0:
-        return dropout()
+    a_star, d_star = _equilibrium_candidate(prm)
     p = flipit_control_fraction(a_star, d_star)
     u_a = prm.attacker_value * p - prm.attack_cost * a_star
     u_d = prm.defender_value * (1.0 - p) - prm.defense_cost * d_star
-    if best is None:
-        best = (
-            np.max(_attacker_payoffs(grid_a, d_star, prm)),
-            np.max(_defender_payoffs(grid_d, a_star, prm)),
-        )
-    gain_a = float(best[0]) - u_a
-    gain_d = float(best[1]) - u_d
-    certified = gain_a <= 1e-9 and gain_d <= 1e-9
-    if not certified and not _can_profit(grid, prm):
-        return dropout()
     return FlipItOutcome(
         attacker_rate=a_star,
         defender_rate=d_star,
         control_fraction=p,
         attacker_payoff=u_a,
         defender_payoff=u_d,
-        is_equilibrium=certified,
-        dropped_out=False,
-        iterations=it1 + it2,
+        is_equilibrium=prm.defender_value > 0 or a_star == 0.0,
+        dropped_out=a_star == 0.0,
+        iterations=0,
     )
 
 
@@ -1085,29 +905,18 @@ class GNEState:
     residual_history: tuple[float, ...]
 
 
-def _timing_game(
-    values: tuple[float, float],
-    costs: GNECosts,
-    timing: dict[tuple[float, float], FlipItOutcome],
-) -> tuple[float, float, FlipItOutcome]:
-    """The timing game at the sender values, clamped at 0.
-
-    ``timing`` holds the timing games already solved at these costs, keyed
-    on the exact clamped values; a new pair is solved and added.
-    """
+def _timing_game(values: tuple, costs: GNECosts) -> tuple[float, float, FlipItOutcome]:
+    """The timing game at the sender values, clamped at 0."""
     v_a = max(0.0, values[ATTACKER])
     v_d = max(0.0, values[DEFENDER])
-    if (v_a, v_d) not in timing:
-        timing[v_a, v_d] = flipit_equilibrium(
-            FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
-        )
-    return v_a, v_d, timing[v_a, v_d]
+    prm = FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
+    return v_a, v_d, flipit_equilibrium(prm)
 
 
 def _cost_errors(costs: GNECosts, sender_utils) -> list[tuple[str, str]]:
-    """Each move cost under max |sender_utils| / _MAX_VALUE_PER_COST, which
-    overflows the timing game's rate grid, with the document field that sets
-    it; the document validator reports them all, the solver the first."""
+    """Each move cost under max |sender_utils| / _MAX_VALUE_PER_COST, past
+    the timing game's bound on value per cost, with the document field that
+    sets it; the document validator reports them all, the solver the first."""
     top = float(max(abs(v) for table in sender_utils for row in table for v in row))
     return [
         (f"costs.{key}", error)
@@ -1133,11 +942,11 @@ def gne_solve(
     shares, keyed on the interval between two exclusion bands.  A stage in
     the interval whose entry held the previous stage's values has those
     values, so it reuses that stage's holding fraction.  The final stage
-    solves in full.  The timing game is solved once per distinct pair of
-    sender values (v_a, v_d), compared exactly.  So the result is what
-    solving both games afresh at every stage gives, bit for bit.  A move
-    cost under max |sender_utils| / _MAX_VALUE_PER_COST, which would
-    overflow the timing game's rate grid, raises ValueError.
+    solves in full.  The timing game is solved in closed form with an
+    analytic certificate.  So the result is what solving both games afresh
+    at every stage gives, bit for bit.  A move cost under max |sender_utils|
+    / _MAX_VALUE_PER_COST, past the timing game's bound on value per cost,
+    raises ValueError.
 
     Args:
         costs: timing-game move costs.
@@ -1151,8 +960,8 @@ def gne_solve(
     Returns:
         :class:`GNEState` at the last iterate, with both games solved at
         the final p.  ``verified`` confirms that the iteration converged,
-        that the timing-game pair there is a certified mutual best response,
-        and that one further iteration moves p by less than ``tol``.
+        that the timing-game pair there is a certified equilibrium, and that
+        one further iteration moves p by less than ``tol``.
     """
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
@@ -1164,7 +973,6 @@ def gne_solve(
         raise ValueError(errors[0][1])
     p = float(p0)
     history: list[float] = []
-    timing: dict[tuple[float, float], FlipItOutcome] = {}
     edges = game.bands()
     band, control = -1, 0.0  # the interval whose entry held the last values, or -1
     converged = False
@@ -1174,7 +982,7 @@ def gne_solve(
         if i != band:
             values, held = game.lookup(p, i)
             band = i if held else -1
-            control = _timing_game(values, costs, timing)[2].control_fraction
+            control = _timing_game(values, costs)[2].control_fraction
         p_next = (1.0 - damping) * p + damping * control
         residual = abs(p_next - p)
         history.append(residual)
@@ -1183,7 +991,7 @@ def gne_solve(
             converged = True
             break
     sig = game.solve(p)
-    v_a, v_d, flip = _timing_game(sig.sender_values, costs, timing)
+    v_a, v_d, flip = _timing_game(sig.sender_values, costs)
     final_residual = damping * abs(flip.control_fraction - p)
     return GNEState(
         control_fraction=p,
