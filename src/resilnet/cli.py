@@ -13,9 +13,9 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .graph_core import build_proximity_graph
 from .gne import gne_solve
 from .scenario_io import (
     ConfigError,
@@ -35,18 +35,14 @@ from .scenario_io import (
     _SCENARIO_FIELDS,
     _load_yaml,
 )
-from .simulator import (
-    BaselineSpec,
-    ScenarioConfig,
-    _plan,
-    _step_options,
-    compute_resilience_metrics,
-    initial_positions,
-    planning_profile,
-    run_scenario,
-)
+
+# The handlers import the network modules they use, so that a game command
+# loads none of them.
+if TYPE_CHECKING:
+    from .simulator import BaselineSpec, ScenarioConfig
 
 _OUT_ENV = "RESILNET_OUT"
+_RECOVERY_FRACTION = 0.9  # BaselineSpec's default; a test holds the two equal
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -68,6 +64,8 @@ def _simulation(raw) -> tuple[ScenarioConfig, int | None]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import compute_resilience_metrics, run_scenario
+
     raw = _load_yaml(args.scenario)
     cfg, onset = _simulation(raw)
     digest = config_hash(raw)  # before the run, so that a failure writes nothing
@@ -92,6 +90,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .graph_core import build_proximity_graph
+    from .simulator import _plan, _step_options, initial_positions, planning_profile
+
     cfg = parse_scenario(args.scenario)
     profile = planning_profile(cfg)
     pos = initial_positions(cfg)
@@ -133,6 +134,8 @@ def _cmd_gne(args: argparse.Namespace) -> int:
 
 
 def _parse_baseline_flags(text: str, recovery_fraction: float) -> BaselineSpec:
+    from .simulator import BaselineSpec
+
     if text == "pre_event":
         return BaselineSpec(recovery_fraction=recovery_fraction)
     if text.startswith("fixed:"):
@@ -145,6 +148,8 @@ def _parse_baseline_flags(text: str, recovery_fraction: float) -> BaselineSpec:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .simulator import compute_resilience_metrics
+
     trace = parse_trace(args.trace)
     baseline = _parse_baseline_flags(args.baseline, args.recovery_fraction)
     report = compute_resilience_metrics(trace, baseline, args.t2)
@@ -192,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--recovery-fraction",
         type=float,
-        default=BaselineSpec.recovery_fraction,
+        default=_RECOVERY_FRACTION,
         help="fraction of baseline counting as recovered (default %(default)s)",
     )
     p.add_argument(

@@ -4,7 +4,9 @@ Scenarios are YAML documents; validation collects every problem found, each
 tagged with its field path, instead of stopping at the first.  Traces are
 line-delimited JSON records and reports are single JSON documents; all
 numbers are written with 17 significant digits so that parse(emit(x)) == x
-bit for bit and reruns are byte-identical.
+bit for bit and reruns are byte-identical.  Game files need only
+:mod:`resilnet.gne`; the network modules are imported where a scenario or a
+trace is parsed.
 """
 
 from __future__ import annotations
@@ -13,29 +15,20 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import yaml
 
-from .adversary import RemovalBudget
-from .controller import CENTRALIZED, DECENTRALIZED, ControlOptions, PlanResult
-from .controller import _coincident, _plan_input_errors
 from .gne import GNECosts, GNEState, PlantSpec, _cost_errors, physical_utilities
-from .graph_core import BINARY, SMOOTH, WeightProfile, WeightedGraph
-from .simulator import (
-    BaselineSpec,
-    JamEvent,
-    RandomLayout,
-    ResilienceReport,
-    ScenarioConfig,
-    SpoofEvent,
-    StepTrace,
-    initial_positions,
-    planning_profile,
-)
+
+if TYPE_CHECKING:
+    from .controller import ControlOptions, PlanResult
+    from .graph_core import WeightedGraph, WeightProfile
+    from .simulator import BaselineSpec, RandomLayout, ResilienceReport, ScenarioConfig, StepTrace
 
 __all__ = [
     "ConfigError",
@@ -240,7 +233,9 @@ class _Walk:
 
 # One field table per block, in the order its fields are checked; _Walk.block
 # describes the rules.  Absent optional fields take the defaults of the
-# dataclass the block becomes.
+# dataclass the block becomes.  The network modules load only when a scenario
+# or trace is parsed, so the tables spell out the values of their constants:
+# graph_core's BINARY and SMOOTH, controller's CENTRALIZED and DECENTRALIZED.
 _RULE_KEYS = ("check", "required", "default")
 _DEFAULT_LAYER = "default"
 _NODE = dict(check="node")  # a block or list that its own parser checks
@@ -255,7 +250,7 @@ _SCENARIO_FIELDS = {
     ),
 }
 _PROFILE_FIELDS = {
-    "kind": dict(required=True, check="string", choices=(BINARY, SMOOTH)),
+    "kind": dict(required=True, check="string", choices=("binary", "smooth")),
     # the planner's smooth profile squares the range, which must stay finite
     "range": dict(required=True, exclusive_min=0.0, maximum=math.sqrt(sys.float_info.max)),
     "decay": dict(exclusive_min=0.0),
@@ -271,7 +266,7 @@ _CONTROL_FIELDS = {
     "motion_bound": dict(required=True, minimum=0.0, allow_inf=True),
     "min_separation": dict(minimum=0.0),
     "outer_iters": dict(integer=True, minimum=1),
-    "mode": dict(check="string", choices=(CENTRALIZED, DECENTRALIZED)),
+    "mode": dict(check="string", choices=("centralized", "decentralized")),
 }
 _EVENT_TYPE = {"type": dict(required=True, check="string", choices=("jam", "spoof"))}
 _JAM_FIELDS = {
@@ -304,6 +299,8 @@ _SCHEDULE_FIELDS = {
 
 
 def _parse_profile(w: _Walk, node: Any, path: str) -> WeightProfile | None:
+    from .graph_core import BINARY, WeightProfile
+
     got = w.block(node, path, _PROFILE_FIELDS)
     if got is None:
         return None
@@ -354,6 +351,9 @@ def _parse_agents(
 
 
 def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
+    from .adversary import RemovalBudget
+    from .controller import ControlOptions
+
     got = w.block(node, "control", _CONTROL_FIELDS)
     if got is None or None in got.values():
         return None
@@ -365,6 +365,8 @@ def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
 
 
 def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
+    from .simulator import JamEvent, SpoofEvent
+
     if node is None:
         return ()
     if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
@@ -402,6 +404,8 @@ def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
 
 
 def _parse_layout(w: _Walk, node: Any) -> RandomLayout | None:
+    from .simulator import RandomLayout
+
     got = w.block(node, "layout", _LAYOUT_FIELDS)
     if got is None or None in got.values():
         return None
@@ -412,6 +416,8 @@ def _parse_layout(w: _Walk, node: Any) -> RandomLayout | None:
 
 
 def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
+    from .simulator import BaselineSpec
+
     if node is None or (kwargs := w.block(node, "baseline", _BASELINE_FIELDS)) is None:
         return BaselineSpec()
     if kwargs.get("policy") == "fixed" and kwargs.get("value") is None:
@@ -457,6 +463,10 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
     Raises:
         ConfigError: with every validation error found, not just the first.
     """
+    # before any check, so that every network module loads with the document
+    from .controller import _coincident, _plan_input_errors
+    from .simulator import ScenarioConfig, initial_positions, planning_profile
+
     w = _Walk()
     top = w.block(data, "", _SCENARIO_FIELDS)
     if top is None:
@@ -778,6 +788,9 @@ def emit_trace(trace: Sequence[StepTrace], path: str | Path) -> None:
 
 
 def parse_trace(path: str | Path) -> list[StepTrace]:
+    from .graph_core import WeightedGraph
+    from .simulator import StepTrace
+
     out: list[StepTrace] = []
     try:
         lines = Path(path).read_text().splitlines()

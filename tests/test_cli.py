@@ -168,7 +168,7 @@ def test_overflowing_plant_is_rejected_by_validate_and_gne(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["attack", "defense"])
-def test_a_move_cost_at_the_grid_bound_runs_and_a_smaller_one_is_rejected(
+def test_a_move_cost_at_the_value_per_cost_bound_runs_and_a_smaller_one_is_rejected(
     key, tmp_path, capsys
 ):
     # max |sender_utils| is 1.0 in these tables; 1e-310 once passed validate

@@ -1625,7 +1625,7 @@ def test_gne_rejects_bad_solver_settings():
 
 
 @pytest.mark.parametrize("costs", [GNECosts(1e-310, 0.2), GNECosts(0.3, 1e-310)])
-def test_gne_solve_rejects_a_move_cost_that_overflows_the_rate_grid(costs):
+def test_gne_solve_rejects_a_move_cost_beyond_the_value_per_cost_bound(costs):
     # the rule gne_from_dict reports with the field; it once surfaced as
     # numpy's "Geometric sequence cannot include zero"
     with pytest.raises(ValueError, match=r"^max \|sender_utils\| / cost must be <= "):

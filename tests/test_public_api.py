@@ -2,13 +2,17 @@
 
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import resilnet
 from resilnet.cli import main
+from resilnet.simulator import BaselineSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -64,3 +68,73 @@ def test_module_exports_resolve_and_reach_the_package(module):
     mod = importlib.import_module(f"resilnet.{module}")
     for name in mod.__all__:
         assert getattr(resilnet, name) is getattr(mod, name), name
+
+
+MODULES = ["graph_core", "adversary", "controller", "simulator", "gne", "scenario_io"]
+NETWORK = ["graph_core", "adversary", "controller", "simulator"]
+
+
+def test_package_exports_are_the_module_exports_in_module_order():
+    expected = ["__version__"]
+    for module in MODULES:
+        expected += importlib.import_module(f"resilnet.{module}").__all__
+    assert resilnet.__all__ == expected
+
+
+def test_star_import_binds_every_export_and_dir_lists_it():
+    namespace = {}
+    exec("from resilnet import *", namespace)
+    for name in resilnet.__all__:
+        assert namespace[name] is getattr(resilnet, name), name
+    assert set(resilnet.__all__) | set(NETWORK) <= set(dir(resilnet))
+    with pytest.raises(AttributeError):
+        resilnet.cli_main  # not an export, so no module is searched for it
+
+
+def test_metrics_help_shows_the_baseline_default(capsys):
+    assert main(["metrics", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert BaselineSpec.recovery_fraction == 0.9
+    assert "(default 0.9)" in help_text
+
+
+def network_modules_loaded(script: str, *args) -> list[str]:
+    """The network modules a fresh interpreter holds after running ``script``."""
+    script += (
+        "\nimport json, sys"
+        f"\nprint(json.dumps([m for m in {NETWORK!r} if 'resilnet.' + m in sys.modules]))"
+    )
+    paths = [str(Path(resilnet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_game_only_work_imports_no_network_module(tmp_path):
+    _, game = readme_yaml_files(tmp_path)
+    script = """
+import sys
+import resilnet
+from resilnet import cli, gne, scenario_io
+game, out = sys.argv[1:]
+prob = scenario_io.parse_gne(game)
+assert gne.gne_solve(**vars(prob)).verified
+assert cli.main(["gne", game, "--out", out]) == 0
+assert cli.main(["validate", game]) == 0
+assert cli.main(["--version"]) == 0
+"""
+    assert network_modules_loaded(script, game, tmp_path / "gne") == []
+
+
+def test_parsing_a_scenario_imports_every_network_module(tmp_path):
+    # so that simulate's timed work imports nothing
+    scenario, _ = readme_yaml_files(tmp_path)
+    script = """
+import sys
+from resilnet import scenario_io
+scenario_io.parse_scenario(sys.argv[1])
+"""
+    assert network_modules_loaded(script, scenario) == NETWORK

@@ -19,7 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from resilnet import (
+    BINARY,
     CENTRALIZED,
+    DECENTRALIZED,
+    SMOOTH,
     BaselineSpec,
     ConfigError,
     ControlOptions,
@@ -154,6 +157,11 @@ def test_parser_fields_match_the_dataclasses():
     assert names(_SOLVER_FIELDS) == fields(GNEProblem) - {
         "costs", "sender_utils", "receiver_utils"
     }
+
+
+def test_parser_choices_are_the_network_constants():
+    assert _PROFILE_FIELDS["kind"]["choices"] == (BINARY, SMOOTH)
+    assert _CONTROL_FIELDS["mode"]["choices"] == (CENTRALIZED, DECENTRALIZED)
 
 
 def test_all_errors_reported_not_just_first():
