@@ -9,6 +9,7 @@ simulator (:class:`resilnet.simulator.SpoofEvent`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -112,9 +113,22 @@ def worst_case_removal(
     if mode == "auto":
         scanned = sum(math.comb(n_edges, s) for s in range(1, m + 1))
         mode = "exhaustive" if scanned <= SUBSET_CAP else "greedy"
-    if mode == "exhaustive":
-        return _exhaustive(g, m)
-    return _greedy(g, m)
+    if mode == "greedy":
+        return _greedy(g, m)
+    # No subset larger than the minimum degree delta is scanned.  Removing
+    # all delta links of an agent of least degree isolates it, so a subset
+    # of at most max(delta, 1) edges has lambda2 = 0, and its eigensolve
+    # gives roundoff r >= 0 (clamped).  Sizes are scanned in ascending order,
+    # so after them the incumbent is at most r + _TIE_TOL; once it is at
+    # most _TIE_TOL no lambda2 >= 0 undercuts it and no larger subset can
+    # win.  Where roundoff leaves it above, the search runs again at the full
+    # budget.  A guarded subset larger than delta, whose eigensolve would
+    # only have checked for a negative lambda2, is then never solved.
+    cut = min(m, max(int(np.bincount(g.edges.ravel(), minlength=g.n).min()), 1))
+    result = _exhaustive(g, cut)
+    if result.lambda2_after > _TIE_TOL and cut < m:
+        result = _exhaustive(g, m)
+    return result
 
 
 def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
@@ -126,6 +140,8 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     on the smallest lambda2 over all subsets, mu.  A mask at ``guard`` marks
     the subsets whose eigensolve could raise; once the incumbent is within
     ``_TIE_TOL`` of 0 nothing can undercut it, and only those still run.
+    The mask is made then, over the window, which holds every guarded
+    subset (below).
 
     Skipping a subset outside the window is exact.  Take a level L in (mu,
     mu + margin), clear of it by more than roundoff, with no window value,
@@ -136,6 +152,23 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     ``_TIE_TOL``, so both scans take it at the same point; after it, no
     subset outside the window can undercut the incumbent.  A skipped subset
     could only have been an incumbent that a window subset later replaces.
+
+    The window pass screens only the survivors of the bisection's first
+    shrink, at x1, when x1 clears the window's edge, top, by at least
+    ``margin``; otherwise it screens every subset.  That keeps every
+    decision.  f(x) = lambda_max(P_SS(x)) grows with x, with f'(x) >= f(x) /
+    (lam[-1] - x) (P' = Z (diag(lam) - x)^-2 Z^T, and lam[-1] is the shift,
+    which bounds the spectrum), so from any x where a row screens in, f
+    gains a factor of at least 1 + gap / (shift + margin) by x + gap: about
+    1 + 1e-8 for a gap of ``margin``.  Near f = 1 a row's trace is at most
+    3, so that is far more than the screen's roundoff, O(k eps) (see
+    ``_below``), and the row screens in at x1 too.  The same holds from
+    ``guard`` to top.  The bracket top is lam[0] >= ``_NEGATIVE_TOL``, a
+    lone row's lambda2 >= 0, or an x where some row screened in, whose
+    lambda2 >= 0 puts x above -O(k eps shift); and ``guard`` lies
+    ``_GUARD_MARGIN / _SCREEN_MARGIN`` = 1e-4 of a margin above
+    ``_NEGATIVE_TOL``.  So top clears ``guard`` by nearly a margin, and
+    every guarded subset is in the window.
 
     The bisection stops early once a lone candidate remains under a top
     above ``_TIE_TOL + margin``.  That row is the screen's unique minimum, so
@@ -158,8 +191,9 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     best_lam, best = start.lambda2, ()
     margin = _SCREEN_MARGIN * (1.0 + shift)
     guard = _NEGATIVE_TOL + _GUARD_MARGIN * (1.0 + shift)
-    a, b = np.append(g.edges, [[0, 0]], axis=0).T  # padding edge: a loop, so z = 0
-    z = np.sqrt(np.append(g.weights, 0.0))[:, None] * (vecs[a] - vecs[b])
+    i, j = g.edges.T
+    z = np.zeros((g.edge_count + 1, g.n))  # the padding edge's row stays 0
+    z[:-1] = np.sqrt(g.weights)[:, None] * (vecs[i] - vecs[j])
     subsets = _subsets(g.edge_count, m)
 
     def combo(row: np.ndarray) -> tuple[int, ...]:
@@ -167,6 +201,7 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
 
     # a subset not below some x is not below any lower x either
     lo, hi, candidates = -margin, float(lam[0]), subsets
+    pool, x1 = None, -math.inf  # the first shrink's survivors, and its x
     solved: dict[tuple[int, ...], SpectralResult] = {}
     while hi - lo >= 0.25 * margin:
         if len(candidates) == 1 and hi > _TIE_TOL + margin:
@@ -177,30 +212,47 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
         mid = 0.5 * (lo + hi)
         inside = _below(z, lam, mid, candidates)
         if inside.any():
+            if pool is None:
+                pool, x1 = np.flatnonzero(inside), mid
             hi, candidates = mid, candidates[inside]
         else:
             lo = mid
-    guarded = _below(z, lam, guard, subsets)
-    window = guarded | _below(z, lam, hi + margin, subsets)
+    top = hi + margin
+    rows = pool if x1 >= top + margin else slice(None)
+    window = np.zeros(len(subsets), dtype=bool)
+    window[rows] = _below(z, lam, top, subsets[rows])
     if np.count_nonzero(window) * _TIE_TOL >= 0.5 * margin:
         window[:] = True
+    guarded = None
     for k in np.flatnonzero(window).tolist():
-        if best_lam > _TIE_TOL or guarded[k]:
-            removal = combo(subsets[k])
-            spectral = solved.get(removal)
-            if spectral is None:
-                spectral = algebraic_connectivity(remove_links(g, removal))
-            if spectral.lambda2 < best_lam - _TIE_TOL:
-                best_lam, best, attacked = spectral.lambda2, removal, spectral
+        if best_lam <= _TIE_TOL:
+            if guarded is None:
+                guarded = np.zeros_like(window)
+                guarded[window] = _below(z, lam, guard, subsets[window])
+            if not guarded[k]:
+                continue
+        removal = combo(subsets[k])
+        spectral = solved.get(removal)
+        if spectral is None:
+            spectral = algebraic_connectivity(remove_links(g, removal))
+        if spectral.lambda2 < best_lam - _TIE_TOL:
+            best_lam, best, attacked = spectral.lambda2, removal, spectral
     return WorstCaseResult(best, best_lam, True, start, attacked)
 
 
+@functools.lru_cache(maxsize=8)
 def _subsets(n_edges: int, m: int) -> np.ndarray:
     """Every subset of 1..m edges in enumeration order, one per row, padded
     to at least two columns with the edge ``n_edges``, which weighs nothing.
 
     Each size's block extends every row of the block before it, in order,
-    by each edge after its last one, so the rows stay lexicographic.
+    by each edge after its last one, so the rows stay lexicographic.  One
+    read-only table is made per (edge count, budget) and shared by every
+    search.  Where ``auto`` picks the exhaustive search, an entry holds at
+    most ``SUBSET_CAP`` rows of ``max(m, 2)`` columns, and m <= 15, since
+    2^16 - 1 subsets exceed the cap: at most 6 MB per entry, 48 MB for the
+    8 entries.  A search forced to ``"exhaustive"`` caches whatever table
+    it builds.
     """
     sizes = [math.comb(n_edges, s) for s in range(1, m + 1)]
     table = np.full((sum(sizes), max(m, 2)), n_edges, dtype=np.intp)
@@ -216,19 +268,45 @@ def _subsets(n_edges: int, m: int) -> np.ndarray:
         # within each row's run the new edge counts up from last + 1
         offset = np.cumsum(counts) - counts - last - 1
         block[:, s] = np.arange(sizes[s]) - np.repeat(offset, counts)
+    table.flags.writeable = False
     return table
 
 
 def _below(z: np.ndarray, lam: np.ndarray, x: float, rows: np.ndarray) -> np.ndarray:
-    """Whether lambda2 after removing each row's edges is at most x."""
+    """Whether lambda2 after removing each row's edges is at most x.
+
+    Below lam[0], P(x) is positive semidefinite, so a row's block has its
+    largest eigenvalue at most its trace, the sum of its entries of
+    ``p.diagonal()``, and a row whose trace falls short of 1 by more than
+    roundoff is not below x.  Only the rest take the exact test, with the
+    same expressions on the same ``p``, so each decision keeps its bits.
+    The margin covers roundoff: each entry of p sums k = len(lam) products
+    z_ik z_jk / (lam_k - x) with positive denominators, so the computed
+    diagonal entries a, c carry relative error O(k eps), and by Cauchy-
+    Schwarz the computed off-diagonal entry b has |b| <= sqrt(ac) (1 + O(k
+    eps)).  The computed largest eigenvalue, of the 2 x 2 formula or of
+    ``eigvalsh``, is then at most (a + c)(1 + O(k eps)), and k eps stays
+    far inside the margin 1e-9 for any team of fewer than 10^5 agents.
+    """
     if x >= lam[0]:
         return np.ones(len(rows), dtype=bool)
     p = (z / (lam - x)) @ z.T
+    d = p.diagonal()
     if rows.shape[1] == 2:
         i, j = rows.T
-        a, c = p[i, i], p[j, j]
-        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), p[i, j]) >= 1.0
-    return np.linalg.eigvalsh(p[rows[:, :, None], rows[:, None, :]])[:, -1] >= 1.0
+        a, c = d[i], d[j]
+        inside = a + c >= 1.0 - 1e-9
+        k = inside.nonzero()[0]
+        if len(k):
+            a, c, i, j = a[k], c[k], i[k], j[k]
+            inside[k] = 0.5 * (a + c) + np.hypot(0.5 * (a - c), p[i, j]) >= 1.0
+        return inside
+    inside = d[rows].sum(axis=1) >= 1.0 - 1e-9
+    k = inside.nonzero()[0]
+    if len(k):
+        r = rows[k]
+        inside[k] = np.linalg.eigvalsh(p[r[:, :, None], r[:, None, :]])[:, -1] >= 1.0
+    return inside
 
 
 def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:

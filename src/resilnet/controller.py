@@ -127,16 +127,20 @@ def _project_motion(current, proposed, delta: float) -> np.ndarray:
     return out
 
 
-def _push_apart(points: np.ndarray, d_min: float) -> None:
-    """Symmetric pairwise separation repair, in place.
+def _push_apart(points: np.ndarray, d_min: float) -> np.ndarray:
+    """Symmetric pairwise separation repair, in place; returns the pair
+    distances of the repaired points, in ``_pair_distances`` order.
 
     Each sweep visits the pairs i < j in lexicographic order and judges each
     on the positions the moves before it left.  A whole-team distance scan
     stands in for the per-pair norms (same bits); after each move only the
     distances from the two moved agents are computed again, and the sweep
-    jumps to the next close pair.
+    jumps to the next close pair.  So the distances returned have the bits
+    of a fresh scan.
     """
     i, j, dist = _pair_distances(points)
+    if np.all(dist >= d_min - 1e-12):
+        return dist
     agents = np.arange(len(points))
     # slot[p, q] is where dist holds pair (p, q), either way round; the
     # diagonal points at a spare entry past the end of dist
@@ -165,7 +169,8 @@ def _push_apart(points: np.ndarray, d_min: float) -> None:
             ends = np.array([[a], [b]])
             store[slot[ends[:, 0]]] = _distances(points, ends, agents)
         if not moved:
-            return
+            break
+    return dist
 
 
 def _enforce(
@@ -176,12 +181,12 @@ def _enforce(
     can start."""
     adjusted = _project_motion(origin, proposal, delta)
     if d_min > 0:
-        _push_apart(adjusted, d_min)
+        dist = _push_apart(adjusted, d_min)
     if not math.isinf(delta):
         disp = np.linalg.norm(adjusted - origin, axis=1)
         if np.any(disp > delta + _BALL_TOL):
             return None
-    if d_min > 0 and np.any(_pair_distances(adjusted)[2] < d_min - _SEP_TOL):
+    if d_min > 0 and np.any(dist < d_min - _SEP_TOL):
         return None
     return None if _coincident(adjusted) else adjusted
 

@@ -290,11 +290,11 @@ def _deflate(lap: np.ndarray) -> tuple[np.ndarray, float]:
 
     The shift lies strictly above lambda_max (Gershgorin bound: 2 * max
     degree, plus 1), so the all-ones eigenvalue moves to the top of the
-    spectrum and the smallest eigenvalue is lambda2.
+    spectrum and the smallest eigenvalue is lambda2.  Adding the scalar
+    gives the bits of adding the ones matrix, since times 1.0 is exact.
     """
-    n = len(lap)
-    shift = 2.0 * float(np.max(np.diag(lap))) + 1.0
-    return lap + (shift / n) * np.ones((n, n)), shift
+    shift = 2.0 * float(lap.diagonal().max()) + 1.0
+    return lap + shift / len(lap), shift
 
 
 def _eigensolve(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, float]:

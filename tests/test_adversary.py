@@ -22,9 +22,12 @@ from resilnet import (
     edge_impact_scores,
     plan_step,
     remove_links,
+    run_scenario,
+    scenario_from_dict,
     worst_case_removal,
 )
-from resilnet.graph_core import _deflate, laplacian
+from resilnet.graph_core import _eigensolve
+from test_controller import perf_workloads
 from test_graph_core import random_graph, random_profile, reference_laplacian
 
 
@@ -312,27 +315,46 @@ def lone_stop(g, events):
     """Whether the bisection stopped early, whether it ended with a lone
     candidate, and the top of its bracket then.
 
-    The last two screens cover every subset (guard and window); a solve
-    before them is the lone candidate's.  Checks that no subset is solved
-    twice and that a stop leaves exactly one candidate.
+    The bisection's screens are those at the middle of the bracket the
+    screens before them left; the screens after them are the guard and
+    window passes, told apart by their x.  A solve between the two is the
+    lone candidate's.  Checks that no subset is solved twice, that a stop
+    leaves exactly one candidate, and that every later screen is at the
+    guard or at the top of the bracket plus the margin.
     """
     solves = [e[1] for e in events if e[0] == "solve"]
     assert len(solves) == len(set(solves))
-    guard_at = [k for k, e in enumerate(events) if e[0] == "below"][-2]
-    bisection = [e for e in events[:guard_at] if e[0] == "below"]
-    early = [e for e in events[:guard_at] if e[0] == "solve"]
+    _, lam, margin, guard = screen_inputs(g)
+    lo, hi = -margin, float(lam[0])
+    bisection = []
+    for e in events:
+        if e[0] != "below" or e[1] != 0.5 * (lo + hi):
+            break
+        bisection.append(e)
+        hi, lo = (e[1], lo) if e[3] else (hi, e[1])
+    rest = events[len(bisection):]
+    early = rest[:1] if rest and rest[0][0] == "solve" else []
+    passes = [e for e in rest if e[0] == "below"]
     shrinking = [e for e in bisection if e[3]]
     if shrinking:
-        hi, lone = shrinking[-1][1], shrinking[-1][3] == 1
+        lone = shrinking[-1][3] == 1
     else:
-        deflated, _ = _deflate(laplacian(g))
-        hi, lone = float(np.linalg.eigvalsh(deflated)[0]), events[guard_at][2] == 1
+        lone = (bisection or passes)[0][2] == 1
     assert len(early) <= 1 and (not early or lone)
+    top = (algebraic_connectivity(remove_links(g, early[0][1])).lambda2 if early else hi) + margin
+    assert passes and all(e[1] in (guard, top) for e in passes)
     return bool(early), lone, hi
 
 
-def margin_of(g):
-    return adversary._SCREEN_MARGIN * (1.0 + _deflate(laplacian(g))[1])
+def screen_inputs(g):
+    """The screen's z and lam, and the margin and guard, as the search
+    makes them."""
+    lam, vecs, shift = _eigensolve(g)
+    a, b = np.append(g.edges, [[0, 0]], axis=0).T
+    z = np.sqrt(np.append(g.weights, 0.0))[:, None] * (vecs[a] - vecs[b])
+    margin = adversary._SCREEN_MARGIN * (1.0 + shift)
+    guard = adversary._NEGATIVE_TOL + adversary._GUARD_MARGIN * (1.0 + shift)
+    return z, lam, margin, guard
 
 
 def near_zero_graphs():
@@ -369,7 +391,7 @@ def test_lone_candidate_stop_matches_reference_near_zero(monkeypatch):
             assert res.removal == best
             assert res.lambda2_after.hex() == best_lam.hex()
             stopped, lone, hi = lone_stop(g, events)
-            low = hi <= adversary._TIE_TOL + margin_of(g)
+            low = hi <= adversary._TIE_TOL + screen_inputs(g)[2]
             assert not (stopped and low)
             fired += stopped
             held += lone and low
@@ -383,20 +405,32 @@ def test_lone_candidate_with_a_low_top_keeps_bisecting(monkeypatch):
     g = WeightedGraph(3, [(0, 1)], [1.0])
     res, events = traced_search(monkeypatch, g, 1)
     stopped, lone, hi = lone_stop(g, events)
-    assert lone and not stopped and hi <= adversary._TIE_TOL + margin_of(g)
+    assert lone and not stopped and hi <= adversary._TIE_TOL + screen_inputs(g)[2]
     assert [e for e in events if e[0] == "solve"] == []
     assert res.removal == () and res.lambda2_after == algebraic_connectivity(g).lambda2
 
 
-@pytest.mark.parametrize("kind, stops, screens", [(SMOOTH, True, 6), (BINARY, False, 27)])
-def test_lone_candidate_stop_on_the_jittered_lattice(monkeypatch, kind, stops, screens):
+@pytest.mark.parametrize(
+    "kind, stops, screens, window",
+    [(SMOOTH, True, 5, (17, 1)), (BINARY, False, 26, (28, 8))],
+    ids=["smooth-True-5", "binary-False-26"],
+)
+def test_lone_candidate_stop_on_the_jittered_lattice(monkeypatch, kind, stops, screens, window):
     # the smooth weights single out one worst pair, so the bisection ends
     # once it is alone, where the full bracket takes 23 screens; the binary
-    # lattice's eight tied pairs keep the full bisection
+    # lattice's eight tied pairs keep the full bisection.  The guard lies
+    # below both tops and no incumbent reaches 0, so the one pass after the
+    # bisection is the window's, over the first shrink's survivors of the
+    # 903 subsets
     g = build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
     res, events = traced_search(monkeypatch, g, 2)
     assert lone_stop(g, events)[0] is stops
-    assert sum(e[0] == "below" for e in events) == screens
+    guard = screen_inputs(g)[3]
+    below = [e for e in events if e[0] == "below"]
+    assert len(below) == screens
+    assert [e[2:] for e in below if e[1] == guard] == []
+    first_shrink = next(e for e in below if e[3])
+    assert first_shrink[2:] == (903, window[0]) and below[-1][2:] == window
     best, best_lam = reference_exhaustive(g, 2)
     assert res.removal == best and res.lambda2_after.hex() == best_lam.hex()
 
@@ -429,6 +463,287 @@ def test_subset_table_matches_itertools_builder():
         got, want = adversary._subsets(n_edges, m), reference_subsets(n_edges, m)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), (n_edges, m)
+
+
+def test_subset_table_is_made_once_and_read_only():
+    table = adversary._subsets(42, 2)
+    assert adversary._subsets(42, 2) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    assert table[0, 0] == 0
+
+
+def reference_below(z, lam, x, rows):
+    """The screen before its trace bound, verbatim: the exact test on every
+    row."""
+    if x >= lam[0]:
+        return np.ones(len(rows), dtype=bool)
+    p = (z / (lam - x)) @ z.T
+    if rows.shape[1] == 2:
+        i, j = rows.T
+        a, c = p[i, i], p[j, j]
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), p[i, j]) >= 1.0
+    return np.linalg.eigvalsh(p[rows[:, :, None], rows[:, None, :]])[:, -1] >= 1.0
+
+
+def reference_passes(g, m):
+    """The bisection, then the guard and window passes over the whole
+    subset table, as the search made them before it screened only the
+    bisection's survivors: the top of the bracket, the guard mask and the
+    mask of the window pass at the top plus the margin."""
+    z, lam, margin, guard = screen_inputs(g)
+    subsets = reference_subsets(g.edge_count, m)
+    lo, hi, candidates = -margin, float(lam[0]), subsets
+    while hi - lo >= 0.25 * margin:
+        if len(candidates) == 1 and hi > adversary._TIE_TOL + margin:
+            lone = tuple(e for e in candidates[0].tolist() if e < g.edge_count)
+            hi = algebraic_connectivity(remove_links(g, lone)).lambda2
+            break
+        mid = 0.5 * (lo + hi)
+        inside = reference_below(z, lam, mid, candidates)
+        if inside.any():
+            hi, candidates = mid, candidates[inside]
+        else:
+            lo = mid
+    return hi, reference_below(z, lam, guard, subsets), reference_below(z, lam, hi + margin, subsets)
+
+
+def min_degree(g):
+    return int(np.bincount(g.edges.ravel(), minlength=g.n).min())
+
+
+def drawn_graph(rng, family):
+    """A graph of one family: random weights, an integer lattice whose
+    distances tie the ranges, a near-zero case, or the jittered lattice."""
+    if family == "random":
+        return random_graph(rng, n=int(rng.integers(3, 8)))
+    if family == "lattice":
+        pos = rng.integers(0, 3, size=(int(rng.integers(3, 9)), 2)).astype(float)
+        return build_proximity_graph(pos, WeightProfile(BINARY, float(rng.choice([1.0, 1.5]))))
+    if family == "near-zero":
+        graphs = near_zero_graphs()
+        return graphs[int(rng.integers(0, len(graphs)))]
+    kind = BINARY if rng.random() < 0.5 else SMOOTH
+    return build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
+
+
+def flip_point(z, lam, row, lo, hi):
+    """Adjacent x below and above which the exact screen of one row flips
+    from outside to inside, by bisection from an outside lo and an inside hi."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if reference_below(z, lam, mid, row[None])[0] else (mid, hi)
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["random", "lattice", "near-zero", "jittered"]),
+    m=st.integers(1, 3),
+)
+def test_trace_bound_keeps_every_decision_at_each_crossing(seed, family, m):
+    # a few ulps either side of where each sampled row's exact test flips,
+    # the bounded screen gives every row the exact test's decision
+    rng = np.random.default_rng(seed)
+    g = drawn_graph(rng, family)
+    m = min(m, g.edge_count, 2 if g.edge_count > 30 else 3)
+    if m == 0:
+        return
+    z, lam, margin, _ = screen_inputs(g)
+    table = reference_subsets(g.edge_count, m)
+    lo, hi = -margin, float(lam[0])
+    flips = 0
+    for k in rng.choice(len(table), size=min(6, len(table)), replace=False):
+        row = table[k]
+        if reference_below(z, lam, lo, row[None])[0] or not reference_below(
+            z, lam, np.nextafter(hi, -np.inf), row[None]
+        )[0]:
+            continue
+        below, above = flip_point(z, lam, row, lo, np.nextafter(hi, -np.inf))
+        flips += 1
+        for x in (below, above):
+            for step in range(-3, 4):
+                at = x
+                for _ in range(abs(step)):
+                    at = np.nextafter(at, np.sign(step) * np.inf)
+                got = adversary._below(z, lam, at, table)
+                assert np.array_equal(got, reference_below(z, lam, at, table)), (k, at)
+    if family == "jittered":
+        assert flips
+
+
+def screened(g, m):
+    """The exhaustive search, with each screen's x, row count and the set
+    of rows it put below x."""
+    found = []
+    below = adversary._below
+
+    def spy(z, lam, x, rows):
+        inside = below(z, lam, x, rows)
+        found.append((x, len(rows), {tuple(r) for r in rows[inside].tolist()}))
+        return inside
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "_below", spy)
+        res = worst_case_removal(g, RemovalBudget(m), mode="exhaustive")
+    return res, found
+
+
+def assert_passes_match_full_table(g, m):
+    """The window and guard screens find, over the rows they screen, the
+    same subsets as the full-table passes.  Returns whether the window
+    screened only the bisection's survivors, and how many subsets the guard
+    found, or None where the incumbent never reached 0 and the guard never
+    ran.  ``m`` must not exceed the minimum degree."""
+    res, found = screened(g, m)
+    hi, guarded, at_top = reference_passes(g, m)
+    _, _, margin, guard = screen_inputs(g)
+    table = reference_subsets(g.edge_count, m)
+    tops = [f for f in found if f[0] == hi + margin]
+    guards = [f for f in found if f[0] == guard]
+    assert len(tops) == 1 and tops[0][2] == {tuple(r) for r in table[at_top].tolist()}
+    assert len(guards) <= 1
+    if guards:
+        assert guards[0][2] == {tuple(r) for r in table[guarded].tolist()}
+    return tops[0][1] < len(table), len(guards[0][2]) if guards else None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["random", "lattice", "near-zero", "jittered"]),
+    m=st.integers(1, 3),
+    screen_margin=st.sampled_from([adversary._SCREEN_MARGIN, 1e-2, 1e-1]),
+)
+def test_survivor_passes_match_full_table_passes(seed, family, m, screen_margin):
+    # a wide margin often leaves the first shrink within a margin of the
+    # window's edge, where the window must screen every subset
+    g = drawn_graph(np.random.default_rng(seed), family)
+    m = min(m, min_degree(g), 2 if g.edge_count > 30 else 3)
+    if m >= 1:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adversary, "_SCREEN_MARGIN", screen_margin)
+            assert_passes_match_full_table(g, m)
+
+
+def test_survivor_passes_on_fixed_cases():
+    # the near-zero cases reach a zero incumbent, where the guard runs late
+    # over the window; with weights 1e3 the guard lies above 0 and marks
+    # the subsets that disconnect the team; the lattices keep their windows
+    # to the survivors
+    restricted = lazy = marked = 0
+    graphs = near_zero_graphs() + [
+        build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
+        for kind in (BINARY, SMOOTH)
+    ]
+    graphs += [WeightedGraph(g.n, g.edges, 1e3 * g.weights) for g in near_zero_graphs()]
+    for g in graphs:
+        for m in range(1, min(3, min_degree(g)) + 1):
+            survivors, found = assert_passes_match_full_table(g, m)
+            restricted += survivors
+            lazy += found is not None
+            marked += bool(found)
+    assert (restricted, lazy, marked) == (110, 53, 24)
+
+
+def benchmark_searches(monkeypatch, seed):
+    """Every exhaustive search of a grid16-jam run, as (graph, budget)."""
+    searches = []
+    exhaustive = adversary._exhaustive
+
+    def spy(g, m):
+        searches.append((g, m))
+        return exhaustive(g, m)
+
+    monkeypatch.setattr(adversary, "_exhaustive", spy)
+    [doc] = perf_workloads().grid16_jam(seed)
+    run_scenario(scenario_from_dict(doc))
+    monkeypatch.undo()
+    return searches
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_benchmark_searches_match_reference(monkeypatch, seed):
+    searches = benchmark_searches(monkeypatch, seed)
+    assert len(searches) >= 40
+    restricted = 0
+    for g, m in searches[::8]:
+        assert m == 2 and min_degree(g) >= m
+        res = assert_spectra_are_fresh(g, m, "exhaustive")
+        best, best_lam = reference_exhaustive(g, m)
+        assert res.removal == best and res.lambda2_after.hex() == best_lam.hex()
+        restricted += assert_passes_match_full_table(g, m)[0]
+    assert restricted >= 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(1, 4),
+    scale=st.sampled_from([1.0, 1e-3, 1e-12, 1e3]),
+)
+def test_search_past_the_minimum_degree_matches_reference(seed, extra, scale):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=int(rng.integers(3, 8)))
+    m = max(min_degree(g), 1) + extra
+    if m > g.edge_count or sum(math.comb(g.edge_count, s) for s in range(1, m + 1)) > 2000:
+        return
+    w = g.weights.copy()
+    w[int(rng.integers(0, len(w)))] *= scale
+    assert_matches_reference(WeightedGraph(g.n, g.edges, w), m)
+
+
+def pendant_on_heavy_clique(w):
+    """Agent 0 hangs by a link of weight w off a triangle of links of
+    weight 1e3; without that link, the eigensolve gives lambda2 = 1.1e-13
+    in place of 0."""
+    return WeightedGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)], [w, 1e3, 1e3, 1e3])
+
+
+def test_minimum_degree_cut_reruns_when_roundoff_keeps_the_incumbent_up(monkeypatch):
+    # the start's lambda2 is 1.02e-12, above the tie tolerance, and the
+    # isolating removal's roundoff 1.1e-13 does not undercut it by the
+    # tolerance; a pair then reaches 0.0, so the cut at delta = 1 alone
+    # would keep the start, and the search runs again at the full budget
+    g = pendant_on_heavy_clique(6.5e-13)
+    cut = adversary._exhaustive(g, 1)
+    assert cut.removal == () and cut.lambda2_after > adversary._TIE_TOL
+    budgets = []
+    exhaustive = adversary._exhaustive
+    monkeypatch.setattr(adversary, "_exhaustive", lambda h, m: budgets.append(m) or exhaustive(h, m))
+    res = assert_spectra_are_fresh(g, 2, "exhaustive")
+    assert budgets == [1, 2]
+    assert res.removal == (1, 2) and res.lambda2_after == 0.0
+    assert_matches_reference(g, 2)
+    budgets.clear()
+    # a heavier pendant link puts the start far above; the cut holds
+    assert_matches_reference(pendant_on_heavy_clique(1.0), 3)
+    assert budgets == [1]
+    budgets.clear()
+    # on a cycle every pair of links isolates an agent or splits the ring
+    assert_matches_reference(structured_graph("cycle", 5), 4)
+    assert budgets == [2]
+
+
+def test_guarded_subsets_past_the_minimum_degree_solve_without_raising():
+    # the cut never solves them.  With a shift above 99 the guard lies above
+    # 0, so the full-table guard marks subsets that disconnect the team;
+    # every one of them larger than delta solves without a SpectralError,
+    # so skipping them drops no error on these graphs
+    graphs = [structured_graph("weighted", n) for n in (4, 5, 6)]
+    graphs += [pendant_on_heavy_clique(w) for w in (6.5e-13, 1.0)]
+    graphs += [WeightedGraph(n, [(k, (k + 1) % n) for k in range(n)], np.full(n, 60.0)) for n in (4, 5)]
+    past = 0
+    for g in graphs:
+        delta = min_degree(g)
+        for m in range(delta + 1, min(delta + 2, g.edge_count) + 1):
+            _, guarded, _ = reference_passes(g, m)
+            for row in reference_subsets(g.edge_count, m)[guarded].tolist():
+                removal = tuple(e for e in row if e < g.edge_count)
+                if len(removal) > delta:
+                    past += 1
+                    algebraic_connectivity(remove_links(g, removal))
+    assert past == 637
 
 
 def assert_same_spectrum(got, want):

@@ -261,9 +261,11 @@ def reference_push_apart(points, d_min, sweeps=controller._PUSH_SWEEPS):
 
 def assert_push_matches_reference(points, d_min):
     got, want = points.copy(), points.copy()
-    controller._push_apart(got, d_min)
+    dist = controller._push_apart(got, d_min)
     reference_push_apart(want, d_min)
     assert got.tobytes() == want.tobytes()
+    # the distances the repair returns are a fresh scan's, bit for bit
+    assert dist.tobytes() == _pair_distances(got)[2].tobytes()
 
 
 def perf_workloads():
@@ -330,7 +332,7 @@ def test_push_apart_matches_per_pair_loop_on_benchmark_inputs(monkeypatch, seed)
 
     def spy(points, d_min):
         calls.append((points.copy(), d_min))
-        push(points, d_min)
+        return push(points, d_min)
 
     monkeypatch.setattr(controller, "_push_apart", spy)
     [doc] = perf_workloads().grid16_jam(seed)
