@@ -90,17 +90,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .controller import _planning_scope
     from .graph_core import build_proximity_graph
     from .simulator import _plan, _step_options, initial_positions, planning_profile
 
     cfg = parse_scenario(args.scenario)
     profile = planning_profile(cfg)
     pos = initial_positions(cfg)
-    for step in range(args.steps):
-        plan = _plan(pos, profile, _step_options(cfg, step))
-        graph = build_proximity_graph(plan.targets, profile)
-        print(dumps_canonical(plan_record(plan, cfg.agent_ids, graph)))
-        pos = plan.targets
+    with _planning_scope():  # the steps share one scope, as in a run
+        for step in range(args.steps):
+            plan = _plan(pos, profile, _step_options(cfg, step))
+            graph = build_proximity_graph(plan.targets, profile)
+            print(dumps_canonical(plan_record(plan, cfg.agent_ids, graph)))
+            pos = plan.targets
     return 0
 
 

@@ -14,9 +14,11 @@ lexicographic in (worst-case lambda2, full-graph lambda2).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .graph_core import (
     WeightProfile,
     WeightedGraph,
     _distances,
+    _graph_from_distances,
     _pair_distances,
     as_positions,
     build_proximity_graph,
@@ -53,6 +56,11 @@ _STEP_SIZE = 0.5
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 30
 _TOL = 1e-9
+# A planning scope keeps at most _MEMO_SIZE worst cases, _STORES certificate
+# stores and _STORE_ROWS vectors in each store; the oldest go first.
+_MEMO_SIZE = 512
+_STORES = 256
+_STORE_ROWS = 64
 
 CENTRALIZED = "centralized"
 DECENTRALIZED = "decentralized"
@@ -117,14 +125,22 @@ def _project_motion(current, proposed, delta: float) -> np.ndarray:
     prop = as_positions(proposed)
     if cur.shape != prop.shape:
         raise ValueError("current and proposed shapes differ")
-    if math.isinf(delta):
-        return prop.copy()
+    return _clip(cur, prop, delta)[0]
+
+
+def _clip(cur: np.ndarray, prop: np.ndarray, delta: float) -> tuple[np.ndarray, bool]:
+    """``_project_motion`` on checked (n, d) arrays of one shape, and whether
+    it moved any agent."""
     out = prop.copy()
+    if math.isinf(delta):
+        return out, False
     step = prop - cur
     norms = np.linalg.norm(step, axis=1)
     far = norms > delta
+    if not far.any():
+        return out, False
     out[far] = cur[far] + step[far] * (delta / norms[far])[:, None]
-    return out
+    return out, True
 
 
 def _push_apart(points: np.ndarray, d_min: float) -> np.ndarray:
@@ -151,18 +167,20 @@ def _push_apart(points: np.ndarray, d_min: float) -> np.ndarray:
     for _ in range(_PUSH_SWEEPS):
         k, moved = 0, False
         # ~(>=) rather than <: a NaN distance is close and moves like any other
-        while len(close := np.flatnonzero(~(dist[k:] >= d_min - 1e-12))):
+        while len(close := (~(dist[k:] >= d_min - 1e-12)).nonzero()[0]):
             k += int(close[0])
             a, b, d = int(i[k]), int(j[k]), float(dist[k])
+            # the move on Python floats: the same elementwise IEEE operations
+            pa, pb = points[a].tolist(), points[b].tolist()
             if d < 1e-12:
                 # coincident pair: split along the first axis
-                unit = np.zeros(points.shape[1])
-                unit[0] = 1.0
+                unit = [1.0] + [0.0] * (len(pa) - 1)
             else:
-                unit = (points[a] - points[b]) / d
-            step = 0.5 * (d_min - d) * unit
-            points[a] += step
-            points[b] -= step
+                unit = [(x - y) / d for x, y in zip(pa, pb)]
+            half = 0.5 * (d_min - d)
+            step = [half * u for u in unit]
+            points[a] = [x + t for x, t in zip(pa, step)]
+            points[b] = [x - t for x, t in zip(pb, step)]
             moved = True
             k += 1
             # p - q is -(q - p) exactly, so either order gives the same bits
@@ -175,20 +193,33 @@ def _push_apart(points: np.ndarray, d_min: float) -> np.ndarray:
 
 def _enforce(
     origin: np.ndarray, proposal: np.ndarray, delta: float, d_min: float
-) -> np.ndarray | None:
-    """Project into the motion ball and push pairs apart; None if either
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Project into the motion ball and push pairs apart: the positions and
+    their pair distances, in ``_pair_distances`` order.  None if either
     limit then fails, or if every agent lands on one point, where no plan
-    can start."""
-    adjusted = _project_motion(origin, proposal, delta)
-    if d_min > 0:
+    can start.  ``origin`` is the planner's checked start.
+
+    Only the checks that could fail run.  The repair runs only where the
+    scan finds a pair closer than d_min - 1e-12; elsewhere every distance
+    clears d_min - ``_SEP_TOL`` as well.  Where no agent was clipped and no
+    repair ran, the motion check would take the norms that the projection
+    found within delta.  And once every pair lies ``d_min - _SEP_TOL`` >
+    2e-12 apart, no two agents are within 1e-12, far outside roundoff.
+    """
+    adjusted, clipped = _clip(origin, as_positions(proposal), delta)
+    dist = _pair_distances(adjusted)[2]
+    moved = d_min > 0 and not np.all(dist >= d_min - 1e-12)
+    if moved:
         dist = _push_apart(adjusted, d_min)
-    if not math.isinf(delta):
+        if np.any(dist < d_min - _SEP_TOL):
+            return None
+    if (clipped or moved) and not math.isinf(delta):
         disp = np.linalg.norm(adjusted - origin, axis=1)
         if np.any(disp > delta + _BALL_TOL):
             return None
-    if d_min > 0 and np.any(dist < d_min - _SEP_TOL):
+    if d_min - _SEP_TOL <= 2e-12 and _coincident(adjusted):
         return None
-    return None if _coincident(adjusted) else adjusted
+    return adjusted, dist
 
 
 def _coincident(points: np.ndarray) -> bool:
@@ -202,7 +233,9 @@ def _snap(lam: float) -> float:
 
 
 def _evaluate(g: WeightedGraph, m: int) -> _Eval:
-    wc = worst_case_removal(g, RemovalBudget(min(m, g.edge_count)))
+    b = min(m, g.edge_count)
+    scope = _SCOPE.get()
+    wc = worst_case_removal(g, RemovalBudget(b)) if scope is None else scope.worst_case(g, b)
     return _Eval(_snap(wc.lambda2_after), _snap(wc.start.lambda2), wc, g)
 
 
@@ -230,23 +263,106 @@ def _improves(before: _Eval, after: _Eval, gain: float) -> bool:
 
 
 class _Rejected:
-    """The attacked Fiedler vectors of the trials a search rejected, centred
-    and stacked, with their squared norms off the all-ones vector: the test
-    vectors of :func:`resilnet.adversary._certified_below`."""
+    """The attacked Fiedler vectors of the trials an evaluation rejected,
+    centred and stacked, with their squared norms off the all-ones vector:
+    the test vectors of :func:`resilnet.adversary._certified_below`.
+
+    Rows go into a buffer that doubles as it fills, up to ``_STORE_ROWS``
+    rows; past that each new row takes the place of the oldest.
+    """
 
     def __init__(self, n: int) -> None:
-        self.vectors = np.empty((0, n))
-        self.norms = np.empty(0)
+        self._rows = np.empty((0, n))
+        self._norms = np.empty(0)
+        self._added = 0
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._rows[: self._added]
+
+    @property
+    def norms(self) -> np.ndarray:
+        return self._norms[: self._added]
 
     def add(self, fiedler: np.ndarray) -> None:
         u = fiedler - fiedler.mean()
-        self.vectors = np.vstack([self.vectors, u])
-        self.norms = np.append(self.norms, u @ u - u.sum() ** 2 / len(u))
+        k = self._added % _STORE_ROWS
+        if k == len(self._norms):
+            grow = min(max(2 * k, 8), _STORE_ROWS) - k
+            self._rows = np.concatenate([self._rows, np.empty((grow, len(u)))])
+            self._norms = np.concatenate([self._norms, np.empty(grow)])
+        self._rows[k] = u
+        self._norms[k] = u @ u - u.sum() ** 2 / len(u)
+        self._added += 1
+
+
+def _keep(table: dict, key, value, size: int) -> None:
+    """Put ``key`` in ``table``, dropping its oldest keys past ``size``."""
+    table[key] = value
+    while len(table) > size:
+        del table[next(iter(table))]
+
+
+class _Scope:
+    """What the plan calls of one run share.
+
+    ``worst_case`` keeps every graph's worst case, keyed on the graph's
+    bytes and the budget, so a graph met again takes no search: the search
+    is a function of those bytes alone.  ``store`` keeps the certificate
+    vectors of each team, keyed on its agents' indices; the Courant-Fischer
+    bound of ``_certified_below`` holds for any test vector, so vectors from
+    earlier steps serve as well.  Both are bounded, and dropping an entry
+    can only make a hit or a certificate rarer, so no output depends on
+    what they hold.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple, WorstCaseResult] = {}
+        self._stores: dict[tuple[int, ...], _Rejected] = {}
+
+    def worst_case(self, g: WeightedGraph, b: int) -> WorstCaseResult:
+        key = (g.n, g.edges.tobytes(), g.weights.tobytes(), b)
+        wc = self._memo.get(key)
+        if wc is None:
+            wc = worst_case_removal(g, RemovalBudget(b))
+            # every caller shares the arrays of a kept result
+            wc.start.fiedler.flags.writeable = False
+            wc.attacked.fiedler.flags.writeable = False
+            _keep(self._memo, key, wc, _MEMO_SIZE)
+        return wc
+
+    def store(self, team: tuple[int, ...]) -> _Rejected:
+        rejected = self._stores.get(team)
+        if rejected is None:
+            rejected = _Rejected(len(team))
+            _keep(self._stores, team, rejected, _STORES)
+        return rejected
+
+
+_SCOPE: contextvars.ContextVar[_Scope | None] = contextvars.ContextVar(
+    "resilnet_planning_scope", default=None
+)
+
+
+@contextlib.contextmanager
+def _planning_scope() -> Iterator[_Scope]:
+    """The planning scope of the enclosing block, made here and dropped on
+    exit unless a block around it already holds one."""
+    scope = _SCOPE.get()
+    if scope is not None:
+        yield scope
+        return
+    scope = _Scope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
 
 
 def _line_search(
     ev: _Eval,
-    trial_at: Callable[[float], np.ndarray | None],
+    trial_at: Callable[[float], tuple[np.ndarray, np.ndarray] | None],
     profile,
     m: int,
     rejected: _Rejected,
@@ -254,18 +370,20 @@ def _line_search(
     """Backtracking search from ``ev``: the first trial that is feasible and
     gains _TOL per unit step, with its evaluation, or None.
 
-    ``trial_at(eta)`` gives the positions at step ``eta``, or None where they
-    break a limit.  A trial whose worst case a Rayleigh quotient of one of
-    the ``rejected`` vectors puts below the incumbent's is rejected with no
+    ``trial_at(eta)`` gives the positions at step ``eta`` and their pair
+    distances, which build the trial graph, or None where they break a
+    limit.  A trial whose worst case a Rayleigh quotient of one of the
+    ``rejected`` vectors puts below the incumbent's is rejected with no
     search: ``_improves`` needs a worst case at least the incumbent's.  Each
-    trial that a search rejects adds its attacked Fiedler vector, so the
-    trials after it, which lie on the same ray, are tested against it.
+    trial that an evaluation rejects adds its attacked Fiedler vector, so
+    the trials after it, which lie on the same ray, are tested against it.
     """
     eta = _STEP_SIZE
     for _ in range(_MAX_BACKTRACKS):
-        trial = trial_at(eta)
-        if trial is not None:
-            g = build_proximity_graph(trial, profile)
+        found = trial_at(eta)
+        if found is not None:
+            trial, dist = found
+            g = _graph_from_distances(len(trial), dist, profile)
             if not _certified_below(g, m, rejected.vectors, rejected.norms, ev.worst_lambda2):
                 ev2 = _evaluate(g, m)
                 if _improves(ev, ev2, _TOL * eta):
@@ -305,9 +423,13 @@ def plan_step(
         targets, and the removal achieving it.  The objective never falls
         below its value at the starting configuration.
 
-    The team is fixed for the call, so the attacked Fiedler vectors of the
-    trials rejected by a search in any iteration serve every later line
-    search as certificates (see ``_line_search``).
+    The attacked Fiedler vectors of the trials an evaluation rejected serve
+    every later line search on the team as certificates (see
+    ``_line_search``).  Inside a run (:func:`resilnet.simulator.run_scenario`,
+    ``resilnet plan``) the plan calls share one scope: they keep those
+    vectors across steps, and a graph evaluated at an earlier step takes no
+    second search.  A call outside a run has a scope of its own.  Either
+    way the result is the same, bit for bit.
     """
     pos = as_positions(reported_positions)
     errors = _plan_input_errors(pos, profile, opts)
@@ -315,27 +437,28 @@ def plan_step(
         raise ValueError(errors[0][1])
     m = opts.anticipated_budget.m
     bound, d_min = opts.motion_bound, opts.min_separation
-    ev = _evaluate(build_proximity_graph(pos, profile), m)
-    candidate = pos.copy()
-    accepted = 0
-    rejected = _Rejected(len(pos))
-    for _ in range(opts.outer_iters):
-        grad = _ascent_gradient_rows(candidate, profile, ev)
-        gmax = float(np.max(np.linalg.norm(grad, axis=1)))
-        if gmax < _ZERO_GRAD:
-            break  # no useful gradient
-        direction = grad / gmax
-        found = _line_search(
-            ev,
-            lambda eta: _enforce(pos, candidate + eta * direction, bound, d_min),
-            profile,
-            m,
-            rejected,
-        )
-        if found is None:
-            break
-        candidate, ev = found
-        accepted += 1
+    with _planning_scope() as scope:
+        ev = _evaluate(build_proximity_graph(pos, profile), m)
+        candidate = pos.copy()
+        accepted = 0
+        rejected = scope.store(tuple(range(len(pos))))
+        for _ in range(opts.outer_iters):
+            grad = _ascent_gradient_rows(candidate, profile, ev)
+            gmax = float(np.max(np.linalg.norm(grad, axis=1)))
+            if gmax < _ZERO_GRAD:
+                break  # no useful gradient
+            direction = grad / gmax
+            found = _line_search(
+                ev,
+                lambda eta: _enforce(pos, candidate + eta * direction, bound, d_min),
+                profile,
+                m,
+                rejected,
+            )
+            if found is None:
+                break
+            candidate, ev = found
+            accepted += 1
     return PlanResult(candidate, ev.worst_lambda2, ev.worst, accepted)
 
 
@@ -367,49 +490,52 @@ def plan_step_decentralized(
     round's snapshot, and moves only itself; motion and separation limits
     are then enforced jointly.  There is no global-improvement guarantee;
     the globally evaluated objective at the final targets is reported for
-    comparison against the centralized planner.  Each agent's line search
-    keeps its own certificate vectors, as each neighborhood is its own team.
+    comparison against the centralized planner.  Each neighborhood keeps its
+    own certificate vectors, across rounds, and across steps inside a run
+    (see :func:`plan_step`).
     """
     pos = as_positions(reported_positions)
     errors = _plan_input_errors(pos, profile, opts)
     if errors:
         raise ValueError(errors[0][1])
     m = opts.anticipated_budget.m
+    bound = opts.motion_bound
     hoods = _two_hop_neighborhoods(build_proximity_graph(pos, profile))
     candidate = pos.copy()
     rounds = 0
-    for _ in range(opts.outer_iters):
-        snapshot = candidate.copy()
-        proposal = candidate.copy()
-        any_moved = False
-        for i, idx in enumerate(hoods):
-            if len(idx) < 2:
-                continue
-            sub_profile = _slice_profile(profile, idx)
-            loc = idx.index(i)
-            local = snapshot[idx]
-            ev = _evaluate(build_proximity_graph(local, sub_profile), m)
-            gi = _ascent_gradient_rows(local, sub_profile, ev)[loc]
-            norm = float(np.linalg.norm(gi))
-            if norm < _ZERO_GRAD:
-                continue
-            unit = gi / norm
+    with _planning_scope() as scope:
+        for _ in range(opts.outer_iters):
+            snapshot = candidate.copy()
+            proposal = candidate.copy()
+            any_moved = False
+            for i, idx in enumerate(hoods):
+                if len(idx) < 2:
+                    continue
+                sub_profile = _slice_profile(profile, idx)
+                loc = idx.index(i)
+                local = snapshot[idx]
+                ev = _evaluate(build_proximity_graph(local, sub_profile), m)
+                gi = _ascent_gradient_rows(local, sub_profile, ev)[loc]
+                norm = float(np.linalg.norm(gi))
+                if norm < _ZERO_GRAD:
+                    continue
+                unit = gi / norm
 
-            def trial_at(eta: float) -> np.ndarray:
-                trial = local.copy()
-                moved = (snapshot[i] + eta * unit)[None, :]
-                trial[loc] = _project_motion(pos[i][None, :], moved, opts.motion_bound)[0]
-                return trial
-            found = _line_search(ev, trial_at, sub_profile, m, _Rejected(len(idx)))
-            if found is not None:
-                proposal[i] = found[0][loc]
-                any_moved = True
-        if not any_moved:
-            break
-        adjusted = _enforce(pos, proposal, opts.motion_bound, opts.min_separation)
-        if adjusted is None:
-            break
-        candidate = adjusted
-        rounds += 1
-    ev = _evaluate(build_proximity_graph(candidate, profile), m)
+                def trial_at(eta: float) -> tuple[np.ndarray, np.ndarray]:
+                    trial = local.copy()
+                    moved = (snapshot[i] + eta * unit)[None, :]
+                    trial[loc] = _clip(pos[i][None, :], moved, bound)[0][0]
+                    return trial, _pair_distances(trial)[2]
+                found = _line_search(ev, trial_at, sub_profile, m, scope.store(tuple(idx)))
+                if found is not None:
+                    proposal[i] = found[0][loc]
+                    any_moved = True
+            if not any_moved:
+                break
+            enforced = _enforce(pos, proposal, bound, opts.min_separation)
+            if enforced is None:
+                break
+            candidate = enforced[0]
+            rounds += 1
+        ev = _evaluate(build_proximity_graph(candidate, profile), m)
     return PlanResult(candidate, ev.worst_lambda2, ev.worst, rounds)

@@ -198,11 +198,13 @@ def as_positions(positions, dimension: int | None = None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, made once per team size and read-only."""
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)`` and the same pairs as the rows of one
+    array, made once per team size and read-only."""
     i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    pairs = np.stack([i, j], axis=1)
+    i.flags.writeable = j.flags.writeable = pairs.flags.writeable = False
+    return i, j, pairs
 
 
 def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -218,7 +220,7 @@ def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair i < j in lexicographic order, and its Euclidean distance."""
-    i, j = _upper_pairs(len(pos))
+    i, j, _ = _upper_pairs(len(pos))
     return i, j, _distances(pos, i, j)
 
 
@@ -261,7 +263,15 @@ def build_proximity_graph(
         raise ValueError("need at least 2 agents")
     if isinstance(profile, LayerProfiles) and len(profile.layers) != n:
         raise ValueError("layer count does not match agent count")
-    i, j, dist = _pair_distances(pos)
+    return _graph_from_distances(n, _pair_distances(pos)[2], profile)
+
+
+def _graph_from_distances(
+    n: int, dist: np.ndarray, profile: WeightProfile | LayerProfiles
+) -> WeightedGraph:
+    """The proximity graph of n agents whose pair distances, in
+    ``_pair_distances`` order, are ``dist``; the inputs are not checked."""
+    i, j, pairs = _upper_pairs(n)
     ranges, decays = _link_rule(profile, i, j)
     kept = dist <= ranges
     d = dist[kept]
@@ -271,7 +281,7 @@ def build_proximity_graph(
         # math.exp, not np.exp: the two differ in the last bit on some inputs
         exponent = -decays[kept] * d * d
         weights = np.array([math.exp(x) for x in exponent.tolist()], dtype=float)
-    return WeightedGraph(n, np.stack([i[kept], j[kept]], axis=1), weights)
+    return WeightedGraph(n, pairs[kept], weights)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:

@@ -24,6 +24,7 @@ from .controller import (
     CENTRALIZED,
     ControlOptions,
     PlanResult,
+    _planning_scope,
     plan_step,
     plan_step_decentralized,
 )
@@ -243,61 +244,66 @@ def _resolve_edges(
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
-    """Run the closed loop and return one :class:`StepTrace` per step."""
+    """Run the closed loop and return one :class:`StepTrace` per step.
+
+    The run's plan calls share one planning scope (``plan_step``), and each
+    step calls the planner its mode names through this module's namespace.
+    """
     source = _profile_source(cfg)
     ctrl_profile = source.smooth_surrogate()
     true = initial_positions(cfg)
     traces: list[StepTrace] = []
-    for step in range(cfg.steps):
-        reported = true.copy()
-        for ev in cfg.events:
-            if isinstance(ev, SpoofEvent) and ev.active_at(step):
-                offset = np.asarray(ev.offset, dtype=float)
-                for aid in ev.targets:
-                    reported[cfg.index_of(aid)] += offset
-        opts = _step_options(cfg, step)
-        plan = _plan(reported, ctrl_profile, opts)
-        # displacement execution: a spoofed agent moves by the commanded
-        # step, so its physical displacement still honors the motion bound
-        true = true + (plan.targets - reported)
-        graph = build_proximity_graph(true, source)
-        active: list[int] = []
-        anticipated: list[bool] = []
-        # stacked jams remove links together, so the plan covers each of
-        # them only if it covers their summed budget
-        jammed = sum(
-            ev.budget for ev in cfg.events
-            if isinstance(ev, JamEvent) and ev.active_at(step)
-        )
-        for idx, ev in enumerate(cfg.events):
-            if not ev.active_at(step):
-                continue
-            active.append(idx)
-            if isinstance(ev, SpoofEvent):
-                anticipated.append(False)  # sensor attacks are never budgeted
-                continue
-            anticipated.append(jammed <= opts.anticipated_budget.m)
-            if ev.edges is None:
-                m_eff = min(ev.budget, graph.edge_count)
-                wc = worst_case_removal(graph, RemovalBudget(m_eff))
-                graph = remove_links(graph, wc.removal)
-            else:
-                graph = remove_links(
-                    graph, _resolve_edges(graph, ev.edges, cfg.agent_ids)
-                )
-        lam = algebraic_connectivity(graph).lambda2
-        traces.append(
-            StepTrace(
-                step=step,
-                true_positions=true.copy(),
-                reported_positions=reported,
-                realized_graph=graph,
-                lambda2_realized=lam,
-                lambda2_worst_anticipated=plan.predicted_worst_lambda2,
-                active_events=tuple(active),
-                anticipated=tuple(anticipated),
+    with _planning_scope():
+        for step in range(cfg.steps):
+            reported = true.copy()
+            for ev in cfg.events:
+                if isinstance(ev, SpoofEvent) and ev.active_at(step):
+                    offset = np.asarray(ev.offset, dtype=float)
+                    for aid in ev.targets:
+                        reported[cfg.index_of(aid)] += offset
+            opts = _step_options(cfg, step)
+            plan = _plan(reported, ctrl_profile, opts)
+            # displacement execution: a spoofed agent moves by the commanded
+            # step, so its physical displacement still honors the motion bound
+            true = true + (plan.targets - reported)
+            graph = build_proximity_graph(true, source)
+            active: list[int] = []
+            anticipated: list[bool] = []
+            # stacked jams remove links together, so the plan covers each of
+            # them only if it covers their summed budget
+            jammed = sum(
+                ev.budget for ev in cfg.events
+                if isinstance(ev, JamEvent) and ev.active_at(step)
             )
-        )
+            for idx, ev in enumerate(cfg.events):
+                if not ev.active_at(step):
+                    continue
+                active.append(idx)
+                if isinstance(ev, SpoofEvent):
+                    anticipated.append(False)  # sensor attacks are never budgeted
+                    continue
+                anticipated.append(jammed <= opts.anticipated_budget.m)
+                if ev.edges is None:
+                    m_eff = min(ev.budget, graph.edge_count)
+                    wc = worst_case_removal(graph, RemovalBudget(m_eff))
+                    graph = remove_links(graph, wc.removal)
+                else:
+                    graph = remove_links(
+                        graph, _resolve_edges(graph, ev.edges, cfg.agent_ids)
+                    )
+            lam = algebraic_connectivity(graph).lambda2
+            traces.append(
+                StepTrace(
+                    step=step,
+                    true_positions=true.copy(),
+                    reported_positions=reported,
+                    realized_graph=graph,
+                    lambda2_realized=lam,
+                    lambda2_worst_anticipated=plan.predicted_worst_lambda2,
+                    active_events=tuple(active),
+                    anticipated=tuple(anticipated),
+                )
+            )
     return traces
 
 

@@ -10,10 +10,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from resilnet import CENTRALIZED, DECENTRALIZED, gne
+from resilnet import CENTRALIZED, DECENTRALIZED, build_proximity_graph, controller, gne
 from resilnet.cli import main
 from resilnet.gne import _MAX_VALUE_PER_COST
 from resilnet.scenario_io import (
+    dumps_canonical,
+    parse_scenario,
+    plan_record,
     _AGENT_FIELDS,
     _BASELINE_FIELDS,
     _CONTROL_FIELDS,
@@ -365,6 +368,30 @@ def test_plan_prints_one_record_per_step(mode_file, capsys):
         "targets", "predicted_worst_lambda2", "worst_removal", "exact", "iterations_used"
     }
     assert all(len(pair) == 2 for pair in rec["worst_removal"])
+
+
+def test_plan_steps_share_one_scope(mode_file, capsys, monkeypatch):
+    # the steps of `plan` share one planning scope, as a run's do; they
+    # print what steps planned each in a scope of their own print, with
+    # fewer searches
+    from resilnet.simulator import _plan, _step_options, initial_positions, planning_profile
+
+    searches = []
+    search = controller.worst_case_removal
+    monkeypatch.setattr(
+        controller, "worst_case_removal", lambda g, b: searches.append(b) or search(g, b)
+    )
+    assert main(["plan", str(mode_file), "--steps", "3"]) == 0
+    shared, together = capsys.readouterr().out.splitlines(), len(searches)
+    cfg = parse_scenario(mode_file)
+    profile, pos, alone = planning_profile(cfg), initial_positions(cfg), []
+    for step in range(3):
+        plan = _plan(pos, profile, _step_options(cfg, step))
+        graph = build_proximity_graph(plan.targets, profile)
+        alone.append(dumps_canonical(plan_record(plan, cfg.agent_ids, graph)))
+        pos = plan.targets
+    assert shared == alone
+    assert together < len(searches) - together
 
 
 def test_plan_follows_budget_schedule(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Anticipatory connectivity controller: invariants and plateau escape."""
 
+import contextlib
 import importlib.util
 import math
 from dataclasses import dataclass
@@ -599,16 +600,20 @@ def test_shared_line_search_matches_the_per_planner_loops(
     assert got.iterations_used == used
 
 
-def certified_trials(patch):
+def certified_trials(patch, earlier=frozenset()):
     """Spy on the planners' certificate; the list it fills holds (graph,
-    budget, incumbent level) of each trial it rejected."""
+    budget, incumbent level, by_earlier) of each trial it rejected, where
+    by_earlier tells whether one of the vectors whose bytes are in
+    ``earlier`` certifies the trial on its own."""
     certified = []
     certify = controller._certified_below
 
     def spy(g, m, vectors, norms, level):
         verdict = certify(g, m, vectors, norms, level)
         if verdict:
-            certified.append((g, m, level))
+            old = [k for k, row in enumerate(vectors) if row.tobytes() in earlier]
+            by_earlier = any(certify(g, m, vectors[[k]], norms[[k]], level) for k in old)
+            certified.append((g, m, level, by_earlier))
         return verdict
 
     patch.setattr(controller, "_certified_below", spy)
@@ -616,11 +621,14 @@ def certified_trials(patch):
 
 
 def assert_certified_trials_fail(certified):
+    """Every certified trial fails its full evaluation; returns how many a
+    vector from an earlier plan call certified."""
     # the incumbent that lets most trials pass: no gain asked, and any full
     # lambda2; _improves then asks only for a worst case at the level
-    for g, m, level in certified:
+    for g, m, level, _ in certified:
         incumbent = controller._Eval(level, -math.inf, None, None)
         assert not _improves(incumbent, _evaluate(g, m), 0.0)
+    return sum(by_earlier for *_, by_earlier in certified)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -658,27 +666,66 @@ def w1_lattice():
     }
 
 
-def counted_run(monkeypatch, doc, certify=True):
-    """Trace lines of a run, with every worst-case search it made as
-    (removal, lambda2 hex), its dense eigensolves and certified trials."""
-    searches, solves = [], []
-    search, lap = adversary.worst_case_removal, graph_core.laplacian
+@dataclass
+class Counted:
+    """What a run wrote, and the work it did."""
+
+    lines: list  # trace lines
+    searches: list  # every worst-case search, as (removal, lambda2 hex)
+    solves: int  # dense eigensolves
+    certified: list  # as ``certified_trials`` fills it
+    hits: int  # planner evaluations that took a kept worst case
+
+
+def counted_run(monkeypatch, doc, certify=True, memo=True, per_call=False):
+    """Run ``doc`` and count its work.  ``certify=False`` turns the
+    certificate off, ``memo=False`` the kept worst cases, and
+    ``per_call=True`` gives each plan call a scope of its own, as outside a
+    run.  A certificate is by an earlier step's vector when a vector that a
+    store held as the step's plan call began certifies it alone."""
+    searches, solves, evaluations, planned = [], [], [0], [0]
+    earlier: set = set()
+    search, lap, evaluate = adversary.worst_case_removal, graph_core.laplacian, controller._evaluate
 
     def spy(g, budget):
         res = search(g, budget)
         searches.append((res.removal, res.lambda2_after.hex()))
         return res
 
+    def planner_spy(g, budget):
+        planned[0] += 1
+        return spy(g, budget)
+
+    def evaluate_spy(g, m):
+        evaluations[0] += 1
+        return evaluate(g, m)
+
+    def stamped(planner):
+        def call(*args):
+            earlier.clear()
+            for store in controller._SCOPE.get()._stores.values():
+                earlier.update(row.tobytes() for row in store.vectors)
+            return planner(*args)
+        return call
+
     with monkeypatch.context() as patch:
-        for module in (controller, simulator):
-            patch.setattr(module, "worst_case_removal", spy)
+        patch.setattr(controller, "worst_case_removal", planner_spy)
+        patch.setattr(simulator, "worst_case_removal", spy)
+        patch.setattr(controller, "_evaluate", evaluate_spy)
         patch.setattr(graph_core, "laplacian", lambda g: solves.append(g.n) or lap(g))
-        certified = certified_trials(patch)
+        certified = certified_trials(patch, earlier)
         if not certify:
             patch.setattr(controller, "_certified_below", lambda *a: False)
+        if not memo:
+            patch.setattr(controller, "_MEMO_SIZE", 0)
+        if per_call:
+            patch.setattr(simulator, "_planning_scope", contextlib.nullcontext)
+        else:
+            for name in ("plan_step", "plan_step_decentralized"):
+                patch.setattr(simulator, name, stamped(getattr(simulator, name)))
         trace = run_scenario(scenario_from_dict(doc))
     lines = [dumps_canonical(trace_record(t)) for t in trace]
-    return lines, searches, len(solves), certified
+    return Counted(lines, searches, len(solves), certified, evaluations[0] - planned[0])
 
 
 def grid16_jam(seed, mode=CENTRALIZED):
@@ -688,25 +735,245 @@ def grid16_jam(seed, mode=CENTRALIZED):
 
 
 @pytest.mark.parametrize(
-    "doc, searches, solves, certified, full_solves",
+    "doc, searches, solves, certified, earlier, hits, full_solves",
     [
-        (grid16_jam(5), 37, 77, 20, 117),
-        (grid16_jam(5, DECENTRALIZED), 383, 769, 45, 859),
-        (w1_lattice(), 224, 996, 90, 1276),
+        (grid16_jam(5), 33, 69, 22, 6, 2, 117),
+        (grid16_jam(5, DECENTRALIZED), 263, 529, 68, 10, 97, 859),
+        (w1_lattice(), 26, 141, 117, 108, 171, 1276),
     ],
     ids=["grid16-jam", "grid16-jam-decentralized", "w1"],
 )
 def test_certified_trials_skip_their_search(
-    monkeypatch, doc, searches, solves, certified, full_solves
+    monkeypatch, doc, searches, solves, certified, earlier, hits, full_solves
 ):
-    # exact counts, and those of the run that searches every trial: each
-    # certified trial is one search fewer, and its eigensolves
+    # exact counts, and those of the run that searches every evaluation and
+    # every trial: each certified trial and each kept worst case is one
+    # search fewer, and its eigensolves
     got = counted_run(monkeypatch, doc)
-    assert (len(got[1]), got[2], len(got[3])) == (searches, solves, certified)
-    assert_certified_trials_fail(got[3])
-    full = counted_run(monkeypatch, doc, certify=False)
-    assert (len(full[1]), full[2]) == (searches + certified, full_solves)
-    assert got[0] == full[0]
-    # the searches left are the full run's, in order, less the certified ones
-    rest = iter(full[1])
-    assert all(any(found == want for want in rest) for found in got[1])
+    assert (len(got.searches), got.solves, len(got.certified), got.hits) == (
+        searches, solves, certified, hits
+    )
+    assert assert_certified_trials_fail(got.certified) == earlier
+    full = counted_run(monkeypatch, doc, certify=False, memo=False)
+    assert (len(full.searches), full.solves) == (searches + certified + hits, full_solves)
+    assert (full.hits, full.certified) == (0, [])
+    assert got.lines == full.lines
+    # the searches left are the full run's, in order, less the ones saved
+    rest = iter(full.searches)
+    assert all(any(found == want for want in rest) for found in got.searches)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [grid16_jam(11), grid16_jam(11, DECENTRALIZED), w1_lattice()],
+    ids=["grid16-jam", "grid16-jam-decentralized", "w1"],
+)
+def test_planning_scope_keeps_every_output(monkeypatch, doc):
+    run = counted_run(monkeypatch, doc)
+    # a second run starts from nothing the first one kept
+    again = counted_run(monkeypatch, doc)
+    assert (again.searches, again.solves, again.hits) == (run.searches, run.solves, run.hits)
+    assert len(again.certified) == len(run.certified)
+    # a scope per plan call, as outside a run, writes the same bytes
+    alone = counted_run(monkeypatch, doc, per_call=True)
+    assert alone.lines == run.lines
+    assert len(alone.searches) > len(run.searches)
+    # so does a scope that can keep almost nothing
+    with monkeypatch.context() as patch:
+        for name in ("_MEMO_SIZE", "_STORES", "_STORE_ROWS"):
+            patch.setattr(controller, name, 1)
+        tiny = counted_run(monkeypatch, doc)
+    assert tiny.lines == run.lines
+
+
+def test_plan_step_outside_a_run_searches_as_a_lone_call(monkeypatch):
+    # the three plan calls of a grid16-jam run, each made on its own: the
+    # searches of a call with no kept worst cases and a store of its own,
+    # 13, 11 and 12 of them, as before plan calls shared a scope
+    calls = []
+    plan = simulator.plan_step
+    monkeypatch.setattr(simulator, "plan_step", lambda *a: calls.append(a) or plan(*a))
+    run_scenario(scenario_from_dict(grid16_jam(5)))
+    monkeypatch.undo()
+    search = adversary.worst_case_removal
+
+    def searches(args, memo):
+        found = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                controller, "worst_case_removal",
+                lambda g, b: found.append(g.edges.tobytes() + g.weights.tobytes()) or search(g, b),
+            )
+            if not memo:
+                patch.setattr(controller, "_MEMO_SIZE", 0)
+            plan_step(*args)
+        return found
+
+    counts = []
+    for args in calls:
+        got = searches(args, memo=True)
+        assert got == searches(args, memo=False)
+        counts.append(len(got))
+    assert counts == [13, 11, 12]
+
+
+def test_kept_worst_cases_are_read_only():
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.9], [1.5, 0.9]])
+    o = opts(m=1, delta=0.3, outer_iters=4)
+    with controller._planning_scope():
+        plan = plan_step(pos, PROFILE, o)
+        again = plan_step(pos, PROFILE, o)
+    assert again.worst_removal is plan.worst_removal
+    for spectral in (plan.worst_removal.start, plan.worst_removal.attacked):
+        with pytest.raises(ValueError, match="read-only"):
+            spectral.fiedler[0] = 0.0
+
+
+def test_certificate_store_keeps_its_newest_rows(monkeypatch):
+    monkeypatch.setattr(controller, "_STORE_ROWS", 5)
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(size=(12, 4))
+    store = controller._Rejected(4)
+    for k, v in enumerate(vectors, start=1):
+        store.add(v)
+        kept = vectors[max(0, k - 5) : k]
+        want = kept - kept.mean(axis=1, keepdims=True)
+        got = {row.tobytes(): norm for row, norm in zip(store.vectors, store.norms)}
+        assert sorted(got) == sorted(u.tobytes() for u in want)
+        for u in want:
+            assert got[u.tobytes()] == u @ u - u.sum() ** 2 / 4
+
+
+def head_enforce(origin, proposal, delta, d_min):
+    """``_enforce`` with every check run, as it was before it skipped the
+    checks that must pass: the positions, or None."""
+    adjusted = _project_motion(origin, proposal, delta)
+    if d_min > 0:
+        dist = _push_apart(adjusted, d_min)
+    if not math.isinf(delta):
+        disp = np.linalg.norm(adjusted - origin, axis=1)
+        if np.any(disp > delta + _BALL_TOL):
+            return None
+    if d_min > 0 and np.any(dist < d_min - _SEP_TOL):
+        return None
+    return None if controller._coincident(adjusted) else adjusted
+
+
+def spied_enforce(patch, seen):
+    """Spy on ``_enforce`` and the checks it runs.  For each call ``seen``
+    gets a dict: its arguments, its result, whether the projection clipped
+    an agent, and whether the repair and the coincidence test ran."""
+    enforce, clip = controller._enforce, controller._clip
+    push, coincident = controller._push_apart, controller._coincident
+    call: dict = {}
+
+    def spy(origin, proposal, delta, d_min):
+        call.clear()
+        call.update(args=(origin.copy(), np.array(proposal), delta, d_min), pushed=False,
+                    tested=False)
+        call["result"] = enforce(origin, proposal, delta, d_min)
+        seen.append(dict(call))
+        return call["result"]
+
+    def clip_spy(cur, prop, delta):
+        out, clipped = clip(cur, prop, delta)
+        call["clipped"] = clipped
+        return out, clipped
+
+    def push_spy(points, d_min):
+        call["pushed"] = True
+        return push(points, d_min)
+
+    def coincident_spy(points):
+        call["tested"] = True
+        return coincident(points)
+
+    patch.setattr(controller, "_enforce", spy)
+    patch.setattr(controller, "_clip", clip_spy)
+    patch.setattr(controller, "_push_apart", push_spy)
+    patch.setattr(controller, "_coincident", coincident_spy)
+
+
+def assert_skipped_checks_pass(seen):
+    """Each call agrees with ``head_enforce``, and each check it skipped
+    passes on the positions it returned; returns how many calls skipped the
+    motion, separation and coincidence checks."""
+    skips = np.zeros(3, dtype=int)
+    for call in seen:
+        origin, proposal, delta, d_min = call["args"]
+        want = head_enforce(origin, proposal.copy(), delta, d_min)
+        got = call["result"]
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        adjusted, dist = got
+        assert adjusted.tobytes() == want.tobytes()
+        assert dist.tobytes() == _pair_distances(adjusted)[2].tobytes()
+        skipped = (
+            not (call["clipped"] or call["pushed"]) and not math.isinf(delta),
+            not call["pushed"] and d_min > 0,
+            not call["tested"],
+        )
+        if skipped[0]:
+            assert np.all(np.linalg.norm(adjusted - origin, axis=1) <= delta + _BALL_TOL)
+        if skipped[1]:
+            assert np.all(dist >= d_min - _SEP_TOL)
+        if skipped[2]:
+            assert not controller._coincident(adjusted)
+        skips += skipped
+    return skips
+
+
+def test_enforce_skips_only_checks_that_pass():
+    rng = np.random.default_rng(31)
+    seen: list = []
+    with pytest.MonkeyPatch.context() as patch:
+        spied_enforce(patch, seen)
+        for case in range(500):
+            n, dim = int(rng.integers(2, 10)), int(rng.choice([2, 3]))
+            layout = str(rng.choice(["uniform", "cluster", "lattice", "coincident"]))
+            # d_min 1e-13 lets every agent sit on one point; a clipped agent
+            # lands a rounding off the ball's edge, which at delta 1e8 lies
+            # farther out than _BALL_TOL
+            d_min = float(rng.choice(
+                [0.0, 1e-13, _SEP_TOL, _SEP_TOL + 2e-12, _SEP_TOL + 4e-12, 0.3, 1.0]
+            ))
+            delta = float(rng.choice([0.0, 0.2, 0.5, 1e8, np.inf]))
+            origin = team(case, n, dim, layout, d_min or 0.5)
+            scale = float(rng.choice([0.0, 0.1, 0.6, 3e8]))
+            proposal = origin + rng.normal(0.0, scale, origin.shape)
+            controller._enforce(origin, proposal, delta, d_min)
+    skips = assert_skipped_checks_pass(seen)
+    runs = len(seen) - skips
+    # every check is skipped, and run, in many of the cases
+    assert np.all(skips >= 40) and np.all(runs >= 40), (skips, runs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**PLANS)
+def test_trial_graphs_come_from_the_repair_distances(
+    seed, n, dim, layered, m, delta, d_min, iters, mode
+):
+    pos, profile, o = drawn_plan(seed, n, dim, layered, m, delta, d_min, iters, mode)
+    trials, seen = [], []
+    line_search = controller._line_search
+
+    def spy(ev, trial_at, profile, m, rejected):
+        def recorded(eta):
+            found = trial_at(eta)
+            if found is not None:
+                trials.append((found[0].copy(), found[1], profile))
+            return found
+        return line_search(ev, recorded, profile, m, rejected)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "_line_search", spy)
+        spied_enforce(patch, seen)
+        (plan_step if mode == CENTRALIZED else plan_step_decentralized)(pos, profile, o)
+    assert_skipped_checks_pass(seen)
+    for trial, dist, sub_profile in trials:
+        assert dist.tobytes() == _pair_distances(trial)[2].tobytes()
+        g = graph_core._graph_from_distances(len(trial), dist, sub_profile)
+        want = build_proximity_graph(trial, sub_profile)
+        assert g == want
+        assert g.weights.tobytes() == want.weights.tobytes()
