@@ -1,7 +1,7 @@
 """Command-line surface: simulate, plan, gne, metrics, validate.
 
 Exit codes: 0 success, 1 invalid input (bad flags, unreadable or invalid
-files), 2 runtime failure (solver did not converge, unexpected error).
+files), 2 runtime failure (a game with no fixed point, unexpected error).
 Outputs are deterministic: a fixed config and seed give byte-identical
 files on every rerun, the manifest included.
 """
@@ -114,21 +114,17 @@ def _cmd_gne(args: argparse.Namespace) -> int:
     state = gne_solve(**vars(prob))
     result_path = out / "gne.json"
     result_path.write_text(dumps_canonical(gne_record(state)) + "\n")
-    residuals_path = out / "residuals.jsonl"
-    with open(residuals_path, "w") as fh:
-        for k, r in enumerate(state.residual_history, start=1):
-            fh.write(dumps_canonical({"iteration": k, "residual": r}) + "\n")
     manifest = RunManifest(
         version=__version__,
         config_hash=digest,
         seed=0,  # solver is deterministic; no randomness to seed
-        outputs={"result": str(result_path), "residuals": str(residuals_path)},
+        outputs={"result": str(result_path)},
     )
     emit_manifest(manifest, out / "manifest.json")
     if not state.converged:
         print(
-            f"solver did not converge in {state.iterations} iterations "
-            f"(last residual {state.residual:.3e})",
+            f"no fixed point among {state.iterations} candidate priors; nearest "
+            f"{state.control_fraction!r} (residual {state.residual:.3e})",
             file=sys.stderr,
         )
         return 2

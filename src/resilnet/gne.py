@@ -11,16 +11,14 @@ equilibrium at every prior, found by one enumeration of sender supports.
 The composed equilibrium is a fixed point: the signaling equilibrium at
 prior p yields each sender type's value of holding the service, those values
 feed the timing game, and the resulting holding fraction must reproduce p.
-It is found by damped fixed-point iteration, and verified by one more stage
-at the converged point: the timing game's pair must be an equilibrium
-there, and p must stay put to within the tolerance.  The timing game is
-solved in closed form with an analytic certificate.  The trust game's
-sender values are fixed per candidate, a mixing type's by its indifference,
-so one values memo per table pair, which every solve on those tables
-shares, keeps them under the interval between two exclusion bands.
-A stage in the interval that held the previous stage's values reuses that
-stage's holding fraction.  Every result keeps the bits of solving both
-games afresh.
+The trust game's sender values are fixed per candidate, a mixing type's by
+its indifference, so they take finitely many values, and a fixed point is
+the timing game's holding fraction at one of them.  The solver checks each
+such prior exactly, and reports a fixed point or that there is none.  The
+timing game is solved in closed form with an analytic certificate.  One
+values memo per table pair, which every solve on those tables shares, keeps
+the trust game's values under the interval between two exclusion bands.
+Every result keeps the bits of solving both games afresh.
 """
 
 from __future__ import annotations
@@ -154,8 +152,9 @@ def flipit_control_fraction(alpha_a: float, alpha_d: float) -> float:
     return 1.0 - d / (2.0 * a)
 
 
-def _equilibrium_candidate(prm: FlipItParams) -> tuple[float, float]:
-    """The periodic game's equilibrium rates in closed form.
+def _equilibrium_candidate(costs, v_a: float, v_d: float) -> tuple[float, float]:
+    """The periodic game's equilibrium rates in closed form, at the move
+    costs of ``costs`` (a FlipItParams or GNECosts) and values v_a and v_d.
 
     With periodic play the slower player's payoff is linear in its own rate,
     with slope value / (2 fast) - cost, so at equilibrium the faster
@@ -171,24 +170,24 @@ def _equilibrium_candidate(prm: FlipItParams) -> tuple[float, float]:
     rate is then at least the least positive float: at rate 0 it would hold
     nothing, and against a defender at 0 that rate is its best response.
     """
-    if prm.attacker_value <= 0:
+    if v_a <= 0:
         return 0.0, 0.0
-    if prm.defender_value <= 0:
+    if v_d <= 0:
         return _RATE_FLOOR, 0.0
-    ratio_a = prm.attack_cost / prm.attacker_value
-    ratio_d = prm.defense_cost / prm.defender_value
+    ratio_a = costs.attack_cost / v_a
+    ratio_d = costs.defense_cost / v_d
     if max(ratio_a, ratio_d) < math.inf:
         if ratio_a >= ratio_d:
-            a_d = prm.attacker_value / (2.0 * prm.attack_cost)
+            a_d = v_a / (2.0 * costs.attack_cost)
             return a_d * ratio_d / ratio_a, a_d
-        a_a = prm.defender_value / (2.0 * prm.defense_cost)
+        a_a = v_d / (2.0 * costs.defense_cost)
         return a_a, a_a * ratio_a / ratio_d
-    k_a = prm.attacker_value / prm.attack_cost
-    k_d = prm.defender_value / prm.defense_cost
+    k_a = v_a / costs.attack_cost
+    k_d = v_d / costs.defense_cost
     if k_a <= k_d:
-        a_d = prm.attacker_value / (2.0 * prm.attack_cost)
+        a_d = v_a / (2.0 * costs.attack_cost)
         return (a_d / k_d * k_a if a_d else 0.0), a_d
-    a_a = max(prm.defender_value / (2.0 * prm.defense_cost), 5e-324)
+    a_a = max(v_d / (2.0 * costs.defense_cost), 5e-324)
     return a_a, a_a / k_a * k_d
 
 
@@ -205,7 +204,7 @@ def flipit_equilibrium(prm: FlipItParams) -> FlipItOutcome:
     rounds to 0.  The defender then keeps its closed-form rate, at which
     entry pays nothing: 0 where the attacker has no value.
     """
-    a_star, d_star = _equilibrium_candidate(prm)
+    a_star, d_star = _equilibrium_candidate(prm, prm.attacker_value, prm.defender_value)
     p = flipit_control_fraction(a_star, d_star)
     u_a = prm.attacker_value * p - prm.attack_cost * a_star
     u_d = prm.defender_value * (1.0 - p) - prm.defense_cost * d_star
@@ -445,6 +444,7 @@ class _TrustGame:
         # values memo that every solve on these tables shares (see lookup())
         self.edges: list[float] | None = None
         self.memo: dict[int, tuple[float, float]] = {}
+        self.candidates: dict[bool, list[tuple[float, float]]] = {}  # see values()
 
     def _band_edges(self) -> list[float]:
         """The ends of the bands around every prior where a decision of
@@ -514,28 +514,43 @@ class _TrustGame:
             self.edges = self._band_edges()
         return self.edges
 
-    def lookup(self, p: float, i: int) -> tuple[tuple[float, float], bool]:
-        """``solve(p).sender_values`` for p in [0, 1], which lies in interval
-        i of :meth:`bands`, and whether that interval's memo entry holds them.
+    def lookup(self, p: float) -> tuple[tuple[float, float], _Candidate | None]:
+        """``solve(p).sender_values`` for p in [0, 1], through the values
+        memo, and the solve where the memo did not hold them.
 
         Every plan's sender values are fixed (see :func:`_sender_values`),
         and between two exclusion bands no decision of the first three layers
         that a selection rests on changes: which candidates exist, the
         passive responses, and the order of the receiver values of two
-        candidates of one kind, but for two hybrids.  So an interval keeps
-        the values of a selection that :meth:`solve` marks ``held``, under
-        its index: a separating, pooling or mixed one, or a lone hybrid.
-        Every solve on these tables shares the memo, which holds at most one
-        entry per interval; a write races only with one of the same bits.
+        candidates of one kind, but for two hybrids.  So an interval of
+        :meth:`bands` keeps the values of a selection that :meth:`solve`
+        marks ``held``, under its index: a separating, pooling or mixed one,
+        or a lone hybrid.  Priors 0 and 1, in the edge bands, keep theirs
+        under -1 and -2.  Every solve on these tables shares the memo, which
+        holds at most one entry per interval and end; a write races only
+        with one of the same bits.
         """
-        values = self.memo.get(i)
+        i = bisect.bisect_right(self.bands(), p)
+        key = -1 if p == 0.0 else -2 if p == 1.0 else i
+        values = self.memo.get(key)
         if values is not None:
-            return values, True
+            return values, None
         sig = self.solve(p)
-        held = sig.held and not i & 1
-        if held:
-            self.memo[i] = sig.sender_values
-        return sig.sender_values, held
+        if key < 0 or (sig.held and not i & 1):
+            self.memo[key] = sig.sender_values
+        return sig.sender_values, sig
+
+    def values(self, tied: bool) -> list[tuple[float, float]]:
+        """The distinct sender values of the plans of the last layer if
+        ``tied``, else of the first three, enumerated on first use.  They
+        cover every response key :meth:`solve` meets: {0, 1} in the first
+        three layers, and up to _NEAR + 1 in the last."""
+        if tied not in self.candidates:
+            layers, n = ([_TIED], 4) if tied else ([_PASSIVE, _BOTH_MIXING, _SUPPORTED], 2)
+            pairs = [(k, pair) for k in layers for pair in _LAYER_PAIRS[k]]
+            plans = [self.plan(*key, *r) for key in pairs for r in product(range(n), repeat=2)]
+            self.candidates[tied] = list(dict.fromkeys(plan[1] for plan in plans if plan))
+        return self.candidates[tied]
 
     def _br(self, belief: tuple, m: int) -> int:
         """The receiver's response at message m under ``belief``; ties trust.
@@ -891,7 +906,7 @@ class GNECosts:
 
 @dataclass(frozen=True, eq=False)
 class GNEState:
-    """Fixed point of the composed timing + signaling system."""
+    """Fixed point of the composed timing + signaling system (see gne_solve)."""
 
     control_fraction: float
     attacker_value: float
@@ -902,15 +917,6 @@ class GNEState:
     iterations: int
     converged: bool
     verified: bool
-    residual_history: tuple[float, ...]
-
-
-def _timing_game(values: tuple, costs: GNECosts) -> tuple[float, float, FlipItOutcome]:
-    """The timing game at the sender values, clamped at 0."""
-    v_a = max(0.0, values[ATTACKER])
-    v_d = max(0.0, values[DEFENDER])
-    prm = FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
-    return v_a, v_d, flipit_equilibrium(prm)
 
 
 def _cost_errors(costs: GNECosts, sender_utils) -> list[tuple[str, str]]:
@@ -935,74 +941,68 @@ def gne_solve(
     max_iters: int = 200,
     p0: float = 0.5,
 ) -> GNEState:
-    """Find the composed equilibrium by damped fixed-point iteration.
+    """Find the composed equilibrium by a finite, exact fixed-point check.
 
-    The trust game is set up once per table pair in a process, with one
-    values memo (:meth:`_TrustGame.lookup`) that every solve on the tables
-    shares, keyed on the interval between two exclusion bands.  A stage in
-    the interval whose entry held the previous stage's values has those
-    values, so it reuses that stage's holding fraction.  The final stage
-    solves in full.  The timing game is solved in closed form with an
-    analytic certificate.  So the result is what solving both games afresh
-    at every stage gives, bit for bit.  A move cost under max |sender_utils|
-    / _MAX_VALUE_PER_COST, past the timing game's bound on value per cost,
-    raises ValueError.
+    Let V(p) be the sender values of the trust game's selection at prior p,
+    and h(v) the timing game's control fraction at values v, clamped at 0.
+    Every trust-game plan has fixed sender values, so a fixed point, a
+    prior with h(V(p)) == p, is h(v) at some plan's values v.  Those
+    candidates are checked nearest ``p0`` first, the smaller on a tie; the
+    last layer's plans add candidates only where the first three layers'
+    give no fixed point.  V is read through :meth:`_TrustGame.lookup`, so
+    the result has the bits of solving both games afresh at each candidate.
+    A move cost under max |sender_utils| / _MAX_VALUE_PER_COST, past the
+    timing game's bound on value per cost, raises ValueError.
 
     Args:
         costs: timing-game move costs.
         sender_utils, receiver_utils: (2, 2, 2) trust-game tables.
-        damping: update weight in (0, 1]; p_next = (1-d) p + d p_hat.
-        tol: stop when |p_next - p| < tol.
-        max_iters: iteration cap; on hitting it the state is returned with
-            ``converged`` False and the residual history for diagnosis.
-        p0: starting prior.
+        damping: in (0, 1]; the residual is damping |h(V(p)) - p|, the step
+            that a damped update p <- (1 - d) p + d h(V(p)) would take.
+        tol, max_iters: checked (> 0, >= 1) and otherwise unused.
+        p0: the prior in [0, 1] that candidates are ranked by nearness to.
 
     Returns:
-        :class:`GNEState` at the last iterate, with both games solved at
-        the final p.  ``verified`` confirms that the iteration converged,
-        that the timing-game pair there is a certified equilibrium, and that
-        one further iteration moves p by less than ``tol``.
+        :class:`GNEState` with both games solved at the first fixed point,
+        or with ``converged`` False at the checked candidate nearest ``p0``.
+        ``residual`` is 0.0 at a fixed point, ``iterations`` counts the
+        candidates checked, and ``verified`` is a fixed point whose
+        timing-game pair is a certified equilibrium.
     """
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
+    if not (tol > 0 and max_iters >= 1):
+        raise ValueError("tol must be > 0 and max_iters >= 1")
     if not 0 <= p0 <= 1:
         raise ValueError("p0 must be in [0, 1]")
     game = _trust_game(sender_utils, receiver_utils)
     errors = _cost_errors(costs, game.u_s)
     if errors:
         raise ValueError(errors[0][1])
-    p = float(p0)
-    history: list[float] = []
-    edges = game.bands()
-    band, control = -1, 0.0  # the interval whose entry held the last values, or -1
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        i = bisect.bisect_right(edges, p)
-        if i != band:
-            values, held = game.lookup(p, i)
-            band = i if held else -1
-            control = _timing_game(values, costs)[2].control_fraction
-        p_next = (1.0 - damping) * p + damping * control
-        residual = abs(p_next - p)
-        history.append(residual)
-        p = p_next
-        if residual < tol:
-            converged = True
-            break
-    sig = game.solve(p)
-    v_a, v_d, flip = _timing_game(sig.sender_values, costs)
-    final_residual = damping * abs(flip.control_fraction - p)
-    return GNEState(
-        control_fraction=p,
-        attacker_value=v_a,
-        defender_value=v_d,
-        flipit=flip,
-        signaling=sig.outcome(),
-        residual=final_residual,
-        iterations=iterations,
-        converged=converged,
-        verified=converged and flip.is_equilibrium and final_residual < tol,
-        residual_history=tuple(history),
-    )
+    FlipItParams(costs.attack_cost, costs.defense_cost, 0.0, 0.0)  # raises on a bad move cost
+    solves: dict[float, _Candidate | None] = {}  # each checked candidate's solve, if made
 
+    def hat(values: tuple[float, float]) -> float:
+        # flipit_equilibrium's control fraction at the values clamped at 0,
+        # as the closed form takes a value <= 0 for 0
+        return flipit_control_fraction(*_equilibrium_candidate(costs, *values))
+
+    def near(q: float) -> tuple[float, float]:
+        return abs(q - p0), q
+
+    def state(p: float, converged: bool) -> GNEState:
+        sig = solves[p] or game.solve(p)
+        v_a, v_d = (max(0.0, v) for v in sig.sender_values)
+        flip = flipit_equilibrium(FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d))
+        residual = damping * abs(flip.control_fraction - p)
+        verified = converged and flip.is_equilibrium
+        return GNEState(
+            p, v_a, v_d, flip, sig.outcome(), residual, len(solves), converged, verified
+        )
+
+    for tied in (False, True):
+        for q in sorted({hat(v) for v in game.values(tied)}.difference(solves), key=near):
+            values, solves[q] = game.lookup(q)
+            if hat(values) == q:
+                return state(q, True)
+    return state(min(solves, key=near), False)

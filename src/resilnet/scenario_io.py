@@ -566,7 +566,9 @@ def _load_yaml(path: str | Path) -> Any:
 @dataclass(frozen=True, eq=False)
 class GNEProblem:
     """A parsed coupled-game instance plus solver settings: the arguments of
-    :func:`~resilnet.gne.gne_solve`."""
+    :func:`~resilnet.gne.gne_solve`, which checks every candidate fixed point
+    exactly.  ``damping`` scales the residual and ``p0`` ranks the candidates;
+    ``tol`` and ``max_iters`` are validated and otherwise unused."""
 
     costs: GNECosts
     sender_utils: np.ndarray
@@ -625,6 +627,7 @@ _PLANT_FIELDS = {
     "attack_input": dict(required=True),
     "fallback_input": {},
 }
+# gne_solve's four keywords; tol and max_iters are checked and change no result
 _SOLVER_FIELDS = {
     "damping": dict(exclusive_min=0.0, maximum=1.0),
     "tol": dict(exclusive_min=0.0),

@@ -182,8 +182,8 @@ def test_a_move_cost_at_the_value_per_cost_bound_runs_and_a_smaller_one_is_rejec
     while 1.0 / math.nextafter(at_bound, 0.0) <= _MAX_VALUE_PER_COST:
         at_bound = math.nextafter(at_bound, 0.0)
     # at that attack cost the hybrid's attacker, whose value is exactly 0,
-    # never attacks, and the damped iteration swings between the regimes
-    # until max_iters: a solver failure, with every output written
+    # never attacks, and no prior is a fixed point: a solver failure, with
+    # every output written
     solved = 2 if key == "attack" else 0
     for cost, code in ((at_bound, solved), (math.nextafter(at_bound, 0.0), 1), (1e-310, 1)):
         params = json.loads(json.dumps(GNE_PARAMS))
@@ -198,9 +198,9 @@ def test_a_move_cost_at_the_value_per_cost_bound_runs_and_a_smaller_one_is_rejec
             error = f"error: costs.{key}: max |sender_utils| / cost must be <= "
             assert err.startswith(error) and err.count(error) == 2, err
             continue
-        assert "failure:" not in err and ("did not converge" in err) == (code == 2), err
+        assert "failure:" not in err and ("no fixed point among" in err) == (code == 2), err
         outputs = sorted(p.name for p in out.iterdir())
-        assert outputs == ["gne.json", "manifest.json", "residuals.jsonl"]
+        assert outputs == ["gne.json", "manifest.json"]
         assert json.loads((out / "gne.json").read_text())["verified"] == (code == 0)
 
 
@@ -417,13 +417,15 @@ def test_gne_solves_and_writes_outputs(gne_file, tmp_path):
     state = json.loads((out / "gne.json").read_text())
     assert state["converged"] and state["verified"]
     assert state["control_fraction"] == pytest.approx(2.0 / 27.0, abs=1e-6)
+    # three candidate priors checked, nearest 0.5 first, and an exact fixed point
+    assert (state["iterations"], state["residual"]) == (3, 0.0)
     assert list(state["flipit"]) == [
         "attacker_rate", "defender_rate", "control_fraction", "attacker_payoff",
         "defender_payoff", "is_equilibrium", "dropped_out", "iterations",
     ]
-    residuals = (out / "residuals.jsonl").read_text().splitlines()
-    assert len(residuals) == state["iterations"]
-    assert json.loads(residuals[0])["iteration"] == 1
+    assert {p.name for p in out.iterdir()} == {"gne.json", "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["result"]
 
 
 def test_gne_dropout_params_give_zero_control(tmp_path):
@@ -439,8 +441,9 @@ def test_gne_dropout_params_give_zero_control(tmp_path):
 
 
 def test_gne_through_the_prior_window_exits_2_as_nonconvergence(tmp_path, capsys):
-    # the damped iteration lands just above the receiver's indifference
-    # prior 1/9, where the signaling game once had no equilibrium
+    # defense dearer than attack: none of the 5 candidate priors is a fixed
+    # point.  A damped iteration once landed just above the receiver's
+    # indifference prior 1/9 here, where the signaling game had no equilibrium
     params = json.loads(json.dumps(GNE_PARAMS))
     params["costs"] = {"attack": 0.2, "defense": 0.3}
     path = tmp_path / "window.yaml"
@@ -448,7 +451,7 @@ def test_gne_through_the_prior_window_exits_2_as_nonconvergence(tmp_path, capsys
     out = tmp_path / "g"
     assert main(["gne", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "did not converge in 200 iterations" in err
+    assert "no fixed point among 5 candidate priors" in err
     assert "RuntimeError" not in err and "failure" not in err
     assert (out / "gne.json").exists()
 
@@ -467,19 +470,25 @@ def test_a_game_whose_trust_game_had_no_equilibrium_runs(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     out = tmp_path / "g"
     assert main(["gne", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
-    assert {p.name for p in out.iterdir()} == {"gne.json", "residuals.jsonl", "manifest.json"}
+    assert {p.name for p in out.iterdir()} == {"gne.json", "manifest.json"}
 
 
 def test_gne_nonconvergence_exits_2(tmp_path, capsys):
+    # equal costs where pooling's control fraction rounds to just above 1/9,
+    # which selects the hybrid, whose attacker never attacks: no fixed point
     params = json.loads(json.dumps(GNE_PARAMS))
-    params["solver"] = {"max_iters": 2, "damping": 0.5}
-    path = tmp_path / "slow.yaml"
+    params["costs"] = {"attack": 0.5571428571428572, "defense": 0.5571428571428572}
+    params["solver"] = {"max_iters": 2, "damping": 0.5}  # checked, not read
+    path = tmp_path / "none.yaml"
     path.write_text(yaml.safe_dump(params))
     out = tmp_path / "g"
     assert main(["gne", str(path), "--out", str(out)]) == 2
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "no fixed point among 5 candidate priors; nearest 0.55 (residual 2.750e-01)\n"
     # outputs are still written for diagnosis
-    assert (out / "gne.json").exists()
+    state = json.loads((out / "gne.json").read_text())
+    assert not state["converged"] and not state["verified"] and state["iterations"] == 5
+    assert {p.name for p in out.iterdir()} == {"gne.json", "manifest.json"}
 
 
 def rule_drawn(table, required=False):
@@ -705,5 +714,5 @@ def test_every_game_document_validate_accepts_runs(doc, tmp_path, capsys):
     code = main(["gne", str(path), "--out", str(out)])
     err = capsys.readouterr().err
     assert "failure:" not in err
-    assert code == 0 or (code == 2 and "did not converge" in err), err
-    assert {p.name for p in out.iterdir()} == {"gne.json", "residuals.jsonl", "manifest.json"}
+    assert code == 0 or (code == 2 and "no fixed point among" in err), err
+    assert {p.name for p in out.iterdir()} == {"gne.json", "manifest.json"}

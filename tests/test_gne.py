@@ -2,7 +2,6 @@
 
 import bisect
 import dataclasses
-import functools
 import math
 import re
 import sys
@@ -321,7 +320,7 @@ def reference_flipit_equilibrium(prm, grid_points=200, max_iters=500):
     if prm.attacker_value <= 0:
         return _ref_dropout_outcome(prm, _ref_rate_grid(gne._RATE_FLOOR, alpha_max, grid_points))
 
-    candidate = gne._equilibrium_candidate(prm)
+    candidate = gne._equilibrium_candidate(prm, prm.attacker_value, prm.defender_value)
     extras = candidate if max(candidate) >= gne._RATE_FLOOR else ()
     grid = _ref_rate_grid(gne._RATE_FLOOR, alpha_max, grid_points, extras)
 
@@ -382,7 +381,7 @@ def test_flipit_matches_the_frozen_reference(attack, defense, value, defender_va
     # the grid search resolves rates down to its 1e-4 floor: below it, it
     # returned other pairs or a dropout, which the closed form replaces
     prm = FlipItParams(attack, defense, value, defender_value)
-    assume(max(gne._equilibrium_candidate(prm)) >= gne._RATE_FLOOR)
+    assume(max(gne._equilibrium_candidate(prm, value, defender_value)) >= gne._RATE_FLOOR)
     out = flipit_equilibrium(prm)
     assert fields_but_iterations(out) == fields_but_iterations(reference_flipit_equilibrium(prm))
     assert out.iterations == 0
@@ -1095,8 +1094,7 @@ def test_scan_tables_without_a_reference_equilibrium_get_one(u_s, u_r, priors):
         check_pbe(prm, out)
         kinds.add(out.kind)
         # the last layer's selections are never held in the values memo
-        i = bisect.bisect_right(game.bands(), prm.prior)
-        assert game.lookup(prm.prior, i) == (out.sender_values, False)
+        assert game.lookup(prm.prior)[0] == out.sender_values
     assert kinds <= {"pooling", "hybrid"} and not game.memo
 
 
@@ -1164,7 +1162,11 @@ def test_prepared_game_matches_numpy_reference_at_branch_priors(seed, style):
 
 
 def assert_prepared_matches_reference(game, prior, u_s, u_r):
-    """The prepared game's solve at ``prior`` has the numpy reference's bits."""
+    """The prepared game's solve at ``prior`` has the numpy reference's bits,
+    and values among those of its layer group's plans, which gne_solve takes
+    its candidate priors from."""
+    sig = game.solve(prior)
+    assert sig.sender_values in game.values(sig.layer == gne._TIED)
     prm = SignalingParams(prior, u_s, u_r)
     try:
         want = reference_signaling_equilibrium(prm)
@@ -1221,11 +1223,6 @@ def test_tables_with_signed_zeros_match_the_reference_at_priors_0_and_1():
             assert_prepared_matches_reference(game, prior, u_s, u_r)
 
 
-def memo_values(game, p):
-    """The sender values at prior p through the game's values memo."""
-    return game.lookup(p, bisect.bisect_right(game.bands(), p))[0]
-
-
 def sender_values_or_error(values, prior):
     try:
         return [v.hex() for v in values(prior)]
@@ -1274,7 +1271,7 @@ def test_memoized_values_match_a_full_solve(seed, style):
         game = gne._TrustGame(u_s, u_r)
         for prior in order:
             assert sender_values_or_error(
-                functools.partial(memo_values, game), prior
+                lambda p: game.lookup(p)[0], prior
             ) == sender_values_or_error(
                 lambda p: game.solve(p).sender_values, prior
             ), prior
@@ -1292,11 +1289,11 @@ def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
 
     monkeypatch.setattr(gne._TrustGame, "solve", count)
     # the demo selects supported pooling on (0, 1/9) and a hybrid above
-    pooled = {memo_values(game, p) for p in np.linspace(0.01, 0.1, 10)}
+    pooled = {game.lookup(p)[0] for p in np.linspace(0.01, 0.1, 10)}
     assert pooled == {(0.2, 0.9)} and kinds == ["pooling"]
     # so are those of a hybrid with no rival in its layer
     for prior in (0.2, 0.3, 0.2):
-        assert memo_values(game, prior) == (0.0, 0.7000000000000001)
+        assert game.lookup(prior)[0] == (0.0, 0.7000000000000001)
     assert kinds == ["pooling", "hybrid"]
 
 
@@ -1353,7 +1350,8 @@ def signaling_afresh(prm):
 
 
 def state_bits(state):
-    """Every field of a GNEState, floats by repr and arrays by their bytes."""
+    """Every field of a GNEState, floats by repr (all their bits, and the
+    sign of a zero) and arrays by their bytes."""
     sig = state.signaling
     arrays = (sig.sender_strategy, sig.receiver_strategy, sig.beliefs)
     fields = {**vars(state), "signaling": (*(a.tobytes() for a in arrays), sig.kind,
@@ -1393,27 +1391,16 @@ def test_interleaved_cost_sweeps_on_two_table_pairs_match_the_reference(monkeypa
             assert_matches_reference(GNECosts(attack, defense), u_s, u_r)
 
 
-def reference_bits(costs, u_s, u_r):
-    """:func:`state_bits` of :func:`reference_gne_solve`'s result."""
-    p, v_a, v_d, flip, sig, residual, iterations, converged, history = reference_gne_solve(
-        costs, u_s, u_r
-    )
-    verified = converged and flip.is_equilibrium and residual < 1e-8
-    return state_bits(gne.GNEState(
-        p, v_a, v_d, flip, sig, residual, iterations, converged, verified, tuple(history)
-    ))
-
-
 @pytest.mark.parametrize("style", ["demo", "random"])
 def test_threads_solving_the_same_tables_get_the_reference_results(style):
     tables = (DEMO_SENDER, DEMO_RECEIVER)
     if style == "random":  # pooling and separating selections, which the memo keeps
         tables = random_tables(np.random.default_rng(7), "random")
-    # the last cells' iterations swing across a regime change until max_iters
+    # the last cell has no fixed point
     costs = [GNECosts(a, d) for a, d in [*product((0.3, 0.5, 0.8), (0.1, 0.3)), (0.2, 0.5)]]
-    want = [reference_bits(cost, *tables) for cost in costs]
+    want = [state_bits(reference_gne_solve(cost, *tables)) for cost in costs]
     gne._prepared_game.cache_clear()
-    gne._trust_game(*tables)  # one shared game, whose bands the threads race to set up
+    gne._trust_game(*tables)  # one shared game, whose bands and values the threads race to set up
     workers = 4  # more than the cores of a small host, racing to set the game up
     start = threading.Barrier(workers)
 
@@ -1435,10 +1422,11 @@ def test_threads_solving_the_same_tables_get_the_reference_results(style):
 
 
 def test_a_second_cost_sweep_solves_the_trust_game_once_per_cell(monkeypatch):
-    # every solve on the tables shares the game's values memo, so a sweep run
-    # again finds each stage's values there and solves its final stage alone
+    # a sweep run again finds each candidate's values in the shared memo and
+    # solves the reported prior alone, but for a candidate inside a band:
+    # 1/9, the demo receiver's indifference prior, at (0.5, 0.1)
     costs = [GNECosts(a, d) for a, d in product((0.3, 0.5, 0.8), (0.1, 0.2, 0.3))]
-    want = [reference_bits(cost, DEMO_SENDER, DEMO_RECEIVER) for cost in costs]
+    want = [state_bits(reference_gne_solve(cost, DEMO_SENDER, DEMO_RECEIVER)) for cost in costs]
     gne._prepared_game.cache_clear()
     solved = []
     solve = gne._TrustGame.solve
@@ -1454,12 +1442,14 @@ def test_a_second_cost_sweep_solves_the_trust_game_once_per_cell(monkeypatch):
             state = gne_solve(cost, DEMO_SENDER, DEMO_RECEIVER)
             assert state_bits(state) == bits
             if sweep:
-                assert solved == [state.control_fraction]
+                banded = [0.11111111111111112] if cost == GNECosts(0.5, 0.1) else []
+                assert solved == [*banded, state.control_fraction]
+    assert bisect.bisect_right(gne._trust_game(DEMO_SENDER, DEMO_RECEIVER).bands(), 1 / 9) % 2
 
 
 @pytest.mark.parametrize("starts", [(-0.0, 0.0), (0.0, -0.0)])
 def test_starts_at_both_signed_zeros_match_the_reference(starts):
-    # -0.0 and 0.0 lie in the lowest band, where the memo holds no values
+    # -0.0 and 0.0 rank the candidates alike
     rng = np.random.default_rng(23)
     tables = [(DEMO_SENDER, DEMO_RECEIVER)]
     tables += [tuple(rng.choice(SIGNED_ENTRIES, size=(2, 2, 2, 2))) for _ in range(4)]
@@ -1475,7 +1465,7 @@ def test_the_values_memo_holds_an_int_key_per_gap_interval_at_most():
     # the demo selects a lone hybrid above 1/9 and supported pooling below
     priors = np.linspace(0.2, 0.9, 300).tolist() + np.linspace(0.01, 0.1, 100).tolist()
     for prior in priors:
-        assert repr(memo_values(game, prior)) == repr(game.solve(prior).sender_values), prior
+        assert repr(game.lookup(prior)[0]) == repr(game.solve(prior).sender_values), prior
         assert all(type(key) is int for key in game.memo)
         assert len(game.memo) <= gaps
     assert len(game.memo) == 2
@@ -1550,7 +1540,8 @@ def test_costless_plant_gives_zero_utilities():
 
 
 def test_gne_demo_fixed_point():
-    state = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
+    gne._prepared_game.cache_clear()
+    state = assert_matches_reference(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
     assert state.converged and state.verified
     assert state.control_fraction == pytest.approx(2.0 / 27.0, abs=1e-6)
     assert state.attacker_value == pytest.approx(0.2)
@@ -1558,33 +1549,16 @@ def test_gne_demo_fixed_point():
     assert state.flipit.defender_rate == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert state.flipit.is_equilibrium
     assert state.signaling.kind == "pooling"
-    # the prior the timing game induces is consistent with the signaling
-    # stage that produced the values: a genuine joint fixed point
-    assert state.residual < 1e-8
-
-
-def test_gne_replay_at_fixed_point_is_stationary():
-    state = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
-    sig = signaling_equilibrium(
-        SignalingParams(state.control_fraction, DEMO_SENDER, DEMO_RECEIVER)
-    )
-    v_a = max(0.0, sig.sender_values[ATTACKER])
-    v_d = max(0.0, sig.sender_values[DEFENDER])
-    flip = flipit_equilibrium(
-        FlipItParams(DEMO_COSTS.attack_cost, DEMO_COSTS.defense_cost, v_a, v_d)
-    )
-    assert abs(flip.control_fraction - state.control_fraction) < 1e-6
+    # a fixed point among the first three layers' candidates: no last layer
+    assert state.residual == 0.0 and state.iterations == 3
+    assert list(gne._trust_game(DEMO_SENDER, DEMO_RECEIVER).candidates) == [False]
 
 
 def test_gne_damping_invariance():
-    results = {}
-    for damping in (0.25, 0.5, 1.0):
-        state = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, damping=damping)
-        if state.converged:
-            results[damping] = state.control_fraction
-    assert len(results) >= 2  # heavy damping converges; eta = 1 may cycle
-    vals = list(results.values())
-    assert max(vals) - min(vals) < 1e-5
+    # damping scales only the residual, which is 0.0 at the fixed point
+    bits = [state_bits(gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, damping=d))
+            for d in (0.25, 0.5, 1.0)]
+    assert bits[0] == bits[1] == bits[2]
 
 
 def test_gne_attacker_dropout_params():
@@ -1610,18 +1584,17 @@ def test_gne_control_fraction_monotone_in_attack_cost():
     assert fractions[0] > fractions[-1]
 
 
-def test_gne_residual_history_records_convergence():
-    state = gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER)
-    assert len(state.residual_history) == state.iterations
-    assert state.residual_history[-1] < 1e-8
-    assert state.residual_history[0] > state.residual_history[-1]
-
-
 def test_gne_rejects_bad_solver_settings():
     with pytest.raises(ValueError):
         gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, damping=0.0)
     with pytest.raises(ValueError):
         gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, p0=1.5)
+    for unread in ({"tol": 0.0}, {"max_iters": 0}):  # checked, though not read
+        with pytest.raises(ValueError, match="^tol must be > 0 and max_iters >= 1$"):
+            gne_solve(DEMO_COSTS, DEMO_SENDER, DEMO_RECEIVER, **unread)
+    # bad move costs are rejected as the timing game does, before 0 / 0
+    with pytest.raises(ValueError, match="^defense_cost must be > 0$"):
+        gne_solve(GNECosts(0.0, 0.0), DEMO_SENDER, DEMO_RECEIVER)
 
 
 @pytest.mark.parametrize("costs", [GNECosts(1e-310, 0.2), GNECosts(0.3, 1e-310)])
@@ -1632,68 +1605,95 @@ def test_gne_solve_rejects_a_move_cost_beyond_the_value_per_cost_bound(costs):
         gne_solve(costs, DEMO_SENDER, DEMO_RECEIVER)
 
 
-def reference_gne_solve(costs, u_s, u_r, damping=0.5, tol=1e-8, max_iters=200, p0=0.5):
-    """The damped iteration with both games solved afresh at every stage."""
+def reference_gne_solve(costs, u_s, u_r, damping=0.5, p0=0.5):
+    """The exact check with both games solved afresh at each candidate prior
+    h(v), v a plan's sender values: nearest p0 first, the smaller on a tie,
+    and the last layer's plans only if the first three's give no fixed
+    point; without one, the checked candidate nearest p0."""
 
-    def stage(p):
+    def timing(values):
+        v_a, v_d = (max(0.0, v) for v in values)
+        prm = FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
+        return v_a, v_d, flipit_equilibrium(prm)
+
+    def fixed(p):
+        checked.append(p)
         sig = signaling_equilibrium(SignalingParams(p, u_s, u_r))
-        v_a = max(0.0, sig.sender_values[ATTACKER])
-        v_d = max(0.0, sig.sender_values[DEFENDER])
-        flip = flipit_equilibrium(
-            FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d)
-        )
-        return sig, v_a, v_d, flip
+        return timing(sig.sender_values)[2].control_fraction == p
 
-    p, history, converged, iterations = float(p0), [], False, 0
-    for iterations in range(1, max_iters + 1):
-        flip = stage(p)[3]
-        p_next = (1.0 - damping) * p + damping * flip.control_fraction
-        history.append(abs(p_next - p))
-        p = p_next
-        if history[-1] < tol:
-            converged = True
+    def near(p):
+        return abs(p - p0), p
+
+    game = gne._TrustGame(u_s, u_r)  # its plans only, on a game of its own
+    checked, p = [], None
+    for layers, n in (([0, 1, 2], 2), ([3], 4)):
+        keys = [(k, pair) for k in layers for pair in gne._LAYER_PAIRS[k]]
+        plans = [game._plan(*key, *r) for key in keys for r in product(range(n), repeat=2)]
+        fresh = {timing(plan[1])[2].control_fraction for plan in plans if plan is not None}
+        p = next((q for q in sorted(fresh - set(checked), key=near) if fixed(q)), None)
+        if p is not None:
             break
-    sig, v_a, v_d, flip = stage(p)
+    converged = p is not None
+    p = p if converged else min(checked, key=near)
+    sig = signaling_equilibrium(SignalingParams(p, u_s, u_r))
+    v_a, v_d, flip = timing(sig.sender_values)
     residual = damping * abs(flip.control_fraction - p)
-    return p, v_a, v_d, flip, sig, residual, iterations, converged, history
+    verified = converged and flip.is_equilibrium
+    return gne.GNEState(p, v_a, v_d, flip, sig, residual, len(checked), converged, verified)
 
 
 def assert_matches_reference(costs, u_s, u_r, **solver):
-    try:
-        want = reference_gne_solve(costs, u_s, u_r, **solver)
-    except RuntimeError as exc:
-        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-            gne_solve(costs, u_s, u_r, **solver)
-        return None
-    p, v_a, v_d, flip, sig, residual, iterations, converged, history = want
+    want = reference_gne_solve(costs, u_s, u_r, **solver)
     got = gne_solve(costs, u_s, u_r, **solver)
-    # repr writes every float with all its bits, and tells -0.0 from 0.0
-    assert repr(got.control_fraction) == repr(p)
-    assert repr((got.attacker_value, got.defender_value)) == repr((v_a, v_d))
-    assert repr(got.flipit) == repr(flip)
-    for name in ("sender_strategy", "receiver_strategy", "beliefs"):
-        assert getattr(got.signaling, name).tobytes() == getattr(sig, name).tobytes()
-    assert repr(got.signaling.sender_values) == repr(sig.sender_values)
-    assert repr(got.signaling.receiver_value) == repr(sig.receiver_value)
-    assert got.signaling.kind == sig.kind
-    assert repr(got.residual) == repr(residual)
-    assert repr(got.residual_history) == repr(tuple(history))
-    assert (got.iterations, got.converged) == (iterations, converged)
-    tol = solver.get("tol", 1e-8)
-    assert got.verified == (converged and flip.is_equilibrium and residual < tol)
+    assert state_bits(got) == state_bits(want)
+    # a fixed point reproduces itself exactly, and nothing else is one
+    p, replayed = want.control_fraction, want.flipit.control_fraction
+    assert (replayed == p) == want.converged == (want.residual == 0.0)
     return got
 
 
-@pytest.mark.parametrize(
-    "attack, defense",
-    [
-        (0.3, 0.2), (0.5, 0.1), (0.8, 0.4), (0.6, 0.6),  # converge
-        (0.2, 0.5), (0.3, 0.8), (0.5, 0.7), (0.2, 0.3),  # defense dearer: max_iters
-    ],
-)
+@pytest.mark.parametrize("attack, defense", [
+    (0.3, 0.2), (0.5, 0.1), (0.8, 0.4), (0.6, 0.6),  # a fixed point
+    (0.2, 0.5), (0.3, 0.8), (0.5, 0.7), (0.2, 0.3),  # defense dearer: none
+])
 def test_gne_solve_matches_uncached_reference(attack, defense):
     got = assert_matches_reference(GNECosts(attack, defense), DEMO_SENDER, DEMO_RECEIVER)
     assert got.converged == (defense <= attack)
+
+
+def test_the_demo_cost_grid_has_exact_fixed_points_or_none():
+    # the damped iteration reported verified at equal costs 0.557...
+    # (p = 0.11111110531621511), where pooling's h rounds to just above 1/9,
+    # which selects the hybrid, whose h is 0: no fixed point
+    grid = np.linspace(0.1, 0.9, 8).tolist()
+    states = [assert_matches_reference(GNECosts(*c), DEMO_SENDER, DEMO_RECEIVER)
+              for c in product(grid, grid)]
+    none = [c for c, state in zip(product(grid, grid), states) if not state.converged]
+    assert (sum(state.verified for state in states), len(none)) == (35, 29)
+    assert (0.5571428571428572, 0.5571428571428572) in none
+
+
+# tables, costs, p0, and the state's control fraction, converged, iterations
+EXACT_CASES = [
+    # no fixed point; 0.87 lies exactly midway between two candidates
+    (DEMO_SENDER, DEMO_RECEIVER, (0.2, 0.5), 0.87, (0.8200000000000001, False, 5)),
+    # ENTRIES tables (seed 215): the plan values (2.0, 2.0) and (4.8, 4.8)
+    # give control fractions an ulp apart, and both priors select (4.8, 4.8)
+    ([[[2.0, 4.8], [-1.0, -5.0]], [[0.2, 4.8], [4.8, 2.0]]],
+     [[[-0.5, 0.2], [-0.5, -5.0]], [[1.0, 0.0], [4.8, 0.2]]],
+     (0.2, 0.3), 0.5, (0.6666666666666666, True, 2)),
+    # ENTRIES tables (seed 170): no fixed point among the first three
+    # layers' 3 candidates, so the last layer's own is checked, the nearest
+    ([[[1.0, 1.0], [0.5, 4.8]], [[-0.5, 2.0], [-0.5, 4.8]]],
+     [[[-0.5, -3.0], [1.0, 4.8]], [[0.5, -5.0], [-5.0, -5.0]]],
+     (0.2, 0.5), 0.5, (0.5999999999999999, False, 4)),
+]
+
+
+@pytest.mark.parametrize("u_s, u_r, costs, p0, want", EXACT_CASES, ids=["tie", "ulp", "last"])
+def test_fixed_cases_of_the_exact_check(u_s, u_r, costs, p0, want):
+    state = assert_matches_reference(GNECosts(*costs), np.array(u_s), np.array(u_r), p0=p0)
+    assert (state.control_fraction, state.converged, state.iterations) == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1720,21 +1720,20 @@ def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0
     costs = GNECosts(*(float(c) for c in rng.uniform(0.05, 1.0, size=2)))
     u_s = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
     u_r = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
-    assert_matches_reference(costs, u_s, u_r, damping=damping, max_iters=40, p0=p0)
+    assert_matches_reference(costs, u_s, u_r, damping=damping, p0=p0)
 
 
 @pytest.mark.parametrize("defense", [0.2, 0.5])
 def test_gne_solve_skips_trust_game_solves_between_bands(monkeypatch, defense):
-    gne._prepared_game.cache_clear()  # a memo that no earlier solve filled
+    # after a cold first cell, each cell solves once, at the prior it
+    # reports: a fixed point at defense 0.2, and none at 0.5
+    gne._prepared_game.cache_clear()
     visited = []
     signaling = gne._TrustGame.solve
-
-    def watch_signaling(game, prior):
-        visited.append(prior)
-        return signaling(game, prior)
-
-    monkeypatch.setattr(gne._TrustGame, "solve", watch_signaling)
-    state = gne_solve(GNECosts(0.3, defense), DEMO_SENDER, DEMO_RECEIVER)
-    # a stage between two exclusion bands reuses the pooling values that a
-    # solve there found, so there are fewer trust-game solves than stages
-    assert len(visited) < state.iterations + 1
+    monkeypatch.setattr(gne._TrustGame, "solve", lambda g, p: visited.append(p) or signaling(g, p))
+    for k, attack in enumerate((0.3, 0.45, 0.6, 0.9)):
+        visited.clear()
+        state = gne_solve(GNECosts(attack, defense), DEMO_SENDER, DEMO_RECEIVER)
+        assert state.converged == (defense < attack)
+        assert state.control_fraction in visited and len(visited) <= state.iterations + 1
+        assert k == 0 or visited == [state.control_fraction]
