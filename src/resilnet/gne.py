@@ -15,10 +15,10 @@ The trust game's sender values are fixed per candidate, a mixing type's by
 its indifference, so they take finitely many values, and a fixed point is
 the timing game's holding fraction at one of them.  The solver checks each
 such prior exactly, and reports a fixed point or that there is none.  The
-timing game is solved in closed form with an analytic certificate.  One
-values memo per table pair, which every solve on those tables shares, keeps
-the trust game's values under the interval between two exclusion bands.
-Every result keeps the bits of solving both games afresh.
+timing game is solved in closed form with an analytic certificate.  A memo
+per table pair, shared by all its solves, keeps the trust game's selected
+plan per interval between exclusion bands; the values checked and the
+equilibrium reported are built from it, with the bits of fresh solves.
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ _LAYERS = [
 
 
 class _Candidate(NamedTuple):
-    """A :class:`SignalingOutcome` on nested float tuples, its layer, and
-    whether the values memo may hold its sender values (see lookup())."""
+    """A :class:`SignalingOutcome` on nested float tuples, its selection (layer,
+    support pair, kind, plan; see build()), and whether the memo may hold it."""
 
     sender_strategy: tuple
     receiver_strategy: tuple
@@ -320,7 +320,7 @@ class _Candidate(NamedTuple):
     sender_values: tuple[float, float]
     receiver_value: float
     kind: str
-    layer: int
+    selection: tuple
     held: bool = False
 
     def rank(self) -> tuple:
@@ -419,7 +419,7 @@ class _TrustGame:
     posterior a mixing type pins, and off path.  Each type's optimality is
     then a half-plane in the trust probabilities (q0, q1), a line if it
     mixes.  :meth:`plan` builds the receiver's strategy and the sender
-    values once; :meth:`solve` weighs the messages at the prior.  The first
+    values once; :meth:`build` weighs the messages at a prior.  The first
     three layers keep a numpy solve's closed forms and floats, ties
     trusting; the last mixes at ties.
     """
@@ -430,6 +430,7 @@ class _TrustGame:
         _check_table("receiver_utils", r)
         self.sender_utils, self.receiver_utils = s, r
         self.u_s, self.u_r = s.tolist(), r.tolist()
+        self.top = float(np.max(np.abs(s)))  # max |sender_utils|
         # [type][message]: the receiver's gain from trusting that type, and
         # [message]: the trust probabilities some belief rationalizes there
         self.gaps = [[row[TRUST] - row[REJECT] for row in self.u_r[t]] for t in range(2)]
@@ -441,9 +442,9 @@ class _TrustGame:
         self.picked = [(r0 & 1, r1 & 1) for r0, r1 in self.alone]
         self.plans: dict[tuple, tuple | None] = {}  # see plan()
         # the merged exclusion bands' [lo, hi) ends (see bands()), and the
-        # values memo that every solve on these tables shares (see lookup())
+        # selection memo that every solve on these tables shares (see lookup())
         self.edges: list[float] | None = None
-        self.memo: dict[int, tuple[float, float]] = {}
+        self.memo: dict[int, tuple] = {}
         self.candidates: dict[bool, list[tuple[float, float]]] = {}  # see values()
 
     def _band_edges(self) -> list[float]:
@@ -514,31 +515,31 @@ class _TrustGame:
             self.edges = self._band_edges()
         return self.edges
 
-    def lookup(self, p: float) -> tuple[tuple[float, float], _Candidate | None]:
-        """``solve(p).sender_values`` for p in [0, 1], through the values
-        memo, and the solve where the memo did not hold them.
+    def lookup(self, p: float) -> tuple[tuple[float, float], tuple]:
+        """``solve(p).sender_values`` for p in [0, 1] and the selection they
+        come from, through the memo; ``build(p, *selection)`` is ``solve(p)``
+        but for ``held``.
 
-        Every plan's sender values are fixed (see :func:`_sender_values`),
-        and between two exclusion bands no decision of the first three layers
+        Between two exclusion bands no decision of the first three layers
         that a selection rests on changes: which candidates exist, the
         passive responses, and the order of the receiver values of two
-        candidates of one kind, but for two hybrids.  So an interval of
-        :meth:`bands` keeps the values of a selection that :meth:`solve`
-        marks ``held``, under its index: a separating, pooling or mixed one,
-        or a lone hybrid.  Priors 0 and 1, in the edge bands, keep theirs
-        under -1 and -2.  Every solve on these tables shares the memo, which
-        holds at most one entry per interval and end; a write races only
-        with one of the same bits.
+        candidates of one kind, but for two hybrids.  So one plan is selected
+        across an interval of :meth:`bands`, which keeps a selection that
+        :meth:`solve` marks ``held`` under its index: a separating, pooling
+        or mixed one, or a lone hybrid.  Priors 0 and 1, in the edge bands,
+        keep theirs under -1 and -2.  Every solve on these tables shares the
+        memo, at most one entry per interval and end; a write races only
+        with one of the same plan.
         """
         i = bisect.bisect_right(self.bands(), p)
         key = -1 if p == 0.0 else -2 if p == 1.0 else i
-        values = self.memo.get(key)
-        if values is not None:
-            return values, None
-        sig = self.solve(p)
-        if key < 0 or (sig.held and not i & 1):
-            self.memo[key] = sig.sender_values
-        return sig.sender_values, sig
+        selection = self.memo.get(key)
+        if selection is None:
+            sig = self.solve(p)
+            selection = sig.selection
+            if key < 0 or (sig.held and not i & 1):
+                self.memo[key] = selection
+        return selection[3][1], selection
 
     def values(self, tied: bool) -> list[tuple[float, float]]:
         """The distinct sender values of the plans of the last layer if
@@ -607,7 +608,8 @@ class _TrustGame:
         return True
 
     def plan(self, layer: int, pair: tuple, r0: int, r1: int) -> tuple | None:
-        """:meth:`_plan`, built on first use."""
+        """:meth:`_plan`, built on first use; the both-mixing one under one key."""
+        r0, r1 = (TRUST, TRUST) if layer == _BOTH_MIXING else (r0, r1)
         key = (_SLOTS[layer, pair], r0, r1)
         plan = self.plans.get(key, self)
         if plan is self:
@@ -702,7 +704,7 @@ class _TrustGame:
         )
         gaps = [(t0 - r0, r1 - t1, r0 - r1) for (t0, r0), (t1, r1) in self.u_s]
         edges = [(1.0, 0.0, -lo0), (1.0, 0.0, -hi0), (0.0, 1.0, -lo1), (0.0, 1.0, -hi1), *gaps]
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(self.sender_utils))))
+        tol = 1e-12 * (1.0 + self.top)
         for (a1, b1, c1), (a2, b2, c2) in product([gaps[tau]] if tau is not None else edges, edges):
             det = a1 * b2 - a2 * b1
             if det:
@@ -740,8 +742,34 @@ class _TrustGame:
         mixing = (share, 1.0 - share) if m_s == 0 else (1.0 - share, share)
         return (mixing, _ONE_HOT[m_s]) if tau == ATTACKER else (_ONE_HOT[m_s], mixing)
 
+    def build(self, p: float, layer: int, pair: tuple, kind: str, plan) -> _Candidate | None:
+        """The candidate of ``plan``, of ``pair`` and ``kind`` in ``layer``,
+        at prior p, or None where its senders cannot mix there: the one way
+        a candidate is made.  Only its weights, beliefs and receiver value,
+        and whether it exists, depend on p."""
+        pi = (p, 1.0 - p)
+        sigma_r, values, sigma_s, rule = plan
+        mixing = _MIX in pair
+        if mixing:  # its weights depend on p
+            sigma_s = self._senders(pair, sigma_s, p, pi, layer)
+            if sigma_s is None:
+                return None
+        # Bayes at any mass where a type mixes, or in the last layer
+        beliefs = _posterior(p, sigma_s, 0.0 if mixing or layer == _TIED else 1e-15)
+        if rule is not None:  # a pooling's off-path belief
+            belief, want, g_att, g_def = rule
+            if want is not None and (p * g_att + (1.0 - p) * g_def >= 0.0) == want:
+                belief = p  # the prior's own trust gap has the sign wanted
+            off_b = (belief, 1.0 - belief)
+            beliefs = (beliefs[0], off_b) if pair[0] == 0 else (off_b, beliefs[1])
+        rv = 0.0  # the receiver's value, in numpy's order
+        for t, m, a in product(range(2), repeat=3):
+            rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * self.u_r[t][m][a]
+        return _Candidate(sigma_s, sigma_r, beliefs, values, rv, kind, (layer, pair, kind, plan))
+
     def solve(self, p: float) -> _Candidate:
-        """The equilibrium :func:`signaling_equilibrium` selects at prior p."""
+        """The equilibrium :func:`signaling_equilibrium` selects at prior p: the
+        best candidate :meth:`build` makes in the first layer that has one."""
         pi = (p, 1.0 - p)
         passive = (self._br(pi, 0), self._br(pi, 1))
         # the responses at _entry's sources: a message one type sends alone
@@ -760,26 +788,8 @@ class _TrustGame:
                 plan = plans.get((k, sources[w0][0], sources[w1][1]), self)
                 if plan is self:
                     plan = self.plan(layer, pair, sources[w0][0], sources[w1][1])
-                if plan is None:
-                    continue
-                sigma_r, values, sigma_s, rule = plan
-                mixing = _MIX in pair
-                if mixing:  # its weights depend on p
-                    sigma_s = self._senders(pair, sigma_s, p, pi, layer)
-                    if sigma_s is None:
-                        continue
-                # Bayes at any mass where a type mixes, or in the last layer
-                beliefs = _posterior(p, sigma_s, 0.0 if mixing or layer == _TIED else 1e-15)
-                if rule is not None:  # a pooling's off-path belief
-                    belief, want, g_att, g_def = rule
-                    if want is not None and (p * g_att + (1.0 - p) * g_def >= 0.0) == want:
-                        belief = p  # the prior's own trust gap has the sign wanted
-                    off_b = (belief, 1.0 - belief)
-                    beliefs = (beliefs[0], off_b) if pair[0] == 0 else (off_b, beliefs[1])
-                rv = 0.0  # the receiver's value, in numpy's order
-                for t, m, a in product(range(2), repeat=3):
-                    rv += pi[t] * sigma_s[t][m] * sigma_r[m][a] * self.u_r[t][m][a]
-                found.append(_Candidate(sigma_s, sigma_r, beliefs, values, rv, kind, layer))
+                if plan is not None and (candidate := self.build(p, layer, pair, kind, plan)):
+                    found.append(candidate)
             if found:
                 best = min(found, key=_Candidate.rank)
                 # the bands miss the last layer's ties and two hybrids' crossing
@@ -919,11 +929,10 @@ class GNEState:
     verified: bool
 
 
-def _cost_errors(costs: GNECosts, sender_utils) -> list[tuple[str, str]]:
-    """Each move cost under max |sender_utils| / _MAX_VALUE_PER_COST, past
-    the timing game's bound on value per cost, with the document field that
-    sets it; the document validator reports them all, the solver the first."""
-    top = float(max(abs(v) for table in sender_utils for row in table for v in row))
+def _cost_errors(costs: GNECosts, top: float) -> list[tuple[str, str]]:
+    """Each move cost under ``top`` (max |sender_utils|) / _MAX_VALUE_PER_COST,
+    past the timing game's bound on value per cost, with the document field
+    that sets it; the document validator reports them all, the solver the first."""
     return [
         (f"costs.{key}", error)
         for key, cost in (("attack", costs.attack_cost), ("defense", costs.defense_cost))
@@ -949,8 +958,9 @@ def gne_solve(
     prior with h(V(p)) == p, is h(v) at some plan's values v.  Those
     candidates are checked nearest ``p0`` first, the smaller on a tie; the
     last layer's plans add candidates only where the first three layers'
-    give no fixed point.  V is read through :meth:`_TrustGame.lookup`, so
-    the result has the bits of solving both games afresh at each candidate.
+    give no fixed point.  V is read through :meth:`_TrustGame.lookup`, and
+    the reported trust-game equilibrium is built from the selection it
+    returns, so the result has the bits of solving both games afresh.
     A move cost under max |sender_utils| / _MAX_VALUE_PER_COST, past the
     timing game's bound on value per cost, raises ValueError.
 
@@ -976,11 +986,11 @@ def gne_solve(
     if not 0 <= p0 <= 1:
         raise ValueError("p0 must be in [0, 1]")
     game = _trust_game(sender_utils, receiver_utils)
-    errors = _cost_errors(costs, game.u_s)
+    errors = _cost_errors(costs, game.top)
     if errors:
         raise ValueError(errors[0][1])
     FlipItParams(costs.attack_cost, costs.defense_cost, 0.0, 0.0)  # raises on a bad move cost
-    solves: dict[float, _Candidate | None] = {}  # each checked candidate's solve, if made
+    selections: dict[float, tuple] = {}  # each checked candidate's selection
 
     def hat(values: tuple[float, float]) -> float:
         # flipit_equilibrium's control fraction at the values clamped at 0,
@@ -991,18 +1001,18 @@ def gne_solve(
         return abs(q - p0), q
 
     def state(p: float, converged: bool) -> GNEState:
-        sig = solves[p] or game.solve(p)
+        sig = game.build(p, *selections[p])
         v_a, v_d = (max(0.0, v) for v in sig.sender_values)
         flip = flipit_equilibrium(FlipItParams(costs.attack_cost, costs.defense_cost, v_a, v_d))
         residual = damping * abs(flip.control_fraction - p)
         verified = converged and flip.is_equilibrium
         return GNEState(
-            p, v_a, v_d, flip, sig.outcome(), residual, len(solves), converged, verified
+            p, v_a, v_d, flip, sig.outcome(), residual, len(selections), converged, verified
         )
 
     for tied in (False, True):
-        for q in sorted({hat(v) for v in game.values(tied)}.difference(solves), key=near):
-            values, solves[q] = game.lookup(q)
+        for q in sorted({hat(v) for v in game.values(tied)}.difference(selections), key=near):
+            values, selections[q] = game.lookup(q)
             if hat(values) == q:
                 return state(q, True)
-    return state(min(solves, key=near), False)
+    return state(min(selections, key=near), False)

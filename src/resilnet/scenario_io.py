@@ -657,7 +657,7 @@ def gne_from_dict(data: Any) -> GNEProblem:
     else:
         sender = _parse_typed_tables(w, top["sender_utils"], "sender_utils")
     if costs is not None and sender is not None:
-        for path, message in _cost_errors(costs, sender):
+        for path, message in _cost_errors(costs, float(np.max(np.abs(sender)))):
             w.err(path, message)
 
     receiver = None

@@ -496,7 +496,7 @@ def test_a_sender_value_past_the_table_bound_per_cost_still_solves():
     ])
     cost = 1.8542282154243544e-305
     costs = GNECosts(cost, cost)
-    assert not gne._cost_errors(costs, u_s)
+    assert not gne._cost_errors(costs, gne._trust_game(u_s, u_r).top)
     state = assert_matches_reference(costs, u_s, u_r, p0=0.25)
     assert state.verified and state.signaling.kind == "hybrid"
     assert state.signaling.sender_strategy[DEFENDER].tolist() == [0.0, 1.0]
@@ -1166,7 +1166,7 @@ def assert_prepared_matches_reference(game, prior, u_s, u_r):
     and values among those of its layer group's plans, which gne_solve takes
     its candidate priors from."""
     sig = game.solve(prior)
-    assert sig.sender_values in game.values(sig.layer == gne._TIED)
+    assert sig.sender_values in game.values(sig.selection[0] == gne._TIED)
     prm = SignalingParams(prior, u_s, u_r)
     try:
         want = reference_signaling_equilibrium(prm)
@@ -1233,20 +1233,11 @@ def sender_values_or_error(values, prior):
 MEMO_STYLES = ["demo", *TABLE_STYLES, "ulp-shifted", "signed zeros"]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), style=st.sampled_from(MEMO_STYLES))
-# tables that need one family of bands each: the 1e-15 and 1e-12 floors and
-# bands of some width (demo), the passive responses (0), the separating
-# profiles' receiver values (62), the pooled messages' (103, 22), a hybrid's
-# share at 1e-12 (46) and the mixed construction's bounds (22, tenths)
-@example(seed=0, style="demo")
-@example(seed=0, style="random")
-@example(seed=62, style="random")
-@example(seed=103, style="random")
-@example(seed=22, style="ulp-shifted")
-@example(seed=46, style="random")
-@example(seed=22, style="tenths")
-def test_memoized_values_match_a_full_solve(seed, style):
+def memo_tables_and_priors(seed, style):
+    """Tables of ``style`` and the priors where a memo could go wrong: both
+    ends of every band, each band's middle (its breakpoint, where the band
+    was not merged), the receiver's indifference priors, -0.0, the branch
+    priors and random ones."""
     rng = np.random.default_rng(seed)
     if style == "demo":
         u_s, u_r = DEMO_SENDER, DEMO_RECEIVER
@@ -1257,14 +1248,30 @@ def test_memoized_values_match_a_full_solve(seed, style):
     else:
         u_s, u_r = random_tables(rng, style)
     edges = gne._TrustGame(u_s, u_r)._band_edges()
-    # both ends of every band, each band's middle (its breakpoint, where the
-    # band was not merged), the receiver's indifference priors, the branch
-    # priors and random ones
     middles = [(lo + hi) / 2 for lo, hi in zip(edges[::2], edges[1::2])]
     centres = [x for x in edges + middles if math.isfinite(x)] + indifference_priors(u_r)
     priors = [p for x in centres for p in ulp_neighbours(x, 4)]
     priors += [-0.0, *BRANCH_PRIORS, *rng.uniform(size=20).tolist()]
-    priors = [p for p in priors if 0.0 <= p <= 1.0]
+    return u_s, u_r, [p for p in priors if 0.0 <= p <= 1.0]
+
+
+def memo_cases(test):
+    """``test`` on 300 table pairs of MEMO_STYLES, and on tables that need
+    one family of bands each: the 1e-15 and 1e-12 floors and bands of some
+    width (demo), the passive responses (0), the separating profiles'
+    receiver values (62), the pooled messages' (103, 22), a hybrid's share
+    at 1e-12 (46) and the mixed construction's bounds (22, tenths); and two
+    hybrids whose order swaps inside an interval, which no band marks (1905)."""
+    for seed, style in [(1905, "random"), (22, "tenths"), (46, "random"), (22, "ulp-shifted"),
+                        (103, "random"), (62, "random"), (0, "random"), (0, "demo")]:
+        test = example(seed=seed, style=style)(test)
+    test = given(seed=st.integers(0, 2**32 - 1), style=st.sampled_from(MEMO_STYLES))(test)
+    return settings(max_examples=300, deadline=None, derandomize=True)(test)
+
+
+@memo_cases
+def test_memoized_values_match_a_full_solve(seed, style):
+    u_s, u_r, priors = memo_tables_and_priors(seed, style)
     # a memo taken in a narrow interval and read in a wide one, and one
     # taken in a wide interval and read in a narrow one
     for order in (priors, priors[::-1]):
@@ -1275,6 +1282,21 @@ def test_memoized_values_match_a_full_solve(seed, style):
             ) == sender_values_or_error(
                 lambda p: game.solve(p).sender_values, prior
             ), prior
+
+
+@memo_cases
+def test_candidates_built_from_memoized_selections_match_a_full_solve(seed, style):
+    # every field but held, which ranks a selection against its rivals, bit
+    # for bit (floats by repr), in both fill orders as above
+    u_s, u_r, priors = memo_tables_and_priors(seed, style)
+    for order in (priors, priors[::-1]):
+        game = gne._TrustGame(u_s, u_r)
+        for prior in order:
+            got, want = game.build(prior, *game.lookup(prior)[1]), game.solve(prior)
+            assert repr(got[:-1]) == repr(want[:-1]), prior
+            # an interval keeps only a selection the solve marks held
+            if 0.0 < prior < 1.0 and bisect.bisect_right(game.bands(), prior) in game.memo:
+                assert want.held, prior
 
 
 def test_values_solve_once_per_interval_of_a_pooling_selection(monkeypatch):
@@ -1325,6 +1347,37 @@ def test_band_edges_are_set_up_by_gne_solve_alone(monkeypatch):
     assert len(calls) == 3
     signaling_equilibrium(SignalingParams(0.3, DEMO_SENDER, DEMO_RECEIVER[::-1]))
     assert len(calls) == 3
+
+
+def test_each_both_mixing_plan_is_built_once_per_table_pair(monkeypatch):
+    # the plan ignores the receiver's responses, so one key holds it; the
+    # first three layers' values match an enumeration under every key
+    built = []
+    plan = gne._TrustGame._plan
+
+    def spy(self, *key):
+        built.append(key)
+        return plan(self, *key)
+
+    monkeypatch.setattr(gne._TrustGame, "_plan", spy)
+    rng = np.random.default_rng(5)
+    mixed = 0
+    for _ in range(100):
+        u_s, u_r = random_tables(rng, "random")
+        game = gne._TrustGame(u_s, u_r)
+        built.clear()
+        keys = [(k, pair) for k in range(3) for pair in gne._LAYER_PAIRS[k]]
+        every = [plan(game, *key, *r) for key in keys for r in product(range(2), repeat=2)]
+        want = list(dict.fromkeys(p[1] for p in every if p))
+        assert repr(game.values(False)) == repr(want)
+        game.bands()
+        for prior in np.linspace(0.0, 1.0, 21):
+            game.solve(prior)
+        assert [key for key in built if key[0] == gne._BOTH_MIXING] == [
+            (gne._BOTH_MIXING, (gne._MIX, gne._MIX), TRUST, TRUST)
+        ]
+        mixed += game.plan(gne._BOTH_MIXING, (gne._MIX, gne._MIX), TRUST, TRUST) is not None
+    assert mixed == 7
 
 
 def test_a_prior_sweep_on_fixed_tables_builds_each_plan_once(monkeypatch):
@@ -1421,10 +1474,11 @@ def test_threads_solving_the_same_tables_get_the_reference_results(style):
         assert [got[i] for i in range(len(costs))] == want
 
 
-def test_a_second_cost_sweep_solves_the_trust_game_once_per_cell(monkeypatch):
-    # a sweep run again finds each candidate's values in the shared memo and
-    # solves the reported prior alone, but for a candidate inside a band:
-    # 1/9, the demo receiver's indifference prior, at (0.5, 0.1)
+def test_a_second_cost_sweep_solves_the_trust_game_only_inside_a_band(monkeypatch):
+    # a sweep run again finds each candidate's selection in the shared memo,
+    # and builds the reported state from it, but for a prior inside the band
+    # around 1/9, the demo receiver's indifference prior: a candidate at
+    # (0.5, 0.1), and the reported fixed point at (0.3, 0.3)
     costs = [GNECosts(a, d) for a, d in product((0.3, 0.5, 0.8), (0.1, 0.2, 0.3))]
     want = [state_bits(reference_gne_solve(cost, DEMO_SENDER, DEMO_RECEIVER)) for cost in costs]
     gne._prepared_game.cache_clear()
@@ -1442,8 +1496,8 @@ def test_a_second_cost_sweep_solves_the_trust_game_once_per_cell(monkeypatch):
             state = gne_solve(cost, DEMO_SENDER, DEMO_RECEIVER)
             assert state_bits(state) == bits
             if sweep:
-                banded = [0.11111111111111112] if cost == GNECosts(0.5, 0.1) else []
-                assert solved == [*banded, state.control_fraction]
+                banded = cost in (GNECosts(0.5, 0.1), GNECosts(0.3, 0.3))
+                assert solved == [0.11111111111111112] * banded
     assert bisect.bisect_right(gne._trust_game(DEMO_SENDER, DEMO_RECEIVER).bands(), 1 / 9) % 2
 
 
@@ -1725,15 +1779,19 @@ def test_gne_solve_matches_uncached_reference_on_random_tables(seed, damping, p0
 
 @pytest.mark.parametrize("defense", [0.2, 0.5])
 def test_gne_solve_skips_trust_game_solves_between_bands(monkeypatch, defense):
-    # after a cold first cell, each cell solves once, at the prior it
-    # reports: a fixed point at defense 0.2, and none at 0.5
+    # a cold sweep solves at a candidate prior only where no earlier cell's
+    # memo holds its interval, and never again for the reported state.  At
+    # defense 0.5 the first cell has no fixed point, and attack 0.6's is the
+    # first in the pooling interval below 1/9
     gne._prepared_game.cache_clear()
     visited = []
     signaling = gne._TrustGame.solve
     monkeypatch.setattr(gne._TrustGame, "solve", lambda g, p: visited.append(p) or signaling(g, p))
-    for k, attack in enumerate((0.3, 0.45, 0.6, 0.9)):
+    solves = []
+    for attack in (0.3, 0.45, 0.6, 0.9):
         visited.clear()
         state = gne_solve(GNECosts(attack, defense), DEMO_SENDER, DEMO_RECEIVER)
         assert state.converged == (defense < attack)
-        assert state.control_fraction in visited and len(visited) <= state.iterations + 1
-        assert k == 0 or visited == [state.control_fraction]
+        assert len(visited) <= state.iterations
+        solves.append(len(visited))
+    assert solves == {0.2: [2, 0, 0, 0], 0.5: [3, 0, 1, 0]}[defense]
