@@ -34,6 +34,7 @@ from .scenario_io import (
     _GNE_FIELDS,
     _SCENARIO_FIELDS,
     _load_yaml,
+    _write,
 )
 
 # The handlers import the network modules they use, so that a game command
@@ -113,7 +114,7 @@ def _cmd_gne(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     state = gne_solve(**vars(prob))
     result_path = out / "gne.json"
-    result_path.write_text(dumps_canonical(gne_record(state)) + "\n")
+    _write("result", result_path, dumps_canonical(gne_record(state)) + "\n")
     manifest = RunManifest(
         version=__version__,
         config_hash=digest,
@@ -129,6 +130,15 @@ def _cmd_gne(args: argparse.Namespace) -> int:
         )
         return 2
     return 0
+
+
+def _step_count(text: str) -> int:
+    try:
+        if (steps := int(text)) >= 1:
+            return steps
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _parse_baseline_flags(text: str, recovery_fraction: float) -> BaselineSpec:
@@ -181,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan steps without attacks and print each plan")
     p.add_argument("scenario", help="scenario YAML file")
-    p.add_argument("--steps", type=int, default=1, help="number of planning steps")
+    p.add_argument("--steps", type=_step_count, default=1, help="number of planning steps (>= 1)")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("gne", help="solve a coupled timing + trust game instance")

@@ -119,18 +119,9 @@ class _Eval:
     graph: WeightedGraph
 
 
-def _project_motion(current, proposed, delta: float) -> np.ndarray:
-    """Pull each proposed position back into the delta-ball of its origin."""
-    cur = as_positions(current)
-    prop = as_positions(proposed)
-    if cur.shape != prop.shape:
-        raise ValueError("current and proposed shapes differ")
-    return _clip(cur, prop, delta)[0]
-
-
 def _clip(cur: np.ndarray, prop: np.ndarray, delta: float) -> tuple[np.ndarray, bool]:
-    """``_project_motion`` on checked (n, d) arrays of one shape, and whether
-    it moved any agent."""
+    """Pull each proposed position back into the delta-ball of its origin, on
+    (n, d) arrays of one shape, and say whether it moved any agent."""
     out = prop.copy()
     if math.isinf(delta):
         return out, False
@@ -267,13 +258,13 @@ class _Rejected:
     centred and stacked, with their squared norms off the all-ones vector:
     the test vectors of :func:`resilnet.adversary._certified_below`.
 
-    Rows go into a buffer that doubles as it fills, up to ``_STORE_ROWS``
-    rows; past that each new row takes the place of the oldest.
+    Rows go into a ring of ``_STORE_ROWS`` rows, allocated up front; once it
+    is full each new row takes the place of the oldest.
     """
 
     def __init__(self, n: int) -> None:
-        self._rows = np.empty((0, n))
-        self._norms = np.empty(0)
+        self._rows = np.empty((_STORE_ROWS, n))
+        self._norms = np.empty(_STORE_ROWS)
         self._added = 0
 
     @property
@@ -287,10 +278,6 @@ class _Rejected:
     def add(self, fiedler: np.ndarray) -> None:
         u = fiedler - fiedler.mean()
         k = self._added % _STORE_ROWS
-        if k == len(self._norms):
-            grow = min(max(2 * k, 8), _STORE_ROWS) - k
-            self._rows = np.concatenate([self._rows, np.empty((grow, len(u)))])
-            self._norms = np.concatenate([self._norms, np.empty(grow)])
         self._rows[k] = u
         self._norms[k] = u @ u - u.sum() ** 2 / len(u)
         self._added += 1

@@ -1,12 +1,13 @@
 """Scenario files, canonical serialization, and run manifests.
 
-Scenarios are YAML documents; validation collects every problem found, each
-tagged with its field path, instead of stopping at the first.  Traces are
-line-delimited JSON records and reports are single JSON documents; all
-numbers are written with 17 significant digits so that parse(emit(x)) == x
-bit for bit and reruns are byte-identical.  Game files need only
-:mod:`resilnet.gne`; the network modules are imported where a scenario or a
-trace is parsed.
+Scenarios and game files are YAML documents; one walk (:class:`_Walk`)
+validates both, collecting every problem found, each tagged with its field
+path, instead of stopping at the first.  Traces are line-delimited JSON
+records and reports are single JSON documents, all written by one writer
+that names the output it could not write; numbers are written with 17
+significant digits so that parse(emit(x)) == x bit for bit and reruns are
+byte-identical.  Game files need only :mod:`resilnet.gne`; the network
+modules are imported where a scenario or a trace is parsed.
 """
 
 from __future__ import annotations
@@ -61,8 +62,12 @@ class ConfigError(ValueError):
 class _Walk:
     """Error collector for a validation pass over a config tree.
 
-    ``dim`` and ``ids`` are the scenario's dimension and agent ids, set once
-    parsed; the vector and id-list rules of the field tables read them.
+    Each check reports what it finds at its path and returns the checked
+    value, or None: ``block`` a mapping by its field table, ``items`` a
+    list's shape, ``table`` a 2x2 utility table, and ``make`` the dataclass
+    that checked values become.  ``dim`` and ``ids`` are the scenario's
+    dimension and agent ids, set once parsed; the vector and id-list rules
+    of the field tables read them.
     """
 
     def __init__(self) -> None:
@@ -79,10 +84,20 @@ class _Walk:
         self.err(path, f"expected a mapping, got {type(node).__name__}")
         return None
 
-    def reject_unknown(self, node: Mapping, allowed: Sequence[str], path: str) -> None:
-        for key in node:
-            if key not in allowed:
-                self.err(f"{path}.{key}" if path else str(key), "unknown field")
+    def items(self, node: Any, path: str, expected: str) -> Sequence | None:
+        """``node`` if it is a list; else None, reporting ``expected``."""
+        if isinstance(node, Sequence) and not isinstance(node, (str, bytes)):
+            return node
+        self.err(path, f"expected {expected}")
+        return None
+
+    def make(self, path: str, build, *args, **kwargs):
+        """``build(*args, **kwargs)``, or None after reporting its ValueError at ``path``."""
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            self.err(path, str(exc))
+            return None
 
     def block(
         self, node: Any, path: str, table: Mapping[str, dict], *, closed: bool = True, after=None
@@ -104,7 +119,9 @@ class _Walk:
         if data is None:
             return None
         if closed:
-            self.reject_unknown(data, table, path)
+            for key in data:
+                if key not in table:
+                    self.err(f"{path}.{key}" if path else str(key), "unknown field")
         out = {}
         for key, rule in table.items():
             label = f"{path}.{key}" if path else key
@@ -170,8 +187,7 @@ class _Walk:
     def vector(self, node: Any, path: str, dim: int | None = None) -> tuple[float, ...] | None:
         """``dim`` numbers; the scenario's dimension by default."""
         dim = self.dim if dim is None else dim
-        if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-            self.err(path, f"expected a list of {dim} numbers")
+        if (node := self.items(node, path, f"a list of {dim} numbers")) is None:
             return None
         if len(node) != dim:
             self.err(path, f"expected {dim} numbers, got {len(node)}")
@@ -191,8 +207,7 @@ class _Walk:
         if node is None:  # an empty value reads as a missing list
             self.err(path, "required field missing")
             return None
-        if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-            self.err(path, "expected a list of agent ids")
+        if (node := self.items(node, path, "a list of agent ids")) is None:
             return None
         if not node:
             self.err(path, "must not be empty")
@@ -206,8 +221,7 @@ class _Walk:
         return tuple(out)
 
     def id_pairs(self, node: Any, path: str) -> tuple[tuple[str, str], ...] | None:
-        if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-            self.err(path, "expected a list of [id, id] pairs")
+        if (node := self.items(node, path, "a list of [id, id] pairs")) is None:
             return None
         pairs = []
         for k, pair in enumerate(node):
@@ -225,6 +239,17 @@ class _Walk:
                     return None
             pairs.append((pair[0], pair[1]))
         return tuple(pairs)
+
+    def table(self, node: Any, path: str) -> np.ndarray | None:
+        """A 2x2 [message][trust, reject] utility table for one sender type."""
+        node = self.items(node, path, "a 2x2 table [[trust, reject], [trust, reject]]")
+        if node is None:
+            return None
+        if len(node) != 2:
+            self.err(path, f"expected 2 message rows, got {len(node)}")
+            return None
+        rows = [self.vector(row, f"{path}[{m}]", 2) for m, row in enumerate(node)]
+        return None if None in rows else np.asarray(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +335,7 @@ def _parse_profile(w: _Walk, node: Any, path: str) -> WeightProfile | None:
         return None
     if kind is None or rng is None:
         return None
-    try:
-        return WeightProfile(kind, rng, decay)
-    except ValueError as exc:
-        w.err(path, str(exc))
-        return None
+    return w.make(path, WeightProfile, kind, rng, decay)
 
 
 def _parse_agents(
@@ -323,8 +344,7 @@ def _parse_agents(
     ids: list[str] = []
     agent_layers: list[str] = []
     positions: list[tuple[float, ...] | None] = []
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        w.err("agents", "expected a list of agents")
+    if (node := w.items(node, "agents", "a list of agents")) is None:
         return ids, agent_layers, None
 
     def after(path: str, key: str, value: Any) -> None:
@@ -357,20 +377,13 @@ def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
     got = w.block(node, "control", _CONTROL_FIELDS)
     if got is None or None in got.values():
         return None
-    try:
-        return ControlOptions(RemovalBudget(got.pop("anticipated_budget")), **got)
-    except ValueError as exc:
-        w.err("control", str(exc))
-        return None
+    return w.make("control", ControlOptions, RemovalBudget(got.pop("anticipated_budget")), **got)
 
 
 def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
     from .simulator import JamEvent, SpoofEvent
 
-    if node is None:
-        return ()
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        w.err("events", "expected a list of events")
+    if node is None or (node := w.items(node, "events", "a list of events")) is None:
         return ()
     events = []
     for k, entry in enumerate(node):
@@ -422,21 +435,13 @@ def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
         return BaselineSpec()
     if kwargs.get("policy") == "fixed" and kwargs.get("value") is None:
         w.err("baseline.value", "required when policy is fixed")
-        return BaselineSpec()
-    if None in kwargs.values():
-        return BaselineSpec()
-    try:
-        return BaselineSpec(**kwargs)
-    except ValueError as exc:
-        w.err("baseline", str(exc))
-        return BaselineSpec()
+    elif None not in kwargs.values():
+        return w.make("baseline", BaselineSpec, **kwargs) or BaselineSpec()
+    return BaselineSpec()
 
 
 def _parse_schedule(w: _Walk, node: Any, steps: int) -> tuple[tuple[int, int], ...]:
-    if node is None:
-        return ()
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        w.err("budget_schedule", "expected a list of entries")
+    if node is None or (node := w.items(node, "budget_schedule", "a list of entries")) is None:
         return ()
     entries = []
     prev = -1
@@ -579,41 +584,16 @@ class GNEProblem:
     p0: float = 0.5
 
 
-def _parse_table(w: _Walk, node: Any, path: str) -> np.ndarray | None:
-    """A 2x2 [message][trust, reject] utility table for one sender type."""
-    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
-        w.err(path, "expected a 2x2 table [[trust, reject], [trust, reject]]")
-        return None
-    if len(node) != 2:
-        w.err(path, f"expected 2 message rows, got {len(node)}")
-        return None
-    rows = []
-    for m, row in enumerate(node):
-        vec = w.vector(row, f"{path}[{m}]", 2)
-        if vec is None:
-            return None
-        rows.append(vec)
-    return np.asarray(rows, dtype=float)
-
-
 def _parse_typed_tables(w: _Walk, node: Any, path: str) -> np.ndarray | None:
-    data = w.mapping(node, path)
-    if data is None:
+    """The (type, message, action) array of both sender types' tables."""
+    got = w.block(node, path, _TYPED_TABLES)
+    if got is None or any(t is None for t in got.values()):
         return None
-    w.reject_unknown(data, ("attacker", "defender"), path)
-    tables = []
-    for key in ("attacker", "defender"):
-        if key not in data:
-            w.err(f"{path}.{key}", "required field missing")
-            return None
-        tbl = _parse_table(w, data[key], f"{path}.{key}")
-        if tbl is None:
-            return None
-        tables.append(tbl)
-    return np.stack(tables)
+    return np.stack(list(got.values()))
 
 
 _GNE_FIELDS = dict.fromkeys(("costs", "sender_utils", "receiver_utils", "plant", "solver"), _NODE)
+_TYPED_TABLES = dict.fromkeys(("attacker", "defender"), dict(required=True, check="table"))
 _COSTS_FIELDS = {
     "attack": dict(required=True, exclusive_min=0.0),
     "defense": dict(required=True, exclusive_min=0.0),
@@ -668,10 +648,7 @@ def gne_from_dict(data: Any) -> GNEProblem:
     else:
         got = w.block(top["plant"], "plant", _PLANT_FIELDS)
         if got is not None and None not in got.values():
-            try:
-                receiver = physical_utilities(PlantSpec(**got))
-            except ValueError as exc:
-                w.err("plant", str(exc))
+            receiver = w.make("plant", lambda: physical_utilities(PlantSpec(**got)))
 
     solver = w.block(top["solver"], "solver", _SOLVER_FIELDS) if "solver" in top else {}
 
@@ -779,15 +756,17 @@ def trace_record(t: StepTrace) -> dict:
     }
 
 
+def _write(what: str, path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; a failure names ``what`` and the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def emit_trace(trace: Sequence[StepTrace], path: str | Path) -> None:
     """Write one JSON record per step; an empty trace gives an empty file."""
-    try:
-        with open(path, "w") as fh:
-            for t in trace:
-                fh.write(dumps_canonical(trace_record(t)))
-                fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trace {path}: {exc}") from exc
+    _write("trace", path, "".join(dumps_canonical(trace_record(t)) + "\n" for t in trace))
 
 
 def parse_trace(path: str | Path) -> list[StepTrace]:
@@ -828,10 +807,7 @@ def parse_trace(path: str | Path) -> list[StepTrace]:
 
 
 def emit_report(report: ResilienceReport, path: str | Path) -> None:
-    try:
-        Path(path).write_text(dumps_canonical(asdict(report)) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write report {path}: {exc}") from exc
+    _write("report", path, dumps_canonical(asdict(report)) + "\n")
 
 
 def gne_record(state: GNEState) -> dict:
@@ -883,7 +859,4 @@ class RunManifest:
 
 
 def emit_manifest(manifest: RunManifest, path: str | Path) -> None:
-    try:
-        Path(path).write_text(dumps_canonical(asdict(manifest)) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write manifest {path}: {exc}") from exc
+    _write("manifest", path, dumps_canonical(asdict(manifest)) + "\n")

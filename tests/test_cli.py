@@ -411,6 +411,36 @@ def test_plan_follows_budget_schedule(tmp_path, capsys):
     assert second["worst_removal"] == []  # step 1 plans for budget 0
 
 
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_plan_rejects_fewer_than_one_step(scenario_file, steps, capsys):
+    assert main(["plan", str(scenario_file), "--steps", steps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --steps: must be an integer >= 1, got '{steps}'" in err
+
+
+@pytest.mark.parametrize(
+    "command, name, what",
+    [
+        ("simulate", "trace.jsonl", "trace"),
+        ("simulate", "resilience.json", "report"),
+        ("simulate", "manifest.json", "manifest"),
+        ("gne", "gne.json", "result"),
+        ("gne", "manifest.json", "manifest"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_1_naming_it(
+    command, name, what, scenario_file, gne_file, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory stands where the file goes
+    doc = scenario_file if command == "simulate" else gne_file
+    assert main([command, str(doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {what} {out / name}: "), err
+    assert err.count("\n") == 1
+
+
 def test_gne_solves_and_writes_outputs(gne_file, tmp_path):
     out = tmp_path / "g"
     assert main(["gne", str(gne_file), "--out", str(out)]) == 0

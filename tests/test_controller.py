@@ -47,7 +47,6 @@ from resilnet.controller import (
     _evaluate,
     _improves,
     _pair_distances,
-    _project_motion,
     _push_apart,
     _slice_profile,
 )
@@ -65,29 +64,37 @@ def worst_lambda2(positions, profile, m):
     return worst_case_removal(g, RemovalBudget(min(m, g.edge_count))).lambda2_after
 
 
-def test_project_motion_noop_inside_ball():
-    cur = np.zeros((3, 2))
-    prop = np.array([[0.1, 0.0], [0.0, -0.2], [0.3, 0.3]])
-    np.testing.assert_array_equal(controller._project_motion(cur, prop, 0.5), prop)
-
-
-def test_project_motion_clips_per_agent():
-    cur = np.zeros((2, 2))
-    prop = np.array([[3.0, 4.0], [0.1, 0.0]])
-    out = controller._project_motion(cur, prop, 1.0)
-    assert np.linalg.norm(out[0]) == pytest.approx(1.0)
-    np.testing.assert_allclose(out[0], [0.6, 0.8])
-    np.testing.assert_array_equal(out[1], prop[1])
-
-
 def reference_project_motion(cur, prop, delta):
-    """Per-agent loop."""
+    """Pull each proposed position back into the delta-ball of its origin:
+    a per-agent loop."""
     out = prop.copy()
     step = prop - cur
     for i, s in enumerate(np.linalg.norm(step, axis=1)):
         if s > delta:
             out[i] = cur[i] + step[i] * (delta / s)
     return out
+
+
+def project_motion(cur, prop, delta):
+    """``_clip``'s positions, checked bit for bit against the loop."""
+    out = controller._clip(cur, prop, delta)[0]
+    assert np.array_equal(out, reference_project_motion(cur, prop, delta))
+    return out
+
+
+def test_project_motion_noop_inside_ball():
+    cur = np.zeros((3, 2))
+    prop = np.array([[0.1, 0.0], [0.0, -0.2], [0.3, 0.3]])
+    np.testing.assert_array_equal(project_motion(cur, prop, 0.5), prop)
+
+
+def test_project_motion_clips_per_agent():
+    cur = np.zeros((2, 2))
+    prop = np.array([[3.0, 4.0], [0.1, 0.0]])
+    out = project_motion(cur, prop, 1.0)
+    assert np.linalg.norm(out[0]) == pytest.approx(1.0)
+    np.testing.assert_allclose(out[0], [0.6, 0.8])
+    np.testing.assert_array_equal(out[1], prop[1])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -103,14 +110,13 @@ def test_project_motion_matches_loop_reference(dim):
         if case % 5 == 0:
             # one agent moves by delta, up to rounding: the edge of the ball
             prop[0] = cur[0] + np.eye(dim)[0] * delta
-        out = controller._project_motion(cur, prop, delta)
-        assert np.array_equal(out, reference_project_motion(cur, prop, delta))
+        project_motion(cur, prop, delta)
 
 
 def test_project_motion_unbounded():
     cur = np.zeros((2, 2))
     prop = np.array([[10.0, 0.0], [0.0, 10.0]])
-    np.testing.assert_array_equal(controller._project_motion(cur, prop, np.inf), prop)
+    np.testing.assert_array_equal(project_motion(cur, prop, np.inf), prop)
 
 
 def test_plan_never_violates_motion_bound():
@@ -463,7 +469,7 @@ def reference_two_hop_neighborhoods(g):
 
 def reference_enforce(origin, proposal, delta, d_min):
     """Project into the motion ball, push pairs apart, check both limits."""
-    adjusted = _project_motion(origin, proposal, delta)
+    adjusted = reference_project_motion(origin, proposal, delta)
     if d_min > 0:
         _push_apart(adjusted, d_min)
     if not math.isinf(delta):
@@ -532,7 +538,7 @@ def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
             for _ in range(_MAX_BACKTRACKS):
                 trial = local.copy()
                 moved = snapshot[i] + eta * unit
-                trial[loc] = _project_motion(
+                trial[loc] = reference_project_motion(
                     pos[i][None, :], moved[None, :], opts.motion_bound
                 )[0]
                 ev2 = _evaluate(build_proximity_graph(trial, sub_profile), m)
@@ -847,7 +853,7 @@ def test_certificate_store_keeps_its_newest_rows(monkeypatch):
 def head_enforce(origin, proposal, delta, d_min):
     """``_enforce`` with every check run, as it was before it skipped the
     checks that must pass: the positions, or None."""
-    adjusted = _project_motion(origin, proposal, delta)
+    adjusted = reference_project_motion(origin, proposal, delta)
     if d_min > 0:
         dist = _push_apart(adjusted, d_min)
     if not math.isinf(delta):

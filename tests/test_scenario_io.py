@@ -614,6 +614,23 @@ def test_manifest_round_trip(tmp_path):
     assert back == manifest
 
 
+@pytest.mark.parametrize(
+    "what, emit, value",
+    [
+        ("trace", emit_trace, []),
+        ("report", emit_report, ResilienceReport(1.0, 0, 0.0, 1.0, 0, True, 0.0, 0.9)),
+        ("manifest", emit_manifest, RunManifest("0.1.0", "ab" * 32, 7, {})),
+    ],
+)
+def test_a_failed_write_names_the_output_and_its_path(what, emit, value, tmp_path):
+    path = tmp_path / "taken"
+    path.mkdir()  # a directory stands where the file goes
+    with pytest.raises(OSError) as exc:
+        emit(value, path)
+    assert str(exc.value).startswith(f"cannot write {what} {path}: ")
+    assert isinstance(exc.value.__cause__, IsADirectoryError)
+
+
 def test_broken_trace_line_reports_line_number(tmp_path):
     trace = scenario_trace()
     good = dumps_canonical(trace_record(trace[0]))
@@ -712,6 +729,45 @@ def test_gne_problem_validates_shapes_and_costs():
     errs = exc.value.errors
     assert any("sender_utils.attacker" in e for e in errs)
     assert any("costs.attack" in e for e in errs)
+
+
+@pytest.mark.parametrize(
+    "key, tables, errors",
+    [
+        # both types' tables are checked, not just the first that fails
+        (
+            "sender_utils",
+            {"attacker": [[1, "x"], [1, 2]], "defender": [[1], [1, 2]]},
+            [
+                "sender_utils.attacker[0][1]: expected a number",
+                "sender_utils.defender[0]: expected 2 numbers, got 1",
+            ],
+        ),
+        (
+            "receiver_utils",
+            {},
+            [
+                "receiver_utils.attacker: required field missing",
+                "receiver_utils.defender: required field missing",
+            ],
+        ),
+        # and both message rows of one table
+        (
+            "sender_utils",
+            {"attacker": [[1, "x"], [1]], "defender": [[1, 0], [1, 2]]},
+            [
+                "sender_utils.attacker[0][1]: expected a number",
+                "sender_utils.attacker[1]: expected 2 numbers, got 1",
+            ],
+        ),
+    ],
+    ids=["both-types", "both-missing", "both-rows"],
+)
+def test_typed_tables_report_every_error_in_field_order(key, tables, errors):
+    data = deep(GNE_MINIMAL, **{key: tables})
+    with pytest.raises(ConfigError) as exc:
+        gne_from_dict(data)
+    assert list(exc.value.errors) == errors
 
 
 # every block of both schemas: its table, a valid document holding it, and
