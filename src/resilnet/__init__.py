@@ -15,61 +15,39 @@ communication links and spoofs position reports.  It provides:
 - YAML scenario parsing, canonical JSON output, trace parsing, and the
   ``resilnet`` command line (:mod:`resilnet.scenario_io`, :mod:`resilnet.cli`).
 
-Every module's exports are package attributes.  Those of the four network
-modules (graph, adversary, controller, simulator) load their module on
-first use, and so does parsing a scenario or a trace: game-only work, in
-the library or the ``resilnet`` command, never imports them.
+Every module's exports, as its ``__all__`` lists them, are package
+attributes, and each loads its module on first use: importing the package
+loads no module.  Game-only work, in the library or the ``resilnet``
+command, never imports the network modules (graph, adversary, controller,
+simulator), and scenario work never imports the game module.
 """
 
 __version__ = "0.1.0"
 
 import importlib
 
-from . import gne, scenario_io
-from .gne import *
-from .scenario_io import *
+# __all__ lists the exports in this order
+_MODULES = ("graph_core", "adversary", "controller", "simulator", "gne", "scenario_io")
+# and a name is looked for in this one: the file modules, then the network ones
+_SEARCH = ("scenario_io", "gne", *_MODULES[:4])
 
-# The network modules' exports, as each module's __all__ lists them; a test
-# holds the two equal.  They resolve in __getattr__, without a cache, so a
-# name rebound in its home module reads the same here.
-_NETWORK_EXPORTS = {
-    "graph_core": (
-        "BINARY", "SMOOTH", "WeightProfile", "LayerProfiles", "WeightedGraph",
-        "SpectralResult", "GradientResult", "SpectralError", "build_proximity_graph",
-        "laplacian", "algebraic_connectivity", "connectivity_gradient", "remove_links",
-    ),
-    "adversary": (
-        "RemovalBudget", "WorstCaseResult", "SUBSET_CAP", "worst_case_removal",
-        "edge_impact_scores",
-    ),
-    "controller": (
-        "CENTRALIZED", "DECENTRALIZED", "ControlOptions", "PlanResult", "plan_step",
-        "plan_step_decentralized",
-    ),
-    "simulator": (
-        "JamEvent", "SpoofEvent", "AttackEvent", "BaselineSpec", "RandomLayout",
-        "ScenarioConfig", "StepTrace", "ResilienceReport", "initial_positions",
-        "planning_profile", "run_scenario", "compute_resilience_metrics",
-    ),
-}
-_HOME = {name: module for module, names in _NETWORK_EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    *_HOME,
-    *gne.__all__,
-    *scenario_io.__all__,
-]
+def _load(module: str):
+    return importlib.import_module(f"{__name__}.{module}")
 
 
 def __getattr__(name: str):
-    # only known names: ``from resilnet import cli`` asks for "cli" first
-    if name in _NETWORK_EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    # without a cache, so that a name rebound in its home module reads the same here
+    if name == "__all__":
+        return ["__version__", *(n for module in _MODULES for n in _load(module).__all__)]
+    if not name.startswith("_"):
+        if name == "cli" or name in _MODULES:
+            return _load(name)
+        for module in _SEARCH:
+            if name in (home := _load(module)).__all__:
+                return getattr(home, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_NETWORK_EXPORTS, *_HOME})
+    return sorted({*globals(), *__getattr__("__all__"), "cli", *_MODULES})

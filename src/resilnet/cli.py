@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .gne import gne_solve
 from .scenario_io import (
     ConfigError,
     RunManifest,
@@ -37,8 +36,8 @@ from .scenario_io import (
     _write,
 )
 
-# The handlers import the network modules they use, so that a game command
-# loads none of them.
+# The handlers import the game and network modules they use, so that a game
+# command loads no network module and a scenario command no game module.
 if TYPE_CHECKING:
     from .simulator import BaselineSpec, ScenarioConfig
 
@@ -108,6 +107,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_gne(args: argparse.Namespace) -> int:
+    from .gne import gne_solve
+
     raw = _load_yaml(args.params)
     prob = gne_from_dict(raw)
     digest = config_hash(raw)

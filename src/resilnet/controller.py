@@ -27,7 +27,6 @@ from .graph_core import (
     LayerProfiles,
     WeightProfile,
     WeightedGraph,
-    _distances,
     _graph_from_distances,
     _pair_distances,
     as_positions,
@@ -140,21 +139,10 @@ def _push_apart(points: np.ndarray, d_min: float) -> np.ndarray:
 
     Each sweep visits the pairs i < j in lexicographic order and judges each
     on the positions the moves before it left.  A whole-team distance scan
-    stands in for the per-pair norms (same bits); after each move only the
-    distances from the two moved agents are computed again, and the sweep
-    jumps to the next close pair.  So the distances returned have the bits
-    of a fresh scan.
+    stands in for the per-pair norms (same bits); it runs again after each
+    move, and the sweep jumps to the next close pair.
     """
     i, j, dist = _pair_distances(points)
-    if np.all(dist >= d_min - 1e-12):
-        return dist
-    agents = np.arange(len(points))
-    # slot[p, q] is where dist holds pair (p, q), either way round; the
-    # diagonal points at a spare entry past the end of dist
-    slot = np.full((len(agents), len(agents)), len(dist))
-    slot[i, j] = slot[j, i] = np.arange(len(dist))
-    store = np.append(dist, 0.0)
-    dist = store[:-1]
     for _ in range(_PUSH_SWEEPS):
         k, moved = 0, False
         # ~(>=) rather than <: a NaN distance is close and moves like any other
@@ -174,9 +162,7 @@ def _push_apart(points: np.ndarray, d_min: float) -> np.ndarray:
             points[b] = [x - t for x, t in zip(pb, step)]
             moved = True
             k += 1
-            # p - q is -(q - p) exactly, so either order gives the same bits
-            ends = np.array([[a], [b]])
-            store[slot[ends[:, 0]]] = _distances(points, ends, agents)
+            dist = _pair_distances(points)[2]
         if not moved:
             break
     return dist

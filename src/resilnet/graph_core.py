@@ -182,7 +182,7 @@ class GradientResult:
     exact: bool = True
 
 
-def as_positions(positions, dimension: int | None = None) -> np.ndarray:
+def as_positions(positions) -> np.ndarray:
     """Validate and convert to an (n, d) float array, d in {2, 3}."""
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
@@ -190,8 +190,6 @@ def as_positions(positions, dimension: int | None = None) -> np.ndarray:
     n, d = pos.shape
     if d not in (2, 3):
         raise ValueError(f"positions must live in 2 or 3 dimensions, got {d}")
-    if dimension is not None and d != dimension:
-        raise ValueError(f"expected dimension {dimension}, got {d}")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
     return pos
@@ -207,21 +205,15 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, pairs
 
 
-def _distances(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Euclidean distance between the agents of ``i`` and ``j``, which
-    broadcast against each other.
+def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair i < j in lexicographic order, and its Euclidean distance.
 
     The stacked row dot is the same BLAS dot ``np.linalg.norm`` takes for
     one vector, so each distance keeps the bits of the per-pair norm.
     """
-    diff = pos[i] - pos[j]
-    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-
-
-def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair i < j in lexicographic order, and its Euclidean distance."""
     i, j, _ = _upper_pairs(len(pos))
-    return i, j, _distances(pos, i, j)
+    diff = pos[i] - pos[j]
+    return i, j, np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
 def _link_rule(

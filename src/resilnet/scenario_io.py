@@ -6,8 +6,8 @@ path, instead of stopping at the first.  Traces are line-delimited JSON
 records and reports are single JSON documents, all written by one writer
 that names the output it could not write; numbers are written with 17
 significant digits so that parse(emit(x)) == x bit for bit and reruns are
-byte-identical.  Game files need only :mod:`resilnet.gne`; the network
-modules are imported where a scenario or a trace is parsed.
+byte-identical.  Each parser imports the modules its document needs: a game
+file :mod:`resilnet.gne`, a scenario or a trace the network modules.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import yaml
 
-from .gne import GNECosts, GNEState, PlantSpec, _cost_errors, physical_utilities
-
 if TYPE_CHECKING:
     from .controller import ControlOptions, PlanResult
+    from .gne import GNECosts, GNEState
     from .graph_core import WeightedGraph, WeightProfile
     from .simulator import BaselineSpec, RandomLayout, ResilienceReport, ScenarioConfig, StepTrace
 
@@ -81,7 +80,7 @@ class _Walk:
     def mapping(self, node: Any, path: str) -> dict | None:
         if isinstance(node, Mapping):
             return dict(node)
-        self.err(path, f"expected a mapping, got {type(node).__name__}")
+        self.err(path or "document", f"expected a mapping, got {type(node).__name__}")
         return None
 
     def items(self, node: Any, path: str, expected: str) -> Sequence | None:
@@ -492,6 +491,8 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
             if not layered:
                 w.err("profiles", "must not be empty")
             for name, node in layered.items():
+                if not isinstance(name, str):
+                    w.err(f"profiles.{name}", f"expected a string name, got {type(name).__name__}")
                 prof = _parse_profile(w, node, f"profiles.{name}")
                 if prof is not None:
                     profiles[str(name)] = prof
@@ -618,6 +619,8 @@ _SOLVER_FIELDS = {
 
 def gne_from_dict(data: Any) -> GNEProblem:
     """Validate a deserialized coupled-game document."""
+    from .gne import GNECosts, PlantSpec, _cost_errors, physical_utilities
+
     w = _Walk()
     top = w.block(data, "", _GNE_FIELDS)
     if top is None:

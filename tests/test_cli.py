@@ -119,8 +119,21 @@ JAM_AT_0 = [{"type": "jam", "budget": 1, "start": 0, "end": 2}]
             },
             "profiles: all layer profiles must share one kind",
         ),
+        (
+            # the agents' layer "1" names it; once accepted, then simulate
+            # failed with exit 2 on the config digest's non-string key
+            {
+                **{k: v for k, v in SCENARIO.items() if k not in ("profile", "agents")},
+                "profiles": {1: {"kind": "binary", "range": 1.6}},
+                "agents": [dict(agent, layer="1") for agent in SCENARIO["agents"]],
+            },
+            "profiles.1: expected a string name, got int",
+        ),
     ],
-    ids=["min_separation", "coincident", "pre_event_onset_0", "range_overflow", "mixed_kinds"],
+    ids=[
+        "min_separation", "coincident", "pre_event_onset_0", "range_overflow", "mixed_kinds",
+        "layer_name_not_a_string",
+    ],
 )
 def test_validate_rejects_what_simulate_rejects(data, error, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -219,6 +232,15 @@ def test_validate_picks_the_schema_that_shares_more_fields(tmp_path, capsys):
         path.write_text(yaml.safe_dump(data))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
+
+
+@pytest.mark.parametrize("text, kind", [("", "NoneType"), ("- 1\n", "list")])
+def test_a_document_that_is_not_a_mapping_is_named(text, kind, tmp_path, capsys):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    for command in ("validate", "simulate", "gne"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: document: expected a mapping, got {kind}\n"
 
 
 def test_missing_file_exits_1(capsys):

@@ -88,7 +88,7 @@ def test_star_import_binds_every_export_and_dir_lists_it():
         assert namespace[name] is getattr(resilnet, name), name
     assert set(resilnet.__all__) | set(NETWORK) <= set(dir(resilnet))
     with pytest.raises(AttributeError):
-        resilnet.cli_main  # not an export, so no module is searched for it
+        resilnet.cli_main  # every module is searched, and none exports it
 
 
 def test_metrics_help_shows_the_baseline_default(capsys):
@@ -98,11 +98,12 @@ def test_metrics_help_shows_the_baseline_default(capsys):
     assert "(default 0.9)" in help_text
 
 
-def network_modules_loaded(script: str, *args) -> list[str]:
-    """The network modules a fresh interpreter holds after running ``script``."""
+def network_modules_loaded(script: str, *args, modules=NETWORK) -> list[str]:
+    """Those of ``modules`` that a fresh interpreter holds after running
+    ``script``."""
     script += (
         "\nimport json, sys"
-        f"\nprint(json.dumps([m for m in {NETWORK!r} if 'resilnet.' + m in sys.modules]))"
+        f"\nprint(json.dumps([m for m in {modules!r} if 'resilnet.' + m in sys.modules]))"
     )
     paths = [str(Path(resilnet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -138,3 +139,21 @@ from resilnet import scenario_io
 scenario_io.parse_scenario(sys.argv[1])
 """
     assert network_modules_loaded(script, scenario) == NETWORK
+
+
+def test_importing_the_package_loads_no_module():
+    assert network_modules_loaded("import resilnet", modules=[*MODULES, "cli"]) == []
+
+
+def test_scenario_work_imports_no_game_module(tmp_path):
+    scenario, _ = readme_yaml_files(tmp_path)
+    script = """
+import sys
+from resilnet import cli, scenario_io
+scenario, out = sys.argv[1:]
+scenario_io.parse_scenario(scenario)
+assert cli.main(["validate", scenario]) == 0
+assert cli.main(["simulate", scenario, "--out", out]) == 0
+assert cli.main(["plan", scenario, "--steps", "2"]) == 0
+"""
+    assert network_modules_loaded(script, scenario, tmp_path / "sim", modules=["gne"]) == []
