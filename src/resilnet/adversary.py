@@ -2,9 +2,9 @@
 
 The jammer removes up to ``m`` links so as to minimize the network's
 algebraic connectivity.  Small instances are solved exactly by subset
-enumeration; larger ones fall back to a greedy heuristic driven by Fiedler
-edge impact scores.  Position spoofing is a scenario event, applied by the
-simulator (:class:`resilnet.simulator.SpoofEvent`).
+enumeration; larger ones fall back to a greedy heuristic that cuts the link
+of largest Fiedler impact, one at a time.  Position spoofing is a scenario
+event, applied by the simulator (:class:`resilnet.simulator.SpoofEvent`).
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ __all__ = [
     "WorstCaseResult",
     "SUBSET_CAP",
     "worst_case_removal",
-    "edge_impact_scores",
 ]
 
-# Exhaustive search is used while C(edge_count, m) stays below this.
+# ``auto`` searches exhaustively while the subsets it scans number at most this.
 SUBSET_CAP = 50_000
 
 # New candidates must undercut the incumbent by more than this, so exact ties
@@ -93,8 +92,9 @@ def worst_case_removal(
         g: the graph under attack.
         budget: at most ``budget.m`` edges removed; must not exceed the edge
             count.
-        mode: ``"exhaustive"``, ``"greedy"``, or ``"auto"`` (exhaustive while
-            the count of subsets of 1..m edges stays within ``SUBSET_CAP``).
+        mode: ``"exhaustive"``, ``"greedy"``, or ``"auto"``: exhaustive
+            while the subsets it scans (below) number at most
+            ``SUBSET_CAP``, greedy beyond.
 
     Returns:
         :class:`WorstCaseResult`.  Ties in the exhaustive search are broken
@@ -110,10 +110,6 @@ def worst_case_removal(
     if m == 0:
         start = algebraic_connectivity(g)
         return WorstCaseResult((), start.lambda2, True, start, start)
-    if mode == "auto":
-        mode = "exhaustive" if _within_cap(n_edges, m) else "greedy"
-    if mode == "greedy":
-        return _greedy(g, m)
     # No subset larger than the minimum degree delta is scanned.  Removing
     # all delta links of an agent of least degree isolates it, so a subset
     # of at most max(delta, 1) edges has lambda2 = 0, and its eigensolve
@@ -124,15 +120,18 @@ def worst_case_removal(
     # budget.  A guarded subset larger than delta, whose eigensolve would
     # only have checked for a negative lambda2, is then never solved.
     cut = min(m, max(int(np.bincount(g.edges.ravel(), minlength=g.n).min()), 1))
+    if mode == "greedy" or (mode == "auto" and not _within_cap(n_edges, cut)):
+        return _greedy(g, m)
     result = _exhaustive(g, cut)
     if result.lambda2_after > _TIE_TOL and cut < m:
+        if mode == "auto" and not _within_cap(n_edges, m):
+            return _greedy(g, m)
         result = _exhaustive(g, m)
     return result
 
 
 def _within_cap(n_edges: int, m: int) -> bool:
-    """``auto``'s rule: search exhaustively while the subsets of 1..m edges
-    number at most ``SUBSET_CAP``."""
+    """Whether the subsets of 1..m edges number at most ``SUBSET_CAP``."""
     return sum(math.comb(n_edges, s) for s in range(1, m + 1)) <= SUBSET_CAP
 
 
@@ -154,7 +153,9 @@ def _certified_below(
     more than ``_TIE_TOL``:
 
     - It holds only where ``auto`` searches exhaustively; a greedy result is
-      not bounded by any one subset's lambda2.
+      not bounded by any one subset's lambda2.  Within the cap at b,
+      ``auto`` scans the cut and any rerun at b, so it is exhaustive there;
+      past it, only where the cut reaches 0, which the guard leaves alone.
     - The exhaustive search keeps a candidate only when it undercuts the
       incumbent by more than ``_TIE_TOL``, so its result is at most
       lambda2_ref(S) + ``_TIE_TOL`` for every subset S it scans.  Where the
@@ -363,6 +364,8 @@ def _below(z: np.ndarray, lam: np.ndarray, x: float, rows: np.ndarray) -> np.nda
 
 
 def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:
+    """Remove, one at a time, the link of largest impact w_ij (v_i - v_j)^2 on
+    the Fiedler vector v, whose loss lowers lambda2 most to first order."""
     current = g
     original = list(range(len(g.edges)))
     removed: list[int] = []
@@ -370,21 +373,10 @@ def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:
     for _ in range(m):
         if spectral.lambda2 <= 0.0:
             break  # already disconnected; extra removals gain nothing
+        dv = spectral.fiedler[current.edges[:, 0]] - spectral.fiedler[current.edges[:, 1]]
         # argmax takes the first index on a tie
-        k = int(np.argmax(edge_impact_scores(current, spectral)))
+        k = int(np.argmax(current.weights * (dv * dv)))
         removed.append(original.pop(k))
         current = remove_links(current, (k,))
         spectral = algebraic_connectivity(current)
     return WorstCaseResult(tuple(sorted(removed)), spectral.lambda2, False, start, spectral)
-
-
-def edge_impact_scores(g: WeightedGraph, spectral: SpectralResult) -> np.ndarray:
-    """Per-edge contribution w_ij * (v_i - v_j)^2 to lambda2, in edge order.
-
-    With a unit Fiedler vector the scores sum to lambda2 (Rayleigh quotient),
-    so a high score marks a link whose loss hurts connectivity most, to first
-    order.  Invariant under the sign flip of the eigenvector.
-    """
-    dv = spectral.fiedler[g.edges[:, 0]] - spectral.fiedler[g.edges[:, 1]]
-    return g.weights * (dv * dv)
-

@@ -32,7 +32,9 @@ from .scenario_io import (
     scenario_from_dict,
     _GNE_FIELDS,
     _SCENARIO_FIELDS,
+    _Walk,
     _load_yaml,
+    _parse_baseline,
     _write,
 )
 
@@ -143,17 +145,20 @@ def _step_count(text: str) -> int:
 
 
 def _parse_baseline_flags(text: str, recovery_fraction: float) -> BaselineSpec:
-    from .simulator import BaselineSpec
-
-    if text == "pre_event":
-        return BaselineSpec(recovery_fraction=recovery_fraction)
+    """The two flags as a scenario's ``baseline:`` block, checked by its rules."""
+    node = {"policy": "pre_event", "recovery_fraction": recovery_fraction}
     if text.startswith("fixed:"):
         try:
-            value = float(text.split(":", 1)[1])
+            node.update(policy="fixed", value=float(text.split(":", 1)[1]))
         except ValueError as exc:
             raise ConfigError([f"baseline: bad fixed value in {text!r}"]) from exc
-        return BaselineSpec("fixed", value, recovery_fraction=recovery_fraction)
-    raise ConfigError([f"baseline: expected 'pre_event' or 'fixed:<value>', got {text!r}"])
+    elif text != "pre_event":
+        raise ConfigError([f"baseline: expected 'pre_event' or 'fixed:<value>', got {text!r}"])
+    w = _Walk()
+    baseline = _parse_baseline(w, node)
+    if w.errors:
+        raise ConfigError(w.errors)
+    return baseline
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

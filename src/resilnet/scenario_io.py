@@ -40,7 +40,6 @@ __all__ = [
     "gne_from_dict",
     "dumps_canonical",
     "config_hash",
-    "trace_record",
     "emit_trace",
     "parse_trace",
     "emit_report",
@@ -183,8 +182,10 @@ class _Walk:
             return None
         return value
 
-    def vector(self, node: Any, path: str, dim: int | None = None) -> tuple[float, ...] | None:
-        """``dim`` numbers; the scenario's dimension by default."""
+    def vector(
+        self, node: Any, path: str, dim: int | None = None, bound: float = math.inf
+    ) -> tuple[float, ...] | None:
+        """``dim`` numbers within +-``bound``; the scenario's dimension by default."""
         dim = self.dim if dim is None else dim
         if (node := self.items(node, path, f"a list of {dim} numbers")) is None:
             return None
@@ -198,6 +199,9 @@ class _Walk:
                 return None
             if isinstance(v, float) and not math.isfinite(v):
                 self.err(f"{path}[{k}]", f"must be finite, got {v}")
+                return None
+            if abs(v) > bound:
+                self.err(f"{path}[{k}]", f"magnitude must be <= {bound}, got {v}")
                 return None
             vals.append(float(v))
         return tuple(vals)
@@ -263,6 +267,9 @@ class _Walk:
 _RULE_KEYS = ("check", "required", "default")
 _DEFAULT_LAYER = "default"
 _NODE = dict(check="node")  # a block or list that its own parser checks
+# within an eighth of sqrt(float max), so that a reported position, a position
+# plus an offset, and the squared distance of two stay finite
+_COORDINATE = dict(check="vector", bound=math.sqrt(sys.float_info.max) / 8)
 _SCENARIO_FIELDS = {
     "dimension": dict(required=True, integer=True, minimum=2, maximum=3),
     "steps": dict(required=True, integer=True, minimum=1),
@@ -282,7 +289,7 @@ _PROFILE_FIELDS = {
 _AGENT_FIELDS = {
     "id": dict(required=True, check="string"),
     "layer": dict(default=_DEFAULT_LAYER, check="string"),
-    "position": dict(check="vector"),
+    "position": _COORDINATE,
 }
 _CONTROL_FIELDS = {
     "anticipated_budget": dict(required=True, integer=True, minimum=0),
@@ -303,13 +310,13 @@ _JAM_FIELDS = {
 _SPOOF_FIELDS = {
     **_EVENT_TYPE,
     "targets": dict(required=True, check="agent_ids"),
-    "offset": dict(required=True, check="vector"),
+    "offset": dict(_COORDINATE, required=True),
     "start": dict(required=True, integer=True, minimum=0),
     "duration": dict(required=True, integer=True, minimum=1),
 }
 _LAYOUT_FIELDS = {
-    "low": dict(required=True, check="vector"),
-    "high": dict(required=True, check="vector"),
+    "low": dict(_COORDINATE, required=True),
+    "high": dict(_COORDINATE, required=True),
 }
 _BASELINE_FIELDS = {
     "policy": dict(check="string", choices=("pre_event", "fixed")),
@@ -432,7 +439,7 @@ def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
 
     if node is None or (kwargs := w.block(node, "baseline", _BASELINE_FIELDS)) is None:
         return BaselineSpec()
-    if kwargs.get("policy") == "fixed" and kwargs.get("value") is None:
+    if kwargs.get("policy") == "fixed" and "value" not in kwargs:
         w.err("baseline.value", "required when policy is fixed")
     elif None not in kwargs.values():
         return w.make("baseline", BaselineSpec, **kwargs) or BaselineSpec()
@@ -670,70 +677,69 @@ def parse_gne(path: str | Path) -> GNEProblem:
 # ---------------------------------------------------------------------------
 
 
-def _float_repr(x: float, allow_inf: bool) -> str:
-    if allow_inf and math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite number in canonical output")
-    text = format(x, ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"  # keep the JSON type float on re-parse
-    return text
-
-
-def _write_canonical(obj: Any, parts: list[str], sort_keys: bool, allow_inf: bool) -> None:
-    if obj is None:
+def _write_canonical(obj: Any, parts: list[str], hashing: bool) -> None:
+    """Append ``obj``'s text to ``parts``, as :func:`config_hash` if ``hashing``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # Python values all the way down
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            text = format(obj, ".17g")
+            # a float keeps its JSON type on re-parse
+            parts.append(text if "." in text or "e" in text else text + ".0")
+        elif hashing and math.isinf(obj):
+            parts.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            raise ValueError("non-finite number in canonical output")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                parts.append(",")
+            _write_canonical(item, parts, hashing)
+        parts.append("]")
+    elif obj is None:
         parts.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_float_repr(float(obj), allow_inf))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _write_canonical(obj.tolist(), parts, sort_keys, allow_inf)
     elif isinstance(obj, Mapping):
         parts.append("{")
-        keys = sorted(obj) if sort_keys else list(obj)
-        for k, key in enumerate(keys):
+        for k, key in enumerate(sorted(obj) if hashing else obj):
             if not isinstance(key, str):
                 raise TypeError(f"non-string key {key!r}")
             if k:
                 parts.append(",")
             parts.append(json.dumps(key))
             parts.append(":")
-            _write_canonical(obj[key], parts, sort_keys, allow_inf)
+            _write_canonical(obj[key], parts, hashing)
         parts.append("}")
-    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
-        parts.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                parts.append(",")
-            _write_canonical(item, parts, sort_keys, allow_inf)
-        parts.append("]")
+    elif isinstance(obj, Sequence) and not isinstance(obj, bytes):
+        _write_canonical(list(obj), parts, hashing)
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
-def dumps_canonical(obj: Any, sort_keys: bool = False) -> str:
-    """Deterministic compact JSON with floats at 17 significant digits."""
+def dumps_canonical(obj: Any) -> str:
+    """Deterministic compact JSON, keys in their own order, with floats at 17
+    significant digits; a non-finite float raises ValueError."""
     parts: list[str] = []
-    _write_canonical(obj, parts, sort_keys, allow_inf=False)
+    _write_canonical(obj, parts, hashing=False)
     return "".join(parts)
 
 
 def config_hash(data: Any) -> str:
     """Platform-stable digest of a deserialized config document.
 
-    The document is written as by :func:`dumps_canonical` with sorted keys,
-    except that +-inf (``motion_bound: .inf``) is written ``Infinity`` or
+    The document is written as by :func:`dumps_canonical`, except that keys
+    are sorted and +-inf (``motion_bound: .inf``) is written ``Infinity`` or
     ``-Infinity``: no finite document holds those bare words, so its digest
-    is unchanged.
+    is that of its sorted canonical text.
     """
     parts: list[str] = []
-    _write_canonical(data, parts, sort_keys=True, allow_inf=True)
+    _write_canonical(data, parts, hashing=True)
     return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
@@ -742,7 +748,7 @@ def config_hash(data: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-def trace_record(t: StepTrace) -> dict:
+def _trace_record(t: StepTrace) -> dict:
     g = t.realized_graph
     return {
         "step": t.step,
@@ -769,7 +775,7 @@ def _write(what: str, path: str | Path, text: str) -> None:
 
 def emit_trace(trace: Sequence[StepTrace], path: str | Path) -> None:
     """Write one JSON record per step; an empty trace gives an empty file."""
-    _write("trace", path, "".join(dumps_canonical(trace_record(t)) + "\n" for t in trace))
+    _write("trace", path, "".join(dumps_canonical(_trace_record(t)) + "\n" for t in trace))
 
 
 def parse_trace(path: str | Path) -> list[StepTrace]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .graph_core import (
 __all__ = [
     "JamEvent",
     "SpoofEvent",
-    "AttackEvent",
     "BaselineSpec",
     "RandomLayout",
     "ScenarioConfig",
@@ -97,9 +96,6 @@ class SpoofEvent:
         return self.start <= step < self.start + self.duration
 
 
-AttackEvent = Union[JamEvent, SpoofEvent]
-
-
 @dataclass(frozen=True)
 class BaselineSpec:
     """How the pre-attack performance level is established."""
@@ -134,7 +130,7 @@ class ScenarioConfig:
     profiles: Mapping[str, WeightProfile]
     opts: ControlOptions
     steps: int
-    events: tuple[AttackEvent, ...]
+    events: tuple[JamEvent | SpoofEvent, ...]
     rng_seed: int
     baseline: BaselineSpec
     layout: RandomLayout | None = None

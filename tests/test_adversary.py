@@ -20,7 +20,6 @@ from resilnet import (
     algebraic_connectivity,
     build_proximity_graph,
     controller,
-    edge_impact_scores,
     plan_step,
     remove_links,
     run_scenario,
@@ -100,16 +99,114 @@ def test_auto_mode_falls_back_to_greedy(monkeypatch):
     assert res.exact
 
 
+def auto_is_exhaustive(g, m, cap):
+    """auto's rule, by counting: the subsets of the cut within the cap, and
+    those of 1..m too where the cut leaves the incumbent above 0."""
+
+    def within(b):
+        return sum(math.comb(g.edge_count, s) for s in range(1, b + 1)) <= cap
+
+    cut = min(m, max(min_degree(g), 1))
+    return within(cut) and (
+        cut == m or within(m) or adversary._exhaustive(g, cut).lambda2_after <= adversary._TIE_TOL
+    )
+
+
 def test_auto_mode_counts_the_subsets_of_every_size(monkeypatch):
-    # removing every link of a 4-cycle is one subset of its own size,
-    # C(4, 4) = 1, but the exhaustive search scans all 15 subsets of 1..4
+    # removing both links of a 4-cycle's agent isolates it, so auto decides
+    # on the cut budget 2: it scans the 4 + 6 = 10 subsets of 1..2 edges,
+    # not the 15 of 1..4
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     g = build_proximity_graph(square, WeightProfile(BINARY, 1.2))
     assert g.edge_count == 4
-    monkeypatch.setattr(adversary, "SUBSET_CAP", 14)
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 9)
     assert not worst_case_removal(g, RemovalBudget(4)).exact
-    monkeypatch.setattr(adversary, "SUBSET_CAP", 15)
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 10)
     assert worst_case_removal(g, RemovalBudget(4)).exact
+    # where roundoff keeps the cut's incumbent up, its rerun at the full
+    # budget counts too: 4 + 6 = 10 subsets of 1..2 edges, not the cut's 4
+    g = pendant_on_heavy_clique(6.5e-13)
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 9)
+    res = worst_case_removal(g, RemovalBudget(2))
+    assert not res.exact
+    assert res == worst_case_removal(g, RemovalBudget(2), mode="greedy")
+    monkeypatch.setattr(adversary, "SUBSET_CAP", 10)
+    assert worst_case_removal(g, RemovalBudget(2)).exact
+
+
+@pytest.mark.parametrize(
+    "kind, m, greedy",
+    [
+        (SMOOTH, 4, 0.008494807885466645),
+        (SMOOTH, 5, 0.006643894807378724),
+        (BINARY, 4, 0.7224811496719293),
+    ],
+)
+def test_auto_is_exact_past_the_cap_where_the_cut_is_within_it(kind, m, greedy):
+    # the 4x4 lattice's corner agent 0 has delta = 3 links, edges 0, 1 and 2;
+    # the 12,383 subsets of 1..3 edges are within the cap, those of 1..m not
+    g = build_proximity_graph(jittered_lattice(), WeightProfile(kind, 1.6))
+    assert g.edge_count == 42 and min_degree(g) == 3
+    assert sum(math.comb(42, s) for s in range(1, m + 1)) > adversary.SUBSET_CAP
+    assert worst_case_removal(g, RemovalBudget(m), mode="greedy").lambda2_after == greedy
+    res = worst_case_removal(g, RemovalBudget(m))
+    want = worst_case_removal(g, RemovalBudget(m), mode="exhaustive")
+    assert res.exact and res.removal == want.removal == (0, 1, 2)
+    assert res.lambda2_after.hex() == want.lambda2_after.hex()
+    assert res.lambda2_after <= adversary._TIE_TOL
+
+
+def test_auto_stays_greedy_where_the_cut_is_past_the_cap():
+    # the 6x6 lattice's cut is m = 3 itself: 221,925 subsets of 1..3 edges
+    g = build_proximity_graph(jittered_lattice(6), WeightProfile(SMOOTH, 1.6))
+    assert g.edge_count == 110 and min_degree(g) == 3
+    res = worst_case_removal(g, RemovalBudget(3))
+    assert not res.exact
+    assert res == worst_case_removal(g, RemovalBudget(3), mode="greedy")
+    assert res.removal == (70, 91, 107)
+    assert res.lambda2_after.hex() == "0x1.468ad7aa444d8p-7"
+
+
+def test_the_6x6_plan_at_budget_3_covers_its_jam():
+    # grid16-jam's document on the 6x6 lattice, anticipating 3 links.  When
+    # auto decided on m rather than on the cut, every search of this run but
+    # one went greedy, the plan predicted 0.0174, and the budget-2 jam at
+    # step 1 disconnected the team (lambda2 1.1e-15)
+    workloads = perf_workloads()
+    [doc] = workloads.grid16_jam(11)
+    doc["agents"] = workloads._agents(workloads._lattice(6, 0.05))
+    doc["control"]["anticipated_budget"] = 3
+    jammed = run_scenario(scenario_from_dict(doc))[1]
+    assert jammed.active_events == (0,) and jammed.anticipated == (True,)
+    assert jammed.lambda2_worst_anticipated > 0.0
+    assert jammed.lambda2_realized > 1e-9
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["random", "lattice", "near-zero"]),
+    # heavy weights leave roundoff above the tie tolerance, so the cut reruns
+    scale=st.sampled_from([1.0, 1e-3, 1e4]),
+    m=st.integers(1, 4),
+    cap=st.sampled_from([3, 10, 40, 200]),
+)
+def test_auto_matches_exhaustive_wherever_its_rule_searches(seed, family, scale, m, cap):
+    rng = np.random.default_rng(seed)
+    base = drawn_graph(rng, family)
+    g = WeightedGraph(base.n, base.edges, base.weights * scale)
+    m = min(m, g.edge_count)
+    if m == 0 or sum(math.comb(g.edge_count, s) for s in range(1, m + 1)) > 3000:
+        return
+    exhaustive = auto_is_exhaustive(g, m, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "SUBSET_CAP", cap)
+        res = worst_case_removal(g, RemovalBudget(m))
+    assert res.exact == exhaustive
+    want = worst_case_removal(g, RemovalBudget(m), mode="exhaustive" if exhaustive else "greedy")
+    assert res.removal == want.removal
+    assert res.lambda2_after.hex() == want.lambda2_after.hex()
+    assert_same_spectrum(res.attacked, want.attacked)
 
 
 def test_budget_beyond_edges_rejected():
@@ -119,25 +216,43 @@ def test_budget_beyond_edges_rejected():
         RemovalBudget(-1)
 
 
+def impacts(g, v):
+    """Per-edge impact w (v_i - v_j)^2 on the vector v, by a Python loop."""
+    v = v.tolist()
+    return [w * (v[i] - v[j]) ** 2 for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())]
+
+
+def assert_greedy_first_removal_is_the_largest(g, impact, lambda2):
+    res = worst_case_removal(g, RemovalBudget(1), mode="greedy")
+    if lambda2 <= 0.0:
+        assert res.removal == ()
+    else:  # the first of the largest
+        assert res.removal == (max(range(g.edge_count), key=impact.__getitem__),)
+
+
 def test_impact_scores_sum_to_lambda2():
+    # greedy cuts the link of largest impact w (v_i - v_j)^2 on the Fiedler
+    # vector v; unit v's impacts sum to lambda2
     rng = np.random.default_rng(37)
     for _ in range(50):
         g = random_graph(rng)
         if not g.edge_count:
             continue
         spec = algebraic_connectivity(g)
-        scores = edge_impact_scores(g, spec)
-        assert sum(scores) == pytest.approx(spec.lambda2, abs=1e-9)
-        assert all(s >= 0 for s in scores)
+        impact = impacts(g, spec.fiedler)
+        assert sum(impact) == pytest.approx(spec.lambda2, abs=1e-9)
+        assert all(s >= 0 for s in impact)
+        assert_greedy_first_removal_is_the_largest(g, impact, spec.lambda2)
 
 
 def test_impact_scores_sign_flip_invariant():
     g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0, 0.5, 1.5, 0.7])
     spec = algebraic_connectivity(g)
-    flipped = type(spec)(spec.lambda2, -spec.fiedler, spec.is_simple)
-    a = edge_impact_scores(g, spec)
-    b = edge_impact_scores(g, flipped)
+    a = impacts(g, spec.fiedler)
+    b = impacts(g, -spec.fiedler)
     np.testing.assert_allclose(a, b)
+    assert_greedy_first_removal_is_the_largest(g, a, spec.lambda2)
+    assert_greedy_first_removal_is_the_largest(g, b, spec.lambda2)
 
 
 def reference_exhaustive(g, m):
@@ -245,10 +360,11 @@ def test_structured_graphs_match_reference(family):
             assert_matches_reference(g, m)
 
 
-def jittered_lattice():
-    """The 4x4 lattice of the grid16-jam benchmark, before its rigid motion."""
-    rng = np.random.default_rng([20010712, 4])
-    return np.array(king_grid()) + rng.uniform(-0.05, 0.05, size=(16, 2))
+def jittered_lattice(side=4):
+    """The lattice of the benchmark workloads (grid16-jam's at side 4),
+    before its rigid motion."""
+    rng = np.random.default_rng([20010712, side])
+    return np.array(king_grid(side)) + rng.uniform(-0.05, 0.05, size=(side * side, 2))
 
 
 @pytest.mark.parametrize("kind, solves", [(SMOOTH, 2), (BINARY, 9)])
@@ -698,9 +814,10 @@ def test_certificate_bounds_the_worst_case(seed, family, scale, m, cap, offset):
         patch.setattr(adversary, "SUBSET_CAP", cap)
         certified = adversary._certified_below(g, m, rejected.vectors, rejected.norms, level)
         worst = worst_case_removal(g, RemovalBudget(b))
-    exhaustive = sum(math.comb(g.edge_count, s) for s in range(1, b + 1)) <= cap
-    assert worst.exact == exhaustive
-    assert certified == (exhaustive and (edge < level if offset is None else offset > 0))
+    assert worst.exact == auto_is_exhaustive(g, b, cap)
+    # the certificate asks for the cap at b itself
+    guard = sum(math.comb(g.edge_count, s) for s in range(1, b + 1)) <= cap
+    assert certified == (guard and (edge < level if offset is None else offset > 0))
     if certified:
         assert worst.lambda2_after < level - adversary._TIE_TOL
     if not worst.exact:  # greedy

@@ -129,10 +129,23 @@ JAM_AT_0 = [{"type": "jam", "budget": 1, "start": 0, "end": 2}]
             },
             "profiles.1: expected a string name, got int",
         ),
+        (
+            # the spoofed report 2e308 overflowed; simulate then exited 1
+            # with an untagged "positions must be finite"
+            dict(
+                SCENARIO,
+                agents=[*SCENARIO["agents"], {"id": "c", "position": [1.0e308, 0.0]}],
+                events=[{
+                    "type": "spoof", "targets": ["c"], "offset": [1.0e308, 0.0],
+                    "start": 1, "duration": 1,
+                }],
+            ),
+            "agents[6].position[0]: magnitude must be <= 1.6759759912428245e+153, got 1e+308",
+        ),
     ],
     ids=[
         "min_separation", "coincident", "pre_event_onset_0", "range_overflow", "mixed_kinds",
-        "layer_name_not_a_string",
+        "layer_name_not_a_string", "spoofed_position_overflow",
     ],
 )
 def test_validate_rejects_what_simulate_rejects(data, error, tmp_path, capsys):
@@ -372,6 +385,30 @@ def test_metrics_flags(scenario_file, tmp_path, capsys):
     assert main(["metrics", str(out / "trace.jsonl"), "--t2", "2", "--baseline", "huh"]) == 1
     bad_fraction = ["--recovery-fraction", "1.5"]
     assert main(["metrics", str(out / "trace.jsonl"), "--t2", "2", *bad_fraction]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        # the first two once exited 1 on the writer's "non-finite number",
+        # and the next two printed a report against a baseline of -1 or 0
+        (["--baseline", "fixed:nan"], "baseline.value: must be finite, got nan"),
+        (["--baseline", "fixed:inf"], "baseline.value: must be finite, got inf"),
+        (["--baseline", "fixed:-1"], "baseline.value: must be > 0.0, got -1.0"),
+        (["--baseline", "fixed:0"], "baseline.value: must be > 0.0, got 0.0"),
+        (["--recovery-fraction", "1.5"], "baseline.recovery_fraction: must be <= 1.0, got 1.5"),
+        (["--recovery-fraction", "nan"], "baseline.recovery_fraction: must be finite, got nan"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "fraction_above_1", "fraction_nan"],
+)
+def test_metrics_flags_follow_the_baseline_block(flags, error, scenario_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["simulate", str(scenario_file), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["metrics", str(out / "trace.jsonl"), "--t2", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_metrics_bad_onset_exits_1(scenario_file, tmp_path, capsys):
@@ -614,7 +651,9 @@ def scenario_documents(draw):
     # anticipates 40 only in teams of 4 (63 subsets at most)
     jam_budgets = st.sampled_from([0, 1, 2, 40])
     plan_budgets = st.sampled_from([0, 1, 2, 40] if len(ids) <= 4 else [0, 1, 2])
-    coordinate = st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 3.0)
+    # magnitudes past the coordinate bound too, where a spoofed report or a
+    # squared distance would overflow
+    coordinate = st.sampled_from([0.0, 1.0, 1e150, -1e150, 1e300, -1e300]) | st.floats(-1.0, 3.0)
 
     def drawn(table, always=()):
         """The table's rule-drawn fields, each present by a coin flip unless

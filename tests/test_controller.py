@@ -50,7 +50,7 @@ from resilnet.controller import (
     _push_apart,
     _slice_profile,
 )
-from resilnet.scenario_io import dumps_canonical, trace_record
+from resilnet.scenario_io import _trace_record, dumps_canonical
 
 PROFILE = WeightProfile(SMOOTH, 1.5)
 
@@ -730,7 +730,7 @@ def counted_run(monkeypatch, doc, certify=True, memo=True, per_call=False):
             for name in ("plan_step", "plan_step_decentralized"):
                 patch.setattr(simulator, name, stamped(getattr(simulator, name)))
         trace = run_scenario(scenario_from_dict(doc))
-    lines = [dumps_canonical(trace_record(t)) for t in trace]
+    lines = [dumps_canonical(_trace_record(t)) for t in trace]
     return Counted(lines, searches, len(solves), certified, evaluations[0] - planned[0])
 
 

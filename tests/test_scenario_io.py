@@ -47,7 +47,6 @@ from resilnet import (
     parse_trace,
     run_scenario,
     scenario_from_dict,
-    trace_record,
 )
 from resilnet.scenario_io import (
     _AGENT_FIELDS,
@@ -64,6 +63,7 @@ from resilnet.scenario_io import (
     _SOLVER_FIELDS,
     _SPOOF_FIELDS,
     _load_yaml,
+    _trace_record,
 )
 from test_controller import perf_workloads
 
@@ -420,15 +420,20 @@ def test_canonical_handles_numpy_scalars_and_arrays():
 def test_canonical_sorted_keys_for_hashing():
     a = {"b": 1, "a": 2}
     b = {"a": 2, "b": 1}
-    assert dumps_canonical(a, sort_keys=True) == dumps_canonical(b, sort_keys=True)
+    # output keeps the keys' own order; the digest is of the sorted text
+    assert dumps_canonical(a) == '{"b":1,"a":2}'
+    assert config_hash(a) == hashlib.sha256(dumps_canonical(b).encode()).hexdigest()
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"a": 2, "b": 99})
 
 
 def test_config_hash_admits_infinities_and_keeps_finite_digests():
+    # written in sorted key order, so its sorted text is its canonical text;
+    # the digest is pinned, so that manifests' config_hash does not move
     doc = {"control": {"motion_bound": 0.25, "outer_iters": 8}, "ids": ["a", "Infinity"]}
-    plain = hashlib.sha256(dumps_canonical(doc, sort_keys=True).encode()).hexdigest()
+    plain = hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()
     assert config_hash(doc) == plain
+    assert plain == "06df48c2ce004a18293d72d6793d8017787539d30b783f5554ae7f51f7ff4978"
     digests = {
         config_hash({"control": {"motion_bound": bound}})
         for bound in (math.inf, -math.inf, "Infinity", 1e308)
@@ -437,7 +442,7 @@ def test_config_hash_admits_infinities_and_keeps_finite_digests():
     with pytest.raises(ValueError, match="non-finite"):
         config_hash({"x": math.nan})
     with pytest.raises(ValueError, match="non-finite"):
-        dumps_canonical({"x": math.inf}, sort_keys=True)
+        dumps_canonical({"x": math.inf})
 
 
 def test_canonical_rejects_non_string_keys():
@@ -582,7 +587,7 @@ def test_empty_trace_gives_empty_file(tmp_path):
 
 def test_trace_records_are_one_line_json(tmp_path):
     trace = scenario_trace()
-    rec = trace_record(trace[0])
+    rec = _trace_record(trace[0])
     text = dumps_canonical(rec)
     assert "\n" not in text
     parsed = json.loads(text)
@@ -633,7 +638,7 @@ def test_a_failed_write_names_the_output_and_its_path(what, emit, value, tmp_pat
 
 def test_broken_trace_line_reports_line_number(tmp_path):
     trace = scenario_trace()
-    good = dumps_canonical(trace_record(trace[0]))
+    good = dumps_canonical(_trace_record(trace[0]))
     path = tmp_path / "broken.jsonl"
     path.write_text(good + "\nnot json\n")
     with pytest.raises(ValueError, match=":2:"):
@@ -865,7 +870,6 @@ def test_each_field_reports_its_own_error(table, doc, place, key):
         return [e for e in exc.value.errors if e.startswith(f"{path}: ")]
 
     # the field's first error is its rule's; a cross-field rule may add one
-    # (a fixed baseline's value that fails is also missing)
     if rule.get("check", "number") in WRONG_TYPE:
         value, message = WRONG_TYPE[rule.get("check", "number")]
         assert errors_at(lambda block: block.update({key: value}))[:1] == [f"{path}: {message}"]
