@@ -118,6 +118,11 @@ class _Eval:
     graph: WeightedGraph
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``, by the expression it evaluates."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _clip(cur: np.ndarray, prop: np.ndarray, delta: float) -> tuple[np.ndarray, bool]:
     """Pull each proposed position back into the delta-ball of its origin, on
     (n, d) arrays of one shape, and say whether it moved any agent."""
@@ -125,7 +130,7 @@ def _clip(cur: np.ndarray, prop: np.ndarray, delta: float) -> tuple[np.ndarray, 
     if math.isinf(delta):
         return out, False
     step = prop - cur
-    norms = np.linalg.norm(step, axis=1)
+    norms = _row_norms(step)
     far = norms > delta
     if not far.any():
         return out, False
@@ -191,7 +196,7 @@ def _enforce(
         if np.any(dist < d_min - _SEP_TOL):
             return None
     if (clipped or moved) and not math.isinf(delta):
-        disp = np.linalg.norm(adjusted - origin, axis=1)
+        disp = _row_norms(adjusted - origin)
         if np.any(disp > delta + _BALL_TOL):
             return None
     if d_min - _SEP_TOL <= 2e-12 and _coincident(adjusted):
@@ -200,7 +205,7 @@ def _enforce(
 
 
 def _coincident(points: np.ndarray) -> bool:
-    return bool(np.max(np.linalg.norm(points - points[0], axis=1)) < 1e-12)
+    return bool(np.max(_row_norms(points - points[0])) < 1e-12)
 
 
 def _snap(lam: float) -> float:
@@ -216,18 +221,20 @@ def _evaluate(g: WeightedGraph, m: int) -> _Eval:
     return _Eval(_snap(wc.lambda2_after), _snap(wc.start.lambda2), wc, g)
 
 
-def _ascent_gradient_rows(positions, profile, ev: _Eval) -> np.ndarray:
+def _ascent_gradient_rows(positions, profile, ev: _Eval) -> tuple[np.ndarray, float]:
     """Per-agent gradient of the worst-case lambda2 at ``positions``, from
-    the spectra the worst-case search solved."""
+    the spectra the worst-case search solved, and its largest row norm."""
     attacked = remove_links(ev.graph, ev.worst.removal)
     grad = connectivity_gradient(positions, profile, ev.worst.attacked, attacked).per_agent
-    if float(np.max(np.linalg.norm(grad, axis=1))) < _ZERO_GRAD:
+    gmax = float(_row_norms(grad).max())
+    if gmax < _ZERO_GRAD:
         # worst-case objective is flat (attack disconnects); climb the
         # unattacked connectivity instead until redundancy appears
         grad = connectivity_gradient(
             positions, profile, ev.worst.start, ev.graph
         ).per_agent
-    return grad
+        gmax = float(_row_norms(grad).max())
+    return grad, gmax
 
 
 def _improves(before: _Eval, after: _Eval, gain: float) -> bool:
@@ -240,9 +247,10 @@ def _improves(before: _Eval, after: _Eval, gain: float) -> bool:
 
 
 class _Rejected:
-    """The attacked Fiedler vectors of the trials an evaluation rejected,
-    centred and stacked, with their squared norms off the all-ones vector:
-    the test vectors of :func:`resilnet.adversary._certified_below`.
+    """The attacked Fiedler vectors of the line searches' incumbents and of
+    the trials an evaluation rejected, centred and stacked, with their
+    squared norms off the all-ones vector: the test vectors of
+    :func:`resilnet.adversary._certified_below`.
 
     Rows go into a ring of ``_STORE_ROWS`` rows, allocated up front; once it
     is full each new row takes the place of the oldest.
@@ -347,10 +355,14 @@ def _line_search(
     distances, which build the trial graph, or None where they break a
     limit.  A trial whose worst case a Rayleigh quotient of one of the
     ``rejected`` vectors puts below the incumbent's is rejected with no
-    search: ``_improves`` needs a worst case at least the incumbent's.  Each
-    trial that an evaluation rejects adds its attacked Fiedler vector, so
-    the trials after it, which lie on the same ray, are tested against it.
+    search: ``_improves`` needs a worst case at least the incumbent's.  The
+    incumbent's own attacked Fiedler vector goes in first, as the
+    Courant-Fischer bound holds for any test vector: a trial whose attack
+    along it falls below the incumbent is no gain.  Each trial that an
+    evaluation rejects adds its attacked Fiedler vector too, so the trials
+    after it, which lie on the same ray, are tested against it.
     """
+    rejected.add(ev.worst.attacked.fiedler)
     eta = _STEP_SIZE
     for _ in range(_MAX_BACKTRACKS):
         found = trial_at(eta)
@@ -396,13 +408,14 @@ def plan_step(
         targets, and the removal achieving it.  The objective never falls
         below its value at the starting configuration.
 
-    The attacked Fiedler vectors of the trials an evaluation rejected serve
-    every later line search on the team as certificates (see
-    ``_line_search``).  Inside a run (:func:`resilnet.simulator.run_scenario`,
-    ``resilnet plan``) the plan calls share one scope: they keep those
-    vectors across steps, and a graph evaluated at an earlier step takes no
-    second search.  A call outside a run has a scope of its own.  Either
-    way the result is the same, bit for bit.
+    The attacked Fiedler vectors of each line search's incumbent and of the
+    trials an evaluation rejected serve that and every later line search on
+    the team as certificates (see ``_line_search``).  Inside a run
+    (:func:`resilnet.simulator.run_scenario`, ``resilnet plan``) the plan
+    calls share one scope: they keep those vectors across steps, and a graph
+    evaluated at an earlier step, or by the run's jammer, takes no second
+    search.  A call outside a run has a scope of its own.  Either way the
+    result is the same, bit for bit.
     """
     pos = as_positions(reported_positions)
     errors = _plan_input_errors(pos, profile, opts)
@@ -416,8 +429,7 @@ def plan_step(
         accepted = 0
         rejected = scope.store(tuple(range(len(pos))))
         for _ in range(opts.outer_iters):
-            grad = _ascent_gradient_rows(candidate, profile, ev)
-            gmax = float(np.max(np.linalg.norm(grad, axis=1)))
+            grad, gmax = _ascent_gradient_rows(candidate, profile, ev)
             if gmax < _ZERO_GRAD:
                 break  # no useful gradient
             direction = grad / gmax
@@ -488,7 +500,7 @@ def plan_step_decentralized(
                 loc = idx.index(i)
                 local = snapshot[idx]
                 ev = _evaluate(build_proximity_graph(local, sub_profile), m)
-                gi = _ascent_gradient_rows(local, sub_profile, ev)[loc]
+                gi = _ascent_gradient_rows(local, sub_profile, ev)[0][loc]
                 norm = float(np.linalg.norm(gi))
                 if norm < _ZERO_GRAD:
                     continue

@@ -218,21 +218,23 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _link_rule(
     profile: WeightProfile | LayerProfiles, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | float, np.ndarray | float]:
     """Range and decay (NaN for binary) governing each pair (i[k], j[k]).
 
-    A cross-layer pair uses the profile with the smaller (range, layer
-    name), so a link exists only when both endpoints can hear each other.
+    A single profile governs every pair, and its two scalars are returned
+    as they are: in an elementwise product a scalar gives the bits of an
+    array that repeats it.  A cross-layer pair uses the profile with the
+    smaller (range, layer name), so a link exists only when both endpoints
+    can hear each other; layered teams get one value per pair.
     """
     if isinstance(profile, WeightProfile):
-        rules, pick = [profile], np.zeros(len(i), dtype=np.intp)
-    else:
-        order = sorted(profile.profiles.items(), key=lambda kv: (kv[1].comm_range, kv[0]))
-        rank = {name: r for r, (name, _) in enumerate(order)}
-        agent = np.array([rank[name] for name in profile.layers])
-        rules, pick = [p for _, p in order], np.minimum(agent[i], agent[j])
-    ranges = np.array([p.comm_range for p in rules])
-    decays = np.array([math.nan if p.decay is None else p.decay for p in rules])
+        return profile.comm_range, math.nan if profile.decay is None else profile.decay
+    order = sorted(profile.profiles.items(), key=lambda kv: (kv[1].comm_range, kv[0]))
+    rank = {name: r for r, (name, _) in enumerate(order)}
+    agent = np.array([rank[name] for name in profile.layers])
+    pick = np.minimum(agent[i], agent[j])
+    ranges = np.array([p.comm_range for _, p in order])
+    decays = np.array([math.nan if p.decay is None else p.decay for _, p in order])
     return ranges[pick], decays[pick]
 
 
@@ -270,8 +272,10 @@ def _graph_from_distances(
     if np.isnan(decays).any():  # binary
         weights = np.ones(len(d))
     else:
+        if isinstance(decays, np.ndarray):
+            decays = decays[kept]
         # math.exp, not np.exp: the two differ in the last bit on some inputs
-        exponent = -decays[kept] * d * d
+        exponent = -decays * d * d
         weights = np.array([math.exp(x) for x in exponent.tolist()], dtype=float)
     return WeightedGraph(n, pairs[kept], weights)
 
@@ -280,15 +284,15 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian L = D - W."""
     lap = np.zeros((g.n, g.n))
     i, j = g.edges.T
-    lap[i, j] -= g.weights
-    lap[j, i] -= g.weights
+    # each pair occurs once: assigned, 0 - w keeps the bits of subtracting w
+    lap[i, j] = lap[j, i] = 0.0 - g.weights
     # bincount adds each agent's link weights in edge order
     np.fill_diagonal(lap, np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n))
     return lap
 
 
 def _deflate(lap: np.ndarray) -> tuple[np.ndarray, float]:
-    """``lap + (shift / n) * ones`` and its shift.
+    """``lap + (shift / n) * ones``, added in place, and its shift.
 
     The shift lies strictly above lambda_max (Gershgorin bound: 2 * max
     degree, plus 1), so the all-ones eigenvalue moves to the top of the
@@ -296,7 +300,8 @@ def _deflate(lap: np.ndarray) -> tuple[np.ndarray, float]:
     gives the bits of adding the ones matrix, since times 1.0 is exact.
     """
     shift = 2.0 * float(lap.diagonal().max()) + 1.0
-    return lap + shift / len(lap), shift
+    lap += shift / len(lap)
+    return lap, shift
 
 
 def _eigensolve(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, float]:
@@ -318,8 +323,10 @@ def _spectral_result(evals: np.ndarray, evecs: np.ndarray) -> SpectralResult:
     vec = evecs[:, 0]
     # sweep out any residual all-ones component and fix a deterministic sign:
     # the first entry clear of roundoff is positive (a unit vector has one)
-    vec = vec - vec.mean()
-    norm = float(np.linalg.norm(vec))
+    # the sum over n and the root of the dot are what np.mean and
+    # np.linalg.norm evaluate, without their wrappers
+    vec = vec - vec.sum() / len(vec)
+    norm = math.sqrt(vec @ vec)
     if norm < 1e-12:
         raise SpectralError("Fiedler vector collapsed onto the kernel")
     vec = vec / norm
@@ -366,9 +373,11 @@ def connectivity_gradient(
         raise ValueError("gradient needs a smooth profile")
     dv = spectral.fiedler[i] - spectral.fiedler[j]
     step = (-2.0 * decays * g.weights * (dv * dv))[:, None] * (pos[i] - pos[j])
-    grad = np.zeros_like(pos)
-    # +step to i and -step to j, interleaved so each row sums in edge order
-    np.add.at(grad, g.edges.ravel(), np.stack([step, -step], 1).reshape(-1, pos.shape[1]))
+    # +step to i and -step to j, interleaved so that bincount sums each row
+    # in edge order from 0.0, as np.add.at would
+    parts = np.stack([step, -step], 1).reshape(-1, pos.shape[1])
+    ends = g.edges.ravel()
+    grad = np.stack([np.bincount(ends, col, g.n) for col in parts.T], axis=1)
     return GradientResult(grad, spectral.is_simple)
 
 

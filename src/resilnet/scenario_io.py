@@ -171,7 +171,16 @@ class _Walk:
         if maximum is not None and value > maximum:
             self.err(path, f"must be <= {maximum}, got {value}")
             return None
-        return int(value) if integer else float(value)
+        return int(value) if integer else self.real(value, path)
+
+    def real(self, value: int | float, path: str) -> float | None:
+        """``float(value)``, or None after reporting an integer past the
+        float range, which has no float."""
+        try:
+            return float(value)
+        except OverflowError:
+            self.err(path, f"must fit a float, got an integer of {len(str(abs(value)))} digits")
+            return None
 
     def string(self, value: Any, path: str, *, choices: Sequence[str] | None = None) -> str | None:
         if not isinstance(value, str):
@@ -203,7 +212,9 @@ class _Walk:
             if abs(v) > bound:
                 self.err(f"{path}[{k}]", f"magnitude must be <= {bound}, got {v}")
                 return None
-            vals.append(float(v))
+            if (x := self.real(v, f"{path}[{k}]")) is None:
+                return None
+            vals.append(x)
         return tuple(vals)
 
     def agent_ids(self, node: Any, path: str) -> tuple[str, ...] | None:
@@ -349,7 +360,10 @@ def _parse_agents(
 ) -> tuple[list[str], list[str], list[tuple[float, ...]] | None]:
     ids: list[str] = []
     agent_layers: list[str] = []
+    # each agent's position, None where it failed its check, and whether
+    # the agent gives one: a position that fails is given all the same
     positions: list[tuple[float, ...] | None] = []
+    given: list[bool] = []
     if (node := w.items(node, "agents", "a list of agents")) is None:
         return ids, agent_layers, None
 
@@ -368,12 +382,13 @@ def _parse_agents(
         got = w.block(entry, f"agents[{k}]", _AGENT_FIELDS, after=after)
         if got is not None:
             positions.append(got.get("position"))
+            given.append("position" in got)
     if len(ids) < 2:
         w.err("agents", "need at least 2 agents")
-    given = [p for p in positions if p is not None]
-    if given and len(given) < len(positions):
+    if any(given) and not all(given):
         w.err("agents", "either every agent has a position or none has")
-    return ids, agent_layers, given if given and len(given) == len(positions) else None
+    # a failed position has been reported, so a list with a None never runs
+    return ids, agent_layers, positions if given and all(given) else None
 
 
 def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
@@ -678,25 +693,36 @@ def parse_gne(path: str | Path) -> GNEProblem:
 
 
 def _write_canonical(obj: Any, parts: list[str], hashing: bool) -> None:
-    """Append ``obj``'s text to ``parts``, as :func:`config_hash` if ``hashing``."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()  # Python values all the way down
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            text = format(obj, ".17g")
-            # a float keeps its JSON type on re-parse
-            parts.append(text if "." in text or "e" in text else text + ".0")
-        elif hashing and math.isinf(obj):
-            parts.append("Infinity" if obj > 0 else "-Infinity")
-        else:
-            raise ValueError("non-finite number in canonical output")
-    elif isinstance(obj, (list, tuple)):
+    """Append ``obj``'s text to ``parts``, as :func:`config_hash` if ``hashing``.
+
+    Finite floats, ints, lists and tuples, nearly all of a trace, are told
+    apart by their exact type and written first.  The chain after them
+    takes everything else, numpy values, bools, strings, None, mappings,
+    non-finite floats and subclasses, and writes each as its plain value.
+    """
+    kind = type(obj)
+    if kind is float and math.isfinite(obj):
+        text = format(obj, ".17g")
+        # a float keeps its JSON type on re-parse
+        parts.append(text if "." in text or "e" in text else text + ".0")
+    elif kind is int:
+        parts.append(str(obj))
+    elif kind is list or kind is tuple:
         parts.append("[")
         for k, item in enumerate(obj):
             if k:
                 parts.append(",")
             _write_canonical(item, parts, hashing)
         parts.append("]")
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        _write_canonical(obj.tolist(), parts, hashing)  # Python values all the way down
+    elif isinstance(obj, float):
+        if math.isfinite(obj):
+            _write_canonical(float(obj), parts, hashing)
+        elif hashing and math.isinf(obj):
+            parts.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            raise ValueError("non-finite number in canonical output")
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, bool):

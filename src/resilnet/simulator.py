@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .adversary import RemovalBudget, worst_case_removal
+from .adversary import RemovalBudget
 from .controller import (
     CENTRALIZED,
     ControlOptions,
@@ -242,14 +242,16 @@ def _resolve_edges(
 def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
     """Run the closed loop and return one :class:`StepTrace` per step.
 
-    The run's plan calls share one planning scope (``plan_step``), and each
-    step calls the planner its mode names through this module's namespace.
+    The run's plan calls share one planning scope (``plan_step``), and so
+    does the jammer's worst-case search: a graph that a plan call evaluated
+    takes no second search.  Each step calls the planner its mode names
+    through this module's namespace.
     """
     source = _profile_source(cfg)
     ctrl_profile = source.smooth_surrogate()
     true = initial_positions(cfg)
     traces: list[StepTrace] = []
-    with _planning_scope():
+    with _planning_scope() as scope:
         for step in range(cfg.steps):
             reported = true.copy()
             for ev in cfg.events:
@@ -281,8 +283,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
                 anticipated.append(jammed <= opts.anticipated_budget.m)
                 if ev.edges is None:
                     m_eff = min(ev.budget, graph.edge_count)
-                    wc = worst_case_removal(graph, RemovalBudget(m_eff))
-                    graph = remove_links(graph, wc.removal)
+                    graph = remove_links(graph, scope.worst_case(graph, m_eff).removal)
                 else:
                     graph = remove_links(
                         graph, _resolve_edges(graph, ev.edges, cfg.agent_ids)

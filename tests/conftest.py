@@ -1,7 +1,19 @@
-"""Shared checks: the C and pure-Python YAML loaders read alike."""
+"""Shared checks and inputs: the C and pure-Python YAML loaders read
+alike, and the README's YAML blocks as documents."""
+
+import re
+from pathlib import Path
 
 import pytest
 import yaml
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_documents():
+    """The README's scenario and game blocks, as documents."""
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
+    return [yaml.safe_load(block) for block in blocks]
 
 
 def assert_loaders_agree(text):

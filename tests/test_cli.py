@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from conftest import readme_documents
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,62 @@ def test_validate_rejects_what_simulate_rejects(data, error, tmp_path, capsys):
     assert main(["simulate", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block, place, label, command",
+    [
+        (0, ("profiles", "ground", "decay"), "profiles.ground.decay", "simulate"),
+        (1, ("sender_utils", "attacker", 0, 0), "sender_utils.attacker[0][0]", "gne"),
+    ],
+    ids=["scenario_decay", "game_table_entry"],
+)
+def test_an_integer_past_the_float_range_is_rejected_with_its_path(
+    block, place, label, command, tmp_path, capsys
+):
+    # float() of it raised OverflowError, and validate exited 2
+    doc = readme_documents()[block]
+    node = doc
+    for key in place[:-1]:
+        node = node[key]
+    node[place[-1]] = 10**400
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    error = f"error: {label}: must fit a float, got an integer of 401 digits\n"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == error
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "drop, errors",
+    [
+        (False, ["agents[1].position[0]: must be finite, got nan"]),
+        (
+            True,
+            [
+                "agents[1].position[0]: must be finite, got nan",
+                "agents: either every agent has a position or none has",
+                "agents: agents need positions unless a layout is given",
+            ],
+        ),
+    ],
+    ids=["every_agent_has_one", "one_agent_has_none"],
+)
+def test_a_position_that_fails_counts_as_given(drop, errors, tmp_path, capsys):
+    # a failed position once read as a missing one, and two more errors
+    # claimed that some or all agents had none
+    doc = readme_documents()[0]
+    doc["agents"][1]["position"][0] = math.nan
+    if drop:
+        del doc["agents"][0]["position"]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "".join(f"error: {e}\n" for e in errors)
 
 
 def test_fixed_baseline_allows_an_event_at_step_0(tmp_path):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from conftest import readme_documents
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from resilnet import (
@@ -374,7 +375,8 @@ def reference_evaluate(g, m):
 
 
 def reference_ascent_gradient_rows(positions, profile, ev):
-    """The ascent direction that solves the attacked spectrum afresh."""
+    """The ascent direction that solves the attacked spectrum afresh, and
+    its largest row norm."""
     attacked = remove_links(ev.graph, ev.worst.removal)
     spec_att = algebraic_connectivity(attacked)
     grad = connectivity_gradient(positions, profile, spec_att, attacked).per_agent
@@ -382,7 +384,7 @@ def reference_ascent_gradient_rows(positions, profile, ev):
         grad = connectivity_gradient(
             positions, profile, ev.spectral, ev.graph
         ).per_agent
-    return grad
+    return grad, float(np.max(np.linalg.norm(grad, axis=1)))
 
 
 def plan_with_and_without_fresh_spectra(monkeypatch, planner, *args):
@@ -487,7 +489,7 @@ def reference_plan_step(pos, profile, opts):
     candidate = pos.copy()
     accepted = 0
     for _ in range(opts.outer_iters):
-        grad = _ascent_gradient_rows(candidate, profile, ev)
+        grad = _ascent_gradient_rows(candidate, profile, ev)[0]
         gmax = float(np.max(np.linalg.norm(grad, axis=1)))
         if gmax < _ZERO_GRAD:
             break  # no useful gradient
@@ -529,7 +531,7 @@ def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
             loc = idx.index(i)
             local = snapshot[idx]
             ev = _evaluate(build_proximity_graph(local, sub_profile), m)
-            gi = _ascent_gradient_rows(local, sub_profile, ev)[loc]
+            gi = _ascent_gradient_rows(local, sub_profile, ev)[0][loc]
             norm = float(np.linalg.norm(gi))
             if norm < _ZERO_GRAD:
                 continue
@@ -608,37 +610,72 @@ def test_shared_line_search_matches_the_per_planner_loops(
 
 def certified_trials(patch, earlier=frozenset()):
     """Spy on the planners' certificate; the list it fills holds (graph,
-    budget, incumbent level, by_earlier) of each trial it rejected, where
-    by_earlier tells whether one of the vectors whose bytes are in
-    ``earlier`` certifies the trial on its own."""
+    budget, incumbent level, by_earlier, by_incumbent) of each trial it
+    rejected, where by_earlier tells whether one of the vectors whose bytes
+    are in ``earlier`` certifies the trial on its own, and by_incumbent
+    whether one that a line search put in for its incumbent does."""
     certified = []
-    certify = controller._certified_below
+    incumbents: set = set()
+    certify, line_search = controller._certified_below, controller._line_search
+
+    def search_spy(ev, *args):
+        # centred as the store centres it
+        u = ev.worst.attacked.fiedler
+        incumbents.add((u - u.mean()).tobytes())
+        return line_search(ev, *args)
 
     def spy(g, m, vectors, norms, level):
         verdict = certify(g, m, vectors, norms, level)
         if verdict:
-            old = [k for k, row in enumerate(vectors) if row.tobytes() in earlier]
-            by_earlier = any(certify(g, m, vectors[[k]], norms[[k]], level) for k in old)
-            certified.append((g, m, level, by_earlier))
+            def alone(pick):
+                rows = [k for k, row in enumerate(vectors) if pick(row.tobytes())]
+                return any(certify(g, m, vectors[[k]], norms[[k]], level) for k in rows)
+            by_earlier = alone(earlier.__contains__)
+            certified.append((g, m, level, by_earlier, alone(incumbents.__contains__)))
         return verdict
 
+    patch.setattr(controller, "_line_search", search_spy)
     patch.setattr(controller, "_certified_below", spy)
     return certified
 
 
 def assert_certified_trials_fail(certified):
     """Every certified trial fails its full evaluation; returns how many a
-    vector from an earlier plan call certified."""
+    vector from an earlier plan call certified, and how many a line
+    search's incumbent's vector did."""
     # the incumbent that lets most trials pass: no gain asked, and any full
     # lambda2; _improves then asks only for a worst case at the level
-    for g, m, level, _ in certified:
+    for g, m, level, *_ in certified:
         incumbent = controller._Eval(level, -math.inf, None, None)
         assert not _improves(incumbent, _evaluate(g, m), 0.0)
-    return sum(by_earlier for *_, by_earlier in certified)
+    return (
+        sum(by_earlier for *_, by_earlier, _ in certified),
+        sum(by_incumbent for *_, by_incumbent in certified),
+    )
+
+
+# teams whose trials the incumbents' vectors certify, 2 to 23 of them each,
+# as few drawn teams do
+CERTIFYING_PLANS = [
+    (0, 9, 2, False, 2, 0.5, 0.0, 4, DECENTRALIZED),
+    (2, 9, 2, False, 1, 0.2, 0.0, 4, DECENTRALIZED),
+    (3, 9, 2, False, 2, 0.2, 0.0, 4, CENTRALIZED),
+    (5, 9, 2, False, 1, 0.2, 0.0, 4, CENTRALIZED),
+    (1, 9, 3, True, 2, 0.5, 0.0, 4, DECENTRALIZED),
+]
+
+
+def with_examples(rows):
+    def attach(test):
+        for row in reversed(rows):
+            test = example(**dict(zip(PLANS, row)))(test)
+        return test
+    return attach
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(**PLANS)
+@with_examples(CERTIFYING_PLANS)
 def test_certified_trials_fail_the_full_evaluation(
     seed, n, dim, layered, m, delta, d_min, iters, mode
 ):
@@ -647,9 +684,11 @@ def test_certified_trials_fail_the_full_evaluation(
         certified = certified_trials(patch)
         (plan_step if mode == CENTRALIZED else plan_step_decentralized)(pos, profile, o)
     # most drawn teams are cut apart by the attack, where the incumbent is 0
-    # and nothing certifies; steer the search toward teams that certify
-    target(float(len(certified)))
-    assert_certified_trials_fail(certified)
+    # and nothing certifies; steer the search toward teams that certify, by
+    # any vector and by the incumbent's own
+    target(float(len(certified)), label="certified")
+    _, by_incumbent = assert_certified_trials_fail(certified)
+    target(float(by_incumbent), label="by the incumbent")
 
 
 def w1_lattice():
@@ -680,31 +719,30 @@ class Counted:
     searches: list  # every worst-case search, as (removal, lambda2 hex)
     solves: int  # dense eigensolves
     certified: list  # as ``certified_trials`` fills it
-    hits: int  # planner evaluations that took a kept worst case
+    hits: int  # kept worst cases taken, by a plan call or by the jam search
 
 
 def counted_run(monkeypatch, doc, certify=True, memo=True, per_call=False):
     """Run ``doc`` and count its work.  ``certify=False`` turns the
     certificate off, ``memo=False`` the kept worst cases, and
     ``per_call=True`` gives each plan call a scope of its own, as outside a
-    run.  A certificate is by an earlier step's vector when a vector that a
-    store held as the step's plan call began certifies it alone."""
-    searches, solves, evaluations, planned = [], [], [0], [0]
+    run, while the jam search keeps the run's.  A certificate is by an
+    earlier step's vector when a vector that a store held as the step's plan
+    call began certifies it alone.  Every search of a run goes through a
+    scope, so the lookups that took no search are the hits."""
+    searches, solves, lookups = [], [], [0]
     earlier: set = set()
-    search, lap, evaluate = adversary.worst_case_removal, graph_core.laplacian, controller._evaluate
+    search, lap = adversary.worst_case_removal, graph_core.laplacian
+    lookup = controller._Scope.worst_case
 
     def spy(g, budget):
         res = search(g, budget)
         searches.append((res.removal, res.lambda2_after.hex()))
         return res
 
-    def planner_spy(g, budget):
-        planned[0] += 1
-        return spy(g, budget)
-
-    def evaluate_spy(g, m):
-        evaluations[0] += 1
-        return evaluate(g, m)
+    def lookup_spy(scope, g, b):
+        lookups[0] += 1
+        return lookup(scope, g, b)
 
     def stamped(planner):
         def call(*args):
@@ -715,9 +753,8 @@ def counted_run(monkeypatch, doc, certify=True, memo=True, per_call=False):
         return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(controller, "worst_case_removal", planner_spy)
-        patch.setattr(simulator, "worst_case_removal", spy)
-        patch.setattr(controller, "_evaluate", evaluate_spy)
+        patch.setattr(controller, "worst_case_removal", spy)
+        patch.setattr(controller._Scope, "worst_case", lookup_spy)
         patch.setattr(graph_core, "laplacian", lambda g: solves.append(g.n) or lap(g))
         certified = certified_trials(patch, earlier)
         if not certify:
@@ -725,13 +762,16 @@ def counted_run(monkeypatch, doc, certify=True, memo=True, per_call=False):
         if not memo:
             patch.setattr(controller, "_MEMO_SIZE", 0)
         if per_call:
-            patch.setattr(simulator, "_planning_scope", contextlib.nullcontext)
+            # the run holds a scope of its own, which no plan call sees
+            patch.setattr(
+                simulator, "_planning_scope", lambda: contextlib.nullcontext(controller._Scope())
+            )
         else:
             for name in ("plan_step", "plan_step_decentralized"):
                 patch.setattr(simulator, name, stamped(getattr(simulator, name)))
         trace = run_scenario(scenario_from_dict(doc))
     lines = [dumps_canonical(_trace_record(t)) for t in trace]
-    return Counted(lines, searches, len(solves), certified, evaluations[0] - planned[0])
+    return Counted(lines, searches, len(solves), certified, lookups[0] - len(searches))
 
 
 def grid16_jam(seed, mode=CENTRALIZED):
@@ -740,17 +780,19 @@ def grid16_jam(seed, mode=CENTRALIZED):
     return doc
 
 
+# W1's jam search, on a lattice that never moves, takes the kept worst case at
+# three of its four jammed steps, so its searches and hits count those too.
 @pytest.mark.parametrize(
-    "doc, searches, solves, certified, earlier, hits, full_solves",
+    "doc, searches, solves, certified, earlier, by_incumbent, hits, full_solves",
     [
-        (grid16_jam(5), 33, 69, 22, 6, 2, 117),
-        (grid16_jam(5, DECENTRALIZED), 263, 529, 68, 10, 97, 859),
-        (w1_lattice(), 26, 141, 117, 108, 171, 1276),
+        (grid16_jam(5), 30, 63, 25, 8, 22, 2, 117),
+        (grid16_jam(5, DECENTRALIZED), 261, 525, 70, 10, 45, 97, 859),
+        (w1_lattice(), 23, 114, 117, 108, 0, 174, 1276),
     ],
     ids=["grid16-jam", "grid16-jam-decentralized", "w1"],
 )
 def test_certified_trials_skip_their_search(
-    monkeypatch, doc, searches, solves, certified, earlier, hits, full_solves
+    monkeypatch, doc, searches, solves, certified, earlier, by_incumbent, hits, full_solves
 ):
     # exact counts, and those of the run that searches every evaluation and
     # every trial: each certified trial and each kept worst case is one
@@ -759,7 +801,7 @@ def test_certified_trials_skip_their_search(
     assert (len(got.searches), got.solves, len(got.certified), got.hits) == (
         searches, solves, certified, hits
     )
-    assert assert_certified_trials_fail(got.certified) == earlier
+    assert assert_certified_trials_fail(got.certified) == (earlier, by_incumbent)
     full = counted_run(monkeypatch, doc, certify=False, memo=False)
     assert (len(full.searches), full.solves) == (searches + certified + hits, full_solves)
     assert (full.hits, full.certified) == (0, [])
@@ -792,10 +834,37 @@ def test_planning_scope_keeps_every_output(monkeypatch, doc):
     assert tiny.lines == run.lines
 
 
+def test_jam_search_takes_the_plan_calls_kept_worst_cases(monkeypatch):
+    # the README's scenario, on smooth profiles: at each of its three jammed
+    # steps the simulator's worst-case search meets a graph that a plan call
+    # evaluates, so the run makes 9 searches, where a jam search that always
+    # searches makes 12; the trace keeps its bytes
+    doc = readme_documents()[0]
+    got = counted_run(monkeypatch, doc)
+
+    class Searches:
+        def worst_case(self, g, b):
+            return controller.worst_case_removal(g, RemovalBudget(b))
+
+    @contextlib.contextmanager
+    def apart():
+        with controller._planning_scope():
+            yield Searches()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_planning_scope", apart)
+        alone = counted_run(monkeypatch, doc)
+    assert (len(got.searches), got.solves) == (9, 38)
+    assert (len(alone.searches), alone.solves) == (12, 44)
+    assert got.lines == alone.lines
+    rest = iter(alone.searches)
+    assert all(any(found == want for want in rest) for found in got.searches)
+
+
 def test_plan_step_outside_a_run_searches_as_a_lone_call(monkeypatch):
     # the three plan calls of a grid16-jam run, each made on its own: the
     # searches of a call with no kept worst cases and a store of its own,
-    # 13, 11 and 12 of them, as before plan calls shared a scope
+    # 11, 10 and 12 of them
     calls = []
     plan = simulator.plan_step
     monkeypatch.setattr(simulator, "plan_step", lambda *a: calls.append(a) or plan(*a))
@@ -820,7 +889,7 @@ def test_plan_step_outside_a_run_searches_as_a_lone_call(monkeypatch):
         got = searches(args, memo=True)
         assert got == searches(args, memo=False)
         counts.append(len(got))
-    assert counts == [13, 11, 12]
+    assert counts == [11, 10, 12]
 
 
 def test_kept_worst_cases_are_read_only():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilnet import (
     BINARY,
@@ -328,3 +330,187 @@ def test_pair_distances_share_read_only_index_pairs():
     for index in (i, j):
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 1
+
+
+# The graph kernels as they were before a single profile's link rule became
+# two scalars, the gradient summed by bincount, the Laplacian assigned its
+# off-diagonal and the spectrum skipped np.mean and np.linalg.norm: verbatim,
+# as frozen references the live code must match bit for bit.
+
+
+def head_link_rule(profile, i, j):
+    """Range and decay (NaN for binary) governing each pair (i[k], j[k])."""
+    if isinstance(profile, WeightProfile):
+        rules, pick = [profile], np.zeros(len(i), dtype=np.intp)
+    else:
+        order = sorted(profile.profiles.items(), key=lambda kv: (kv[1].comm_range, kv[0]))
+        rank = {name: r for r, (name, _) in enumerate(order)}
+        agent = np.array([rank[name] for name in profile.layers])
+        rules, pick = [p for _, p in order], np.minimum(agent[i], agent[j])
+    ranges = np.array([p.comm_range for p in rules])
+    decays = np.array([math.nan if p.decay is None else p.decay for p in rules])
+    return ranges[pick], decays[pick]
+
+
+def head_graph_from_distances(n, dist, profile):
+    i, j, pairs = graph_core._upper_pairs(n)
+    ranges, decays = head_link_rule(profile, i, j)
+    kept = dist <= ranges
+    d = dist[kept]
+    if np.isnan(decays).any():  # binary
+        weights = np.ones(len(d))
+    else:
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        exponent = -decays[kept] * d * d
+        weights = np.array([math.exp(x) for x in exponent.tolist()], dtype=float)
+    return WeightedGraph(n, pairs[kept], weights)
+
+
+def head_laplacian(g):
+    lap = np.zeros((g.n, g.n))
+    i, j = g.edges.T
+    lap[i, j] -= g.weights
+    lap[j, i] -= g.weights
+    # bincount adds each agent's link weights in edge order
+    np.fill_diagonal(lap, np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n))
+    return lap
+
+
+def head_deflate(lap):
+    shift = 2.0 * float(lap.diagonal().max()) + 1.0
+    return lap + shift / len(lap), shift
+
+
+def head_spectral_result(evals, evecs):
+    lam2 = float(evals[0])
+    if lam2 < graph_core._NEGATIVE_TOL:
+        raise graph_core.SpectralError(f"negative lambda2 from eigensolver: {lam2}")
+    lam2 = max(lam2, 0.0)
+    lam3 = float(evals[1]) if len(evals) >= 3 else math.inf
+    vec = evecs[:, 0]
+    vec = vec - vec.mean()
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12:
+        raise graph_core.SpectralError("Fiedler vector collapsed onto the kernel")
+    vec = vec / norm
+    if vec[np.argmax(np.abs(vec) > 1e-12)] < 0:
+        vec = -vec
+    return graph_core.SpectralResult(lam2, vec, bool(lam3 - lam2 > graph_core._SIMPLE_GAP))
+
+
+def head_connectivity_gradient(positions, profile, spectral, g):
+    pos = np.asarray(positions, dtype=float)
+    i, j = g.edges.T
+    _, decays = head_link_rule(profile, i, j)
+    if np.isnan(decays).any():
+        raise ValueError("gradient needs a smooth profile")
+    dv = spectral.fiedler[i] - spectral.fiedler[j]
+    step = (-2.0 * decays * g.weights * (dv * dv))[:, None] * (pos[i] - pos[j])
+    grad = np.zeros_like(pos)
+    # +step to i and -step to j, interleaved so each row sums in edge order
+    np.add.at(grad, g.edges.ravel(), np.stack([step, -step], 1).reshape(-1, pos.shape[1]))
+    return grad
+
+
+def spectrum_or_error(solve, evals, evecs):
+    try:
+        res = solve(evals, evecs)
+    except graph_core.SpectralError as exc:
+        return str(exc)
+    return res.lambda2.hex(), res.fiedler.tobytes(), res.is_simple
+
+
+def assert_kernels_keep_their_bits(pos, profile, g, spectral_vectors=()):
+    """Graph, Laplacian, spectrum and gradient of ``g`` on ``pos`` against
+    the frozen kernels; ``spectral_vectors`` adds gradients along other
+    unit vectors."""
+    lap = graph_core.laplacian(g)
+    assert lap.tobytes() == head_laplacian(g).tobytes()
+    deflated, shift = graph_core._deflate(lap)
+    want, want_shift = head_deflate(head_laplacian(g))
+    assert (deflated.tobytes(), shift) == (want.tobytes(), want_shift)
+    evals, evecs = np.linalg.eigh(deflated)
+    live = spectrum_or_error(graph_core._spectral_result, evals, evecs)
+    assert live == spectrum_or_error(head_spectral_result, evals, evecs)
+    kinds = {p.kind for p in getattr(profile, "profiles", {None: profile}).values()}
+    if kinds != {SMOOTH}:
+        return
+    vectors = list(spectral_vectors)
+    if not isinstance(live, str):
+        vectors.append(graph_core._spectral_result(evals, evecs))
+    for spectral in vectors:
+        got = connectivity_gradient(pos, profile, spectral, g).per_agent
+        assert got.tobytes() == head_connectivity_gradient(pos, profile, spectral, g).tobytes()
+
+
+def drawn_team(seed, n, dim, kind, spread, decay_scale):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, spread, size=(n, dim))
+    if seed % 4 == 0:
+        # integer lattice: distances land exactly on the ranges 1.0 and 1.5
+        pos = np.round(pos)
+    profile = random_profile(rng, kind, n)
+    if decay_scale != 1.0:
+        # heavy decays drive the far links' weights to 0.0 and subnormals
+        def scaled(p):
+            return p if p.kind == BINARY else WeightProfile(SMOOTH, p.comm_range, p.decay * decay_scale)
+        if isinstance(profile, LayerProfiles):
+            profile = LayerProfiles(
+                profile.layers, {k: scaled(p) for k, p in profile.profiles.items()}
+            )
+        else:
+            profile = scaled(profile)
+    return rng, pos, profile
+
+
+TEAMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    dim=st.sampled_from([2, 3]),
+    kind=st.sampled_from([BINARY, SMOOTH, "layered"]),
+    spread=st.sampled_from([0.5, 2.5, 6.0]),
+    decay_scale=st.sampled_from([1.0, 1.0, 300.0, 1e3]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**TEAMS)
+def test_kernels_keep_the_bits_of_their_frozen_references(
+    seed, n, dim, kind, spread, decay_scale
+):
+    rng, pos, profile = drawn_team(seed, n, dim, kind, spread, decay_scale)
+    dist = graph_core._pair_distances(pos)[2]
+    g = build_proximity_graph(pos, profile)
+    want = head_graph_from_distances(n, dist, profile)
+    assert (g.edges.tobytes(), g.weights.tobytes()) == (want.edges.tobytes(), want.weights.tobytes())
+    # any unit vector off the all-ones one serves the gradient, as the
+    # planner's attacked vectors do
+    u = rng.normal(size=n)
+    u -= u.mean()
+    other = graph_core.SpectralResult(0.0, u / np.linalg.norm(u), False)
+    assert_kernels_keep_their_bits(pos, profile, g, [other])
+    if g.edge_count:
+        drop = rng.choice(g.edge_count, size=min(2, g.edge_count), replace=False)
+        assert_kernels_keep_their_bits(pos, profile, remove_links(g, drop.tolist()))
+
+
+def test_kernel_property_reaches_its_cases():
+    # random graphs, a layered smooth team, and links of weight 0.0 and
+    # subnormal weight, whose Laplacian entries are +0.0 (0 - 0.0; a negated
+    # weight would be -0.0) and -5e-324
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        g = random_graph(rng)
+        pos = rng.uniform(0.0, 2.0, size=(g.n, 2))
+        assert_kernels_keep_their_bits(pos, WeightProfile(SMOOTH, 3.0), g)
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [0.5, 1.5]])
+    layered = LayerProfiles(
+        ("a", "b", "a", "b"), {"a": WeightProfile(SMOOTH, 1.8), "b": WeightProfile(SMOOTH, 2.5, 0.7)}
+    )
+    g = build_proximity_graph(pos, layered)
+    assert g.edge_count >= 4
+    assert_kernels_keep_their_bits(pos, layered, g)
+    tiny = WeightedGraph(3, [(0, 1), (0, 2), (1, 2)], [1.0, 0.0, 5e-324])
+    lap = graph_core.laplacian(tiny)
+    assert math.copysign(1.0, lap[0, 2]) == 1.0 and lap[1, 2] == -5e-324
+    assert_kernels_keep_their_bits(pos[:3], WeightProfile(SMOOTH, 3.0), tiny)

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import sys
+from collections.abc import Mapping, Sequence
 from itertools import combinations
 
 import re
@@ -255,14 +256,13 @@ def test_errors_keep_the_order_of_the_fields():
     ]
     data["events"] = [{"type": "jam", "budget": 1, "start": 2, "end": 1, "edges": [["a", "z"]]}]
     # an agent's id and layer rules report before its position's; a layer
-    # that fails falls back to "default", which no profile names
+    # that fails falls back to "default", which no profile names; a position
+    # that fails is still given, so no agent lacks one
     assert errors_of(data) == (
         "agents[1].id: duplicate id 'a'",
         "agents[1].layer: expected a string, got int",
         "agents[1].layer: unknown layer 'default'",
         "agents[1].position[0]: must be finite, got nan",
-        "agents: either every agent has a position or none has",
-        "agents: agents need positions unless a layout is given",
         "events[0].edges[0]: unknown agent id 'z'",
         "events[0]: end (1) must exceed start (2)",
     )
@@ -481,6 +481,147 @@ def same_bits(a, b) -> bool:
 @given(value=JSON_VALUES)
 def test_canonical_json_round_trip_keeps_float_bits(value):
     assert same_bits(json.loads(dumps_canonical(value)), value)
+
+
+def head_write_canonical(obj, parts, hashing):
+    """The writer as it was before it told its hot types apart by exact
+    type: one isinstance chain, verbatim."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # Python values all the way down
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            text = format(obj, ".17g")
+            # a float keeps its JSON type on re-parse
+            parts.append(text if "." in text or "e" in text else text + ".0")
+        elif hashing and math.isinf(obj):
+            parts.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            raise ValueError("non-finite number in canonical output")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                parts.append(",")
+            head_write_canonical(item, parts, hashing)
+        parts.append("]")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, Mapping):
+        parts.append("{")
+        for k, key in enumerate(sorted(obj) if hashing else obj):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+            if k:
+                parts.append(",")
+            parts.append(json.dumps(key))
+            parts.append(":")
+            head_write_canonical(obj[key], parts, hashing)
+        parts.append("}")
+    elif isinstance(obj, Sequence) and not isinstance(obj, bytes):
+        head_write_canonical(list(obj), parts, hashing)
+    else:
+        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def head_text(obj, hashing):
+    """The frozen writer's text, or the type and message of what it raised."""
+    parts = []
+    try:
+        head_write_canonical(obj, parts, hashing)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "".join(parts)
+
+
+def live_text(obj, hashing):
+    """The same for dumps_canonical, or config_hash's digest if ``hashing``."""
+    try:
+        if hashing:
+            return config_hash(obj)
+        return dumps_canonical(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class Floaty(float):
+    """A float subclass, which takes the writer's general chain."""
+
+
+class Pair(tuple):
+    """A tuple subclass, which does too."""
+
+
+CANONICAL_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, -1e16, 2.0**53, 1.5, math.inf, -math.inf, math.nan]
+) | st.floats()
+CANONICAL_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**70), 2**70)
+    | CANONICAL_FLOATS
+    | st.text(max_size=4)
+    | CANONICAL_FLOATS.map(np.float64)
+    | CANONICAL_FLOATS.map(Floaty)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(0, 255).map(np.uint8)
+    | st.booleans().map(np.bool_)
+    | st.lists(CANONICAL_FLOATS, max_size=4).map(lambda v: np.array(v, dtype=float))
+    | st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(
+        lambda v: np.array(v).reshape(2, -1) if len(v) % 2 == 0 else np.array(v)
+    )
+    | st.sampled_from([b"x", 1j, object()])
+)
+CANONICAL_DOCUMENTS = st.recursive(
+    CANONICAL_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=3).map(Pair)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(0, 3), inner, min_size=1, max_size=2),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=CANONICAL_DOCUMENTS)
+def test_writer_keeps_the_bits_of_its_isinstance_chain(doc):
+    # dumps_canonical and config_hash against the frozen writer, bit for bit,
+    # and the same error where it raises
+    for hashing in (False, True):
+        want = head_text(doc, hashing)
+        if hashing and isinstance(want, str):
+            want = hashlib.sha256(want.encode()).hexdigest()
+        assert live_text(doc, hashing) == want
+
+
+def test_writer_property_reaches_every_branch():
+    # the documents the property must meet, each written as the frozen writer does
+    docs = [
+        [-0.0, 5e-324, 1e16, 1.0, 3, True, None, "x"],
+        (np.float64(-0.0), np.int64(-7), np.bool_(False), np.array([[1.0, -0.0]])),
+        {"b": Pair((1, 2.5)), "a": [Floaty(1e16), Floaty(-0.0)], "c": (2**70,)},
+        {"inf": [math.inf, -math.inf]},
+        [math.nan],
+        {1: "x"},
+        [b"x"],
+    ]
+    for doc in docs:
+        for hashing in (False, True):
+            want = head_text(doc, hashing)
+            if hashing and isinstance(want, str):
+                want = hashlib.sha256(want.encode()).hexdigest()
+            assert live_text(doc, hashing) == want
+    # 1e16 is the largest power of ten that .17g writes out in full
+    assert dumps_canonical(docs[0]) == '[-0.0,4.9406564584124654e-324,10000000000000000.0,1.0,3,true,null,"x"]'
+    assert head_text(docs[3], False) == (ValueError, "non-finite number in canonical output")
+    assert head_text(docs[5], True) == (TypeError, "non-string key 1")
 
 
 # ---------------------------------------------------------------------------
