@@ -18,7 +18,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -214,13 +214,6 @@ def _snap(lam: float) -> float:
     return 0.0 if lam < 1e-12 else lam
 
 
-def _evaluate(g: WeightedGraph, m: int) -> _Eval:
-    b = min(m, g.edge_count)
-    scope = _SCOPE.get()
-    wc = worst_case_removal(g, RemovalBudget(b)) if scope is None else scope.worst_case(g, b)
-    return _Eval(_snap(wc.lambda2_after), _snap(wc.start.lambda2), wc, g)
-
-
 def _ascent_gradient_rows(positions, profile, ev: _Eval) -> tuple[np.ndarray, float]:
     """Per-agent gradient of the worst-case lambda2 at ``positions``, from
     the spectra the worst-case search solved, and its largest row norm."""
@@ -285,23 +278,25 @@ def _keep(table: dict, key, value, size: int) -> None:
 
 
 class _Scope:
-    """What the plan calls of one run share.
+    """What the plan calls and the jammer of one run share.
 
-    ``worst_case`` keeps every graph's worst case, keyed on the graph's
-    bytes and the budget, so a graph met again takes no search: the search
-    is a function of those bytes alone.  ``store`` keeps the certificate
-    vectors of each team, keyed on its agents' indices; the Courant-Fischer
-    bound of ``_certified_below`` holds for any test vector, so vectors from
-    earlier steps serve as well.  Both are bounded, and dropping an entry
-    can only make a hit or a certificate rarer, so no output depends on
-    what they hold.
+    ``worst_case`` searches at budget m, clamped to the edge count, and
+    keeps every graph's worst case, keyed on the graph's bytes and that
+    budget, so a graph met again takes no search: the search is a function
+    of those bytes alone.  ``evaluate`` is the planners' view of it.
+    ``store`` keeps the certificate vectors of each team, keyed on its
+    agents' indices; the Courant-Fischer bound of ``_certified_below``
+    holds for any test vector, so vectors from earlier steps serve as well.
+    Both are bounded, and dropping an entry can only make a hit or a
+    certificate rarer, so no output depends on what they hold.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple, WorstCaseResult] = {}
         self._stores: dict[tuple[int, ...], _Rejected] = {}
 
-    def worst_case(self, g: WeightedGraph, b: int) -> WorstCaseResult:
+    def worst_case(self, g: WeightedGraph, m: int) -> WorstCaseResult:
+        b = min(m, g.edge_count)
         key = (g.n, g.edges.tobytes(), g.weights.tobytes(), b)
         wc = self._memo.get(key)
         if wc is None:
@@ -311,6 +306,10 @@ class _Scope:
             wc.attacked.fiedler.flags.writeable = False
             _keep(self._memo, key, wc, _MEMO_SIZE)
         return wc
+
+    def evaluate(self, g: WeightedGraph, m: int) -> _Eval:
+        wc = self.worst_case(g, m)
+        return _Eval(_snap(wc.lambda2_after), _snap(wc.start.lambda2), wc, g)
 
     def store(self, team: tuple[int, ...]) -> _Rejected:
         rejected = self._stores.get(team)
@@ -346,22 +345,24 @@ def _line_search(
     trial_at: Callable[[float], tuple[np.ndarray, np.ndarray] | None],
     profile,
     m: int,
-    rejected: _Rejected,
+    scope: _Scope,
+    team: tuple[int, ...],
 ) -> tuple[np.ndarray, _Eval] | None:
     """Backtracking search from ``ev``: the first trial that is feasible and
-    gains _TOL per unit step, with its evaluation, or None.
+    gains _TOL per unit step, with its evaluation by ``scope``, or None.
 
     ``trial_at(eta)`` gives the positions at step ``eta`` and their pair
     distances, which build the trial graph, or None where they break a
     limit.  A trial whose worst case a Rayleigh quotient of one of the
-    ``rejected`` vectors puts below the incumbent's is rejected with no
-    search: ``_improves`` needs a worst case at least the incumbent's.  The
-    incumbent's own attacked Fiedler vector goes in first, as the
-    Courant-Fischer bound holds for any test vector: a trial whose attack
-    along it falls below the incumbent is no gain.  Each trial that an
-    evaluation rejects adds its attacked Fiedler vector too, so the trials
-    after it, which lie on the same ray, are tested against it.
+    vectors in the scope's store of ``team`` puts below the incumbent's is
+    rejected with no search: ``_improves`` needs a worst case at least the
+    incumbent's.  The incumbent's own attacked Fiedler vector goes in
+    first, as the Courant-Fischer bound holds for any test vector: a trial
+    whose attack along it falls below the incumbent is no gain.  Each trial
+    that an evaluation rejects adds its attacked Fiedler vector too, so the
+    trials after it, which lie on the same ray, are tested against it.
     """
+    rejected = scope.store(team)
     rejected.add(ev.worst.attacked.fiedler)
     eta = _STEP_SIZE
     for _ in range(_MAX_BACKTRACKS):
@@ -370,7 +371,7 @@ def _line_search(
             trial, dist = found
             g = _graph_from_distances(len(trial), dist, profile)
             if not _certified_below(g, m, rejected.vectors, rejected.norms, ev.worst_lambda2):
-                ev2 = _evaluate(g, m)
+                ev2 = scope.evaluate(g, m)
                 if _improves(ev, ev2, _TOL * eta):
                     return trial, ev2
                 rejected.add(ev2.worst.attacked.fiedler)
@@ -389,6 +390,15 @@ def _plan_input_errors(pos: np.ndarray, profile, opts: ControlOptions) -> list[t
             ("control.min_separation", "min_separation must be below the communication range")
         )
     return errors
+
+
+def _checked_start(reported_positions, profile, opts: ControlOptions) -> tuple[np.ndarray, int]:
+    """A planner's start and budget, or the first failed precondition raised."""
+    pos = as_positions(reported_positions)
+    errors = _plan_input_errors(pos, profile, opts)
+    if errors:
+        raise ValueError(errors[0][1])
+    return pos, opts.anticipated_budget.m
 
 
 def plan_step(
@@ -415,19 +425,15 @@ def plan_step(
     calls share one scope: they keep those vectors across steps, and a graph
     evaluated at an earlier step, or by the run's jammer, takes no second
     search.  A call outside a run has a scope of its own.  Either way the
-    result is the same, bit for bit.
+    result is the same, bit for bit.  Every evaluation is the scope's.
     """
-    pos = as_positions(reported_positions)
-    errors = _plan_input_errors(pos, profile, opts)
-    if errors:
-        raise ValueError(errors[0][1])
-    m = opts.anticipated_budget.m
+    pos, m = _checked_start(reported_positions, profile, opts)
     bound, d_min = opts.motion_bound, opts.min_separation
+    team = tuple(range(len(pos)))
     with _planning_scope() as scope:
-        ev = _evaluate(build_proximity_graph(pos, profile), m)
+        ev = scope.evaluate(build_proximity_graph(pos, profile), m)
         candidate = pos.copy()
         accepted = 0
-        rejected = scope.store(tuple(range(len(pos))))
         for _ in range(opts.outer_iters):
             grad, gmax = _ascent_gradient_rows(candidate, profile, ev)
             if gmax < _ZERO_GRAD:
@@ -438,7 +444,8 @@ def plan_step(
                 lambda eta: _enforce(pos, candidate + eta * direction, bound, d_min),
                 profile,
                 m,
-                rejected,
+                scope,
+                team,
             )
             if found is None:
                 break
@@ -456,14 +463,6 @@ def _two_hop_neighborhoods(g: WeightedGraph) -> list[list[int]]:
     return [np.flatnonzero(row).tolist() for row in adj @ adj]
 
 
-def _slice_profile(profile, idx: Sequence[int]):
-    if isinstance(profile, LayerProfiles):
-        return LayerProfiles(
-            tuple(profile.layers[k] for k in idx), profile.profiles
-        )
-    return profile
-
-
 def plan_step_decentralized(
     reported_positions, profile: WeightProfile | LayerProfiles, opts: ControlOptions
 ) -> PlanResult:
@@ -475,17 +474,15 @@ def plan_step_decentralized(
     round's snapshot, and moves only itself; motion and separation limits
     are then enforced jointly.  There is no global-improvement guarantee;
     the globally evaluated objective at the final targets is reported for
-    comparison against the centralized planner.  Each neighborhood keeps its
-    own certificate vectors, across rounds, and across steps inside a run
-    (see :func:`plan_step`).
+    comparison against the centralized planner.  The neighborhoods, and
+    their profiles, are fixed for the call.  Each keeps its own certificate
+    vectors, across rounds, and across steps inside a run (see
+    :func:`plan_step`).
     """
-    pos = as_positions(reported_positions)
-    errors = _plan_input_errors(pos, profile, opts)
-    if errors:
-        raise ValueError(errors[0][1])
-    m = opts.anticipated_budget.m
+    pos, m = _checked_start(reported_positions, profile, opts)
     bound = opts.motion_bound
     hoods = _two_hop_neighborhoods(build_proximity_graph(pos, profile))
+    teams = [(i, idx, profile._for_agents(idx)) for i, idx in enumerate(hoods) if len(idx) > 1]
     candidate = pos.copy()
     rounds = 0
     with _planning_scope() as scope:
@@ -493,13 +490,10 @@ def plan_step_decentralized(
             snapshot = candidate.copy()
             proposal = candidate.copy()
             any_moved = False
-            for i, idx in enumerate(hoods):
-                if len(idx) < 2:
-                    continue
-                sub_profile = _slice_profile(profile, idx)
+            for i, idx, sub_profile in teams:
                 loc = idx.index(i)
                 local = snapshot[idx]
-                ev = _evaluate(build_proximity_graph(local, sub_profile), m)
+                ev = scope.evaluate(build_proximity_graph(local, sub_profile), m)
                 gi = _ascent_gradient_rows(local, sub_profile, ev)[0][loc]
                 norm = float(np.linalg.norm(gi))
                 if norm < _ZERO_GRAD:
@@ -511,7 +505,7 @@ def plan_step_decentralized(
                     moved = (snapshot[i] + eta * unit)[None, :]
                     trial[loc] = _clip(pos[i][None, :], moved, bound)[0][0]
                     return trial, _pair_distances(trial)[2]
-                found = _line_search(ev, trial_at, sub_profile, m, scope.store(tuple(idx)))
+                found = _line_search(ev, trial_at, sub_profile, m, scope, tuple(idx))
                 if found is not None:
                     proposal[i] = found[0][loc]
                     any_moved = True
@@ -522,5 +516,5 @@ def plan_step_decentralized(
                 break
             candidate = enforced[0]
             rounds += 1
-        ev = _evaluate(build_proximity_graph(candidate, profile), m)
+        ev = scope.evaluate(build_proximity_graph(candidate, profile), m)
     return PlanResult(candidate, ev.worst_lambda2, ev.worst, rounds)

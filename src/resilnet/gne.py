@@ -304,10 +304,7 @@ _LAYER_PAIRS = (_PAIRS, [(_MIX, _MIX)], [(0, 0), (1, 1)], _PAIRS)
 _SLOTS = {slot: k for k, slot in enumerate(
     (layer, pair) for layer, pairs in enumerate(_LAYER_PAIRS) for pair in pairs
 )}
-_LAYERS = [
-    [(_SLOTS[layer, pair], *_entry(pair)) for pair in pairs]
-    for layer, pairs in enumerate(_LAYER_PAIRS)
-]
+_LAYERS = [[_entry(pair) for pair in pairs] for pairs in _LAYER_PAIRS]
 
 
 class _Candidate(NamedTuple):
@@ -479,7 +476,7 @@ class _TrustGame:
         # and at 1: it is monotone in p and a few roundings from exact, so
         # the prior where it meets each bound is known to a few ulps
         sources = (*lone, None, (TRUST, TRUST))
-        for _, pair, kind, w0, w1 in _LAYERS[_PASSIVE]:
+        for pair, kind, w0, w1 in _LAYERS[_PASSIVE]:
             hybrid = kind == "hybrid" and plan(_PASSIVE, pair, sources[w0][0], sources[w1][1])
             if hybrid:
                 mu, c = hybrid[2], 1.0 - hybrid[2]
@@ -775,7 +772,7 @@ class _TrustGame:
         # the responses at _entry's sources: a message one type sends alone
         # has its one-hot posterior while its mass exceeds 1e-15, and a pooled
         # one the prior, since p + (1 - p) rounds to 1 for every p in [0, 1]
-        picked, lone, plans = (passive[0] & 1, passive[1] & 1), self.picked, self.plans
+        picked, lone = (passive[0] & 1, passive[1] & 1), self.picked
         sources = (lone[0] if p > 1e-15 else picked, lone[1] if pi[1] > 1e-15 else picked)
         sources += (picked, (TRUST, TRUST))
         for layer, entries in enumerate(_LAYERS):
@@ -784,10 +781,8 @@ class _TrustGame:
                 sources = [self.alone[t] if pi[t] > 0.0 else passive for t in range(2)]
                 sources += (passive, (_NEAR, _NEAR))
             found = []
-            for k, pair, kind, w0, w1 in entries:
-                plan = plans.get((k, sources[w0][0], sources[w1][1]), self)
-                if plan is self:
-                    plan = self.plan(layer, pair, sources[w0][0], sources[w1][1])
+            for pair, kind, w0, w1 in entries:
+                plan = self.plan(layer, pair, sources[w0][0], sources[w1][1])
                 if plan is not None and (candidate := self.build(p, layer, pair, kind, plan)):
                     found.append(candidate)
             if found:

@@ -55,7 +55,7 @@ class SpectralError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Distance-to-weight rule for proximity links.
+    """Distance-to-weight rule for proximity links, the same for every pair.
 
     Args:
         kind: ``"binary"`` or ``"smooth"``.
@@ -94,6 +94,14 @@ class WeightProfile:
             return self
         return WeightProfile(SMOOTH, self.comm_range)
 
+    def _link_rule(self, i: np.ndarray, j: np.ndarray) -> tuple[float, float | None]:
+        """Range and decay of every pair, as scalars: in an elementwise
+        product a scalar gives the bits of an array that repeats it."""
+        return self.comm_range, self.decay
+
+    def _for_agents(self, idx: Sequence[int]) -> "WeightProfile":
+        return self
+
 
 @dataclass(frozen=True)
 class LayerProfiles:
@@ -101,7 +109,8 @@ class LayerProfiles:
 
     A cross-layer pair is governed by the more restrictive profile, i.e. the
     one with the smaller communication range (layer name breaks ties), so a
-    link exists only when both endpoints can hear each other.
+    link exists only when both endpoints can hear each other.  ``layers``
+    names each agent's layer, in team order.
     """
 
     layers: tuple[str, ...]
@@ -124,6 +133,20 @@ class LayerProfiles:
             self.layers,
             {name: p.smooth_surrogate() for name, p in self.profiles.items()},
         )
+
+    def _link_rule(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Range and decay of each pair (i[k], j[k]), by the rule of its
+        more restrictive layer; binary layers have no decay."""
+        order = sorted(self.profiles.items(), key=lambda kv: (kv[1].comm_range, kv[0]))
+        rank = {name: r for r, (name, _) in enumerate(order)}
+        agent = np.array([rank[name] for name in self.layers])
+        pick = np.minimum(agent[i], agent[j])
+        ranges = np.array([p.comm_range for _, p in order])
+        decays = [p.decay for _, p in order]
+        return ranges[pick], None if decays[0] is None else np.array(decays)[pick]
+
+    def _for_agents(self, idx: Sequence[int]) -> "LayerProfiles":
+        return LayerProfiles(tuple(self.layers[k] for k in idx), self.profiles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,28 +239,6 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i, j, np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
-def _link_rule(
-    profile: WeightProfile | LayerProfiles, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Range and decay (NaN for binary) governing each pair (i[k], j[k]).
-
-    A single profile governs every pair, and its two scalars are returned
-    as they are: in an elementwise product a scalar gives the bits of an
-    array that repeats it.  A cross-layer pair uses the profile with the
-    smaller (range, layer name), so a link exists only when both endpoints
-    can hear each other; layered teams get one value per pair.
-    """
-    if isinstance(profile, WeightProfile):
-        return profile.comm_range, math.nan if profile.decay is None else profile.decay
-    order = sorted(profile.profiles.items(), key=lambda kv: (kv[1].comm_range, kv[0]))
-    rank = {name: r for r, (name, _) in enumerate(order)}
-    agent = np.array([rank[name] for name in profile.layers])
-    pick = np.minimum(agent[i], agent[j])
-    ranges = np.array([p.comm_range for _, p in order])
-    decays = np.array([math.nan if p.decay is None else p.decay for _, p in order])
-    return ranges[pick], decays[pick]
-
-
 def build_proximity_graph(
     positions, profile: WeightProfile | LayerProfiles
 ) -> WeightedGraph:
@@ -264,12 +265,13 @@ def _graph_from_distances(
     n: int, dist: np.ndarray, profile: WeightProfile | LayerProfiles
 ) -> WeightedGraph:
     """The proximity graph of n agents whose pair distances, in
-    ``_pair_distances`` order, are ``dist``; the inputs are not checked."""
+    ``_pair_distances`` order, are ``dist``, under the profile's link rule;
+    the inputs are not checked."""
     i, j, pairs = _upper_pairs(n)
-    ranges, decays = _link_rule(profile, i, j)
+    ranges, decays = profile._link_rule(i, j)
     kept = dist <= ranges
     d = dist[kept]
-    if np.isnan(decays).any():  # binary
+    if decays is None:  # binary
         weights = np.ones(len(d))
     else:
         if isinstance(decays, np.ndarray):
@@ -359,7 +361,8 @@ def connectivity_gradient(
     d(lambda2)/d(w_ij) = (v_i - v_j)^2, and for the smooth profile
     d(w)/d(x_i) = -2 * decay * w * (x_i - x_j), so each edge contributes
     -2 * decay * w * (v_i - v_j)^2 * (x_i - x_j) to agent i.  Coincident
-    endpoints contribute zero.  Requires a smooth profile.
+    endpoints contribute zero.  The profile's link rule, which must be
+    smooth, gives each edge's decay.
 
     Returns:
         :class:`GradientResult`; ``exact`` mirrors ``spectral.is_simple``.
@@ -368,8 +371,8 @@ def connectivity_gradient(
     if g.n != len(pos):
         raise ValueError("graph and positions disagree on agent count")
     i, j = g.edges.T
-    _, decays = _link_rule(profile, i, j)
-    if np.isnan(decays).any():
+    _, decays = profile._link_rule(i, j)
+    if decays is None:
         raise ValueError("gradient needs a smooth profile")
     dv = spectral.fiedler[i] - spectral.fiedler[j]
     step = (-2.0 * decays * g.weights * (dv * dv))[:, None] * (pos[i] - pos[j])

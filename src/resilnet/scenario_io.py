@@ -65,12 +65,14 @@ class _Walk:
     list's shape, ``table`` a 2x2 utility table, and ``make`` the dataclass
     that checked values become.  ``dim`` and ``ids`` are the scenario's
     dimension and agent ids, set once parsed; the vector and id-list rules
-    of the field tables read them.
+    of the field tables read them.  A field that fails its check counts as
+    given, and the rules that need its value are skipped: with no ``dim``,
+    a vector of any length passes.
     """
 
     def __init__(self) -> None:
         self.errors: list[str] = []
-        self.dim = 0
+        self.dim: int | None = None
         self.ids: Sequence[str] = ()
 
     def err(self, path: str, message: str) -> None:
@@ -196,9 +198,10 @@ class _Walk:
     ) -> tuple[float, ...] | None:
         """``dim`` numbers within +-``bound``; the scenario's dimension by default."""
         dim = self.dim if dim is None else dim
-        if (node := self.items(node, path, f"a list of {dim} numbers")) is None:
+        expected = "a list of numbers" if dim is None else f"a list of {dim} numbers"
+        if (node := self.items(node, path, expected)) is None:
             return None
-        if len(node) != dim:
+        if dim is not None and len(node) != dim:
             self.err(path, f"expected {dim} numbers, got {len(node)}")
             return None
         vals = []
@@ -401,7 +404,7 @@ def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
     return w.make("control", ControlOptions, RemovalBudget(got.pop("anticipated_budget")), **got)
 
 
-def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
+def _parse_events(w: _Walk, node: Any, steps: int | None) -> tuple:
     from .simulator import JamEvent, SpoofEvent
 
     if node is None or (node := w.items(node, "events", "a list of events")) is None:
@@ -421,7 +424,7 @@ def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
             if end <= start:
                 w.err(path, f"end ({end}) must exceed start ({start})")
                 continue
-            if end > steps:
+            if steps is not None and end > steps:
                 w.err(path, f"window [{start}, {end}) extends beyond steps={steps}")
                 continue
             events.append(JamEvent(budget, start, end, got.get("edges")))
@@ -430,7 +433,7 @@ def _parse_events(w: _Walk, node: Any, steps: int) -> tuple:
             if None in got.values():
                 continue
             start, duration = got["start"], got["duration"]
-            if start + duration > steps:
+            if steps is not None and start + duration > steps:
                 w.err(path, f"window [{start}, {start + duration}) extends beyond steps={steps}")
                 continue
             events.append(SpoofEvent(got["targets"], got["offset"], start, duration))
@@ -461,7 +464,7 @@ def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
     return BaselineSpec()
 
 
-def _parse_schedule(w: _Walk, node: Any, steps: int) -> tuple[tuple[int, int], ...]:
+def _parse_schedule(w: _Walk, node: Any, steps: int | None) -> tuple[tuple[int, int], ...]:
     if node is None or (node := w.items(node, "budget_schedule", "a list of entries")) is None:
         return ()
     entries = []
@@ -475,7 +478,7 @@ def _parse_schedule(w: _Walk, node: Any, steps: int) -> tuple[tuple[int, int], .
         if frm <= prev:
             w.err(f"{path}.from_step", "must increase along the schedule")
             continue
-        if frm >= steps:
+        if steps is not None and frm >= steps:
             w.err(f"{path}.from_step", f"must be below steps={steps}")
             continue
         prev = frm
@@ -497,10 +500,11 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
     top = w.block(data, "", _SCENARIO_FIELDS)
     if top is None:
         raise ConfigError(w.errors)
-    w.dim = dim = top["dimension"] or 2
-    steps = top["steps"] or 1
+    # None where they failed, which skips the rules that read them
+    w.dim, steps = top["dimension"], top["steps"]
 
     profiles: dict[str, WeightProfile] = {}
+    layer_names = [_DEFAULT_LAYER]  # every profile's, as given
     if ("profile" in top) == ("profiles" in top):
         w.err("profile", "exactly one of 'profile' or 'profiles' is required")
     elif "profile" in top:
@@ -512,6 +516,7 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         if layered is not None:
             if not layered:
                 w.err("profiles", "must not be empty")
+            layer_names = [str(name) for name in layered] or layer_names
             for name, node in layered.items():
                 if not isinstance(name, str):
                     w.err(f"profiles.{name}", f"expected a string name, got {type(name).__name__}")
@@ -521,7 +526,6 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
             if len({prof.kind for prof in profiles.values()}) > 1:
                 w.err("profiles", "all layer profiles must share one kind")
 
-    layer_names = tuple(profiles) if profiles else (_DEFAULT_LAYER,)
     ids, agent_layers, positions = _parse_agents(w, top.get("agents"), layer_names)
     w.ids = ids
     opts = _parse_control(w, top["control"]) if "control" in top else None
@@ -529,9 +533,9 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         w.err("control", "required field missing")
 
     layout = _parse_layout(w, top["layout"]) if "layout" in top else None
-    if positions is None and layout is None:
+    if positions is None and "layout" not in top:
         w.err("agents", "agents need positions unless a layout is given")
-    if positions is not None and layout is not None:
+    if positions is not None and "layout" in top:
         w.err("layout", "layout conflicts with explicit agent positions")
 
     events = _parse_events(w, top.get("events"), steps)
@@ -542,7 +546,7 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         raise ConfigError(w.errors)
     try:
         cfg = ScenarioConfig(
-            dimension=dim,
+            dimension=w.dim,
             agent_ids=tuple(ids),
             agent_layers=tuple(agent_layers),
             initial_positions=tuple(positions) if positions is not None else None,
@@ -573,14 +577,31 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     return scenario_from_dict(_load_yaml(path))
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on the C parser where built, whose int constructor
+    raises an integer longer than ``int()`` converts (4,300 digits by
+    default) as a YAML error at the integer's line and column."""
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
+
 def _load_yaml(path: str | Path) -> Any:
+    """The YAML document at ``path``; an unreadable file, a syntax error and
+    an integer too long to convert raise ConfigError, the last two at their
+    line and column."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     try:
-        # the C parser, where built, feeds the same resolver and constructor
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         # the yaml error message carries the line and column
         raise ConfigError([f"syntax error: {exc}"]) from exc

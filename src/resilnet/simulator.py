@@ -282,8 +282,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[StepTrace]:
                     continue
                 anticipated.append(jammed <= opts.anticipated_budget.m)
                 if ev.edges is None:
-                    m_eff = min(ev.budget, graph.edge_count)
-                    graph = remove_links(graph, scope.worst_case(graph, m_eff).removal)
+                    graph = remove_links(graph, scope.worst_case(graph, ev.budget).removal)
                 else:
                     graph = remove_links(
                         graph, _resolve_edges(graph, ev.edges, cfg.agent_ids)

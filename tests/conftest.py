@@ -10,22 +10,27 @@ import yaml
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_blocks():
+    """The README's scenario and game blocks, as text."""
+    return re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
+
+
 def readme_documents():
     """The README's scenario and game blocks, as documents."""
-    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
-    return [yaml.safe_load(block) for block in blocks]
+    return [yaml.safe_load(block) for block in readme_blocks()]
 
 
 def assert_loaders_agree(text):
     """Both safe loaders give the same document, or both reject the text.
 
     ``repr`` shows every value with its type (1, 1.0, '1' and True differ)
-    and keeps float bits and key order."""
+    and keeps float bits and key order.  An integer too long for ``int()``
+    makes both raise the same ValueError, which counts as one rejection."""
     docs = []
     for loader in (yaml.SafeLoader, yaml.CSafeLoader):
         try:
             docs.append(repr(yaml.load(text, Loader=loader)))
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             mark = getattr(exc, "problem_mark", None)
             docs.append((type(exc).__name__, mark and (mark.line, mark.column)))
     assert docs[0] == docs[1]

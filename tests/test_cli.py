@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from conftest import readme_documents
+from conftest import readme_blocks, readme_documents
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +216,82 @@ def test_a_position_that_fails_counts_as_given(drop, errors, tmp_path, capsys):
     assert capsys.readouterr().err == "".join(f"error: {e}\n" for e in errors)
 
 
+@pytest.mark.parametrize(
+    "block, old, new, line, column, command",
+    [
+        (0, "decay: 2.7 ", "decay: {} ", 8, 12, "simulate"),
+        (1, "attacker: [[1.0,", "attacker: [[{},", 3, 15, "gne"),
+    ],
+    ids=["scenario_decay", "game_table_entry"],
+)
+def test_an_integer_too_long_to_convert_is_reported_at_its_line(
+    block, old, new, line, column, command, tmp_path, capsys
+):
+    # past 4,300 digits int() raises a ValueError, once printed with no
+    # line, column or path
+    text = readme_blocks()[block]
+    assert old in text
+    path = tmp_path / "big.yaml"
+    path.write_text(text.replace(old, new.format("1" * 5000), 1))
+    for args in (["validate", str(path)], [command, str(path), "--out", str(tmp_path / "out")]):
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("error: syntax error: Exceeds the limit (4300")
+        assert err[1].endswith(f", line {line}, column {column}")
+    assert not (tmp_path / "out").exists()
+
+
+def failing_layout(doc):
+    for agent in doc["agents"]:
+        del agent["position"]
+    doc["layout"] = {"low": [1.0, 0.0], "high": [0.0, 5.0]}
+
+
+def failing_steps(value, schedule=False):
+    def change(doc):
+        doc["steps"] = value
+        if schedule:
+            doc["budget_schedule"] = [{"from_step": 3, "budget": 1}]
+    return change
+
+
+def failing_dimension(doc):
+    doc["dimension"] = 4
+    for agent in doc["agents"]:
+        agent["position"] += [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (failing_layout, "layout: low must be elementwise below high"),
+        (lambda doc: doc["profiles"]["air"].update(range=-1),
+         "profiles.air.range: must be > 0.0, got -1"),
+        (lambda doc: doc["profiles"]["ground"].update(kind="binary"),
+         "profiles.ground.decay: binary profile takes no decay"),
+        (failing_steps(0), "steps: must be >= 1, got 0"),
+        (failing_steps(1.5), "steps: expected an integer, got 1.5"),
+        (failing_steps("x"), "steps: expected a number, got str"),
+        (failing_steps(0, schedule=True), "steps: must be >= 1, got 0"),
+        (failing_dimension, "dimension: must be <= 3, got 4"),
+    ],
+    ids=["layout", "profile_range", "binary_decay", "steps_0", "steps_1.5", "steps_x",
+         "steps_0_with_schedule", "dimension_4"],
+)
+def test_a_field_that_fails_counts_as_given(change, error, tmp_path, capsys):
+    # the failed field once read as absent, or as the stand-in steps=1 or
+    # dimension=2, and later rules added errors: agents lacking positions,
+    # unknown layers, event windows and a schedule past step 1, and
+    # positions of the wrong length
+    doc = readme_documents()[0]
+    change(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_fixed_baseline_allows_an_event_at_step_0(tmp_path):
     data = dict(SCENARIO, events=JAM_AT_0, baseline={"policy": "fixed", "value": 0.5})
     path = tmp_path / "ok.yaml"
@@ -316,6 +392,22 @@ def test_a_document_that_is_not_a_mapping_is_named(text, kind, tmp_path, capsys)
 def test_missing_file_exits_1(capsys):
     assert main(["validate", "no/such/file.yaml"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_plan_steps_must_be_an_integer(scenario_file, capsys):
+    assert main(["plan", str(scenario_file), "--steps", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --steps: must be an integer >= 1, got 'x'\n")
+
+
+def test_an_unexpected_error_exits_2_with_its_type(scenario_file, monkeypatch, capsys):
+    def broken(raw):
+        raise RuntimeError("no plan")
+
+    monkeypatch.setattr("resilnet.cli._simulation", broken)
+    assert main(["validate", str(scenario_file)]) == 2
+    assert capsys.readouterr().err == "failure: RuntimeError: no plan\n"
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -455,8 +547,11 @@ def test_metrics_flags(scenario_file, tmp_path, capsys):
         (["--baseline", "fixed:0"], "baseline.value: must be > 0.0, got 0.0"),
         (["--recovery-fraction", "1.5"], "baseline.recovery_fraction: must be <= 1.0, got 1.5"),
         (["--recovery-fraction", "nan"], "baseline.recovery_fraction: must be finite, got nan"),
+        (["--baseline", "fixed:abc"], "baseline: bad fixed value in 'fixed:abc'"),
     ],
-    ids=["nan", "inf", "negative", "zero", "fraction_above_1", "fraction_nan"],
+    ids=[
+        "nan", "inf", "negative", "zero", "fraction_above_1", "fraction_nan", "fixed_not_a_number"
+    ],
 )
 def test_metrics_flags_follow_the_baseline_block(flags, error, scenario_file, tmp_path, capsys):
     out = tmp_path / "run"

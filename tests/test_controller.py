@@ -45,11 +45,9 @@ from resilnet.controller import (
     _TOL,
     _ZERO_GRAD,
     _ascent_gradient_rows,
-    _evaluate,
     _improves,
     _pair_distances,
     _push_apart,
-    _slice_profile,
 )
 from resilnet.scenario_io import _trace_record, dumps_canonical
 
@@ -58,6 +56,11 @@ PROFILE = WeightProfile(SMOOTH, 1.5)
 
 def opts(m=1, delta=0.5, **kw):
     return ControlOptions(RemovalBudget(m), delta, **kw)
+
+
+def evaluate(g, m):
+    """The planners' evaluation, in a scope of its own: a fresh search."""
+    return controller._Scope().evaluate(g, m)
 
 
 def worst_lambda2(positions, profile, m):
@@ -390,7 +393,7 @@ def reference_ascent_gradient_rows(positions, profile, ev):
 def plan_with_and_without_fresh_spectra(monkeypatch, planner, *args):
     got = planner(*args)
     with monkeypatch.context() as patch:
-        patch.setattr(controller, "_evaluate", reference_evaluate)
+        patch.setattr(controller._Scope, "evaluate", lambda scope, g, m: reference_evaluate(g, m))
         patch.setattr(controller, "_ascent_gradient_rows", reference_ascent_gradient_rows)
         want = planner(*args)
     assert got.targets.tobytes() == want.targets.tobytes()
@@ -463,8 +466,9 @@ def reference_two_hop_neighborhoods(g):
 
 
 # The planners as they were when each kept its own copy of the backtracking
-# loop, verbatim but for the validation that the property's inputs pass, with
-# the (positions, feasible) limit check they were written for.  That check
+# loop, verbatim but for the validation that the property's inputs pass and
+# for each evaluation made in a scope of its own, as one outside a run was,
+# with the (positions, feasible) limit check they were written for.  That check
 # does not reject a trial that gathers every agent on one point; the drawn
 # teams of 3 to 9 never come near one.
 
@@ -485,7 +489,7 @@ def reference_enforce(origin, proposal, delta, d_min):
 
 def reference_plan_step(pos, profile, opts):
     m = opts.anticipated_budget.m
-    ev = _evaluate(build_proximity_graph(pos, profile), m)
+    ev = evaluate(build_proximity_graph(pos, profile), m)
     candidate = pos.copy()
     accepted = 0
     for _ in range(opts.outer_iters):
@@ -502,7 +506,7 @@ def reference_plan_step(pos, profile, opts):
                 opts.min_separation,
             )
             if feasible:
-                ev2 = _evaluate(build_proximity_graph(adjusted, profile), m)
+                ev2 = evaluate(build_proximity_graph(adjusted, profile), m)
                 if _improves(ev, ev2, _TOL * eta):
                     candidate, ev = adjusted, ev2
                     accepted += 1
@@ -512,6 +516,12 @@ def reference_plan_step(pos, profile, opts):
         if not took:
             break
     return candidate, ev.worst_lambda2, ev.worst, accepted
+
+
+def reference_slice_profile(profile, idx):
+    if isinstance(profile, LayerProfiles):
+        return LayerProfiles(tuple(profile.layers[k] for k in idx), profile.profiles)
+    return profile
 
 
 def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
@@ -527,10 +537,10 @@ def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
             idx = hoods[i]
             if len(idx) < 2:
                 continue
-            sub_profile = _slice_profile(profile, idx)
+            sub_profile = reference_slice_profile(profile, idx)
             loc = idx.index(i)
             local = snapshot[idx]
-            ev = _evaluate(build_proximity_graph(local, sub_profile), m)
+            ev = evaluate(build_proximity_graph(local, sub_profile), m)
             gi = _ascent_gradient_rows(local, sub_profile, ev)[0][loc]
             norm = float(np.linalg.norm(gi))
             if norm < _ZERO_GRAD:
@@ -543,7 +553,7 @@ def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
                 trial[loc] = reference_project_motion(
                     pos[i][None, :], moved[None, :], opts.motion_bound
                 )[0]
-                ev2 = _evaluate(build_proximity_graph(trial, sub_profile), m)
+                ev2 = evaluate(build_proximity_graph(trial, sub_profile), m)
                 if _improves(ev, ev2, _TOL * eta):
                     proposal[i] = trial[loc]
                     any_moved = True
@@ -558,7 +568,7 @@ def reference_plan_step_decentralized(pos, neighborhoods, profile, opts):
             break
         candidate = adjusted
         rounds += 1
-    ev = _evaluate(build_proximity_graph(candidate, profile), m)
+    ev = evaluate(build_proximity_graph(candidate, profile), m)
     return candidate, ev.worst_lambda2, ev.worst, rounds
 
 
@@ -647,7 +657,7 @@ def assert_certified_trials_fail(certified):
     # lambda2; _improves then asks only for a worst case at the level
     for g, m, level, *_ in certified:
         incumbent = controller._Eval(level, -math.inf, None, None)
-        assert not _improves(incumbent, _evaluate(g, m), 0.0)
+        assert not _improves(incumbent, evaluate(g, m), 0.0)
     return (
         sum(by_earlier for *_, by_earlier, _ in certified),
         sum(by_incumbent for *_, by_incumbent in certified),
@@ -740,9 +750,9 @@ def counted_run(monkeypatch, doc, certify=True, memo=True, per_call=False):
         searches.append((res.removal, res.lambda2_after.hex()))
         return res
 
-    def lookup_spy(scope, g, b):
+    def lookup_spy(scope, g, m):
         lookups[0] += 1
-        return lookup(scope, g, b)
+        return lookup(scope, g, m)
 
     def stamped(planner):
         def call(*args):
@@ -1033,13 +1043,13 @@ def test_trial_graphs_come_from_the_repair_distances(
     trials, seen = [], []
     line_search = controller._line_search
 
-    def spy(ev, trial_at, profile, m, rejected):
+    def spy(ev, trial_at, profile, m, scope, team):
         def recorded(eta):
             found = trial_at(eta)
             if found is not None:
                 trials.append((found[0].copy(), found[1], profile))
             return found
-        return line_search(ev, recorded, profile, m, rejected)
+        return line_search(ev, recorded, profile, m, scope, team)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "_line_search", spy)

@@ -63,6 +63,7 @@ from resilnet.scenario_io import (
     _SCHEDULE_FIELDS,
     _SOLVER_FIELDS,
     _SPOOF_FIELDS,
+    _TYPED_TABLES,
     _load_yaml,
     _trace_record,
 )
@@ -777,6 +778,20 @@ def test_a_failed_write_names_the_output_and_its_path(what, emit, value, tmp_pat
     assert isinstance(exc.value.__cause__, IsADirectoryError)
 
 
+def test_trace_parser_skips_blank_lines_and_names_a_path_it_cannot_read(tmp_path):
+    trace = scenario_trace()[:2]
+    path = tmp_path / "spaced.jsonl"
+    emit_trace(trace, path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"\n{first}\n   \n{second}\n\n")
+    back = parse_trace(path)
+    assert [t.step for t in back] == [0, 1]
+    missing = tmp_path / "missing.jsonl"
+    with pytest.raises(OSError) as exc:
+        parse_trace(missing)
+    assert str(exc.value).startswith(f"cannot read trace {missing}: ")
+
+
 def test_broken_trace_line_reports_line_number(tmp_path):
     trace = scenario_trace()
     good = dumps_canonical(_trace_record(trace[0]))
@@ -956,11 +971,16 @@ BLOCKS = [
     (_COSTS_FIELDS, FULL_GAME, ("costs",)),
     (_PLANT_FIELDS, PLANT_GAME, ("plant",)),
     (_SOLVER_FIELDS, FULL_GAME, ("solver",)),
+    (_TYPED_TABLES, FULL_GAME, ("sender_utils",)),
 ]
-# a value of the wrong type for each scalar check, and the error it gives
+# a value of the wrong type for each check, and the error it gives
 WRONG_TYPE = {
     "number": ("x", "expected a number, got str"),
     "string": (1, "expected a string, got int"),
+    "vector": ("x", "expected a list of 2 numbers"),
+    "agent_ids": ("x", "expected a list of agent ids"),
+    "id_pairs": ("x", "expected a list of [id, id] pairs"),
+    "table": ("x", "expected a 2x2 table [[trust, reject], [trust, reject]]"),
 }
 
 
@@ -984,7 +1004,7 @@ def test_every_block_document_parses_and_holds_every_field():
         assert {k for k, rule in table.items() if rule.get("check") != "node"} <= set(block)
 
 
-# the scalar fields, and the required ones
+# the fields a check of WRONG_TYPE takes, and the required ones
 FIELDS = [
     (table, doc, place, key)
     for table, doc, place in BLOCKS
@@ -1014,8 +1034,41 @@ def test_each_field_reports_its_own_error(table, doc, place, key):
     if rule.get("check", "number") in WRONG_TYPE:
         value, message = WRONG_TYPE[rule.get("check", "number")]
         assert errors_at(lambda block: block.update({key: value}))[:1] == [f"{path}: {message}"]
+    if rule.get("integer"):
+        got = errors_at(lambda block: block.update({key: 1.5}))
+        assert got[:1] == [f"{path}: expected an integer, got 1.5"]
     if rule.get("required"):
         assert errors_at(lambda block: block.pop(key)) == [f"{path}: required field missing"]
+
+
+def without(doc, *keys):
+    out = deep(doc)
+    for key in keys:
+        del out[key]
+    return out
+
+
+@pytest.mark.parametrize(
+    "doc, errors",
+    [
+        (deep(FULL_SCENARIO, events=[dict(FULL_SCENARIO["events"][0], edges=[["a"]])]),
+         ["events[0].edges[0]: expected an [id, id] pair"]),
+        (deep(FULL_SCENARIO, events=[dict(FULL_SCENARIO["events"][1], targets=[])]),
+         ["events[0].targets: must not be empty"]),
+        (deep(without(MINIMAL, "profile"), profiles={}),
+         ["profiles: must not be empty"]),
+        (without(MINIMAL, "control"), ["control: required field missing"]),
+        (deep(MINIMAL, baseline={"policy": "fixed"}),
+         ["baseline.value: required when policy is fixed"]),
+        (without(GNE_MINIMAL, "sender_utils"), ["sender_utils: required field missing"]),
+    ],
+    ids=["edge_not_a_pair", "no_targets", "no_profiles", "no_control", "fixed_without_value",
+         "no_sender_utils"],
+)
+def test_block_rules_report_at_their_path(doc, errors):
+    with pytest.raises(ConfigError) as exc:
+        parse_document(doc)
+    assert list(exc.value.errors) == errors
 
 
 # scalars whose type hangs on the resolver: YAML 1.1 booleans, nulls,

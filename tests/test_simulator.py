@@ -1,5 +1,7 @@
 """Closed-loop scenario runs and resilience metrics."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,29 @@ def test_scripted_jam_removes_named_links():
     assert ("a0", "a1") not in [
         (f"a{i}", f"a{j}") for i, j in cut.edges.tolist()
     ]
+
+
+def test_a_jam_budget_above_the_edge_count_searches_every_link():
+    # the run's scope clamps the budget to the graph's links; a cut that
+    # isolates one agent is then the worst case
+    jam = JamEvent(budget=50, start=1, end=2)
+    traces = run_scenario(ring_config(steps=3, events=(jam,)))
+    assert traces[1].anticipated == (False,)
+    assert traces[1].lambda2_realized == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_scripted_jam_edge_between_unlinked_agents_is_ignored(caplog):
+    # a0 and a3 start 2.68 apart, and two steps of 0.25 leave them beyond
+    # the range 1.6
+    jam = JamEvent(budget=1, start=1, end=2, edges=(("a0", "a3"),))
+    with caplog.at_level(logging.WARNING, logger="resilnet.simulator"):
+        jammed = run_scenario(ring_config(steps=3, events=(jam,)))
+    assert [r.getMessage() for r in caplog.records] == [
+        "scripted jam edge (a0, a3) not present; ignored"
+    ]
+    calm = run_scenario(ring_config(steps=3))
+    assert jammed[1].active_events == (0,)
+    assert jammed[1].realized_graph == calm[1].realized_graph
 
 
 def test_spoof_perturbs_reports_not_truth():
