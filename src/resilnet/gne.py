@@ -571,14 +571,18 @@ class _TrustGame:
         eu_reject = float(beliefs_m @ self.receiver_utils[:, m, REJECT])
         return _NEAR + (TRUST if eu_trust >= eu_reject else REJECT)
 
-    def _pinned(self, tau: int, m: int, margin: float, tiny: float = 1e-15) -> float | None:
+    def _indifferent(self, tau: int, m: int, tiny: float) -> float | None:
         """The posterior on type tau at message m that leaves the receiver
-        indifferent, if inside (margin, 1 - margin) and the gaps differ by tiny."""
+        indifferent, or None unless the types' trust gaps differ by tiny."""
         d_tau, d_oth = self.gaps[tau][m], self.gaps[1 - tau][m]
         if abs(d_oth - d_tau) < tiny or d_oth == d_tau:
             return None
-        mu = d_oth / (d_oth - d_tau)
-        return mu if margin < mu < 1.0 - margin else None
+        return d_oth / (d_oth - d_tau)
+
+    def _pinned(self, tau: int, m: int, margin: float, tiny: float = 1e-15) -> float | None:
+        """:meth:`_indifferent`'s posterior, if inside (margin, 1 - margin)."""
+        mu = self._indifferent(tau, m, tiny)
+        return mu if mu is not None and margin < mu < 1.0 - margin else None
 
     def _off_path(self, m: int, q: float, tiny: float) -> tuple | None:
         """A rule for a belief at message m under which trust probability q
@@ -590,10 +594,8 @@ class _TrustGame:
             return 0.0 if g_def >= 0.0 else 1.0, True, g_att, g_def
         if q <= 1e-12:
             return 1.0 if g_att < 0.0 else 0.0, False, g_att, g_def
-        if abs(g_def - g_att) < tiny or g_def == g_att:
-            return None
-        mu = g_def / (g_def - g_att)
-        return (mu, None, g_att, g_def) if -1e-9 <= mu <= 1.0 + 1e-9 else None
+        mu = self._indifferent(ATTACKER, m, tiny)
+        return (mu, None, g_att, g_def) if mu is not None and -1e-9 <= mu <= 1.0 + 1e-9 else None
 
     def _stays(self, pair: tuple, sigma_r: list, tol: float) -> bool:
         """Whether no type that sends one message gains over tol by the other."""
@@ -835,7 +837,8 @@ def signaling_equilibrium(prm: SignalingParams) -> SignalingOutcome:
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """Scalar plant x' = a x + b u with stage cost q x'^2 + r u^2."""
+    """Scalar plant x' = a x + b u with stage cost q x'^2 + r u^2, rolled
+    out from x = 1."""
 
     a: float
     b: float
@@ -844,20 +847,19 @@ class PlantSpec:
     horizon: int
     attack_input: float
     fallback_input: float = 0.0
-    x0: float = 1.0
 
     def __post_init__(self) -> None:
         if self.q < 0 or self.r < 0:
             raise ValueError("cost weights must be >= 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        for name in ("a", "b", "attack_input", "fallback_input", "x0"):
+        for name in ("a", "b", "attack_input", "fallback_input"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
 
 def _rollout_cost(plant: PlantSpec, policy) -> float:
-    x = plant.x0
+    x = 1.0
     cost = 0.0
     for _ in range(plant.horizon):
         u = policy(x)
@@ -869,9 +871,10 @@ def _rollout_cost(plant: PlantSpec, policy) -> float:
 def physical_utilities(plant: PlantSpec) -> np.ndarray:
     """Receiver utility table ``u[type, message, action]`` from the plant model.
 
-    Trusting an attacker applies the constant attack input; rejecting falls
-    back to the (safe) fallback input; trusting the defender applies the
-    one-step-optimal feedback u = -(a b q x) / (q b^2 + r) at every step.
+    Each rollout starts at x = 1.  Trusting an attacker applies the
+    constant attack input; rejecting falls back to the (safe) fallback
+    input; trusting the defender applies the one-step-optimal feedback
+    u = -(a b q x) / (q b^2 + r) at every step.
     Utilities are negated accumulated costs over the horizon and do not
     depend on the message.  A cost past the float range raises ValueError.
     """

@@ -63,17 +63,20 @@ class _Walk:
     Each check reports what it finds at its path and returns the checked
     value, or None: ``block`` a mapping by its field table, ``items`` a
     list's shape, ``table`` a 2x2 utility table, and ``make`` the dataclass
-    that checked values become.  ``dim`` and ``ids`` are the scenario's
-    dimension and agent ids, set once parsed; the vector and id-list rules
-    of the field tables read them.  A field that fails its check counts as
-    given, and the rules that need its value are skipped: with no ``dim``,
-    a vector of any length passes.
+    that checked values become.  ``dim``, ``steps``, ``ids`` and ``layers``
+    are the scenario's context: its dimension, step count, agent ids and
+    layer names, each None until the field it comes from passes.  A field
+    that fails its check counts as given, and every rule that reads a
+    context value is skipped while it is None: with no ``dim`` a vector of
+    any length passes, with no ``ids`` any string names an agent.
     """
 
     def __init__(self) -> None:
         self.errors: list[str] = []
         self.dim: int | None = None
-        self.ids: Sequence[str] = ()
+        self.steps: int | None = None
+        self.ids: Sequence[str] | None = None
+        self.layers: Sequence[str] | None = None
 
     def err(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
@@ -111,7 +114,8 @@ class _Walk:
         field order.  A rule's ``check`` names the method that checks the
         value (``number`` if absent); its keys other than ``_RULE_KEYS`` are
         that method's parameters.  Returns the present, required and
-        defaulted fields; a field that fails takes its default, or None.
+        defaulted fields; a field that fails, or a required one that is
+        missing, is None, and an absent one takes its rule's default.
         Other absent fields are left out, so the target dataclass supplies
         its own defaults.
         """
@@ -127,8 +131,7 @@ class _Walk:
             label = f"{path}.{key}" if path else key
             if key in data:
                 params = {k: v for k, v in rule.items() if k not in _RULE_KEYS}
-                value = getattr(self, rule.get("check", "number"))(data[key], label, **params)
-                out[key] = rule.get("default") if value is None else value
+                out[key] = getattr(self, rule.get("check", "number"))(data[key], label, **params)
             elif rule.get("required"):
                 self.err(label, "required field missing")
                 out[key] = None
@@ -229,13 +232,9 @@ class _Walk:
         if not node:
             self.err(path, "must not be empty")
             return None
-        out = []
-        for k, aid in enumerate(node):
-            if not isinstance(aid, str) or aid not in self.ids:
-                self.err(f"{path}[{k}]", f"unknown agent id {aid!r}")
-                return None
-            out.append(aid)
-        return tuple(out)
+        if not all(self.known(aid, f"{path}[{k}]") for k, aid in enumerate(node)):
+            return None
+        return tuple(node)
 
     def id_pairs(self, node: Any, path: str) -> tuple[tuple[str, str], ...] | None:
         if (node := self.items(node, path, "a list of [id, id] pairs")) is None:
@@ -250,12 +249,18 @@ class _Walk:
             ):
                 self.err(f"{path}[{k}]", "expected an [id, id] pair")
                 return None
-            for x in pair:
-                if x not in self.ids:
-                    self.err(f"{path}[{k}]", f"unknown agent id {x!r}")
-                    return None
+            if not all(self.known(x, f"{path}[{k}]") for x in pair):
+                return None
             pairs.append((pair[0], pair[1]))
         return tuple(pairs)
+
+    def known(self, aid: Any, path: str) -> bool:
+        """Whether ``aid`` is a string among the agent ids, any string while
+        they are unknown; else False, reporting it."""
+        if isinstance(aid, str) and (self.ids is None or aid in self.ids):
+            return True
+        self.err(path, f"unknown agent id {aid!r}")
+        return False
 
     def table(self, node: Any, path: str) -> np.ndarray | None:
         """A 2x2 [message][trust, reject] utility table for one sender type."""
@@ -358,9 +363,12 @@ def _parse_profile(w: _Walk, node: Any, path: str) -> WeightProfile | None:
     return w.make(path, WeightProfile, kind, rng, decay)
 
 
-def _parse_agents(
-    w: _Walk, node: Any, layers: Sequence[str]
-) -> tuple[list[str], list[str], list[tuple[float, ...]] | None]:
+def _parse_agents(w: _Walk, node: Any) -> tuple[list[str], list[tuple[float, ...]] | None]:
+    """Each agent's layer, and every agent's position if all give one.
+
+    Sets ``w.ids`` when ``node`` is a list and every entry's id passes.  An
+    agent's layer is judged against ``w.layers``: an absent one is the
+    default layer, and one that fails is not judged."""
     ids: list[str] = []
     agent_layers: list[str] = []
     # each agent's position, None where it failed its check, and whether
@@ -368,7 +376,7 @@ def _parse_agents(
     positions: list[tuple[float, ...] | None] = []
     given: list[bool] = []
     if (node := w.items(node, "agents", "a list of agents")) is None:
-        return ids, agent_layers, None
+        return agent_layers, None
 
     def after(path: str, key: str, value: Any) -> None:
         # runs between the fields, so these errors precede the position's
@@ -377,21 +385,23 @@ def _parse_agents(
                 w.err(path, f"duplicate id {value!r}")
             ids.append(value)
         elif key == "layer":
-            if value not in layers:
+            if value is not None and w.layers is not None and value not in w.layers:
                 w.err(path, f"unknown layer {value!r}")
-            agent_layers.append(value if value in layers else layers[0])
+            agent_layers.append(value)
 
     for k, entry in enumerate(node):
         got = w.block(entry, f"agents[{k}]", _AGENT_FIELDS, after=after)
         if got is not None:
             positions.append(got.get("position"))
             given.append("position" in got)
-    if len(ids) < 2:
+    if len(node) < 2:
         w.err("agents", "need at least 2 agents")
     if any(given) and not all(given):
         w.err("agents", "either every agent has a position or none has")
+    # an entry that is not a mapping, or whose id failed, adds no id
+    w.ids = ids if len(ids) == len(node) else None
     # a failed position has been reported, so a list with a None never runs
-    return ids, agent_layers, positions if given and all(given) else None
+    return agent_layers, positions if given and all(given) else None
 
 
 def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
@@ -404,7 +414,8 @@ def _parse_control(w: _Walk, node: Any) -> ControlOptions | None:
     return w.make("control", ControlOptions, RemovalBudget(got.pop("anticipated_budget")), **got)
 
 
-def _parse_events(w: _Walk, node: Any, steps: int | None) -> tuple:
+def _parse_events(w: _Walk, node: Any) -> tuple:
+    """The events that pass, each window judged against ``w.steps``."""
     from .simulator import JamEvent, SpoofEvent
 
     if node is None or (node := w.items(node, "events", "a list of events")) is None:
@@ -424,19 +435,17 @@ def _parse_events(w: _Walk, node: Any, steps: int | None) -> tuple:
             if end <= start:
                 w.err(path, f"end ({end}) must exceed start ({start})")
                 continue
-            if steps is not None and end > steps:
-                w.err(path, f"window [{start}, {end}) extends beyond steps={steps}")
-                continue
-            events.append(JamEvent(budget, start, end, got.get("edges")))
+            event = JamEvent(budget, start, end, got.get("edges"))
         else:
             got = w.block(entry, path, _SPOOF_FIELDS)
             if None in got.values():
                 continue
-            start, duration = got["start"], got["duration"]
-            if steps is not None and start + duration > steps:
-                w.err(path, f"window [{start}, {start + duration}) extends beyond steps={steps}")
-                continue
-            events.append(SpoofEvent(got["targets"], got["offset"], start, duration))
+            start, end = got["start"], got["start"] + got["duration"]
+            event = SpoofEvent(got["targets"], got["offset"], start, got["duration"])
+        if w.steps is not None and end > w.steps:
+            w.err(path, f"window [{start}, {end}) extends beyond steps={w.steps}")
+            continue
+        events.append(event)
     return tuple(events)
 
 
@@ -464,7 +473,8 @@ def _parse_baseline(w: _Walk, node: Any) -> BaselineSpec:
     return BaselineSpec()
 
 
-def _parse_schedule(w: _Walk, node: Any, steps: int | None) -> tuple[tuple[int, int], ...]:
+def _parse_schedule(w: _Walk, node: Any) -> tuple[tuple[int, int], ...]:
+    """The schedule's entries that pass, each judged against ``w.steps``."""
     if node is None or (node := w.items(node, "budget_schedule", "a list of entries")) is None:
         return ()
     entries = []
@@ -478,8 +488,8 @@ def _parse_schedule(w: _Walk, node: Any, steps: int | None) -> tuple[tuple[int, 
         if frm <= prev:
             w.err(f"{path}.from_step", "must increase along the schedule")
             continue
-        if steps is not None and frm >= steps:
-            w.err(f"{path}.from_step", f"must be below steps={steps}")
+        if w.steps is not None and frm >= w.steps:
+            w.err(f"{path}.from_step", f"must be below steps={w.steps}")
             continue
         prev = frm
         entries.append((frm, budget))
@@ -501,13 +511,13 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
     if top is None:
         raise ConfigError(w.errors)
     # None where they failed, which skips the rules that read them
-    w.dim, steps = top["dimension"], top["steps"]
+    w.dim, w.steps = top["dimension"], top["steps"]
 
     profiles: dict[str, WeightProfile] = {}
-    layer_names = [_DEFAULT_LAYER]  # every profile's, as given
     if ("profile" in top) == ("profiles" in top):
         w.err("profile", "exactly one of 'profile' or 'profiles' is required")
     elif "profile" in top:
+        w.layers = [_DEFAULT_LAYER]  # a profile that fails still names its layer
         prof = _parse_profile(w, top["profile"], "profile")
         if prof is not None:
             profiles[_DEFAULT_LAYER] = prof
@@ -516,7 +526,7 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
         if layered is not None:
             if not layered:
                 w.err("profiles", "must not be empty")
-            layer_names = [str(name) for name in layered] or layer_names
+            w.layers = [str(name) for name in layered] or None
             for name, node in layered.items():
                 if not isinstance(name, str):
                     w.err(f"profiles.{name}", f"expected a string name, got {type(name).__name__}")
@@ -526,33 +536,32 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
             if len({prof.kind for prof in profiles.values()}) > 1:
                 w.err("profiles", "all layer profiles must share one kind")
 
-    ids, agent_layers, positions = _parse_agents(w, top.get("agents"), layer_names)
-    w.ids = ids
+    agent_layers, positions = _parse_agents(w, top.get("agents"))
     opts = _parse_control(w, top["control"]) if "control" in top else None
     if "control" not in top:
         w.err("control", "required field missing")
 
     layout = _parse_layout(w, top["layout"]) if "layout" in top else None
-    if positions is None and "layout" not in top:
+    if positions is None and "layout" not in top and w.ids is not None:
         w.err("agents", "agents need positions unless a layout is given")
     if positions is not None and "layout" in top:
         w.err("layout", "layout conflicts with explicit agent positions")
 
-    events = _parse_events(w, top.get("events"), steps)
+    events = _parse_events(w, top.get("events"))
     baseline = _parse_baseline(w, top.get("baseline"))
-    schedule = _parse_schedule(w, top.get("budget_schedule"), steps)
+    schedule = _parse_schedule(w, top.get("budget_schedule"))
 
     if w.errors:
         raise ConfigError(w.errors)
     try:
         cfg = ScenarioConfig(
             dimension=w.dim,
-            agent_ids=tuple(ids),
+            agent_ids=tuple(w.ids),
             agent_layers=tuple(agent_layers),
             initial_positions=tuple(positions) if positions is not None else None,
             profiles=profiles,
             opts=opts,
-            steps=steps,
+            steps=w.steps,
             events=events,
             rng_seed=top["rng_seed"],
             baseline=baseline,
@@ -593,18 +602,17 @@ _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
 
 
 def _load_yaml(path: str | Path) -> Any:
-    """The YAML document at ``path``; an unreadable file, a syntax error and
-    an integer too long to convert raise ConfigError, the last two at their
-    line and column."""
+    """The YAML document at ``path``; an unreadable file and a YAML error,
+    such as a syntax error or an integer too long to convert, raise
+    ConfigError, the YAML error at the file's name, line and column."""
     try:
-        text = Path(path).read_text()
+        # parsed from the open file, whose name the error's mark carries
+        with open(path) as stream:
+            return yaml.load(stream, Loader=_Loader)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
-    try:
-        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        # the yaml error message carries the line and column
-        raise ConfigError([f"syntax error: {exc}"]) from exc
+        raise ConfigError([f"invalid YAML: {exc}"]) from exc
 
 
 # ---------------------------------------------------------------------------

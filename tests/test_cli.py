@@ -228,7 +228,7 @@ def test_an_integer_too_long_to_convert_is_reported_at_its_line(
     block, old, new, line, column, command, tmp_path, capsys
 ):
     # past 4,300 digits int() raises a ValueError, once printed with no
-    # line, column or path
+    # line, column or path; the mark names the file
     text = readme_blocks()[block]
     assert old in text
     path = tmp_path / "big.yaml"
@@ -237,8 +237,8 @@ def test_an_integer_too_long_to_convert_is_reported_at_its_line(
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
-        assert err[0].startswith("error: syntax error: Exceeds the limit (4300")
-        assert err[1].endswith(f", line {line}, column {column}")
+        assert err[0].startswith("error: invalid YAML: Exceeds the limit (4300")
+        assert err[1].endswith(f'in "{path}", line {line}, column {column}')
     assert not (tmp_path / "out").exists()
 
 
@@ -262,6 +262,9 @@ def failing_dimension(doc):
         agent["position"] += [0.0, 0.0]
 
 
+ONE_OF_PROFILES = "profile: exactly one of 'profile' or 'profiles' is required"
+
+
 @pytest.mark.parametrize(
     "change, error",
     [
@@ -275,15 +278,27 @@ def failing_dimension(doc):
         (failing_steps("x"), "steps: expected a number, got str"),
         (failing_steps(0, schedule=True), "steps: must be >= 1, got 0"),
         (failing_dimension, "dimension: must be <= 3, got 4"),
+        (lambda doc: doc["agents"][1].update(layer=7),
+         "agents[1].layer: expected a string, got int"),
+        (lambda doc: doc.update(profiles=3), "profiles: expected a mapping, got int"),
+        (lambda doc: doc.update(profiles={}), "profiles: must not be empty"),
+        (lambda doc: doc.update(profile=doc["profiles"]["air"]), ONE_OF_PROFILES),
+        (lambda doc: doc.pop("profiles"), ONE_OF_PROFILES),
+        (lambda doc: doc.update(agents=3), "agents: expected a list of agents"),
+        (lambda doc: doc.update(agents=[5, *doc["agents"][1:]]),
+         "agents[0]: expected a mapping, got int"),
+        (lambda doc: doc["agents"][0].update(id=5), "agents[0].id: expected a string, got int"),
     ],
     ids=["layout", "profile_range", "binary_decay", "steps_0", "steps_1.5", "steps_x",
-         "steps_0_with_schedule", "dimension_4"],
+         "steps_0_with_schedule", "dimension_4", "layer_7", "profiles_3", "profiles_empty",
+         "profile_and_profiles", "no_profile", "agents_3", "agent_5", "agent_id_5"],
 )
 def test_a_field_that_fails_counts_as_given(change, error, tmp_path, capsys):
-    # the failed field once read as absent, or as the stand-in steps=1 or
-    # dimension=2, and later rules added errors: agents lacking positions,
-    # unknown layers, event windows and a schedule past step 1, and
-    # positions of the wrong length
+    # the failed field once read as absent, or as a stand-in (steps=1,
+    # dimension=2, the default layer, a shorter id list), and later rules
+    # added errors: agents lacking positions, too few agents, unknown layers
+    # and agent ids, event windows and a schedule past step 1, and positions
+    # of the wrong length
     doc = readme_documents()[0]
     change(doc)
     path = tmp_path / "bad.yaml"

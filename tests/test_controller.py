@@ -204,6 +204,21 @@ def test_plan_holds_a_coincident_start():
             assert plan.predicted_worst_lambda2 > 0
 
 
+@pytest.mark.parametrize("planner", [plan_step, plan_step_decentralized])
+@pytest.mark.parametrize(
+    "pos, kw, message",
+    [
+        (np.array([[0.0, 0.0], [1.0, 0.0]]), dict(min_separation=1.5),
+         "min_separation must be below the communication range"),
+        (np.zeros((1, 2)), {}, "need at least 2 agents to plan"),
+    ],
+    ids=["separation_at_range", "one_agent"],
+)
+def test_planners_raise_their_first_failed_precondition(planner, pos, kw, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        planner(pos, PROFILE, opts(**kw))
+
+
 def test_plan_never_gathers_every_agent_on_one_point():
     # any cut disconnects a pair, so the ascent climbs the unattacked lambda2,
     # whose smooth weight peaks where the two agents meet; a plan that met

@@ -1,6 +1,7 @@
 """Config validation, canonical serialization, and file round-trips."""
 
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import assert_loaders_agree
+from conftest import assert_loaders_agree, readme_documents
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +156,7 @@ def test_parser_fields_match_the_dataclasses():
     assert names(_LAYOUT_FIELDS) == fields(RandomLayout)
     assert names(_BASELINE_FIELDS) == fields(BaselineSpec)
     assert names(_COSTS_FIELDS, attack="attack_cost", defense="defense_cost") == fields(GNECosts)
-    assert names(_PLANT_FIELDS) == fields(PlantSpec) - {"x0"}
+    assert names(_PLANT_FIELDS) == fields(PlantSpec)
     assert names(_SOLVER_FIELDS) == fields(GNEProblem) - {
         "costs", "sender_utils", "receiver_utils"
     }
@@ -256,13 +257,11 @@ def test_errors_keep_the_order_of_the_fields():
         {"id": "a", "layer": 7, "position": [math.nan, 0.0]},
     ]
     data["events"] = [{"type": "jam", "budget": 1, "start": 2, "end": 1, "edges": [["a", "z"]]}]
-    # an agent's id and layer rules report before its position's; a layer
-    # that fails falls back to "default", which no profile names; a position
+    # an agent's id and layer rules report before its position's; a position
     # that fails is still given, so no agent lacks one
     assert errors_of(data) == (
         "agents[1].id: duplicate id 'a'",
         "agents[1].layer: expected a string, got int",
-        "agents[1].layer: unknown layer 'default'",
         "agents[1].position[0]: must be finite, got nan",
         "events[0].edges[0]: unknown agent id 'z'",
         "events[0]: end (1) must exceed start (2)",
@@ -558,6 +557,12 @@ class Pair(tuple):
     """A tuple subclass, which does too."""
 
 
+class Level(enum.IntEnum):
+    """An int subclass, which does too."""
+
+    THREE = 3
+
+
 CANONICAL_FLOATS = st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, -1e16, 2.0**53, 1.5, math.inf, -math.inf, math.nan]
 ) | st.floats()
@@ -573,6 +578,7 @@ CANONICAL_LEAVES = (
     | st.integers(-(2**63), 2**63 - 1).map(np.int64)
     | st.integers(0, 255).map(np.uint8)
     | st.booleans().map(np.bool_)
+    | st.just(Level.THREE)
     | st.lists(CANONICAL_FLOATS, max_size=4).map(lambda v: np.array(v, dtype=float))
     | st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(
         lambda v: np.array(v).reshape(2, -1) if len(v) % 2 == 0 else np.array(v)
@@ -612,6 +618,7 @@ def test_writer_property_reaches_every_branch():
         [math.nan],
         {1: "x"},
         [b"x"],
+        [Level.THREE],
     ]
     for doc in docs:
         for hashing in (False, True):
@@ -623,6 +630,7 @@ def test_writer_property_reaches_every_branch():
     assert dumps_canonical(docs[0]) == '[-0.0,4.9406564584124654e-324,10000000000000000.0,1.0,3,true,null,"x"]'
     assert head_text(docs[3], False) == (ValueError, "non-finite number in canonical output")
     assert head_text(docs[5], True) == (TypeError, "non-string key 1")
+    assert dumps_canonical(docs[7]) == "[3]"
 
 
 # ---------------------------------------------------------------------------
@@ -1048,6 +1056,15 @@ def without(doc, *keys):
     return out
 
 
+README_SCENARIO = readme_documents()[0]
+
+
+def readme_spoof(**changes):
+    """The README scenario, with its spoof event's fields changed."""
+    jam, spoof = README_SCENARIO["events"]
+    return deep(README_SCENARIO, events=[jam, dict(spoof, **changes)])
+
+
 @pytest.mark.parametrize(
     "doc, errors",
     [
@@ -1061,9 +1078,15 @@ def without(doc, *keys):
         (deep(MINIMAL, baseline={"policy": "fixed"}),
          ["baseline.value: required when policy is fixed"]),
         (without(GNE_MINIMAL, "sender_utils"), ["sender_utils: required field missing"]),
+        (readme_spoof(duration=12), ["events[1]: window [9, 21) extends beyond steps=20"]),
+        (deep(README_SCENARIO, budget_schedule=[{"from_step": 20, "budget": 2}]),
+         ["budget_schedule[0].from_step: must be below steps=20"]),
+        (readme_spoof(targets=None), ["events[1].targets: required field missing"]),
+        (deep(MINIMAL, profile=3), ["profile: expected a mapping, got int"]),
     ],
     ids=["edge_not_a_pair", "no_targets", "no_profiles", "no_control", "fixed_without_value",
-         "no_sender_utils"],
+         "no_sender_utils", "spoof_past_steps", "schedule_at_steps", "null_targets",
+         "profile_not_a_mapping"],
 )
 def test_block_rules_report_at_their_path(doc, errors):
     with pytest.raises(ConfigError) as exc:
