@@ -263,7 +263,7 @@ class _Rejected:
         return self._norms[: self._added]
 
     def add(self, fiedler: np.ndarray) -> None:
-        u = fiedler - fiedler.mean()
+        u = fiedler - fiedler.sum() / len(fiedler)
         k = self._added % _STORE_ROWS
         self._rows[k] = u
         self._norms[k] = u @ u - u.sum() ** 2 / len(u)

@@ -235,7 +235,7 @@ def _pair_distances(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     one vector, so each distance keeps the bits of the per-pair norm.
     """
     i, j, _ = _upper_pairs(len(pos))
-    diff = pos[i] - pos[j]
+    diff = pos.take(i, 0) - pos.take(j, 0)
     return i, j, np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
@@ -289,7 +289,7 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     # each pair occurs once: assigned, 0 - w keeps the bits of subtracting w
     lap[i, j] = lap[j, i] = 0.0 - g.weights
     # bincount adds each agent's link weights in edge order
-    np.fill_diagonal(lap, np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n))
+    lap.flat[:: g.n + 1] = np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n)
     return lap
 
 
@@ -378,9 +378,13 @@ def connectivity_gradient(
     step = (-2.0 * decays * g.weights * (dv * dv))[:, None] * (pos[i] - pos[j])
     # +step to i and -step to j, interleaved so that bincount sums each row
     # in edge order from 0.0, as np.add.at would
-    parts = np.stack([step, -step], 1).reshape(-1, pos.shape[1])
+    parts = np.empty((2 * len(step), pos.shape[1]))
+    parts[0::2] = step
+    parts[1::2] = -step
     ends = g.edges.ravel()
-    grad = np.stack([np.bincount(ends, col, g.n) for col in parts.T], axis=1)
+    grad = np.empty_like(pos)
+    for c in range(pos.shape[1]):
+        grad[:, c] = np.bincount(ends, parts[:, c], g.n)
     return GradientResult(grad, spectral.is_simple)
 
 

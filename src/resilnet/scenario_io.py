@@ -293,11 +293,9 @@ _SCENARIO_FIELDS = {
     "dimension": dict(required=True, integer=True, minimum=2, maximum=3),
     "steps": dict(required=True, integer=True, minimum=1),
     "rng_seed": dict(default=0, integer=True, minimum=0),
-    **dict.fromkeys(
-        ("profile", "profiles", "agents", "layout", "control", "events", "baseline",
-         "budget_schedule"),
-        _NODE,
-    ),
+    **dict.fromkeys(("profile", "profiles"), _NODE),
+    "agents": dict(_NODE, required=True),
+    **dict.fromkeys(("layout", "control", "events", "baseline", "budget_schedule"), _NODE),
 }
 _PROFILE_FIELDS = {
     "kind": dict(required=True, check="string", choices=("binary", "smooth")),
@@ -536,7 +534,8 @@ def scenario_from_dict(data: Any) -> ScenarioConfig:
             if len({prof.kind for prof in profiles.values()}) > 1:
                 w.err("profiles", "all layer profiles must share one kind")
 
-    agent_layers, positions = _parse_agents(w, top.get("agents"))
+    # a missing block is reported by the table, and given no entries
+    agent_layers, positions = _parse_agents(w, top["agents"]) if "agents" in data else ([], None)
     opts = _parse_control(w, top["control"]) if "control" in top else None
     if "control" not in top:
         w.err("control", "required field missing")
@@ -603,11 +602,14 @@ _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
 
 def _load_yaml(path: str | Path) -> Any:
     """The YAML document at ``path``; an unreadable file and a YAML error,
-    such as a syntax error or an integer too long to convert, raise
-    ConfigError, the YAML error at the file's name, line and column."""
+    such as a syntax error, a byte that does not decode, or an integer too
+    long to convert, raise ConfigError, the YAML error at the file's name
+    and the line and column (or, for a byte, the position) it names."""
     try:
-        # parsed from the open file, whose name the error's mark carries
-        with open(path) as stream:
+        # parsed from the open file, whose name the error's mark carries, as
+        # bytes: PyYAML decodes them (UTF-8, or UTF-16 after its byte-order
+        # mark) and reports a byte that does not decode as a YAML error
+        with open(path, "rb") as stream:
             return yaml.load(stream, Loader=_Loader)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc

@@ -13,7 +13,6 @@ the optional random initial layout.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -50,8 +49,6 @@ __all__ = [
     "run_scenario",
     "compute_resilience_metrics",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,13 @@ def _resolve_edges(
         ends = sorted((index.get(a, -1), index.get(b, -1)))
         hit = np.flatnonzero((g.edges == ends).all(axis=1))
         if hit.size == 0:
-            log.warning("scripted jam edge (%s, %s) not present; ignored", a, b)
+            # imported here: the import costs a few ms of every start, and
+            # only this rare warning needs it
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "scripted jam edge (%s, %s) not present; ignored", a, b
+            )
         else:
             found.append(int(hit[0]))
     return sorted(set(found))

@@ -21,7 +21,8 @@ def readme_documents():
 
 
 def assert_loaders_agree(text):
-    """Both safe loaders give the same document, or both reject the text.
+    """Both safe loaders give the same document, or both reject the text,
+    a str or the bytes of a file.
 
     ``repr`` shows every value with its type (1, 1.0, '1' and True differ)
     and keeps float bits and key order.  An integer too long for ``int()``
@@ -38,7 +39,8 @@ def assert_loaders_agree(text):
 
 @pytest.fixture(autouse=True)
 def yaml_loaders_agree_on_written_files(request):
-    """After each test, every YAML file it wrote reads alike in both loaders."""
+    """After each test, every YAML file it wrote reads alike in both loaders,
+    from its bytes, as ``scenario_io`` reads it."""
     if "tmp_path" not in request.fixturenames or not yaml.__with_libyaml__:
         yield
         return
@@ -46,4 +48,4 @@ def yaml_loaders_agree_on_written_files(request):
     tmp_path = request.getfixturevalue("tmp_path")
     yield
     for path in sorted(tmp_path.rglob("*.yaml")):
-        assert_loaders_agree(path.read_text())
+        assert_loaders_agree(path.read_bytes())

@@ -242,6 +242,25 @@ def test_an_integer_too_long_to_convert_is_reported_at_its_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate", "gne"])
+def test_a_file_that_is_not_utf8_is_reported_with_its_name(command, tmp_path, capsys):
+    # read as text, the file raised a UnicodeDecodeError, printed with no
+    # path; PyYAML reads the bytes and marks the byte it cannot decode
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"x: \xff\n")
+    bom = tmp_path / "bom.yaml"
+    bom.write_bytes(b"\xff\xfe")  # a UTF-16 byte-order mark: an empty document
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(bad), *out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("error: invalid YAML: unacceptable character #x00ff: ")
+    assert err[1] == f'  in "{bad}", position 3'
+    assert main([command, str(bom), *out]) == 1
+    assert capsys.readouterr().err == "error: document: expected a mapping, got NoneType\n"
+    assert not (tmp_path / "out").exists()
+
+
 def failing_layout(doc):
     for agent in doc["agents"]:
         del agent["position"]

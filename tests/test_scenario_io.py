@@ -1075,6 +1075,7 @@ def readme_spoof(**changes):
         (deep(without(MINIMAL, "profile"), profiles={}),
          ["profiles: must not be empty"]),
         (without(MINIMAL, "control"), ["control: required field missing"]),
+        (without(MINIMAL, "agents"), ["agents: required field missing"]),
         (deep(MINIMAL, baseline={"policy": "fixed"}),
          ["baseline.value: required when policy is fixed"]),
         (without(GNE_MINIMAL, "sender_utils"), ["sender_utils: required field missing"]),
@@ -1084,7 +1085,8 @@ def readme_spoof(**changes):
         (readme_spoof(targets=None), ["events[1].targets: required field missing"]),
         (deep(MINIMAL, profile=3), ["profile: expected a mapping, got int"]),
     ],
-    ids=["edge_not_a_pair", "no_targets", "no_profiles", "no_control", "fixed_without_value",
+    ids=["edge_not_a_pair", "no_targets", "no_profiles", "no_control", "no_agents",
+         "fixed_without_value",
          "no_sender_utils", "spoof_past_steps", "schedule_at_steps", "null_targets",
          "profile_not_a_mapping"],
 )

@@ -1,10 +1,15 @@
 """Closed-loop scenario runs and resilience metrics."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resilnet
 from resilnet import (
     BINARY,
     BaselineSpec,
@@ -143,6 +148,18 @@ def test_a_scripted_jam_edge_between_unlinked_agents_is_ignored(caplog):
     calm = run_scenario(ring_config(steps=3))
     assert jammed[1].active_events == (0,)
     assert jammed[1].realized_graph == calm[1].realized_graph
+
+
+def test_importing_the_simulator_leaves_logging_unloaded():
+    # the import costs a few ms of every start, and only the warning above
+    # needs it; a fresh interpreter shows what the module itself loads
+    paths = [str(Path(resilnet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = "import sys, resilnet.simulator; print('logging' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_spoof_perturbs_reports_not_truth():
