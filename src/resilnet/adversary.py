@@ -25,6 +25,8 @@ from .graph_core import (
     remove_links,
 )
 
+# numpy is called at its C entry points on the per-step path; see graph_core.
+
 __all__ = [
     "RemovalBudget",
     "WorstCaseResult",
@@ -119,7 +121,7 @@ def worst_case_removal(
     # win.  Where roundoff leaves it above, the search runs again at the full
     # budget.  A guarded subset larger than delta, whose eigensolve would
     # only have checked for a negative lambda2, is then never solved.
-    cut = min(m, max(int(np.bincount(g.edges.ravel(), minlength=g.n).min()), 1))
+    cut = min(m, max(int(np.minimum.reduce(np.bincount(g.edges.ravel(), minlength=g.n))), 1))
     if mode == "greedy" or (mode == "auto" and not _within_cap(n_edges, cut)):
         return _greedy(g, m)
     result = _exhaustive(g, cut)
@@ -169,7 +171,7 @@ def _certified_below(
 
     The planner's snap sends a value below 1e-12 to 0, which is below level
     too, as level exceeds the margin.  An incumbent at 0 never certifies.
-    One pass over the (k, E) table of t_e, with ``np.partition`` for the b
+    One pass over the (k, E) table of t_e, partitioned in place for the b
     largest, tests every row.
     """
     b = min(m, g.edge_count)
@@ -178,10 +180,12 @@ def _certified_below(
     i, j = g.edges.T
     t = g.weights * (vectors[:, i] - vectors[:, j]) ** 2
     keep = g.edge_count - b
-    outside = np.partition(t, keep - 1, axis=1)[:, :keep].sum(axis=1) if keep else 0.0
-    degree = np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n)
-    shift = 2.0 * float(degree.max()) + 1.0
-    bound = float((outside / norms).min())
+    if keep:
+        t.partition(keep - 1, axis=1)
+    outside = np.add.reduce(t[:, :keep], axis=1)
+    degree = np.bincount(g.edges.ravel(), g.weights.repeat(2), minlength=g.n)
+    shift = 2.0 * float(np.maximum.reduce(degree)) + 1.0
+    bound = float(np.minimum.reduce(outside / norms))
     return bound + 2.0 * _TIE_TOL + _SCREEN_MARGIN * (1.0 + shift) < level
 
 
@@ -265,9 +269,9 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
             break
         mid = 0.5 * (lo + hi)
         inside = _below(z, lam, mid, candidates)
-        if inside.any():
+        if np.logical_or.reduce(inside):
             if pool is None:
-                pool, x1 = np.flatnonzero(inside), mid
+                pool, x1 = inside.nonzero()[0], mid
             hi, candidates = mid, candidates[inside]
         else:
             lo = mid
@@ -278,7 +282,7 @@ def _exhaustive(g: WeightedGraph, m: int) -> WorstCaseResult:
     if np.count_nonzero(window) * _TIE_TOL >= 0.5 * margin:
         window[:] = True
     guarded = None
-    for k in np.flatnonzero(window).tolist():
+    for k in window.nonzero()[0].tolist():
         if best_lam <= _TIE_TOL:
             if guarded is None:
                 guarded = np.zeros_like(window)
@@ -318,10 +322,10 @@ def _subsets(n_edges: int, m: int) -> np.ndarray:
         block = table[top : top + sizes[s]]
         last = prev[:, -1]
         counts = n_edges - 1 - last
-        block[:, :s] = np.repeat(prev, counts, axis=0)
+        block[:, :s] = prev.repeat(counts, axis=0)
         # within each row's run the new edge counts up from last + 1
-        offset = np.cumsum(counts) - counts - last - 1
-        block[:, s] = np.arange(sizes[s]) - np.repeat(offset, counts)
+        offset = counts.cumsum() - counts - last - 1
+        block[:, s] = np.arange(sizes[s]) - offset.repeat(counts)
     table.flags.writeable = False
     return table
 
@@ -355,7 +359,7 @@ def _below(z: np.ndarray, lam: np.ndarray, x: float, rows: np.ndarray) -> np.nda
             a, c, i, j = a[k], c[k], i[k], j[k]
             inside[k] = 0.5 * (a + c) + np.hypot(0.5 * (a - c), p[i, j]) >= 1.0
         return inside
-    inside = d[rows].sum(axis=1) >= 1.0 - 1e-9
+    inside = np.add.reduce(d[rows], axis=1) >= 1.0 - 1e-9
     k = inside.nonzero()[0]
     if len(k):
         r = rows[k]
@@ -375,7 +379,7 @@ def _greedy(g: WeightedGraph, m: int) -> WorstCaseResult:
             break  # already disconnected; extra removals gain nothing
         dv = spectral.fiedler[current.edges[:, 0]] - spectral.fiedler[current.edges[:, 1]]
         # argmax takes the first index on a tie
-        k = int(np.argmax(current.weights * (dv * dv)))
+        k = int((current.weights * (dv * dv)).argmax())
         removed.append(original.pop(k))
         current = remove_links(current, (k,))
         spectral = algebraic_connectivity(current)

@@ -35,6 +35,8 @@ from .graph_core import (
     remove_links,
 )
 
+# numpy is called at its C entry points on the per-step path; see graph_core.
+
 __all__ = [
     "CENTRALIZED",
     "DECENTRALIZED",
@@ -132,7 +134,7 @@ def _clip(cur: np.ndarray, prop: np.ndarray, delta: float) -> tuple[np.ndarray, 
     step = prop - cur
     norms = _row_norms(step)
     far = norms > delta
-    if not far.any():
+    if not np.logical_or.reduce(far):
         return out, False
     out[far] = cur[far] + step[far] * (delta / norms[far])[:, None]
     return out, True
@@ -190,14 +192,14 @@ def _enforce(
     """
     adjusted, clipped = _clip(origin, as_positions(proposal), delta)
     dist = _pair_distances(adjusted)[2]
-    moved = d_min > 0 and not np.all(dist >= d_min - 1e-12)
+    moved = d_min > 0 and not np.logical_and.reduce(dist >= d_min - 1e-12)
     if moved:
         dist = _push_apart(adjusted, d_min)
-        if np.any(dist < d_min - _SEP_TOL):
+        if np.logical_or.reduce(dist < d_min - _SEP_TOL):
             return None
     if (clipped or moved) and not math.isinf(delta):
         disp = _row_norms(adjusted - origin)
-        if np.any(disp > delta + _BALL_TOL):
+        if np.logical_or.reduce(disp > delta + _BALL_TOL):
             return None
     if d_min - _SEP_TOL <= 2e-12 and _coincident(adjusted):
         return None
@@ -205,7 +207,7 @@ def _enforce(
 
 
 def _coincident(points: np.ndarray) -> bool:
-    return bool(np.max(_row_norms(points - points[0])) < 1e-12)
+    return bool(np.maximum.reduce(_row_norms(points - points[0])) < 1e-12)
 
 
 def _snap(lam: float) -> float:
@@ -219,14 +221,14 @@ def _ascent_gradient_rows(positions, profile, ev: _Eval) -> tuple[np.ndarray, fl
     the spectra the worst-case search solved, and its largest row norm."""
     attacked = remove_links(ev.graph, ev.worst.removal)
     grad = connectivity_gradient(positions, profile, ev.worst.attacked, attacked).per_agent
-    gmax = float(_row_norms(grad).max())
+    gmax = float(np.maximum.reduce(_row_norms(grad)))
     if gmax < _ZERO_GRAD:
         # worst-case objective is flat (attack disconnects); climb the
         # unattacked connectivity instead until redundancy appears
         grad = connectivity_gradient(
             positions, profile, ev.worst.start, ev.graph
         ).per_agent
-        gmax = float(_row_norms(grad).max())
+        gmax = float(np.maximum.reduce(_row_norms(grad)))
     return grad, gmax
 
 
@@ -263,10 +265,10 @@ class _Rejected:
         return self._norms[: self._added]
 
     def add(self, fiedler: np.ndarray) -> None:
-        u = fiedler - fiedler.sum() / len(fiedler)
+        u = fiedler - np.add.reduce(fiedler) / len(fiedler)
         k = self._added % _STORE_ROWS
         self._rows[k] = u
-        self._norms[k] = u @ u - u.sum() ** 2 / len(u)
+        self._norms[k] = u @ u - np.add.reduce(u) ** 2 / len(u)
         self._added += 1
 
 
@@ -460,7 +462,7 @@ def _two_hop_neighborhoods(g: WeightedGraph) -> list[list[int]]:
     adj[g.edges[:, 0], g.edges[:, 1]] = 1
     adj[g.edges[:, 1], g.edges[:, 0]] = 1
     # with the diagonal set, (adj @ adj)[i, k] > 0 iff k is within two hops
-    return [np.flatnonzero(row).tolist() for row in adj @ adj]
+    return [row.nonzero()[0].tolist() for row in adj @ adj]
 
 
 def plan_step_decentralized(
@@ -495,7 +497,7 @@ def plan_step_decentralized(
                 local = snapshot[idx]
                 ev = scope.evaluate(build_proximity_graph(local, sub_profile), m)
                 gi = _ascent_gradient_rows(local, sub_profile, ev)[0][loc]
-                norm = float(np.linalg.norm(gi))
+                norm = math.sqrt(gi @ gi)
                 if norm < _ZERO_GRAD:
                     continue
                 unit = gi / norm

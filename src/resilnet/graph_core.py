@@ -20,6 +20,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+# The per-step path (this module, the attack search, the planner and the
+# simulator's step loop) calls numpy at its C entry points: ufunc reductions
+# such as np.add.reduce for x.sum() and np.logical_or.reduce for np.any, and
+# array methods such as x.repeat for np.repeat and x.nonzero()[0] for
+# np.flatnonzero.  Each runs the C loop of the call it stands for, so every
+# bit is kept, without the Python wrapper frame that call enters each time.
+
 __all__ = [
     "BINARY",
     "SMOOTH",
@@ -213,7 +220,7 @@ def as_positions(positions) -> np.ndarray:
     n, d = pos.shape
     if d not in (2, 3):
         raise ValueError(f"positions must live in 2 or 3 dimensions, got {d}")
-    if not np.all(np.isfinite(pos)):
+    if not np.logical_and.reduce(np.isfinite(pos), axis=None):
         raise ValueError("positions must be finite")
     return pos
 
@@ -289,7 +296,7 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     # each pair occurs once: assigned, 0 - w keeps the bits of subtracting w
     lap[i, j] = lap[j, i] = 0.0 - g.weights
     # bincount adds each agent's link weights in edge order
-    lap.flat[:: g.n + 1] = np.bincount(g.edges.ravel(), np.repeat(g.weights, 2), minlength=g.n)
+    lap.flat[:: g.n + 1] = np.bincount(g.edges.ravel(), g.weights.repeat(2), minlength=g.n)
     return lap
 
 
@@ -301,7 +308,7 @@ def _deflate(lap: np.ndarray) -> tuple[np.ndarray, float]:
     spectrum and the smallest eigenvalue is lambda2.  Adding the scalar
     gives the bits of adding the ones matrix, since times 1.0 is exact.
     """
-    shift = 2.0 * float(lap.diagonal().max()) + 1.0
+    shift = 2.0 * float(np.maximum.reduce(lap.diagonal())) + 1.0
     lap += shift / len(lap)
     return lap, shift
 
@@ -327,12 +334,12 @@ def _spectral_result(evals: np.ndarray, evecs: np.ndarray) -> SpectralResult:
     # the first entry clear of roundoff is positive (a unit vector has one)
     # the sum over n and the root of the dot are what np.mean and
     # np.linalg.norm evaluate, without their wrappers
-    vec = vec - vec.sum() / len(vec)
+    vec = vec - np.add.reduce(vec) / len(vec)
     norm = math.sqrt(vec @ vec)
     if norm < 1e-12:
         raise SpectralError("Fiedler vector collapsed onto the kernel")
     vec = vec / norm
-    if vec[np.argmax(np.abs(vec) > 1e-12)] < 0:
+    if vec[(np.abs(vec) > 1e-12).argmax()] < 0:
         vec = -vec
     return SpectralResult(lam2, vec, bool(lam3 - lam2 > _SIMPLE_GAP))
 

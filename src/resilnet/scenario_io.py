@@ -6,7 +6,8 @@ path, instead of stopping at the first.  Traces are line-delimited JSON
 records and reports are single JSON documents, all written by one writer
 that names the output it could not write; numbers are written with 17
 significant digits so that parse(emit(x)) == x bit for bit and reruns are
-byte-identical.  Each parser imports the modules its document needs: a game
+byte-identical.  A trace record read back is checked by the walk's rules
+and reported at its file, line and field.  Each parser imports the modules its document needs: a game
 file :mod:`resilnet.gne`, a scenario or a trace the network modules.
 """
 
@@ -835,10 +836,62 @@ def emit_trace(trace: Sequence[StepTrace], path: str | Path) -> None:
     _write("trace", path, "".join(dumps_canonical(_trace_record(t)) + "\n" for t in trace))
 
 
-def parse_trace(path: str | Path) -> list[StepTrace]:
+def _trace_step(rec: Any) -> StepTrace:
+    """The step one trace record holds, checked by the scenario validator's
+    rules: a missing field raises KeyError, and a bad value ValueError at
+    its path, the first one found.  ``step``, ``graph.n``, the edge ends and
+    ``active_events`` hold integers, each edge end an agent in [0, n);
+    ``anticipated`` holds bools; the positions, link weights and both lambda2
+    values are finite numbers, which JSON's ``NaN``, ``Infinity`` and
+    ``1e400`` are not."""
     from .graph_core import WeightedGraph
     from .simulator import StepTrace
 
+    w = _Walk()
+
+    def each(node: Any, path: str, expected: str) -> list[tuple[str, Any]]:
+        return [(f"{path}[{k}]", x) for k, x in enumerate(w.items(node, path, expected) or ())]
+
+    def points(key: str) -> list:
+        return [w.vector(row, path) for path, row in each(rec[key], key, "a list of positions")]
+
+    step = w.number(rec["step"], "step", integer=True)
+    true, reported = points("true"), points("reported")
+    n = w.number(rec["graph"]["n"], "graph.n", integer=True)
+    last = None if n is None else n - 1
+    ends, weights = [], []
+    for path, (i, j, weight) in each(rec["graph"]["edges"], "graph.edges", "a list of edges"):
+        ends.append([
+            w.number(end, f"{path}[{c}]", integer=True, minimum=0, maximum=last)
+            for c, end in enumerate((i, j))
+        ])
+        weights.append(w.number(weight, f"{path}[2]"))
+    lambda2 = w.number(rec["lambda2"], "lambda2")
+    worst = w.number(rec["lambda2_worst"], "lambda2_worst")
+    events = each(rec["active_events"], "active_events", "a list of event indices")
+    active = [w.number(k, path, integer=True) for path, k in events]
+    anticipated = each(rec["anticipated"], "anticipated", "a list of bools")
+    for path, flag in anticipated:
+        if not isinstance(flag, bool):
+            w.err(path, f"expected a bool, got {flag!r}")
+    if w.errors:
+        raise ValueError(w.errors[0])
+    return StepTrace(
+        step=step,
+        true_positions=np.asarray(true, dtype=float),
+        reported_positions=np.asarray(reported, dtype=float),
+        realized_graph=WeightedGraph(n, ends, weights),
+        lambda2_realized=lambda2,
+        lambda2_worst_anticipated=worst,
+        active_events=tuple(active),
+        anticipated=tuple(flag for _, flag in anticipated),
+    )
+
+
+def parse_trace(path: str | Path) -> list[StepTrace]:
+    """The steps of a trace written by :func:`emit_trace`; a record that is
+    not JSON, or that ``_trace_step`` rejects, raises ValueError at
+    ``<path>:<line>: bad trace record:``."""
     out: list[StepTrace] = []
     try:
         lines = Path(path).read_text().splitlines()
@@ -848,25 +901,7 @@ def parse_trace(path: str | Path) -> list[StepTrace]:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            edges = rec["graph"]["edges"]
-            graph = WeightedGraph(
-                int(rec["graph"]["n"]),
-                [(int(i), int(j)) for i, j, _ in edges],
-                [float(w) for _, _, w in edges],
-            )
-            out.append(
-                StepTrace(
-                    step=int(rec["step"]),
-                    true_positions=np.asarray(rec["true"], dtype=float),
-                    reported_positions=np.asarray(rec["reported"], dtype=float),
-                    realized_graph=graph,
-                    lambda2_realized=float(rec["lambda2"]),
-                    lambda2_worst_anticipated=float(rec["lambda2_worst"]),
-                    active_events=tuple(int(k) for k in rec["active_events"]),
-                    anticipated=tuple(bool(b) for b in rec["anticipated"]),
-                )
-            )
+            out.append(_trace_step(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad trace record: {exc}") from exc
     return out

@@ -228,7 +228,7 @@ def _resolve_edges(
     found = []
     for a, b in pairs:
         ends = sorted((index.get(a, -1), index.get(b, -1)))
-        hit = np.flatnonzero((g.edges == ends).all(axis=1))
+        hit = np.logical_and.reduce(g.edges == ends, axis=1).nonzero()[0]
         if hit.size == 0:
             # imported here: the import costs a few ms of every start, and
             # only this rare warning needs it

@@ -597,6 +597,33 @@ def test_metrics_flags_follow_the_baseline_block(flags, error, scenario_file, tm
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "field, bad, error",
+    [
+        # the first once exited 1 with the writer's untagged "non-finite
+        # number", the second printed a report from a step read as 1
+        ('"lambda2":', '"lambda2":NaN,', "lambda2: must be finite, got nan"),
+        ('"step":', '"step":1.7,', "step: expected an integer, got 1.7"),
+    ],
+    ids=["nan_lambda2", "fractional_step"],
+)
+def test_metrics_reports_a_bad_trace_record_at_its_line(
+    field, bad, error, scenario_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    main(["simulate", str(scenario_file), "--out", str(out)])
+    capsys.readouterr()
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    start = lines[1].index(field)
+    lines[1] = lines[1][:start] + bad + lines[1][lines[1].index(",", start) + 1 :]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["metrics", str(path), "--t2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:2: bad trace record: {error}\n"
+
+
 def test_metrics_bad_onset_exits_1(scenario_file, tmp_path, capsys):
     out = tmp_path / "run"
     main(["simulate", str(scenario_file), "--out", str(out)])

@@ -812,6 +812,59 @@ def test_broken_trace_line_reports_line_number(tmp_path):
         parse_trace(path)
 
 
+def set_field(rec: dict, field: str, value) -> None:
+    *parents, last = field.split(".")
+    node = rec
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+@pytest.mark.parametrize(
+    "field, text, error",
+    [
+        # JSON reads all three as numbers; none of them is finite
+        ("lambda2", "NaN", "lambda2: must be finite, got nan"),
+        ("lambda2", "Infinity", "lambda2: must be finite, got inf"),
+        ("lambda2", "1e400", "lambda2: must be finite, got inf"),
+        ("lambda2_worst", "-Infinity", "lambda2_worst: must be finite, got -inf"),
+        ("lambda2", "1" + "0" * 400, "lambda2: must fit a float, got an integer of 401 digits"),
+        ("lambda2", '"0.5"', "lambda2: expected a number, got str"),
+        ("true.0.1", "NaN", "true[0][1]: must be finite, got nan"),
+        ("reported.1", "3.0", "reported[1]: expected a list of numbers"),
+        ("graph.edges.0.2", "Infinity", "graph.edges[0][2]: must be finite, got inf"),
+        ("graph.edges.0.2", "true", "graph.edges[0][2]: expected a number, got bool"),
+        # these were once coerced: 1.7 read as step 1, "no" as two Trues, and
+        # an edge end of -1 was kept for the eigensolve to trip over
+        ("step", "1.7", "step: expected an integer, got 1.7"),
+        ("step", "true", "step: expected a number, got bool"),
+        ("graph.n", "2.0", "graph.n: expected an integer, got 2.0"),
+        ("graph.edges.0.0", "-1", "graph.edges[0][0]: must be >= 0, got -1"),
+        ("graph.edges.0.1", "2", "graph.edges[0][1]: must be <= 1, got 2"),
+        ("graph.edges.0.1", "1.0", "graph.edges[0][1]: expected an integer, got 1.0"),
+        ("active_events", '"0"', "active_events: expected a list of event indices"),
+        ("active_events", "[false]", "active_events[0]: expected a number, got bool"),
+        ("anticipated", '"no"', "anticipated: expected a list of bools"),
+        ("anticipated", "[1]", "anticipated[0]: expected a bool, got 1"),
+    ],
+    ids=[
+        "lambda2_nan", "lambda2_inf", "lambda2_1e400", "lambda2_worst_inf", "long_integer",
+        "string", "position_nan", "position_row", "weight_inf", "weight_bool",
+        "step_fraction", "step_bool", "n_float", "end_negative", "end_n", "end_float",
+        "events_string", "events_bool", "anticipated_string", "anticipated_int",
+    ],
+)
+def test_a_bad_trace_value_is_reported_at_its_line_and_field(field, text, error, tmp_path):
+    good = dumps_canonical(_trace_record(scenario_trace()[0]))
+    rec = json.loads(good)
+    set_field(rec, field, "@")
+    path = tmp_path / "bad.jsonl"
+    path.write_text(good + "\n" + json.dumps(rec).replace('"@"', text) + "\n")
+    with pytest.raises(ValueError) as exc:
+        parse_trace(path)
+    assert str(exc.value) == f"{path}:2: bad trace record: {error}"
+
+
 # ---------------------------------------------------------------------------
 # coupled-game problem files
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Closed-loop scenario runs and resilience metrics."""
 
+import collections
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 import resilnet
 from resilnet import (
     BINARY,
+    DECENTRALIZED,
     BaselineSpec,
     ControlOptions,
     JamEvent,
@@ -22,9 +25,13 @@ from resilnet import (
     StepTrace,
     WeightedGraph,
     WeightProfile,
+    build_proximity_graph,
     compute_resilience_metrics,
+    plan_step_decentralized,
     run_scenario,
+    worst_case_removal,
 )
+from resilnet import adversary
 
 RING6 = tuple(
     (
@@ -160,6 +167,70 @@ def test_importing_the_simulator_leaves_logging_unloaded():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def numpy_wrapper_frames(run) -> collections.Counter:
+    """The frames of numpy's Python-level wrappers, ``fromnumeric`` and
+    ``_methods`` (under numpy 1.x's ``numpy.core`` or 2.x's ``numpy._core``),
+    that ``run()`` enters directly from a resilnet frame, by caller."""
+    seen = collections.Counter()
+
+    def profile(frame, event, arg):
+        caller = frame.f_back
+        if (
+            event == "call"
+            and frame.f_globals.get("__name__", "").endswith(("fromnumeric", "_methods"))
+            and caller is not None
+            and caller.f_globals.get("__name__", "").startswith("resilnet")
+        ):
+            seen[f"{caller.f_code.co_name} -> {frame.f_code.co_name}"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_the_step_path_enters_no_numpy_wrapper_frame():
+    # each such wrapper costs about as much as the C reduction it wraps; a
+    # jittered 4x4 lattice makes the planner move, trial and certify, and the
+    # calls after the run reach the greedy search, a budget-3 screen and a
+    # cold subset table
+    points = tuple(
+        (k % 4 + 0.05 * math.sin(k), k // 4 + 0.05 * math.cos(3 * k)) for k in range(16)
+    )
+    ids = tuple(f"a{k}" for k in range(16))
+    profile = WeightProfile(BINARY, 1.6)
+    cfg = ScenarioConfig(
+        dimension=2,
+        agent_ids=ids,
+        agent_layers=("default",) * 16,
+        initial_positions=points,
+        profiles={"default": profile},
+        opts=ControlOptions(RemovalBudget(2), 0.3, min_separation=0.5, outer_iters=8),
+        steps=3,
+        events=(
+            JamEvent(budget=2, start=1, end=2),
+            JamEvent(budget=1, start=2, end=3, edges=(("a0", "a1"),)),
+            SpoofEvent(targets=("a5",), offset=(0.1, -0.05), start=0, duration=2),
+        ),
+        rng_seed=7,
+        baseline=BaselineSpec(),
+    )
+    decentralized = ControlOptions(RemovalBudget(1), 0.3, outer_iters=2, mode=DECENTRALIZED)
+    g = build_proximity_graph(points, profile)
+
+    def run():
+        run_scenario(cfg)
+        plan_step_decentralized(points, profile.smooth_surrogate(), decentralized)
+        worst_case_removal(g, RemovalBudget(2), mode="greedy")
+        adversary._subsets.cache_clear()
+        worst_case_removal(g, RemovalBudget(3))
+
+    assert numpy_wrapper_frames(run) == {}
 
 
 def test_spoof_perturbs_reports_not_truth():
